@@ -4,7 +4,8 @@
 // adding reader threads should add throughput; (2) what does group commit
 // buy — batching N sentences into one WAL record + one fsync should move
 // commit throughput from the fsync floor toward the apply floor as the
-// batch grows.
+// batch grows. Both run on the queued single-writer pipeline,
+// ShardedExecutor with one shard.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +13,6 @@
 #include <iostream>
 #include <memory>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 #include "workload/generator.h"
@@ -62,11 +62,11 @@ void ResetDir(Env* env) {
 void BM_GroupCommitThroughput(benchmark::State& state) {
   Env* env = Env::Default();
   ResetDir(env);
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.group_commit.max_batch = static_cast<size_t>(state.range(0));
-  options.group_commit.max_latency = std::chrono::microseconds(0);
-  ConcurrentExecutor exec(env, kDir, options);
+  ShardedExecutor exec(env, kDir, options);
   if (!exec.Start().ok()) {
     state.SkipWithError("cannot start executor");
     return;
@@ -102,9 +102,10 @@ void BM_GroupCommitThroughput(benchmark::State& state) {
     (void)inflight.front().get();
     inflight.pop_front();
   }
-  const ConcurrentExecutor::Stats stats = exec.stats();
+  const ShardedExecutor::Stats stats = exec.stats();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["fsyncs"] = static_cast<double>(stats.wal.syncs);
+  state.counters["fsyncs"] =
+      static_cast<double>(stats.per_shard[0].wal.syncs);
   state.counters["batches"] = static_cast<double>(stats.batches);
   state.counters["avg_batch"] =
       stats.batches == 0
@@ -128,15 +129,14 @@ BENCHMARK(BM_GroupCommitThroughput)
 /// round-robin — their name hashes spread them across every shard — so
 /// with N > 1 the encode/append/fsync pipeline runs on N writer threads
 /// whose fsyncs overlap, while transaction-number assignment stays behind
-/// the one global order lock. shards:1 measures the protocol's own
-/// overhead against BM_GroupCommitThroughput/max_batch:64.
+/// the one global order lock. shards:1 is the same pipeline as
+/// BM_GroupCommitThroughput/max_batch:64 over 16 relations instead of one.
 void BM_ShardedCommitThroughput(benchmark::State& state) {
   Env* env = Env::Default();
   ResetDir(env);
   ShardedOptions options;
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.group_commit.max_batch = 64;
-  options.group_commit.max_latency = std::chrono::microseconds(0);
   options.shards = static_cast<size_t>(state.range(0));
   ShardedExecutor exec(env, kDir, options);
   if (!exec.Start().ok()) {
@@ -203,17 +203,18 @@ BENCHMARK(BM_ShardedCommitThroughput)
 /// holds 64 committed states under the delta engine with a small
 /// FINDSTATE cache, so reads mix cache hits with log reconstruction —
 /// the realistic mix a hot rollback relation serves.
-ConcurrentExecutor* g_read_exec = nullptr;
+ShardedExecutor* g_read_exec = nullptr;
 
 void BM_ReaderSessionScaling(benchmark::State& state) {
   if (state.thread_index() == 0) {
     Env* env = Env::Default();
     ResetDir(env);
-    ConcurrentOptions options;
+    ShardedOptions options;
+    options.shards = 1;
     options.durable.db.storage = StorageKind::kDelta;
     options.durable.db.checkpoint_interval = 8;
     options.durable.db.findstate_cache_capacity = 8;
-    g_read_exec = new ConcurrentExecutor(env, kDir, options);
+    g_read_exec = new ShardedExecutor(env, kDir, options);
     if (!g_read_exec->Start().ok()) {
       state.SkipWithError("cannot start executor");
       return;

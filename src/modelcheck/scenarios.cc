@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 #include "util/vthread.h"
@@ -39,15 +38,15 @@ Scenario ConcurrentCommitScenario() {
   Scenario scenario;
   scenario.name = "concurrent";
   scenario.description =
-      "ConcurrentExecutor: 2 clients + group-commit writer; gap-free "
-      "chaining, read-your-writes, epoch pinning, monotone publish";
+      "ShardedExecutor(shards=1): 2 clients + group-commit writer; "
+      "gap-free chaining, read-your-writes, epoch pinning, monotone publish";
   scenario.run = [](ModelContext& t) {
     InMemoryEnv env;
-    ConcurrentOptions options;
+    ShardedOptions options;
     options.durable.sync_policy = SyncPolicy::kAlways;
-    options.group_commit.max_latency = std::chrono::microseconds(0);
     options.group_commit.max_batch = 4;
-    ConcurrentExecutor exec(&env, "db", options);
+    options.shards = 1;
+    ShardedExecutor exec(&env, "db", options);
     t.Check(exec.Start().ok(), "Start() succeeds");
     {
       auto setup = exec.SubmitAsync({Command{DefineRelationCmd{
@@ -132,7 +131,6 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
     InMemoryEnv env;
     ShardedOptions options;
     options.durable.sync_policy = SyncPolicy::kAlways;
-    options.group_commit.max_latency = std::chrono::microseconds(0);
     options.shards = 2;
     options.test_faults.ack_out_of_order = seeded_bug;
     ShardedExecutor exec(&env, "db", options);

@@ -19,7 +19,8 @@ struct Scenario {
   std::function<void(ModelContext&)> run;
 };
 
-/// `ConcurrentExecutor`, 1 writer + 2 client tasks: gap-free transaction
+/// `ShardedExecutor` with one shard, 1 writer + 2 client tasks (max_batch
+/// 4, so both clients can share a batch): gap-free transaction
 /// chaining, read-your-writes after ack, published-epoch monotonicity,
 /// epoch-pinned sessions ≡ ρ(·, epoch), clean Stop() quiescence.
 Scenario ConcurrentCommitScenario();

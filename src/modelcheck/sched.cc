@@ -1,6 +1,5 @@
 #include "modelcheck/sched.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace ttra {
@@ -28,7 +27,6 @@ std::string_view OpKindName(OpKind kind) {
     case OpKind::kSharedReaderLock: return "SharedReaderLock";
     case OpKind::kSharedReaderUnlock: return "SharedReaderUnlock";
     case OpKind::kCondWait: return "CondWait";
-    case OpKind::kCondTimedWait: return "CondTimedWait";
     case OpKind::kCondSignal: return "CondSignal";
     case OpKind::kCondSignalAll: return "CondSignalAll";
     case OpKind::kThreadJoin: return "ThreadJoin";
@@ -96,11 +94,6 @@ void ModelScheduler::CondWait(void* cv, void* mutex) {
   std::unique_lock<std::mutex> lock(global_);
   SyncOp(lock, OpSig{OpKind::kCondWait, ObjectId(cv), ObjectId(mutex)});
 }
-bool ModelScheduler::CondTimedWait(void* cv, void* mutex) {
-  std::unique_lock<std::mutex> lock(global_);
-  return SyncOp(lock,
-                OpSig{OpKind::kCondTimedWait, ObjectId(cv), ObjectId(mutex)});
-}
 void ModelScheduler::CondSignal(void* cv) {
   std::unique_lock<std::mutex> lock(global_);
   SyncOp(lock, OpSig{OpKind::kCondSignal, ObjectId(cv)});
@@ -162,7 +155,7 @@ bool ModelScheduler::SyncOp(std::unique_lock<std::mutex>& lock, OpSig op) {
   if (failed_) ParkForever(lock, self);
   self->state = Task::State::kAtPoint;
   self->pending = op;
-  if (op.kind == OpKind::kCondWait || op.kind == OpKind::kCondTimedWait) {
+  if (op.kind == OpKind::kCondWait) {
     // A cond wait's entry effects are immediate (they are what the real
     // primitive does atomically before blocking): release the mutex —
     // which may enable other tasks — and join the waiter queue.
@@ -195,12 +188,6 @@ bool ModelScheduler::Enabled(const Task& task) const {
     }
     case OpKind::kCondWait: {
       if (signaled_.count(task.id) == 0) return false;
-      auto it = mutexes_.find(op.obj2);
-      return it == mutexes_.end() || it->second.owner == MutexState::kNone;
-    }
-    case OpKind::kCondTimedWait: {
-      // The (virtual) timeout can fire at any moment, so the wait is
-      // runnable whenever the mutex can be reacquired.
       auto it = mutexes_.find(op.obj2);
       return it == mutexes_.end() || it->second.owner == MutexState::kNone;
     }
@@ -246,17 +233,6 @@ void ModelScheduler::ApplyOp(Task* task) {
       signaled_.erase(task->id);
       mutexes_[op.obj2].owner = task->id;
       break;
-    case OpKind::kCondTimedWait: {
-      // Signaled → woke normally; not signaled → the timeout fired while
-      // still queued, so leave the waiter list. Reacquire either way.
-      task->grant_flag = signaled_.count(task->id) > 0;
-      signaled_.erase(task->id);
-      auto& waiters = condvars_[op.obj].waiters;
-      waiters.erase(std::remove(waiters.begin(), waiters.end(), task->id),
-                    waiters.end());
-      mutexes_[op.obj2].owner = task->id;
-      break;
-    }
     case OpKind::kCondSignal: {
       auto& waiters = condvars_[op.obj].waiters;
       if (!waiters.empty()) {

@@ -48,7 +48,6 @@ enum class OpKind : uint8_t {
   kSharedReaderLock,
   kSharedReaderUnlock,
   kCondWait,
-  kCondTimedWait,  ///< wait with a (virtual) timeout: may fire any time
   kCondSignal,
   kCondSignalAll,
   kThreadJoin,
@@ -159,7 +158,6 @@ class ModelScheduler : public SchedHooks {
   void SharedReaderLock(void* mutex) override;
   void SharedReaderUnlock(void* mutex) override;
   void CondWait(void* cv, void* mutex) override;
-  bool CondTimedWait(void* cv, void* mutex) override;
   void CondSignal(void* cv) override;
   void CondSignalAll(void* cv) override;
   uint64_t ThreadCreate() override;
@@ -178,7 +176,7 @@ class ModelScheduler : public SchedHooks {
       kFinished,
     } state = State::kAtPoint;
     OpSig pending;
-    bool grant_flag = false;  ///< result for TryLock / TimedWait
+    bool grant_flag = false;  ///< result for TryLock
     bool go = false;          ///< handoff token
     std::condition_variable cv;
   };
@@ -205,7 +203,7 @@ class ModelScheduler : public SchedHooks {
 
   /// Records `op` as the caller's pending operation and blocks until the
   /// scheduler grants it (applying its effects). Returns the grant flag
-  /// (TryLock acquired / TimedWait signaled). `lock` holds `global_`.
+  /// (TryLock acquired). `lock` holds `global_`.
   bool SyncOp(std::unique_lock<std::mutex>& lock, OpSig op);
 
   /// Core decision procedure, called with `global_` held by the task

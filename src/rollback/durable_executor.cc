@@ -10,24 +10,15 @@ namespace {
 enum RecordKind : uint8_t {
   kKindSentence = 0,
   kKindAtomic = 1,
-  /// A group-committed batch: [u64 count] followed by `count` encoded
-  /// entries. One record — and thus one checksum — frames the whole
-  /// batch, so a crash can never surface part of it.
+  /// A group-committed batch: [u64 count] followed by `count` entries of
+  /// [u8 atomic][u64 pre_txn][u64 n][n commands]. Only read: earlier
+  /// builds wrote it from `run --group-commit`, and their directories
+  /// must still recover.
   kKindGroup = 2,
 };
 
 void PutU64(uint64_t v, std::string& out) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-/// The per-sentence encoding shared by plain and group records:
-/// [u8 atomic][u64 pre_txn][u64 n][n commands].
-void EncodeEntry(bool atomic, TransactionNumber pre_txn,
-                 const std::vector<Command>& sentence, std::string& out) {
-  out.push_back(static_cast<char>(atomic ? 1 : 0));
-  PutU64(pre_txn, out);
-  PutU64(sentence.size(), out);
-  for (const Command& command : sentence) EncodeCommand(command, out);
 }
 
 std::string EncodeRecord(bool atomic, TransactionNumber pre_txn,
@@ -115,6 +106,18 @@ Status DurableExecutor::Open() {
   healthy_ = false;
   last_recovery_ = RecoveryInfo{};
   TTRA_RETURN_IF_ERROR(env_->CreateDir(dir_));
+
+  // Layout detection, the mirror of ShardedExecutor::Start's: a sharded
+  // directory (MANIFEST) must not be opened as a single-writer one. Its
+  // shard logs would be ignored, and the checkpoint rewritten below is
+  // the same checkpoint.db the sharded layout reads.
+  if (env_->Exists(dir_ + "/MANIFEST")) {
+    return InvalidArgumentError(
+        dir_ + " holds a sharded layout (MANIFEST); open it with the "
+        "sharded executor (`ttra run --group-commit` or `--shards`, "
+        "`ttra recover`) or start the single-writer executor in a fresh "
+        "directory");
+  }
 
   // A directory that already holds a compact layout is adopted even when
   // the option is off, so reopening with default options never misreads
@@ -337,86 +340,6 @@ Result<TransactionNumber> DurableExecutor::Submit(const Command& command) {
 Result<TransactionNumber> DurableExecutor::SubmitAtomic(
     const std::vector<Command>& sentence) {
   return SubmitInternal(sentence, /*atomic=*/true);
-}
-
-std::vector<Result<TransactionNumber>> DurableExecutor::SubmitGroup(
-    const std::vector<GroupEntry>& entries) {
-  std::vector<Result<TransactionNumber>> results;
-  if (entries.empty()) return results;
-  results.reserve(entries.size());
-
-  MutexLock lock(commit_mutex_);
-  const auto fail_all = [&](const Status& status) {
-    results.assign(entries.size(), Result<TransactionNumber>(status));
-  };
-  if (!healthy_) {
-    fail_all(UnavailableError(
-        "durable executor is failed-stop after an I/O error; reopen to "
-        "recover"));
-    return results;
-  }
-
-  // Stage every entry on a private clone, recording per-entry pre-commit
-  // transaction numbers (the replay framing) and results. Nothing is
-  // visible to readers yet, so an I/O failure below can still abandon the
-  // whole batch with memory untouched — exact log-before-apply.
-  Database staged = exec_.Snapshot();
-  std::string payload;
-  payload.push_back(static_cast<char>(kKindGroup));
-  PutU64(entries.size(), payload);
-  for (const GroupEntry& entry : entries) {
-    EncodeEntry(entry.atomic, staged.transaction_number(), entry.sentence,
-                payload);
-    Status applied;
-    if (entry.atomic) {
-      Database scratch = staged.Clone();
-      applied = ApplySentence(scratch, entry.sentence);
-      if (applied.ok()) staged = std::move(scratch);
-    } else {
-      applied = ApplySentence(staged, entry.sentence);
-    }
-    if (applied.ok()) {
-      results.emplace_back(staged.transaction_number());
-    } else {
-      results.emplace_back(applied);
-    }
-  }
-
-  // One record, one (policy-dependent) sync for the whole batch. The
-  // single checksummed record is what makes the batch atomic across a
-  // crash: recovery replays all of it or none of it. Transient failures
-  // are retried (with the torn frame cut back) before giving up.
-  Status io = RetryWalOp([this, &payload]() TTRA_REQUIRES(commit_mutex_) {
-    return wal_.AddRecord(payload);
-  }, /*reset_tail=*/true);
-  if (io.ok()) {
-    commits_since_sync_ += entries.size();
-    const bool sync_now =
-        options_.sync_policy == SyncPolicy::kAlways ||
-        (options_.sync_policy == SyncPolicy::kBatch &&
-         commits_since_sync_ >= options_.batch_size);
-    if (sync_now) {
-      io = RetryWalOp([this]() TTRA_REQUIRES(commit_mutex_) {
-        return wal_.Sync();
-      }, /*reset_tail=*/false);
-      if (io.ok()) commits_since_sync_ = 0;
-    }
-  }
-  if (!io.ok()) {
-    FailStopLocked(io);
-    fail_all(io);
-    return results;
-  }
-
-  // Durable (per policy): install the staged database and acknowledge.
-  exec_.Reset(std::move(staged));
-  commits_since_checkpoint_ += entries.size();
-  if (options_.checkpoint_every != 0 &&
-      commits_since_checkpoint_ >= options_.checkpoint_every) {
-    // Same best-effort contract as the single-submit path above.
-    CheckpointLocked().IgnoreError();
-  }
-  return results;
 }
 
 Status DurableExecutor::CheckpointLocked() {

@@ -70,12 +70,6 @@ struct DurableOptions {
   CompactOptions compact;
 };
 
-/// One entry of a group commit: a sentence plus its submit mode.
-struct GroupEntry {
-  std::vector<Command> sentence;
-  bool atomic = false;
-};
-
 /// A sentence as recorded in the write-ahead log — the unit of the
 /// committed order. Exposed so tests and tools (the differential
 /// concurrency oracle, `ttra recover` forensics) can read back exactly
@@ -88,7 +82,8 @@ struct LoggedSentence {
 
 /// Decodes one WAL record payload (as returned by ReadWal) into its logged
 /// sentences: one for a plain Submit/SubmitAtomic record, several for a
-/// group-commit record. Malformed input → kCorruption.
+/// group-commit record (kind 2, written only by earlier builds' queued
+/// executor and still replayed). Malformed input → kCorruption.
 Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record);
 
 /// Durable front-end over SerialExecutor: every submitted sentence is
@@ -136,21 +131,6 @@ class DurableExecutor {
   /// Durably logs a sentence and applies it all-or-nothing.
   Result<TransactionNumber> SubmitAtomic(const std::vector<Command>& sentence);
 
-  /// Group commit: applies the entries in order and logs the whole batch
-  /// as ONE checksummed WAL record with ONE sync (under kAlways; kBatch
-  /// counts each entry toward its window; kNever never syncs). The single
-  /// record makes the batch atomic in durability — recovery replays either
-  /// every sentence of the batch or none, never a torn batch — while each
-  /// entry keeps its own commit semantics (paper sequencing vs atomic).
-  ///
-  /// Log-before-apply is preserved: entries are staged on a private clone,
-  /// the record is appended and (per policy) synced, and only then is the
-  /// staged database installed and the batch acknowledged. Any I/O error
-  /// discards the staging clone and fails stop, leaving memory clean.
-  /// Returns one result per entry, in order.
-  std::vector<Result<TransactionNumber>> SubmitGroup(
-      const std::vector<GroupEntry>& entries);
-
   /// Writes a fresh checkpoint of the current state. Legacy layout:
   /// rewrites checkpoint.db and truncates the WAL. Compact layout:
   /// appends an incremental manifest record (the WAL is retained).
@@ -196,8 +176,7 @@ class DurableExecutor {
   HealthStats health() const;
 
   /// Physical-I/O accounting of the write-ahead log since Open(): how many
-  /// records, appends, and fsyncs the commit stream cost. The group-commit
-  /// payoff is syncs << records.
+  /// records, appends, and fsyncs the commit stream cost.
   WalWriter::Stats wal_stats() const;
 
   /// What the last Open() found.

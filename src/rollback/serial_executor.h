@@ -55,9 +55,8 @@ class SerialExecutor {
   Database Snapshot() const;
 
   /// Replaces the database wholesale under the exclusive lock. Reserved
-  /// for DurableExecutor: recovery (installing a checkpoint + replayed
-  /// WAL) and group commit (installing a staged batch after its record is
-  /// durable). Normal code must go through Submit.
+  /// for DurableExecutor's recovery (installing a checkpoint + replayed
+  /// WAL). Normal code must go through Submit.
   void Reset(Database db);
 
  private:

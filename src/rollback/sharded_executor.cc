@@ -241,6 +241,26 @@ Result<ShardRecord> DecodeShardRecord(std::string_view payload) {
   return record;
 }
 
+Result<SnapshotState> Session::Rollback(
+    const std::string& name, std::optional<TransactionNumber> txn) const {
+  if (txn.has_value() && *txn > epoch_) {
+    return InvalidRollbackError("transaction " + std::to_string(*txn) +
+                                " is beyond this session's epoch " +
+                                std::to_string(epoch_));
+  }
+  return snapshot_->Rollback(name, txn);
+}
+
+Result<HistoricalState> Session::RollbackHistorical(
+    const std::string& name, std::optional<TransactionNumber> txn) const {
+  if (txn.has_value() && *txn > epoch_) {
+    return InvalidRollbackError("transaction " + std::to_string(*txn) +
+                                " is beyond this session's epoch " +
+                                std::to_string(epoch_));
+  }
+  return snapshot_->RollbackHistorical(name, txn);
+}
+
 ShardedExecutor::ShardedExecutor(Env* env, std::string dir,
                                  ShardedOptions options)
     : env_(env), dir_(std::move(dir)), options_(options) {
@@ -846,13 +866,16 @@ Status ShardedExecutor::RetryShardWalOp(Shard& shard,
 
 void ShardedExecutor::RefuseBatch(std::vector<Pending>& batch,
                                   const Status& reason) {
+  // Count before answering, so a caller that reads stats() after its
+  // refusal sees it counted.
+  if (reason.code() == ErrorCode::kReadOnly) {
+    MutexLock lock(commit_mutex_);
+    stat_rejected_ += batch.size();
+  }
   for (Pending& pending : batch) {
     pending.promise.set_value(reason);
   }
   MutexLock lock(commit_mutex_);
-  if (reason.code() == ErrorCode::kReadOnly) {
-    stat_rejected_ += batch.size();
-  }
   completed_ += batch.size();
   drained_.SignalAll();
 }
@@ -1016,7 +1039,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   // Phase 2 — order: transaction numbers are data-dependent (a failed
   // command consumes none), so positions cannot be pre-reserved; the
   // global section is exactly the apply + coordinator append, nothing
-  // else. One full clone per batch (the single-writer path pays two).
+  // else. One full clone per batch.
   uint64_t commit_index = 0;
   TransactionNumber base = 0;
   TransactionNumber post = 0;
@@ -1133,8 +1156,8 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
 void ShardedExecutor::WriterLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   for (;;) {
-    std::vector<Pending> batch = shard.queue->PopBatch(
-        options_.group_commit.max_batch, options_.group_commit.max_latency);
+    std::vector<Pending> batch =
+        shard.queue->PopBatch(options_.group_commit.max_batch);
     if (batch.empty()) return;  // closed and fully drained
 
     if (degraded()) {

@@ -9,10 +9,10 @@
 #include <thread>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "util/bounded_queue.h"
 #include "util/mutex.h"
+#include "util/vthread.h"
 
 namespace ttra {
 
@@ -70,6 +70,13 @@ enum class ShardRecordKind : uint8_t {
 
 std::string_view ShardRecordKindName(ShardRecordKind kind);
 
+/// One entry of a batch payload (kPrepare/kCrossPrepare): a sentence plus
+/// its submit mode.
+struct GroupEntry {
+  std::vector<Command> sentence;
+  bool atomic = false;
+};
+
 /// One decoded record of a shard WAL or the coordinator log. Which fields
 /// are meaningful depends on `kind` (see the enum docs).
 struct ShardRecord {
@@ -87,6 +94,59 @@ struct ShardRecord {
 /// Decodes one sharded WAL record payload; kCorruption on malformed input
 /// (including the single-writer kinds 0/1/2, which do not belong here).
 Result<ShardRecord> DecodeShardRecord(std::string_view payload);
+
+/// Group-commit accumulation knobs. A writer takes whatever queued while
+/// its previous batch was being made durable, up to `max_batch`; it never
+/// waits for a batch to fill.
+struct GroupCommitOptions {
+  /// Most sentences committed per WAL record/sync.
+  size_t max_batch = 64;
+  /// Bounded MPSC queue depth; producers block (backpressure) beyond it.
+  size_t queue_capacity = 1024;
+};
+
+/// A reader session pinned at its opening epoch N (the transaction number
+/// of the last group commit published when the session opened). The
+/// session holds a shared immutable database snapshot, so every
+/// evaluation inside it — ρ(I, n) for any n ≤ N, operator trees via
+/// lang::EvalExpr over database() — observes exactly the paper's
+/// ρ(·, N) world, no matter how far the writers advance concurrently.
+/// This is snapshot isolation derived from the semantics: E⟦·⟧ is
+/// side-effect-free, so a pinned (state, transaction-number) pair answers
+/// every expression without coordination.
+///
+/// Sessions are value types: cheap to copy (two words + a refcount) and
+/// safe to share across threads — the snapshot is immutable and FINDSTATE
+/// caching inside it is internally synchronized.
+class Session {
+ public:
+  TransactionNumber epoch() const { return epoch_; }
+
+  /// The pinned database view, e.g. for lang::EvalExpr. All relation
+  /// history up to the epoch is visible; nothing later exists here.
+  const Database& database() const { return *snapshot_; }
+
+  /// E⟦ρ(I, n)⟧ at the pinned epoch; nullopt = the session's own epoch
+  /// (the snapshot's ∞). A transaction number beyond the epoch is an
+  /// invalid-rollback error: that state may not even be committed yet,
+  /// and the session's contract is to never observe past its pin.
+  Result<SnapshotState> Rollback(
+      const std::string& name,
+      std::optional<TransactionNumber> txn = std::nullopt) const;
+
+  /// E⟦ρ̂(I, n)⟧, same epoch rules.
+  Result<HistoricalState> RollbackHistorical(
+      const std::string& name,
+      std::optional<TransactionNumber> txn = std::nullopt) const;
+
+ private:
+  friend class ShardedExecutor;
+  Session(std::shared_ptr<const Database> snapshot, TransactionNumber epoch)
+      : snapshot_(std::move(snapshot)), epoch_(epoch) {}
+
+  std::shared_ptr<const Database> snapshot_;
+  TransactionNumber epoch_ = 0;
+};
 
 /// Deliberate protocol mutations, reachable only from tests and the model
 /// checker (`ttra modelcheck --seeded-bug`). Production code never sets
@@ -114,13 +174,28 @@ struct ShardedOptions {
   ProtocolFaultsForTests test_faults;
 };
 
-/// Sharded multi-writer executor: the database is partitioned by relation
+/// The queued commit pipeline, realizing the MVCC split the paper's
+/// semantics licenses: arbitrarily many readers evaluate E⟦·⟧ against
+/// immutable pinned snapshots (Session), while writer threads serialize
+/// C⟦·⟧ through group commit. The database is partitioned by relation
 /// identifier (ShardOfName) across N shards, each owning its own WAL file,
 /// writer thread, bounded MPSC queue and group-commit loop. In-memory
 /// state stays ONE immutable published database chain — the partitioning
 /// is of the durability pipeline (encode, append, fsync), which is where a
-/// single writer saturates — so reader Sessions are exactly those of
-/// ConcurrentExecutor.
+/// single writer saturates. With `shards = 1` it is the single-writer
+/// pipeline: one queue, one writer, one WAL record pair and one fsync per
+/// batch.
+///
+/// Semantics contract:
+///  * every committed batch is equivalent to some serial C⟦·⟧ order (the
+///    merged commit order, which the shard WALs record verbatim — the
+///    differential oracle test replays it through SerialExecutor);
+///  * a session pinned at epoch N observes exactly ρ(I, N) for every I:
+///    the rollback operator doubles as the snapshot-isolation spec;
+///  * an acknowledged sentence (future resolved OK) is durable per the
+///    sync policy and visible to every session opened afterwards
+///    (read-your-writes: the post-batch snapshot is published before
+///    futures resolve).
 ///
 /// Commit protocol (per batch, on its home shard's writer thread):
 ///  1. prepare: append the payload to the shard's own WAL under a
@@ -134,8 +209,8 @@ struct ShardedOptions {
 ///     consumes none, so positions cannot be pre-reserved) — and append
 ///     the coordinator record (no sync);
 ///  3. commit: append [seq, base, post] to the shard's own WAL and sync
-///     once — one fsync covers prepare + commit, so N=1 costs exactly the
-///     single-writer executor's one-fsync-per-batch;
+///     once — one fsync covers prepare + commit, so a batch costs one
+///     fsync on its home shard;
 ///  4. ack: resolve futures only once every batch with an earlier base is
 ///     durable (the durability watermark), publishing snapshots in commit
 ///     order — an acknowledged sentence is durable and every earlier
@@ -149,9 +224,8 @@ struct ShardedOptions {
 /// provably unacknowledged and are dropped. The coordinator log is
 /// cross-checked where present but never required.
 ///
-/// Semantics contract, degraded mode and lifecycle are those of
-/// ConcurrentExecutor (one owning thread drives Start/Stop; everything
-/// between is thread-safe).
+/// Lifecycle — Start(), submit/read from any threads, Stop() — must be
+/// driven from one owning thread; everything between is thread-safe.
 class ShardedExecutor {
  public:
   /// `env` must outlive the executor. Call Start() before submitting.
@@ -169,10 +243,11 @@ class ShardedExecutor {
   /// and syncs the coordinator log. Safe to call twice.
   void Stop();
 
-  /// Routes the sentence to its home shard's queue. Future semantics are
-  /// ConcurrentExecutor's: resolves with the committed transaction number
-  /// once the batch is durable per the sync policy AND the durability
-  /// watermark has passed it; command-level errors per submit mode;
+  /// Routes the sentence to its home shard's queue. The future resolves
+  /// with the committed transaction number once the batch is durable per
+  /// the sync policy AND the durability watermark has passed it; with the
+  /// command-level error (paper sequencing: partial effects stand,
+  /// atomic: no effect); with kReadOnly in degraded mode; or with
   /// kUnavailable when stopped or failed-stop. Blocks only on a full
   /// home-shard queue (backpressure).
   std::future<Result<TransactionNumber>> SubmitAsync(
@@ -186,8 +261,8 @@ class ShardedExecutor {
   /// committed (or refused) across all shards.
   Status Drain();
 
-  /// Opens a reader session pinned at the current published epoch (shared
-  /// with ConcurrentExecutor — sessions are executor-agnostic).
+  /// Opens a reader session pinned at the current published epoch. O(1):
+  /// shares the immutable published snapshot, no copying.
   Session OpenSession() const;
 
   /// Epoch of the last published (durable, watermark-passed) commit.
@@ -214,7 +289,15 @@ class ShardedExecutor {
   CompactStore* compact_store() const { return compact_.get(); }
 
   bool healthy() const;
+
+  /// True once a permanent write failure has flipped the executor into
+  /// read-only degraded mode: the writers fast-fail every queued and new
+  /// sentence with kReadOnly while existing and new reader sessions keep
+  /// serving the last published epoch. The way out is Stop() + Start()
+  /// (re-recovery from disk) after the storage fault is repaired.
   bool degraded() const;
+
+  /// The write failure that triggered degraded mode (OK when healthy).
   Status degraded_reason() const;
 
   const std::string& dir() const { return dir_; }

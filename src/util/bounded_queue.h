@@ -2,7 +2,6 @@
 #define TTRA_UTIL_BOUNDED_QUEUE_H_
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -14,8 +13,8 @@ namespace ttra {
 /// Bounded multi-producer queue built on the annotated Mutex/CondVar
 /// primitives. Producers block while the queue is full (backpressure, so a
 /// burst of sessions cannot exhaust memory); the consumer drains in
-/// batches, optionally lingering up to a latency bound to let a batch fill
-/// — the group-commit accumulation pattern. All waits are predicate-based:
+/// batches of whatever queued while it was busy — the group-commit
+/// accumulation pattern, with no timer. All waits are predicate-based:
 /// there is no sleep/poll loop anywhere, so the queue is immune to the
 /// spurious-wakeup and lost-notify flakiness sleeps paper over.
 template <typename T>
@@ -40,25 +39,17 @@ class BoundedQueue {
     return true;
   }
 
-  /// Pops up to `max` items. Blocks until at least one item is available;
-  /// if fewer than `max` are queued at that point, waits up to `linger`
-  /// for the batch to fill before taking what is there. An empty result
+  /// Pops up to `max` items. Blocks until at least one item is available,
+  /// then takes what is queued without waiting for more. An empty result
   /// means the queue is closed and fully drained — the consumer's
   /// termination signal.
-  std::vector<T> PopBatch(size_t max,
-                          std::chrono::microseconds linger =
-                              std::chrono::microseconds::zero()) {
+  std::vector<T> PopBatch(size_t max) {
     std::vector<T> batch;
     if (max == 0) return batch;
     MutexLock lock(mutex_);
     not_empty_.Wait(mutex_, [this]() TTRA_REQUIRES(mutex_) {
       return closed_ || !items_.empty();
     });
-    if (items_.size() < max && !closed_ && linger.count() > 0) {
-      not_empty_.WaitFor(mutex_, linger, [this, max]() TTRA_REQUIRES(mutex_) {
-        return closed_ || items_.size() >= max;
-      });
-    }
     const size_t take = std::min(max, items_.size());
     batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {

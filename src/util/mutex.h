@@ -1,7 +1,6 @@
 #ifndef TTRA_UTIL_MUTEX_H_
 #define TTRA_UTIL_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -160,24 +159,6 @@ class CondVar {
     }
     LockFacade lockable{mutex};
     cv_.wait(lockable, std::move(predicate));
-  }
-
-  /// Blocks until `predicate()` is true or `timeout` elapses; returns the
-  /// predicate's final value (false = timed out with it still false).
-  template <typename Rep, typename Period, typename Predicate>
-  bool WaitFor(Mutex& mutex, std::chrono::duration<Rep, Period> timeout,
-               Predicate predicate) TTRA_REQUIRES(mutex) {
-    if (SchedHooks* hooks = sched_internal::ManagedHooks()) {
-      // Virtual time: the scheduler decides when the timeout fires, so
-      // every wake/timeout interleaving is explorable and no run depends
-      // on the wall clock.
-      while (!predicate()) {
-        if (!hooks->CondTimedWait(this, &mutex)) return predicate();
-      }
-      return true;
-    }
-    LockFacade lockable{mutex};
-    return cv_.wait_for(lockable, timeout, std::move(predicate));
   }
 
   void Signal() {

@@ -43,11 +43,8 @@ class SchedHooks {
   virtual void SharedReaderUnlock(void* mutex) = 0;
 
   // CondVar. Wait atomically releases `mutex`, blocks until signaled and
-  // reacquires. TimedWait may also be woken by a (virtual) timeout — the
-  // scheduler explores timeout firings as ordinary scheduling choices —
-  // and returns false iff it returned without a signal.
+  // reacquires.
   virtual void CondWait(void* cv, void* mutex) = 0;
-  virtual bool CondTimedWait(void* cv, void* mutex) = 0;
   virtual void CondSignal(void* cv) = 0;
   virtual void CondSignalAll(void* cv) = 0;
 

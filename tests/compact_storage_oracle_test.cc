@@ -8,7 +8,6 @@
 
 #include "rollback/commands.h"
 #include "rollback/compact_store.h"
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/serial_executor.h"
@@ -379,14 +378,14 @@ INSTANTIATE_TEST_SUITE_P(Shards, CompactStorageOracleTest,
                          ::testing::Range(0, kOracleShards));
 
 // ---------------------------------------------------------------------------
-// Concurrent and sharded engines under compact storage
+// The queued (group-commit) engine under compact storage
 // ---------------------------------------------------------------------------
 
-/// The group-commit engines reuse DurableExecutor's checkpoint path (the
-/// sharded executor routes its image write through the same CompactStore),
-/// so one synchronous replay per seed pins byte-equality and recovery for
-/// both; the concurrency-vs-serial contract itself is owned by
-/// concurrent_oracle_test.
+/// The sharded executor routes its checkpoint image through the same
+/// CompactStore as DurableExecutor, so one synchronous replay per seed
+/// pins byte-equality and recovery, on the single-writer pipeline (one
+/// shard) and on three shards; the concurrency-vs-serial contract itself
+/// is owned by concurrent_oracle_test.
 void RunConcurrentCompactSeed(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Program program = RandomProgram(seed);
@@ -397,39 +396,14 @@ void RunConcurrentCompactSeed(uint64_t seed) {
   const std::string oracle_bytes = EncodeDatabase(oracle);
 
   InMemoryEnv env;
-  {
-    ConcurrentOptions options;
-    options.durable.compact_storage = true;
-    options.durable.compact.keyframe_interval = 3;
-    ConcurrentExecutor exec(&env, "concurrent", options);
-    ASSERT_TRUE(exec.Start().ok());
-    std::vector<bool> acks;
-    for (size_t i = 0; i < program.sentences.size(); ++i) {
-      const Sentence& sentence = program.sentences[i];
-      const Result<TransactionNumber> txn =
-          sentence.atomic ? exec.SubmitAtomic(sentence.commands)
-                          : exec.Submit(sentence.commands);
-      acks.push_back(txn.ok());
-      if (schedule[i] == Interleave::kCheckpoint) {
-        ASSERT_TRUE(exec.Checkpoint().ok());
-      } else if (schedule[i] == Interleave::kCompactStorage) {
-        ASSERT_TRUE(exec.CompactStorage().ok());
-      } else if (schedule[i] == Interleave::kReopen) {
-        exec.Stop();
-        ASSERT_TRUE(exec.Start().ok());
-      }
-    }
-    ASSERT_EQ(oracle_acks, acks);
-    ASSERT_TRUE(exec.Checkpoint().ok());
-    ASSERT_EQ(oracle_bytes, EncodeDatabase(exec.Snapshot()));
-    exec.Stop();
-  }
-  {
+  for (const size_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::string dir = "sharded-" + std::to_string(shards);
     ShardedOptions options;
-    options.shards = 3;
+    options.shards = shards;
     options.durable.compact_storage = true;
     options.durable.compact.keyframe_interval = 3;
-    ShardedExecutor exec(&env, "sharded", options);
+    ShardedExecutor exec(&env, dir, options);
     ASSERT_TRUE(exec.Start().ok());
     std::vector<bool> acks;
     for (size_t i = 0; i < program.sentences.size(); ++i) {
@@ -457,7 +431,7 @@ void RunConcurrentCompactSeed(uint64_t seed) {
 
     // Recovery from the compact layout alone (the shard WALs were
     // truncated by the final checkpoint).
-    ShardedExecutor recovered(&env, "sharded", options);
+    ShardedExecutor recovered(&env, dir, options);
     ASSERT_TRUE(recovered.Start().ok());
     ASSERT_EQ(oracle_bytes, EncodeDatabase(recovered.Snapshot()));
     recovered.Stop();

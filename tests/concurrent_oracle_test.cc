@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
@@ -21,10 +20,11 @@ namespace ttra {
 namespace {
 
 // Differential concurrency oracle. Many producer threads push random
-// sentences through an executor (group commit enabled) while many reader
-// threads sample pinned sessions. Afterwards the write-ahead log(s) —
-// which record the committed order verbatim — are read back and replayed
-// through a plain SerialExecutor. The contract under test:
+// sentences through the queued ShardedExecutor (group commit enabled)
+// while many reader threads sample pinned sessions. Afterwards the shard
+// write-ahead logs — which record the committed order verbatim — are read
+// back, merged and replayed through a plain SerialExecutor. The contract
+// under test:
 //
 //  1. the concurrent final database equals the serial replay of the
 //     committed order (every batch is equivalent to some serial C⟦·⟧
@@ -32,22 +32,26 @@ namespace {
 //  2. every view a session observed at epoch N equals ρ(I, N) evaluated
 //     against the replayed database (epoch pinning = the rollback
 //     operator as snapshot-isolation spec);
-//  3. the logged transaction numbers chain gap-free: for the single
-//     writer each sentence's pre_txn equals the replay's transaction
-//     number when it is reached; for the sharded executor each committed
+//  3. the logged transaction numbers chain gap-free: each committed
 //     batch's base equals the replay's transaction number — ONE total
 //     order merged from N shard WALs, byte-equal to serial execution.
 //
-// Both suites run as 10 fixed ctest shards that together sweep
-// TTRA_ORACLE_SEEDS seeds (read at RUN time; default 50 — tools/check.sh
-// --stress raises it). Designed to run under TSan: fixed iteration
-// counts, no sleeps, all waiting via futures/Drain.
+// ConcurrentOracleTest runs the single-writer pipeline (one shard) and
+// also proves that multi-sentence batches formed; ShardedOracleTest runs
+// two and four shards. Both suites run as 10 fixed ctest shards that
+// together sweep TTRA_ORACLE_SEEDS seeds (read at RUN time; default 50 —
+// tools/check.sh --stress raises it). Designed to run under TSan: fixed
+// iteration counts, no sleeps, all waiting via futures/Drain.
 
 constexpr int kOracleShards = 10;
 
 constexpr int kProducers = 4;
 constexpr int kReaders = 4;
 constexpr int kSentencesPerProducer = 10;
+/// Sentences a producer enqueues back to back before awaiting them: the
+/// writer takes whatever queued while its previous batch was syncing, so
+/// bursts are what make multi-sentence batches.
+constexpr size_t kBurst = 5;
 constexpr int kReadsPerReader = 24;
 
 int OracleSeedCount() {
@@ -88,8 +92,7 @@ std::string EncodeState(const HistoricalState& state) {
 
 /// Fixed catalog: three rollback relations plus one temporal, seeded
 /// synchronously so every reader view is over a defined relation.
-template <typename Executor>
-void SeedCatalog(Executor& exec, workload::Generator& setup,
+void SeedCatalog(ShardedExecutor& exec, workload::Generator& setup,
                  std::vector<Relation>& catalog) {
   for (int i = 0; i < 3; ++i) {
     catalog.push_back(Relation{"r" + std::to_string(i),
@@ -113,11 +116,9 @@ void SeedCatalog(Executor& exec, workload::Generator& setup,
 }
 
 /// Producers push random sentences (mixing plain/atomic submits,
-/// successful updates, and deliberate failures) while readers sample
-/// pinned sessions concurrently. Works against any executor exposing the
-/// SubmitAsync/OpenSession surface (ConcurrentExecutor, ShardedExecutor).
-template <typename Executor>
-void DriveWorkload(Executor& exec, uint64_t seed,
+/// successful updates, and deliberate failures) in bursts of kBurst while
+/// readers sample pinned sessions concurrently.
+void DriveWorkload(ShardedExecutor& exec, uint64_t seed,
                    const workload::GeneratorOptions& gen_options,
                    const std::vector<Relation>& catalog,
                    std::vector<std::vector<View>>& observed,
@@ -162,11 +163,12 @@ void DriveWorkload(Executor& exec, uint64_t seed,
               DefineRelationCmd{rel.name, rel.type, rel.schema});
         }
         futures.push_back(exec.SubmitAsync(std::move(sentence), atomic));
-        if (gen.rng().Bernoulli(0.25)) {
-          // Occasionally wait inline so this producer's next sentence
-          // lands in a later batch (read-your-writes pressure).
-          futures.back().get().ok() ? ++acked_ok : ++acked_err;
-          futures.pop_back();
+        if (futures.size() == kBurst || gen.rng().Bernoulli(0.1)) {
+          // Await the burst (or, now and then, a shorter one) so this
+          // producer's next sentence lands in a later batch
+          // (read-your-writes pressure).
+          for (auto& f : futures) f.get().ok() ? ++acked_ok : ++acked_err;
+          futures.clear();
         }
       }
       for (auto& f : futures) f.get().ok() ? ++acked_ok : ++acked_err;
@@ -258,109 +260,6 @@ void VerifyViews(const Database& replay_db,
   }
 }
 
-void RunOracleSeed(uint64_t seed) {
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-
-  InMemoryEnv env;
-  ConcurrentOptions options;
-  // Rotate storage engines and shrink the FINDSTATE cache on odd seeds so
-  // reconstruction paths (not just cached hits) serve reader sessions.
-  const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
-                               StorageKind::kCheckpoint,
-                               StorageKind::kReverseDelta};
-  options.durable.db.storage = kinds[seed % 4];
-  options.durable.db.checkpoint_interval = 4;
-  if (seed % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
-  options.durable.sync_policy = SyncPolicy::kAlways;
-  options.group_commit.max_batch = 8;
-  options.group_commit.max_latency = std::chrono::microseconds(500);
-
-  ConcurrentExecutor exec(&env, "db", options);
-  ASSERT_TRUE(exec.Start().ok());
-
-  workload::GeneratorOptions gen_options;
-  gen_options.value_range = 10;  // small domain → frequent equal states
-  workload::Generator setup(seed, gen_options);
-  std::vector<Relation> catalog;
-  SeedCatalog(exec, setup, catalog);
-  if (::testing::Test::HasFatalFailure()) return;
-
-  std::vector<std::vector<View>> observed(kReaders);
-  std::atomic<uint64_t> acked_ok{0};
-  std::atomic<uint64_t> acked_err{0};
-  DriveWorkload(exec, seed, gen_options, catalog, observed, acked_ok,
-                acked_err);
-  ASSERT_TRUE(exec.Drain().ok());
-  ASSERT_TRUE(exec.healthy());
-
-  const uint64_t total_submitted =
-      static_cast<uint64_t>(2 * catalog.size()) +
-      static_cast<uint64_t>(kProducers) * kSentencesPerProducer;
-  EXPECT_EQ(acked_ok.load() + acked_err.load(),
-            static_cast<uint64_t>(kProducers) * kSentencesPerProducer);
-
-  ConcurrentExecutor::Stats stats = exec.stats();
-  EXPECT_EQ(stats.commits, total_submitted);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.batches, stats.commits);
-  // Group commit's whole point: one record and one fsync per batch.
-  EXPECT_EQ(stats.wal.records, stats.batches);
-  EXPECT_EQ(stats.wal.syncs, stats.batches);
-
-  const Database final_db = exec.Snapshot();
-  exec.Stop();
-
-  // Read the committed order back from the log and replay it serially.
-  Result<WalReadResult> wal = ReadWal(env, "db/wal.log");
-  ASSERT_TRUE(wal.ok()) << wal.status();
-  ASSERT_FALSE(wal->torn_tail);
-
-  SerialExecutor serial(options.durable.db);
-  uint64_t replayed = 0;
-  for (const std::string& record : wal->records) {
-    Result<std::vector<LoggedSentence>> sentences = DecodeWalRecord(record);
-    ASSERT_TRUE(sentences.ok()) << sentences.status();
-    for (const LoggedSentence& logged : *sentences) {
-      // Contract 3: the log IS a serial history — pre-commit transaction
-      // numbers chain exactly through the replay.
-      ASSERT_EQ(logged.pre_txn, serial.transaction_number());
-      if (logged.atomic) {
-        (void)serial.SubmitAtomic([&](Database& db) {
-          return ApplySentence(db, logged.sentence);
-        });
-      } else {
-        (void)serial.Submit([&](Database& db) {
-          return ApplySentence(db, logged.sentence);
-        });
-      }
-      ++replayed;
-    }
-  }
-  EXPECT_EQ(replayed, total_submitted);
-
-  // Contract 1: identical final databases (logical encoding is
-  // engine-independent, so this also holds across storage kinds).
-  const Database replay_db = serial.Snapshot();
-  EXPECT_EQ(replay_db.transaction_number(), final_db.transaction_number());
-  ASSERT_EQ(EncodeDatabase(replay_db), EncodeDatabase(final_db));
-
-  VerifyViews(replay_db, catalog, observed);
-}
-
-class ConcurrentOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ConcurrentOracleTest, MatchesSerialReplayOfCommittedOrder) {
-  const int shard = GetParam();
-  const int total = OracleSeedCount();
-  for (int seed = shard; seed < total; seed += kOracleShards) {
-    RunOracleSeed(static_cast<uint64_t>(seed));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ConcurrentOracleTest,
-                         ::testing::Range(0, kOracleShards));
-
 // ---------------------------------------------------------------------------
 // Sharded oracle: N writer shards, one merged total order
 // ---------------------------------------------------------------------------
@@ -442,7 +341,10 @@ void MergeCommittedOrder(
             });
 }
 
-void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
+/// Runs one seed on `nshards` shards; `max_batch` receives the largest
+/// batch committed.
+void RunShardedOracleSeed(uint64_t seed, size_t nshards,
+                          uint64_t* max_batch) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " shards=" + std::to_string(nshards));
 
@@ -456,7 +358,6 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
   if (seed % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.group_commit.max_batch = 8;
-  options.group_commit.max_latency = std::chrono::microseconds(500);
   options.shards = nshards;
 
   ShardedExecutor exec(&env, "db", options);
@@ -485,6 +386,7 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
             static_cast<uint64_t>(kProducers) * kSentencesPerProducer);
 
   ShardedExecutor::Stats stats = exec.stats();
+  *max_batch = stats.max_batch;
   EXPECT_EQ(stats.commits, total_submitted);
   EXPECT_GE(stats.batches, 1u);
   ASSERT_EQ(stats.per_shard.size(), nshards);
@@ -563,14 +465,39 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
   VerifyViews(replay_db, catalog, observed);
 }
 
+class ConcurrentOracleTest : public ::testing::TestWithParam<int> {};
+
+// The single-writer pipeline: one shard, one queue, one WAL.
+TEST_P(ConcurrentOracleTest, MatchesSerialReplayOfCommittedOrder) {
+  const int shard = GetParam();
+  const int total = OracleSeedCount();
+  uint64_t largest = 0;
+  for (int seed = shard; seed < total; seed += kOracleShards) {
+    uint64_t max_batch = 0;
+    RunShardedOracleSeed(static_cast<uint64_t>(seed), 1, &max_batch);
+    if (::testing::Test::HasFatalFailure()) return;
+    largest = std::max(largest, max_batch);
+  }
+  // With no linger, a batch is whatever queued during the previous
+  // batch's sync; producer bursts must have formed at least one
+  // multi-sentence batch, or batching went untested here.
+  if (shard < total) {
+    EXPECT_GT(largest, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ConcurrentOracleTest,
+                         ::testing::Range(0, kOracleShards));
+
 class ShardedOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedOracleTest, MergedOrderMatchesSerialReplay) {
   const int shard = GetParam();
   const int total = OracleSeedCount();
   for (int seed = shard; seed < total; seed += kOracleShards) {
-    for (const size_t nshards : {1u, 2u, 4u}) {
-      RunShardedOracleSeed(static_cast<uint64_t>(seed), nshards);
+    for (const size_t nshards : {2u, 4u}) {
+      uint64_t max_batch = 0;
+      RunShardedOracleSeed(static_cast<uint64_t>(seed), nshards, &max_batch);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

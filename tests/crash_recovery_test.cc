@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
+#include <map>
 #include <thread>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
+#include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
 namespace ttra {
@@ -412,8 +414,9 @@ TEST(RetryTest, ResourceExhaustionIsNotRetried) {
 
 TEST(DegradedModeTest, ReadersKeepServingWhileWritesAreRefused) {
   FaultInjectionEnv env;
-  ConcurrentOptions options;
-  ConcurrentExecutor exec(&env, "d", options);
+  ShardedOptions options;
+  options.shards = 1;
+  ShardedExecutor exec(&env, "d", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                        "emp", RelationType::kRollback, EmpSchema()}})
@@ -469,10 +472,11 @@ TEST(DegradedModeTest, QueuedSentencesAreDrainedWithReadOnly) {
   // Sentences already in flight when the writer degrades must still get
   // answers (no broken promises), with the read-only code.
   FaultInjectionEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.group_commit.max_batch = 1;  // one sentence per batch: the first
                                        // fails, the rest hit degraded mode
-  ConcurrentExecutor exec(&env, "d", options);
+  ShardedExecutor exec(&env, "d", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                        "emp", RelationType::kRollback, EmpSchema()}})
@@ -597,24 +601,47 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
   EXPECT_GT(recovered.last_recovery().replayed_records, 0u);
 }
 
-// --- Group commit ---------------------------------------------------------
+// --- Legacy group records ------------------------------------------------
 //
-// A group commit is ONE checksummed WAL record, so its durability contract
-// is stronger than "prefix of sentences": recovery must land on a prefix
-// of WHOLE batches — a crash mid-batch yields the state before the batch,
-// never a torn one — and every acknowledged batch (kAlways) survives.
+// Earlier builds' queued executor logged each batch as ONE kind-2 WAL
+// record: [u8 2][u64 count] then `count` entries of [u8 atomic]
+// [u64 pre_txn][u64 n][n commands]. Nothing writes that record any more,
+// but directories holding it must still recover through
+// DurableExecutor::Open — and since one checksummed record frames the
+// whole batch, recovery must land on a prefix of WHOLE batches.
 
-std::vector<std::vector<GroupEntry>> WorkloadBatches(
-    const std::vector<Step>& steps, size_t batch_size) {
-  std::vector<std::vector<GroupEntry>> batches;
+/// Encodes `steps` as legacy kind-2 records of `batch_size` sentences,
+/// numbering each entry by replaying the steps on a scratch database.
+std::vector<std::string> LegacyGroupRecords(const std::vector<Step>& steps,
+                                            size_t batch_size) {
+  const auto put_u64 = [](uint64_t v, std::string& out) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  Database db;
+  std::vector<std::string> records;
   for (size_t i = 0; i < steps.size(); i += batch_size) {
-    std::vector<GroupEntry> batch;
-    for (size_t j = i; j < std::min(i + batch_size, steps.size()); ++j) {
-      batch.push_back(GroupEntry{steps[j].sentence, steps[j].atomic});
+    const size_t end = std::min(i + batch_size, steps.size());
+    std::string record(1, static_cast<char>(2));
+    put_u64(end - i, record);
+    for (size_t j = i; j < end; ++j) {
+      record.push_back(static_cast<char>(steps[j].atomic ? 1 : 0));
+      put_u64(db.transaction_number(), record);
+      put_u64(steps[j].sentence.size(), record);
+      for (const Command& command : steps[j].sentence) {
+        EncodeCommand(command, record);
+      }
+      if (steps[j].atomic) {
+        Database scratch = db.Clone();
+        if (ApplySentence(scratch, steps[j].sentence).ok()) {
+          db = std::move(scratch);
+        }
+      } else {
+        ApplySentence(db, steps[j].sentence).IgnoreError();
+      }
     }
-    batches.push_back(std::move(batch));
+    records.push_back(std::move(record));
   }
-  return batches;
+  return records;
 }
 
 /// Prefix indices (into OraclePrefixStates output) that fall on batch
@@ -626,53 +653,49 @@ std::vector<size_t> BatchBoundaries(size_t total_steps, size_t batch_size) {
   return boundaries;
 }
 
-void RunGroupCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
-                        const DurableOptions& options,
-                        const std::vector<std::vector<GroupEntry>>& batches,
-                        const std::vector<std::string>& oracle,
-                        const std::vector<size_t>& boundaries,
-                        uint64_t* total_ops = nullptr) {
-  SCOPED_TRACE("group fault at op " + std::to_string(fault_at) +
+/// Appends and syncs the legacy records one by one with a fault armed at
+/// op `fault_at` (0 = none), stopping at the first failure; then crashes
+/// and recovers through DurableExecutor::Open.
+void RunLegacyGroupCrashPoint(uint64_t fault_at,
+                              FaultInjectionEnv::FaultMode mode,
+                              const std::vector<std::string>& records,
+                              const std::vector<std::string>& oracle,
+                              const std::vector<size_t>& boundaries,
+                              uint64_t* total_ops = nullptr) {
+  SCOPED_TRACE("legacy group fault at op " + std::to_string(fault_at) +
                (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
                                                               : " (torn)"));
   FaultInjectionEnv env;
-  auto exec = std::make_unique<DurableExecutor>(&env, "g", options);
-  ASSERT_TRUE(exec->Open().ok());
+  ASSERT_TRUE(env.CreateDir("g").ok());
+  WalWriter wal(&env, "g/wal.log");
+  ASSERT_TRUE(wal.Create().ok());
   if (fault_at != 0) env.InjectFault(fault_at, mode);
-
-  size_t acked_batches = 0;
-  for (const auto& batch : batches) {
-    std::vector<Result<TransactionNumber>> results = exec->SubmitGroup(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    bool io_failed = false;
-    for (const auto& r : results) {
-      if (!r.ok() && IsIoFailure(r.status())) io_failed = true;
-    }
-    if (io_failed) break;  // "crash": the whole batch is unacknowledged
-    ++acked_batches;
+  size_t synced_batches = 0;
+  for (const std::string& record : records) {
+    if (!wal.AddRecord(record).ok() || !wal.Sync().ok()) break;  // "crash"
+    ++synced_batches;
   }
   if (total_ops != nullptr) *total_ops = env.op_count();
-
-  exec.reset();
+  env.InjectFault(0, mode);
   env.Crash();
-  DurableExecutor recovered(&env, "g", options);
-  ASSERT_TRUE(recovered.Open().ok());
 
+  DurableExecutor recovered(&env, "g", DurableOptions{});
+  ASSERT_TRUE(recovered.Open().ok());
   // The recovered state must sit on a batch boundary — matching a
   // mid-batch prefix whose state differs from every boundary state would
   // mean a torn batch was half-replayed.
   const std::string state = EncodeDatabase(recovered.Snapshot());
-  size_t matched_boundary = boundaries.size();
+  size_t matched = boundaries.size();
   for (size_t b = boundaries.size(); b-- > 0;) {
     if (state == oracle[boundaries[b]]) {
-      matched_boundary = b;
+      matched = b;
       break;
     }
   }
-  ASSERT_LT(matched_boundary, boundaries.size())
+  ASSERT_LT(matched, boundaries.size())
       << "recovered database is not a whole-batch prefix (torn batch?)";
-  EXPECT_GE(matched_boundary, acked_batches)
-      << "recovery lost an acknowledged group commit";
+  EXPECT_GE(matched, synced_batches)
+      << "recovery lost a durable group record";
 
   const TransactionNumber resumed = recovered.transaction_number();
   auto txn = recovered.Submit(Command(DefineRelationCmd{
@@ -685,41 +708,91 @@ TEST_P(CrashRecoveryTest, EveryGroupFaultPointRecoversWholeBatches) {
   const std::vector<Step> steps = Workload();
   const std::vector<std::string> oracle = OraclePrefixStates(steps);
   constexpr size_t kBatchSize = 3;
-  const auto batches = WorkloadBatches(steps, kBatchSize);
+  const auto records = LegacyGroupRecords(steps, kBatchSize);
   const auto boundaries = BatchBoundaries(steps.size(), kBatchSize);
-  DurableOptions options;  // kAlways
 
   uint64_t total_ops = 0;
-  RunGroupCrashPoint(0, GetParam(), options, batches, oracle, boundaries,
-                     &total_ops);
+  RunLegacyGroupCrashPoint(0, GetParam(), records, oracle, boundaries,
+                           &total_ops);
   ASSERT_GT(total_ops, 0u);
   for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunGroupCrashPoint(n, GetParam(), options, batches, oracle, boundaries);
+    RunLegacyGroupCrashPoint(n, GetParam(), records, oracle, boundaries);
+  }
+}
+
+/// Writes `records` as the whole, synced WAL of directory "g".
+void WriteLegacyLog(Env& env, const std::vector<std::string>& records) {
+  ASSERT_TRUE(env.CreateDir("g").ok());
+  WalWriter wal(&env, "g/wal.log");
+  ASSERT_TRUE(wal.Create().ok());
+  ASSERT_TRUE(wal.AddRecords(records).ok());
+  ASSERT_TRUE(wal.Sync().ok());
+}
+
+/// A clean legacy log, then a fault at op `fault_at` of its recovery —
+/// Open() replays the group records, checkpoints them and truncates the
+/// log — and of one auto-checkpointed commit after it. Crash; a fault-free
+/// reopen must hold every batch, plus the commit if it was acknowledged.
+void RunLegacyRecoveryFaultPoint(uint64_t fault_at,
+                                 FaultInjectionEnv::FaultMode mode,
+                                 const std::vector<std::string>& records,
+                                 const Database& replayed,
+                                 uint64_t* total_ops = nullptr) {
+  SCOPED_TRACE("legacy recovery fault at op " + std::to_string(fault_at) +
+               (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
+                                                              : " (torn)"));
+  const Command post(
+      DefineRelationCmd{"post", RelationType::kSnapshot, EmpSchema()});
+  Database with_post = replayed.Clone();
+  ASSERT_TRUE(ApplySentence(with_post, {post}).ok());
+
+  FaultInjectionEnv env;
+  WriteLegacyLog(env, records);
+  DurableOptions options;
+  options.checkpoint_every = 1;
+  if (fault_at != 0) env.InjectFault(fault_at, mode);
+  bool post_acked = false;
+  {
+    DurableExecutor exec(&env, "g", options);
+    if (exec.Open().ok()) post_acked = exec.Submit(post).ok();
+  }
+  if (total_ops != nullptr) *total_ops = env.op_count();
+  env.InjectFault(0, mode);
+  env.Crash();
+
+  DurableExecutor recovered(&env, "g", options);
+  ASSERT_TRUE(recovered.Open().ok());
+  const std::string state = EncodeDatabase(recovered.Snapshot());
+  if (state != EncodeDatabase(with_post)) {
+    ASSERT_EQ(state, EncodeDatabase(replayed))
+        << "recovery lost or tore a durable group record";
+    EXPECT_FALSE(post_acked) << "recovery lost an acknowledged commit";
   }
 }
 
 TEST_P(CrashRecoveryTest, EveryGroupFaultPointWithAutoCheckpoint) {
   const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
-  constexpr size_t kBatchSize = 3;
-  const auto batches = WorkloadBatches(steps, kBatchSize);
-  const auto boundaries = BatchBoundaries(steps.size(), kBatchSize);
-  DurableOptions options;
-  options.checkpoint_every = 2;  // checkpoint + WAL truncation mid-stream
+  const auto records = LegacyGroupRecords(steps, /*batch_size=*/3);
+  InMemoryEnv clean;
+  WriteLegacyLog(clean, records);
+  DurableExecutor replay(&clean, "g", DurableOptions{});
+  ASSERT_TRUE(replay.Open().ok());
+  const Database replayed = replay.Snapshot();
+  ASSERT_EQ(EncodeDatabase(replayed), OraclePrefixStates(steps).back());
 
   uint64_t total_ops = 0;
-  RunGroupCrashPoint(0, GetParam(), options, batches, oracle, boundaries,
-                     &total_ops);
+  RunLegacyRecoveryFaultPoint(0, GetParam(), records, replayed, &total_ops);
   ASSERT_GT(total_ops, 0u);
   for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunGroupCrashPoint(n, GetParam(), options, batches, oracle, boundaries);
+    RunLegacyRecoveryFaultPoint(n, GetParam(), records, replayed);
   }
 }
 
-// Crash under full concurrency: producers race the group-commit writer
-// when the I/O fault fires. Whatever survives on disk, recovery must
-// equal a by-hand replay of the surviving checkpoint + WAL — the same
-// differential the concurrency oracle applies to crash-free runs.
+// Crash under full concurrency: producers race the single-writer
+// group-commit pipeline (ShardedExecutor, one shard) when the I/O fault
+// fires. Whatever survives on disk, recovery must equal a by-hand replay
+// of the surviving checkpoint + shard WAL — the same differential the
+// concurrency oracle applies to crash-free runs.
 TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
   Schema schema = MakeSchema({{"n", ValueType::kInt}});
   auto state_of = [&](int64_t v, size_t n) {
@@ -733,11 +806,11 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
   for (uint64_t fault_at = 1; fault_at <= 40; ++fault_at) {
     SCOPED_TRACE("fault at op " + std::to_string(fault_at));
     FaultInjectionEnv env;
-    ConcurrentOptions options;
+    ShardedOptions options;
+    options.shards = 1;
     options.group_commit.max_batch = 4;
-    options.group_commit.max_latency = std::chrono::microseconds(200);
     {
-      ConcurrentExecutor exec(&env, "c", options);
+      ShardedExecutor exec(&env, "c", options);
       ASSERT_TRUE(exec.Start().ok());
       ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                           "r", RelationType::kRollback, schema}})
@@ -747,22 +820,27 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
       std::vector<std::thread> producers;
       for (int p = 0; p < 2; ++p) {
         producers.emplace_back([&, p]() {
+          std::vector<std::future<Result<TransactionNumber>>> burst;
           for (int i = 0; i < 8; ++i) {
             std::vector<Command> sentence;
             sentence.push_back(ModifySnapshotCmd{
                 "r", state_of(p * 100 + i, static_cast<size_t>(i % 4))});
-            // I/O failures after the fault fires are expected; losing
-            // those unacknowledged sentences is the contract.
-            (void)exec.SubmitAsync(std::move(sentence)).get();
+            burst.push_back(exec.SubmitAsync(std::move(sentence)));
           }
+          // I/O failures after the fault fires are expected; losing
+          // those unacknowledged sentences is the contract.
+          for (auto& future : burst) (void)future.get();
         });
       }
       for (auto& t : producers) t.join();
       exec.Stop();
     }
+    env.InjectFault(0, FaultInjectionEnv::FaultMode::kFailOp);
     env.Crash();
 
-    // By-hand recovery oracle: checkpoint + decoded WAL suffix.
+    // By-hand recovery oracle: checkpoint, then every batch of the shard
+    // WAL whose prepare and commit records both survived, in commit order,
+    // up to the first gap.
     DurableOptions plain;
     Database oracle_db(plain.db);
     if (env.Exists("c/checkpoint.db")) {
@@ -770,32 +848,43 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       oracle_db = *std::move(loaded);
     }
-    if (env.Exists("c/wal.log")) {
-      auto wal = ReadWal(env, "c/wal.log");
+    const std::string wal_path = "c/" + ShardWalFile(0);
+    if (env.Exists(wal_path)) {
+      auto wal = ReadWal(env, wal_path);
       ASSERT_TRUE(wal.ok()) << wal.status();
-      for (const std::string& record : wal->records) {
-        auto sentences = DecodeWalRecord(record);
-        ASSERT_TRUE(sentences.ok()) << sentences.status();
-        for (const LoggedSentence& logged : *sentences) {
-          if (logged.pre_txn < oracle_db.transaction_number()) continue;
-          ASSERT_EQ(logged.pre_txn, oracle_db.transaction_number());
-          if (logged.atomic) {
+      std::map<uint64_t, std::vector<GroupEntry>> prepared;
+      for (const std::string& payload : wal->records) {
+        auto record = DecodeShardRecord(payload);
+        ASSERT_TRUE(record.ok()) << record.status();
+        if (record->kind == ShardRecordKind::kPrepare) {
+          prepared[record->seq] = std::move(record->entries);
+          continue;
+        }
+        ASSERT_EQ(record->kind, ShardRecordKind::kCommit);
+        if (record->base_txn < oracle_db.transaction_number()) continue;
+        if (record->base_txn > oracle_db.transaction_number()) break;
+        const auto batch = prepared.find(record->seq);
+        ASSERT_NE(batch, prepared.end()) << "commit without prepare";
+        for (const GroupEntry& entry : batch->second) {
+          if (entry.atomic) {
             Database scratch = oracle_db.Clone();
-            if (ApplySentence(scratch, logged.sentence).ok()) {
+            if (ApplySentence(scratch, entry.sentence).ok()) {
               oracle_db = std::move(scratch);
             }
           } else {
             // Mirrors replay: a non-atomic status was decided at commit
             // time and is dropped here too.
-            ApplySentence(oracle_db, logged.sentence).IgnoreError();
+            ApplySentence(oracle_db, entry.sentence).IgnoreError();
           }
         }
+        ASSERT_EQ(oracle_db.transaction_number(), record->post_txn);
       }
     }
 
-    DurableExecutor recovered(&env, "c", DurableOptions{});
-    ASSERT_TRUE(recovered.Open().ok());
+    ShardedExecutor recovered(&env, "c", options);
+    ASSERT_TRUE(recovered.Start().ok());
     EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), EncodeDatabase(oracle_db));
+    recovered.Stop();
   }
 }
 

@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
+#include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
 namespace ttra {
@@ -37,18 +37,18 @@ SnapshotState StateOfSize(size_t n) {
 // the wrong transaction is a visible size mismatch, not a plausible value.
 size_t SizeAt(TransactionNumber n) { return static_cast<size_t>(n % 7); }
 
-ConcurrentOptions OptionsFor(int variant) {
+ShardedOptions OptionsFor(int variant) {
   const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
                                StorageKind::kCheckpoint,
                                StorageKind::kReverseDelta};
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.durable.db.storage = kinds[variant % 4];
   options.durable.db.checkpoint_interval = 3;
   // Odd variants: a 2-entry FINDSTATE cache, so most pinned reads
   // reconstruct from the log instead of hitting a cached state.
   if (variant % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
   options.group_commit.max_batch = 4;
-  options.group_commit.max_latency = std::chrono::microseconds(200);
   return options;
 }
 
@@ -60,7 +60,7 @@ class EpochPinningTest : public ::testing::TestWithParam<int> {};
 // answering from its own epoch.
 TEST_P(EpochPinningTest, PinnedSessionsSurviveCommitsCheckpointsAndRestart) {
   InMemoryEnv env;
-  ConcurrentExecutor exec(&env, "db", OptionsFor(GetParam()));
+  ShardedExecutor exec(&env, "db", OptionsFor(GetParam()));
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                       "c", RelationType::kRollback, CounterSchema()}})
@@ -124,7 +124,7 @@ TEST_P(EpochPinningTest, ConcurrentReadersNeverObserveBeyondEpoch) {
   constexpr int kReadsPerThread = 120;
 
   InMemoryEnv env;
-  ConcurrentExecutor exec(&env, "db", OptionsFor(GetParam()));
+  ShardedExecutor exec(&env, "db", OptionsFor(GetParam()));
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                       "c", RelationType::kRollback, CounterSchema()}})

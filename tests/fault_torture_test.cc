@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
@@ -18,7 +17,8 @@ namespace {
 
 // Fault-schedule torture oracle. Each seed derives a probabilistic fault
 // plan (transient-EIO bursts, torn appends, lying fsyncs, ENOSPC), runs a
-// sequential workload through the ConcurrentExecutor with retry enabled,
+// sequential workload through the queued single-writer pipeline
+// (ShardedExecutor, one shard) with retry enabled,
 // then crashes, optionally deals post-crash bit rot, salvages with the
 // same validators `ttra fsck` uses, and recovers. The invariants checked
 // on EVERY seed:
@@ -118,7 +118,8 @@ void RunSeed(uint64_t seed, bool compact) {
   }
 
   FaultInjectionEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.durable.retry.max_attempts = 1 + rng.Uniform(4);  // 1..4
   options.durable.retry.initial_backoff = std::chrono::microseconds(1);
   options.durable.retry.max_backoff = std::chrono::microseconds(8);
@@ -126,14 +127,13 @@ void RunSeed(uint64_t seed, bool compact) {
   options.durable.retry.sleeper = [&sleeper_calls](std::chrono::microseconds) {
     ++sleeper_calls;
   };
-  options.group_commit.max_latency = std::chrono::microseconds(0);
   if (compact) {
     options.durable.compact_storage = true;
     options.durable.checkpoint_every = 4;
     options.durable.compact.keyframe_interval = 3;
   }
 
-  ConcurrentExecutor exec(&env, "t", options);
+  ShardedExecutor exec(&env, "t", options);
   ASSERT_TRUE(exec.Start().ok());
   env.ArmPlan(seed * 0x9e3779b97f4a7c15ULL + 1, PlanForSeed(seed, rng));
 
@@ -172,9 +172,9 @@ void RunSeed(uint64_t seed, bool compact) {
   }
 
   const auto stats = exec.stats();
-  EXPECT_EQ(stats.health.transient_retries, sleeper_calls)
+  EXPECT_EQ(stats.transient_retries, sleeper_calls)
       << "every retry must go through the injected (fake) clock";
-  EXPECT_LE(stats.health.retry_successes, stats.health.transient_retries);
+  EXPECT_LE(stats.retry_successes, stats.transient_retries);
   EXPECT_EQ(exec.degraded(), failed);
 
   if (failed) {
@@ -202,15 +202,16 @@ void RunSeed(uint64_t seed, bool compact) {
 
   // Odd seeds: bit rot strikes the surviving WAL body after the crash —
   // the schedule `fsck --repair` exists for.
+  const std::string wal_path = "t/" + ShardWalFile(0);
   bool rotted = false;
-  if (seed % 2 == 1 && env.Exists("t/wal.log")) {
-    std::string image = *env.Read("t/wal.log");
+  if (seed % 2 == 1 && env.Exists(wal_path)) {
+    std::string image = *env.Read(wal_path);
     if (image.size() > 9) {
       const uint64_t at = 9 + rng.Uniform(image.size() - 9);
       image[at] ^= static_cast<char>(1u << rng.Uniform(8));
-      ASSERT_TRUE(env.Truncate("t/wal.log").ok());
-      ASSERT_TRUE(env.Append("t/wal.log", image).ok());
-      ASSERT_TRUE(env.Sync("t/wal.log").ok());
+      ASSERT_TRUE(env.Truncate(wal_path).ok());
+      ASSERT_TRUE(env.Append(wal_path, image).ok());
+      ASSERT_TRUE(env.Sync(wal_path).ok());
       rotted = true;
     }
   }
@@ -234,13 +235,15 @@ void RunSeed(uint64_t seed, bool compact) {
     EXPECT_TRUE(repaired->repaired);
     // The damage was either in the WAL (quarantined alongside it) or
     // inside the covered compact state (quarantined wholesale).
-    EXPECT_TRUE(env.Exists("t/wal.log.quarantine") ||
+    EXPECT_TRUE(env.Exists(wal_path + ".quarantine") ||
+                env.Exists(std::string("t/") + kCoordinatorLogFile +
+                           ".quarantine") ||
                 repaired->compact_state_quarantined);
   }
 
   // After (at most) one repair, recovery must succeed...
-  DurableExecutor recovered(&env, "t", DurableOptions{});
-  ASSERT_TRUE(recovered.Open().ok());
+  ShardedExecutor recovered(&env, "t", ShardedOptions{});
+  ASSERT_TRUE(recovered.Start().ok());
 
   // ...to an exact prefix of the committed sentence sequence.
   const std::string state = EncodeDatabase(recovered.Snapshot());
@@ -268,6 +271,7 @@ void RunSeed(uint64_t seed, bool compact) {
   auto resumed = recovered.Submit(matched >= 1 ? NthSentence(99)
                                                : sentences[0]);
   EXPECT_TRUE(resumed.ok()) << resumed.status();
+  recovered.Stop();
 }
 
 TEST(FaultTortureTest, SeededScheduleSweep) {
@@ -305,7 +309,6 @@ ShardedOptions ShardedSweepOptions() {
   ShardedOptions options;
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.durable.retry.max_attempts = 1;  // a fault is a crash, not a blip
-  options.group_commit.max_latency = std::chrono::microseconds(0);
   options.shards = 2;
   return options;
 }

@@ -364,7 +364,6 @@ std::vector<std::vector<Command>> BuildShardedStore(Env* env,
 
   ShardedOptions options;
   options.durable.sync_policy = SyncPolicy::kAlways;
-  options.group_commit.max_latency = std::chrono::microseconds(0);
   options.shards = 2;
   ShardedExecutor exec(env, dir, options);
   EXPECT_TRUE(exec.Start().ok());

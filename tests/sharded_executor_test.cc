@@ -34,7 +34,6 @@ SnapshotState EmpState(
 ShardedOptions FastOptions(size_t shards) {
   ShardedOptions options;
   options.durable.sync_policy = SyncPolicy::kAlways;
-  options.group_commit.max_latency = std::chrono::microseconds(0);
   options.shards = shards;
   return options;
 }
@@ -124,6 +123,36 @@ TEST(ShardLayoutTest, RefusesSingleWriterDirectory) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(status.message().find("wal.log"), std::string::npos);
+}
+
+TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
+  InMemoryEnv env;
+  {
+    ShardedExecutor exec(&env, "db", FastOptions(1));
+    ASSERT_TRUE(exec.Start().ok());
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        "emp", RelationType::kRollback, EmpSchema()}})
+                    .ok());
+    exec.Stop();
+  }
+  auto snapshot = [&env] {
+    std::vector<std::pair<std::string, std::string>> files;
+    const auto names = env.List("db");
+    for (const std::string& name : *names) {
+      files.emplace_back(name, *env.Read("db/" + name));
+    }
+    return files;
+  };
+  const auto before = snapshot();
+  // The reverse direction: opening the directory as a single-writer one
+  // would ignore the shard logs and rewrite the shared checkpoint.db.
+  DurableExecutor single(&env, "db", DurableOptions{});
+  const Status status = single.Open();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("MANIFEST"), std::string::npos);
+  EXPECT_EQ(snapshot(), before);
+  EXPECT_FALSE(env.Exists("db/wal.log"));
 }
 
 TEST(ShardedExecutorTest, CommitsRouteToHomeShardsAndReadersSeeOneChain) {

@@ -22,8 +22,8 @@
 #include "lang/evaluator.h"
 #include "lang/parser.h"
 #include "rollback/compact_store.h"
-#include "rollback/concurrent_executor.h"
 #include "rollback/serial_executor.h"
+#include "rollback/sharded_executor.h"
 #include "snapshot/operators.h"
 #include "storage/logs.h"
 
@@ -224,23 +224,23 @@ TEST(TsanStressTest, LanguageEvalOnSharedSnapshots) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-/// The full concurrent front-end under TSan: producer threads race the
-/// group-commit writer thread through the bounded queue, readers open
-/// pinned sessions while snapshots are republished, and a checkpointer
-/// competes for the commit lock. All waiting is condvar/future-based
-/// (BoundedQueue, Drain, promise futures) — no sleeps, fixed iteration
-/// counts — so the test is deterministic in coverage and cheap
-/// unsanitized.
-TEST(TsanStressTest, ConcurrentExecutorProducersReadersCheckpointer) {
+/// The single-writer queued pipeline (ShardedExecutor, one shard) under
+/// TSan: producer threads race the group-commit writer thread through the
+/// bounded queue, readers open pinned sessions while snapshots are
+/// republished, and a checkpointer competes for the checkpoint gate. All
+/// waiting is condvar/future-based (BoundedQueue, Drain, promise futures)
+/// — no sleeps, fixed iteration counts — so the test is deterministic in
+/// coverage and cheap unsanitized.
+TEST(TsanStressTest, SingleShardProducersReadersCheckpointer) {
   constexpr int kProducerThreads = 2;
   constexpr int kCommitsPerProducer = 32;
 
   InMemoryEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.durable.db.findstate_cache_capacity = 4;
   options.group_commit.max_batch = 8;
-  options.group_commit.max_latency = std::chrono::microseconds(100);
-  ConcurrentExecutor exec(&env, "db", options);
+  ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                       "r", RelationType::kRollback, StressSchema()}})
@@ -280,8 +280,8 @@ TEST(TsanStressTest, ConcurrentExecutorProducersReadersCheckpointer) {
       }
     });
   }
-  // Checkpointer: truncates the WAL under the commit lock while the
-  // writer is group-committing and readers hold pinned snapshots.
+  // Checkpointer: quiesces the writer and truncates the WAL while
+  // producers keep enqueuing and readers hold pinned snapshots.
   threads.emplace_back([&exec, &errors] {
     for (int i = 0; i < 8; ++i) {
       if (!exec.Checkpoint().ok()) errors.fetch_add(1);
@@ -297,10 +297,11 @@ TEST(TsanStressTest, ConcurrentExecutorProducersReadersCheckpointer) {
   EXPECT_EQ(exec.transaction_number(),
             static_cast<TransactionNumber>(
                 2 + kProducerThreads * kCommitsPerProducer));
-  ConcurrentExecutor::Stats stats = exec.stats();
+  ShardedExecutor::Stats stats = exec.stats();
   EXPECT_EQ(stats.commits,
             static_cast<uint64_t>(2 + kProducerThreads * kCommitsPerProducer));
-  EXPECT_LE(stats.wal.syncs, stats.wal.records);
+  ASSERT_EQ(stats.per_shard.size(), 1u);
+  EXPECT_LE(stats.per_shard[0].wal.syncs, stats.per_shard[0].wal.records);
   exec.Stop();
 }
 
@@ -315,13 +316,13 @@ TEST(TsanStressTest, OnlineCompactionVsProducersReadersAndProbes) {
   constexpr int kCommitsPerProducer = 32;
 
   InMemoryEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.durable.compact_storage = true;
   options.durable.compact.keyframe_interval = 4;
   options.durable.checkpoint_every = 8;
   options.group_commit.max_batch = 8;
-  options.group_commit.max_latency = std::chrono::microseconds(100);
-  ConcurrentExecutor exec(&env, "db", options);
+  ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                       "r", RelationType::kRollback, StressSchema()}})

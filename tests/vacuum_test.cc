@@ -5,9 +5,9 @@
 
 #include "lang/evaluator.h"
 #include "rollback/compact_store.h"
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
+#include "rollback/sharded_executor.h"
 #include "rollback/vacuum.h"
 #include "storage/env.h"
 #include "storage/salvage.h"
@@ -248,11 +248,11 @@ TEST_P(VacuumPropertyTest, VacuumThenAttachIsIdentityForRollbackAnswers) {
 /// lives in tsan_stress_test.cc.
 TEST(OnlineCompactionTest, CompactionRacesWritersReadersAndProbes) {
   InMemoryEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
+  options.shards = 1;
   options.durable.compact_storage = true;
   options.durable.compact.keyframe_interval = 4;
-  options.group_commit.max_latency = std::chrono::microseconds(50);
-  ConcurrentExecutor exec(&env, "db", options);
+  ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());
   Schema schema = *Schema::Make({{"n", ValueType::kInt}});
   auto nth_state = [&](int i) {

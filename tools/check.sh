@@ -138,7 +138,6 @@ if [ "$do_tidy" -eq 1 ]; then
     # find-pattern edit ever drops one, fail here instead of silently
     # shrinking the gate.
     for required in \
-        src/rollback/concurrent_executor.cc \
         src/rollback/sharded_executor.cc \
         src/rollback/durable_executor.cc \
         src/rollback/serial_executor.cc \
@@ -175,9 +174,10 @@ if [ "$do_stress" -eq 1 ]; then
   # Stress gate: the randomized concurrency/crash suites (label `stress`)
   # with a deeper seed sweep than the tier-1 defaults (the differential
   # concurrency oracle reads TTRA_ORACLE_SEEDS when it runs). This
-  # includes the shard sweep: ShardedOracleTest runs every seed at
-  # N ∈ {1, 2, 4} writer shards, merging the shard WALs + coordinator log
-  # and requiring byte-equality with serial replay.
+  # includes the shard sweep: ConcurrentOracleTest and ShardedOracleTest
+  # run every seed at N = 1 and N ∈ {2, 4} writer shards, merging the
+  # shard WALs + coordinator log and requiring byte-equality with serial
+  # replay.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-200}" \
   run_pass build stress
 fi
@@ -197,8 +197,9 @@ if [ "$do_compact" -eq 1 ]; then
   # Compact-storage gate: the property oracle (label `compact`) proving
   # the delta-encoded segment engine equivalent to the full-copy baseline
   # — byte-equal databases after reopen, ρ(I, N) probe equality at every
-  # epoch, FINDSTATE-cache-on/off agreement — across Serial, Durable,
-  # Concurrent and Sharded executors, plus legacy-directory migration.
+  # epoch, FINDSTATE-cache-on/off agreement — across Serial, Durable and
+  # Sharded (one and three shards) executors, plus legacy-directory
+  # migration.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-100}" \
   run_pass build compact
 fi

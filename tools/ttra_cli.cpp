@@ -12,7 +12,7 @@
 //   ttra recover --wal-dir <dir> [--save <file>]
 //   ttra fsck --wal-dir <dir> [--json] [--repair]
 //   ttra modelcheck [--scenario <name|all>] [--preemptions <n>]
-//                   [--max-schedules <n>] [--seeded-bug]
+//                   [--max-schedules <n>] [--max-steps <n>] [--seeded-bug]
 //                   [--replay <decisions>]
 //
 // `check` runs the static diagnostics engine without executing anything:
@@ -42,19 +42,22 @@
 // `ttra fsck --help`): 0 clean, 1 torn-tail/repaired, 3 needs-repair,
 // 4 unrecoverable, 2 usage.
 //
-// With --group-commit (or --sessions), `run` goes through the concurrent
-// executor instead: updates are enqueued to the writer thread and
-// group-committed — one WAL record and one fsync per batch of up to
-// --batch statements — while show statements drain the pipeline and are
-// evaluated on --sessions concurrent reader sessions pinned at the same
-// epoch, which must all agree. Requires --wal-dir.
+// With --group-commit (or --sessions, --batch, --shards), `run` goes
+// through the queued sharded executor instead, with one shard unless
+// --shards N says otherwise: updates are enqueued to the writer thread and
+// group-committed — one fsync per batch of up to --batch statements —
+// while show statements drain the pipeline and are evaluated on
+// --sessions concurrent reader sessions pinned at the same epoch, which
+// must all agree. Requires --wal-dir, and writes the sharded layout
+// (MANIFEST + shard WALs): a directory written by plain `run --wal-dir`
+// is refused. With N > 1 shards, relations are routed to their home
+// shard by name hash and cross-shard sentences two-phase through durable
+// prepare markers, while one globally ordered transaction chain is kept.
+// The directory remembers its shard count (MANIFEST); `recover` and
+// `fsck` detect the sharded layout automatically.
 //
-// With --shards N, `run` partitions the durability pipeline across N
-// WAL+writer shards (relations are routed to their home shard by name
-// hash; cross-shard sentences two-phase through durable prepare markers)
-// while keeping one globally ordered transaction chain. The directory
-// remembers its shard count (MANIFEST); `recover` and `fsck` detect the
-// sharded layout automatically.
+// Flags are checked per command: an unknown flag, a missing value, or a
+// count that is not a whole decimal number is a usage error (exit 2).
 //
 // With --compact-storage, durable checkpoints use the compact layout
 // (DESIGN.md §16): per-relation delta-encoded segment files chained by
@@ -75,10 +78,13 @@
 // with a deliberately broken durability watermark and the exit codes
 // invert: 0 = the bug was caught (expected), 1 = it escaped.
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -93,7 +99,6 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "optimizer/rewriter.h"
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
@@ -118,7 +123,7 @@ int UsageError(const std::string& message) {
 }
 
 struct Flags {
-  std::vector<std::string> positional;
+  std::vector<std::string> positional;  // positional[0] is the command
   std::map<std::string, std::string> values;  // --key value
   bool lax = false;
   bool optimize = false;
@@ -134,43 +139,98 @@ struct Flags {
   bool compact_storage = false;
 };
 
-bool ParseFlags(int argc, char** argv, Flags& flags) {
-  for (int i = 1; i < argc; ++i) {
+/// The flags one subcommand accepts: switches set a Flags member and take
+/// no value, the others take exactly one. Anything else is a usage error,
+/// so a mistyped flag can never be silently ignored.
+struct FlagSpec {
+  std::map<std::string, bool Flags::*> switches;
+  std::vector<std::string> valued;
+};
+
+const FlagSpec* FlagsOf(const std::string& command) {
+  static const std::map<std::string, FlagSpec> kSpecs = {
+      {"run",
+       {{{"lax", &Flags::lax},
+         {"optimize", &Flags::optimize},
+         {"explain", &Flags::explain},
+         {"fresh", &Flags::fresh},
+         {"recover", &Flags::recover},
+         {"group-commit", &Flags::group_commit},
+         {"compact-storage", &Flags::compact_storage}},
+        {"db", "save", "wal-dir", "sessions", "batch", "shards"}}},
+      {"check",
+       {{{"json", &Flags::json},
+         {"werror", &Flags::werror},
+         {"help", &Flags::help}},
+        {}}},
+      {"describe", {{}, {"db"}}},
+      {"vacuum",
+       {{}, {"db", "relation", "before", "archive", "save", "wal-dir"}}},
+      {"recover", {{}, {"wal-dir", "save"}}},
+      {"fsck",
+       {{{"json", &Flags::json},
+         {"repair", &Flags::repair},
+         {"help", &Flags::help}},
+        {"wal-dir"}}},
+      {"modelcheck",
+       {{{"seeded-bug", &Flags::seeded_bug}},
+        {"scenario", "preemptions", "max-schedules", "max-steps", "replay"}}},
+  };
+  auto it = kSpecs.find(command);
+  return it == kSpecs.end() ? nullptr : &it->second;
+}
+
+/// Parses `ttra <command> [args...]` against the command's FlagSpec.
+/// Returns an error message naming the offending argument, or "" on
+/// success.
+std::string ParseFlags(int argc, char** argv, Flags& flags) {
+  if (argc < 2) return "missing command";
+  const std::string command = argv[1];
+  const FlagSpec* spec = FlagsOf(command);
+  if (spec == nullptr) return "unknown command: " + command;
+  flags.positional.push_back(command);
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--lax") {
-      flags.lax = true;
-    } else if (arg == "--optimize") {
-      flags.optimize = true;
-    } else if (arg == "--explain") {
-      flags.explain = true;
-    } else if (arg == "--group-commit") {
-      flags.group_commit = true;
-    } else if (arg == "--fresh") {
-      flags.fresh = true;
-    } else if (arg == "--recover") {
-      flags.recover = true;
-    } else if (arg == "--json") {
-      flags.json = true;
-    } else if (arg == "--werror") {
-      flags.werror = true;
-    } else if (arg == "--help") {
-      flags.help = true;
-    } else if (arg == "--repair") {
-      flags.repair = true;
-    } else if (arg == "--seeded-bug") {
-      flags.seeded_bug = true;
-    } else if (arg == "--compact-storage") {
-      flags.compact_storage = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "ttra: flag " << arg << " needs a value\n";
-        return false;
-      }
-      flags.values[arg.substr(2)] = argv[++i];
-    } else {
+    if (arg.rfind("--", 0) != 0) {
       flags.positional.push_back(arg);
+      continue;
+    }
+    const std::string name = arg.substr(2);
+    if (auto it = spec->switches.find(name); it != spec->switches.end()) {
+      flags.*(it->second) = true;
+    } else if (std::find(spec->valued.begin(), spec->valued.end(), name) !=
+               spec->valued.end()) {
+      if (i + 1 >= argc) return "flag " + arg + " needs a value";
+      flags.values[name] = argv[++i];
+    } else {
+      return "unknown flag " + arg + " for `ttra " + command + "`";
     }
   }
+  return "";
+}
+
+/// A whole decimal number: digits only, no sign, no suffix, no overflow.
+std::optional<uint64_t> ParseDecimal(const std::string& text) {
+  if (text.empty() || text.size() > 19) return std::nullopt;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+  }
+  return value;
+}
+
+/// Reads the count flag `--name` into `out` (left alone when the flag is
+/// absent). Returns false unless the value is a whole decimal in
+/// [min, max].
+template <typename Count>
+bool CountFlag(const Flags& flags, const std::string& name, uint64_t min,
+               uint64_t max, Count& out) {
+  auto it = flags.values.find(name);
+  if (it == flags.values.end()) return true;
+  std::optional<uint64_t> value = ParseDecimal(it->second);
+  if (!value || *value < min || *value > max) return false;
+  out = static_cast<Count>(*value);
   return true;
 }
 
@@ -329,11 +389,9 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
   return Status::Ok();
 }
 
-/// The statement loop of `run --group-commit`/`run --shards`, shared by
-/// the single-writer ConcurrentExecutor and the ShardedExecutor (their
-/// submit/session surfaces mirror each other). Returns 0 on success.
-template <typename Executor>
-int RunProgramConcurrently(Executor& exec,
+/// The statement loop of `run --group-commit`/`run --shards`. Returns 0
+/// on success.
+int RunProgramConcurrently(ShardedExecutor& exec,
                            const std::vector<lang::Stmt>& program,
                            const Flags& flags, size_t sessions) {
   // Statements in flight: resolved whenever the pipeline drains, so a
@@ -440,16 +498,32 @@ int RunProgramConcurrently(Executor& exec,
 }
 
 /// `run --wal-dir --group-commit` / `run --wal-dir --shards N`: the script
-/// executes through the ConcurrentExecutor (one writer thread,
-/// group-committed batches) or, with --shards, the ShardedExecutor (one
-/// WAL + writer per shard, order-preserving cross-shard group commit).
-/// Update statements are enqueued asynchronously; only statements that
-/// must evaluate against current state — a show, or a modify_state whose
-/// expression is not a constant — drain the pipeline first. Show
-/// statements are evaluated on `--sessions` reader sessions concurrently;
-/// all sessions open at the drained epoch and must produce identical
-/// tables.
+/// executes through the ShardedExecutor — one WAL + writer per shard,
+/// group-committed batches, order-preserving cross-shard group commit —
+/// with one shard unless --shards says otherwise. Update statements are
+/// enqueued asynchronously; only statements that must evaluate against
+/// current state — a show, or a modify_state whose expression is not a
+/// constant — drain the pipeline first. Show statements are evaluated on
+/// `--sessions` reader sessions concurrently; all sessions open at the
+/// drained epoch and must produce identical tables.
 int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
+  // One evaluator thread per session; a MANIFEST holds at most 1024
+  // shards.
+  size_t sessions = 1;
+  if (!CountFlag(flags, "sessions", 1, 1024, sessions)) {
+    return UsageError("--sessions expects a whole number in [1, 1024]");
+  }
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable.compact_storage = flags.compact_storage;
+  if (!CountFlag(flags, "batch", 1, UINT64_MAX,
+                 options.group_commit.max_batch)) {
+    return UsageError("--batch expects a positive whole number");
+  }
+  if (!CountFlag(flags, "shards", 1, 1024, options.shards)) {
+    return UsageError("--shards expects a whole number in [1, 1024]");
+  }
+
   std::ifstream in(flags.positional[1]);
   if (!in) return Fail("cannot open script: " + flags.positional[1]);
   std::stringstream buffer;
@@ -461,74 +535,12 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
                 "the wal directory (export it with --save)");
   }
 
-  size_t sessions = 1;
-  if (auto it = flags.values.find("sessions"); it != flags.values.end()) {
-    try {
-      sessions = std::stoull(it->second);
-    } catch (const std::exception&) {
-      sessions = 0;
-    }
-    if (sessions == 0) return Fail("--sessions expects a positive count");
-  }
-  GroupCommitOptions group_commit;
-  if (auto it = flags.values.find("batch"); it != flags.values.end()) {
-    try {
-      group_commit.max_batch = std::stoull(it->second);
-    } catch (const std::exception&) {
-      group_commit.max_batch = 0;
-    }
-    if (group_commit.max_batch == 0) {
-      return Fail("--batch expects a positive batch size");
-    }
-  }
-  size_t shards = 0;  // 0 = single-writer ConcurrentExecutor
-  if (auto it = flags.values.find("shards"); it != flags.values.end()) {
-    try {
-      shards = std::stoull(it->second);
-    } catch (const std::exception&) {
-      shards = 0;
-    }
-    if (shards == 0) return Fail("--shards expects a positive shard count");
-  }
-
   Env* env = Env::Default();
   if (flags.fresh) {
     Status reset = ResetWalDir(env, wal_dir);
     if (!reset.ok()) return Fail("cannot reset state: " + reset.ToString());
   }
-
-  if (shards > 0) {
-    ShardedOptions options;
-    options.group_commit = group_commit;
-    options.shards = shards;
-    options.durable.compact_storage = flags.compact_storage;
-    ShardedExecutor exec(env, wal_dir, options);
-    Status started = exec.Start();
-    if (!started.ok()) return Fail("recovery failed: " + started.ToString());
-    if (flags.recover) {
-      ReportRecovery(exec.transaction_number(), exec.last_recovery());
-    }
-    if (int rc = RunProgramConcurrently(exec, *program, flags, sessions);
-        rc != 0) {
-      return rc;
-    }
-    const ShardedExecutor::Stats stats = exec.stats();
-    exec.Stop();
-    std::cout << "ok (transaction " << exec.transaction_number() << ")\n";
-    uint64_t syncs = 0;
-    for (const auto& shard : stats.per_shard) syncs += shard.wal.syncs;
-    std::cout << "group commit: " << stats.commits << " commit(s) in "
-              << stats.batches << " batch(es) across " << exec.shards()
-              << " shard(s), largest " << stats.max_batch << ", "
-              << stats.cross_shard_batches << " cross-shard, " << syncs
-              << " fsync(s)\n";
-    return SaveIfRequested(exec.Snapshot(), flags);
-  }
-
-  ConcurrentOptions options;
-  options.group_commit = group_commit;
-  options.durable.compact_storage = flags.compact_storage;
-  ConcurrentExecutor exec(env, wal_dir, options);
+  ShardedExecutor exec(env, wal_dir, options);
   Status started = exec.Start();
   if (!started.ok()) return Fail("recovery failed: " + started.ToString());
   if (flags.recover) {
@@ -538,12 +550,16 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
       rc != 0) {
     return rc;
   }
-  const ConcurrentExecutor::Stats stats = exec.stats();
+  const ShardedExecutor::Stats stats = exec.stats();
   exec.Stop();
   std::cout << "ok (transaction " << exec.transaction_number() << ")\n";
+  uint64_t syncs = 0;
+  for (const auto& shard : stats.per_shard) syncs += shard.wal.syncs;
   std::cout << "group commit: " << stats.commits << " commit(s) in "
-            << stats.batches << " batch(es), largest " << stats.max_batch
-            << ", " << stats.wal.syncs << " fsync(s)\n";
+            << stats.batches << " batch(es) across " << exec.shards()
+            << " shard(s), largest " << stats.max_batch << ", "
+            << stats.cross_shard_batches << " cross-shard, " << syncs
+            << " fsync(s)\n";
   return SaveIfRequested(exec.Snapshot(), flags);
 }
 
@@ -771,10 +787,8 @@ int CmdVacuum(const Flags& flags) {
         "[--archive f] [--save f]  |  ttra vacuum --wal-dir d");
   }
   TransactionNumber cutoff = 0;
-  try {
-    cutoff = std::stoull(before->second);
-  } catch (const std::exception&) {
-    return Fail("--before expects a transaction number");
+  if (!CountFlag(flags, "before", 0, UINT64_MAX, cutoff)) {
+    return UsageError("--before expects a transaction number");
   }
   auto result = VacuumRelation(*db, relation->second, cutoff);
   if (!result.ok()) return Fail(result.status().ToString());
@@ -932,23 +946,18 @@ int CmdRecover(const Flags& flags) {
 
 // --- modelcheck ------------------------------------------------------------
 
-uint64_t FlagU64(const Flags& flags, const std::string& key,
-                 uint64_t fallback) {
-  auto it = flags.values.find(key);
-  if (it == flags.values.end()) return fallback;
-  return static_cast<uint64_t>(std::stoull(it->second));
-}
-
-modelcheck::ExploreOptions ModelcheckOptions(const Flags& flags) {
-  modelcheck::ExploreOptions options;
-  options.preemption_bound =
-      static_cast<int>(FlagU64(flags, "preemptions", 2));
-  options.max_schedules = FlagU64(flags, "max-schedules", 0);
-  options.max_steps_per_run = FlagU64(flags, "max-steps", 200000);
-  return options;
-}
-
 int CmdModelcheck(const Flags& flags) {
+  modelcheck::ExploreOptions options;
+  if (!CountFlag(flags, "preemptions", 0, INT32_MAX,
+                 options.preemption_bound) ||
+      !CountFlag(flags, "max-schedules", 0, UINT64_MAX,
+                 options.max_schedules) ||
+      !CountFlag(flags, "max-steps", 1, UINT64_MAX,
+                 options.max_steps_per_run)) {
+    return UsageError(
+        "--preemptions, --max-schedules and --max-steps expect whole "
+        "numbers");
+  }
   auto scenario_it = flags.values.find("scenario");
   const std::string which =
       scenario_it == flags.values.end() ? "all" : scenario_it->second;
@@ -967,8 +976,8 @@ int CmdModelcheck(const Flags& flags) {
       return UsageError("malformed --replay decision list: " +
                         replay_it->second);
     }
-    modelcheck::ReplayResult replay = modelcheck::Replay(
-        scenario.run, decisions, FlagU64(flags, "max-steps", 200000));
+    modelcheck::ReplayResult replay =
+        modelcheck::Replay(scenario.run, decisions, options.max_steps_per_run);
     std::cout << modelcheck::RenderTrace(replay.run);
     if (replay.failed) {
       std::cout << "replay violates: "
@@ -980,8 +989,6 @@ int CmdModelcheck(const Flags& flags) {
     std::cout << "replay clean (" << replay.run.steps << " steps)\n";
     return 0;
   }
-
-  const modelcheck::ExploreOptions options = ModelcheckOptions(flags);
 
   // --seeded-bug: the sharded scenario with a deliberately broken
   // durability watermark; success means the explorer CAUGHT it.
@@ -1033,10 +1040,11 @@ int CmdModelcheck(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!ParseFlags(argc, argv, flags)) return 1;
-  if (flags.positional.empty()) {
-    return Fail(
-        "usage: ttra <run|check|describe|vacuum|recover|fsck|modelcheck> ...");
+  if (const std::string error = ParseFlags(argc, argv, flags);
+      !error.empty()) {
+    return UsageError(error +
+                      "\nusage: ttra <run|check|describe|vacuum|recover|"
+                      "fsck|modelcheck> ...");
   }
   const std::string& command = flags.positional[0];
   if (command == "run") return CmdRun(flags);
@@ -1045,6 +1053,5 @@ int main(int argc, char** argv) {
   if (command == "vacuum") return CmdVacuum(flags);
   if (command == "recover") return CmdRecover(flags);
   if (command == "fsck") return CmdFsck(flags);
-  if (command == "modelcheck") return CmdModelcheck(flags);
-  return Fail("unknown command: " + command);
+  return CmdModelcheck(flags);  // ParseFlags admits only known commands
 }
