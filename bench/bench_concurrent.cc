@@ -5,7 +5,9 @@
 // buy — batching N sentences into one WAL record + one fsync should move
 // commit throughput from the fsync floor toward the apply floor as the
 // batch grows. Both run on the queued single-writer pipeline,
-// ShardedExecutor with one shard.
+// ShardedExecutor with one shard. BM_CommitVsHistory adds the commit
+// path's dependence on history length (a persistent Database makes it
+// O(change)).
 
 #include <benchmark/benchmark.h>
 
@@ -195,6 +197,122 @@ BENCHMARK(BM_ShardedCommitThroughput)
     ->Arg(2)
     ->Arg(4)
     ->ArgName("shards")
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+/// Commits/sec vs preloaded history length (ROADMAP Open item 1 gate):
+/// the commit path must cost O(change), not O(history). One shard,
+/// InMemoryEnv and kNever take the disk out, so what is left is apply,
+/// encode and publish. The preload — `history` states on each of a
+/// rollback and a temporal relation — goes through the executor itself, in
+/// sentences of 1000 commands (a batch copies the database once, however
+/// many commands it holds); then the timed phase commits one-command
+/// sentences alternately to the two relations, at most 64 per batch. A
+/// fixed iteration count keeps the preload from being repeated while the
+/// library sizes the run.
+void BM_CommitVsHistory(benchmark::State& state) {
+  const auto kind = static_cast<StorageKind>(state.range(0));
+  const auto history = static_cast<size_t>(state.range(1));
+  InMemoryEnv env;
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable.sync_policy = SyncPolicy::kNever;
+  options.durable.db.storage = kind;
+  options.group_commit.max_batch = 64;
+  ShardedExecutor exec(&env, kDir, options);
+  if (!exec.Start().ok()) {
+    state.SkipWithError("cannot start executor");
+    return;
+  }
+  const Schema schema = BenchSchema();
+  if (!exec.Submit({DefineRelationCmd{"acct", RelationType::kRollback, schema},
+                    DefineRelationCmd{"pos", RelationType::kTemporal, schema}})
+           .ok()) {
+    state.SkipWithError("define failed");
+    return;
+  }
+  // Two chains of 8-tuple states, each replacing one tuple of the last as
+  // an update would; commands share their states' tuple storage.
+  constexpr size_t kPool = 256;
+  constexpr int64_t kRows = 8;
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < kRows; ++i) {
+    rows.push_back(Tuple{Value::Int(i), Value::Int(0)});
+  }
+  std::vector<SnapshotState> snapshots;
+  std::vector<HistoricalState> historicals;
+  for (size_t i = 0; i < kPool; ++i) {
+    const auto n = static_cast<int64_t>(i);
+    rows[static_cast<size_t>(n % kRows)] =
+        Tuple{Value::Int(n % kRows), Value::Int(n)};
+    std::vector<HistoricalTuple> stamped;
+    for (const Tuple& row : rows) {
+      stamped.push_back(HistoricalTuple{row, TemporalElement::Span(0, 1000)});
+    }
+    snapshots.push_back(*SnapshotState::Make(schema, rows));
+    historicals.push_back(*HistoricalState::Make(schema, std::move(stamped)));
+  }
+  auto command = [&](size_t i) -> Command {
+    if (i % 2 == 0) return ModifySnapshotCmd{"acct", snapshots[i / 2 % kPool]};
+    return ModifyHistoricalCmd{"pos", historicals[i / 2 % kPool]};
+  };
+
+  constexpr size_t kPreloadSentence = 1000;
+  std::deque<std::future<Result<TransactionNumber>>> inflight;
+  auto drain = [&](size_t window) {
+    while (inflight.size() > window) {
+      if (!inflight.front().get().ok()) return false;
+      inflight.pop_front();
+    }
+    return true;
+  };
+  size_t next = 0;
+  while (next < 2 * history) {
+    std::vector<Command> sentence;
+    for (size_t k = 0; k < kPreloadSentence && next < 2 * history; ++k) {
+      sentence.push_back(command(next++));
+    }
+    inflight.push_back(exec.SubmitAsync(std::move(sentence)));
+    if (!drain(64)) {
+      state.SkipWithError("preload failed");
+      return;
+    }
+  }
+  if (!drain(0)) {
+    state.SkipWithError("preload failed");
+    return;
+  }
+  const ShardedExecutor::Stats before = exec.stats();
+
+  for (auto _ : state) {
+    inflight.push_back(exec.SubmitAsync({command(next++)}));
+    if (!drain(256)) {
+      state.SkipWithError("commit failed");
+      return;
+    }
+  }
+  if (!drain(0)) {
+    state.SkipWithError("commit failed");
+    return;
+  }
+  const ShardedExecutor::Stats after = exec.stats();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["history"] = static_cast<double>(history);
+  const uint64_t batches = after.batches - before.batches;
+  state.counters["avg_batch"] =
+      batches == 0 ? 0.0
+                   : static_cast<double>(after.commits - before.commits) /
+                         static_cast<double>(batches);
+  exec.Stop();
+}
+BENCHMARK(BM_CommitVsHistory)
+    ->ArgsProduct({{static_cast<int64_t>(StorageKind::kFullCopy),
+                    static_cast<int64_t>(StorageKind::kDelta),
+                    static_cast<int64_t>(StorageKind::kCheckpoint),
+                    static_cast<int64_t>(StorageKind::kReverseDelta)},
+                   {0, 100000, 400000}})
+    ->ArgNames({"storage", "history"})
+    ->Iterations(32768)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

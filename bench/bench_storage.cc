@@ -14,7 +14,7 @@
 #include "rollback/persistence.h"
 #include "storage/env.h"
 #include "storage/serialize.h"
-#include "storage/state_log.h"
+#include "storage/logs.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -23,16 +23,15 @@ namespace {
 constexpr size_t kHistory = 200;
 constexpr size_t kStateSize = 500;
 
-std::unique_ptr<StateLog<SnapshotState>> BuildLog(StorageKind kind,
-                                                  double churn,
-                                                  size_t interval) {
+StateLog<SnapshotState> BuildLog(StorageKind kind, double churn,
+                                 size_t interval) {
   workload::Generator gen(11);
   auto log = MakeStateLog<SnapshotState>(kind, interval);
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
                                        {"payload", ValueType::kString}});
   SnapshotState state = gen.RandomState(schema, kStateSize);
   for (size_t i = 0; i < kHistory; ++i) {
-    (void)log->Append(state, i + 1);
+    (void)log.Append(state, i + 1);
     state = gen.MutateState(state, churn);
   }
   return log;
@@ -46,10 +45,10 @@ void RunSpace(benchmark::State& state, StorageKind kind) {
   // region measures a full FINDSTATE at the middle as the retrieval cost
   // that buys that space.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(log->StateAt(kHistory / 2));
+    benchmark::DoNotOptimize(log.StateAt(kHistory / 2));
   }
   state.counters["bytes_per_txn"] =
-      static_cast<double>(log->ApproxBytes()) / kHistory;
+      static_cast<double>(log.ApproxBytes()) / kHistory;
   state.counters["churn_permille"] = static_cast<double>(state.range(0));
 }
 
@@ -77,10 +76,10 @@ void BM_CheckpointIntervalSpace(benchmark::State& state) {
   const size_t interval = static_cast<size_t>(state.range(0));
   auto log = BuildLog(StorageKind::kCheckpoint, 0.05, interval);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(log->StateAt(kHistory / 2));
+    benchmark::DoNotOptimize(log.StateAt(kHistory / 2));
   }
   state.counters["bytes_per_txn"] =
-      static_cast<double>(log->ApproxBytes()) / kHistory;
+      static_cast<double>(log.ApproxBytes()) / kHistory;
   state.counters["interval"] = static_cast<double>(interval);
 }
 BENCHMARK(BM_CheckpointIntervalSpace)->RangeMultiplier(2)->Range(1, 128);
@@ -104,7 +103,7 @@ void RunAppend(benchmark::State& state, StorageKind kind) {
     auto log = MakeStateLog<SnapshotState>(kind, 16);
     state.ResumeTiming();
     for (size_t i = 0; i < states.size(); ++i) {
-      (void)log->Append(states[i], i + 1);
+      (void)log.Append(states[i], i + 1);
     }
     benchmark::DoNotOptimize(log);
   }
@@ -131,7 +130,7 @@ BENCHMARK(BM_AppendReverseDelta);
 // Serialization throughput with checksum verification.
 void BM_SerializeRoundTrip(benchmark::State& state) {
   auto log = BuildLog(StorageKind::kFullCopy, 0.1, 16);
-  auto sequence = MaterializeSequence(*log);
+  auto sequence = MaterializeSequence(log);
   sequence.resize(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     std::string encoded = EncodeStateSequence(sequence);

@@ -51,8 +51,33 @@ const Schema* AbsRelation::ProvableSchemaAt(TransactionNumber txn) const {
   return &schema_history[k].first;
 }
 
+size_t AbsRelation::StateCount() const {
+  return (recorded != nullptr ? recorded->history_length() : 0) +
+         state_txns.size();
+}
+
+TxnInterval AbsRelation::StateTxnAt(size_t i) const {
+  const size_t seeded = recorded != nullptr ? recorded->history_length() : 0;
+  if (i < seeded) return TxnInterval::Exact(recorded->TxnAt(i));
+  return state_txns[i - seeded];
+}
+
+std::optional<TxnInterval> AbsRelation::LastStateTxn() const {
+  if (!state_txns.empty()) return state_txns.back();
+  if (recorded != nullptr && recorded->history_length() > 0) {
+    return TxnInterval::Exact(recorded->TxnAt(recorded->history_length() - 1));
+  }
+  return std::nullopt;
+}
+
 bool AbsRelation::ProvablyEmptyAt(TransactionNumber txn) const {
   if (!states_complete) return false;
+  // Recorded transactions are exact and increasing: the first one
+  // decides whether any is at or before txn.
+  if (recorded != nullptr && recorded->history_length() > 0 &&
+      recorded->TxnAt(0) <= txn) {
+    return false;
+  }
   for (const TxnInterval& t : state_txns) {
     if (!t.ProvablyGt(txn)) return false;
   }
@@ -66,8 +91,15 @@ const Schema* AbsRelation::ProvableObservedSchemaAt(
   // which state FINDSTATE lands on (including the empty state).
   if (schema_history.size() == 1) return &schema_history.front().first;
   if (schema_history.empty()) return nullptr;
-  // With scheme evolution in play, pin down the exact state observed.
+  // With scheme evolution in play, pin down the exact state observed: the
+  // last state at or before the probe. The recorded states are exact and
+  // increasing, so FINDSTATE's binary search finds their candidate.
   std::optional<TransactionNumber> observed;
+  if (recorded != nullptr) {
+    const size_t count = txn.has_value() ? recorded->CountAtOrBefore(*txn)
+                                         : recorded->history_length();
+    if (count > 0) observed = recorded->TxnAt(count - 1);
+  }
   for (const TxnInterval& t : state_txns) {
     if (!t.exact()) return nullptr;
     if (!txn.has_value() || t.lo <= *txn) observed = t.lo;
@@ -112,7 +144,7 @@ AbsState AbsStateFromDatabase(const Database& db) {
   AbsState state;
   state.counter = TxnInterval::Exact(db.transaction_number());
   for (const std::string& name : db.RelationNames()) {
-    const Relation* rel = db.Find(name);
+    std::shared_ptr<const Relation> rel = db.FindShared(name);
     AbsRelation r;
     r.type = rel->type();
     r.schema = rel->schema();
@@ -121,9 +153,7 @@ AbsState AbsStateFromDatabase(const Database& db) {
     }
     r.defined_at = r.schema_history.empty() ? TxnInterval::Exact(0)
                                             : r.schema_history.front().second;
-    for (size_t i = 0; i < rel->history_length(); ++i) {
-      r.state_txns.push_back(TxnInterval::Exact(rel->TxnAt(i)));
-    }
+    r.recorded = std::move(rel);
     r.states_complete = true;
     state.relations.emplace(name, std::move(r));
   }
@@ -163,7 +193,10 @@ void ApplyAbstract(const Stmt& stmt, bool has_error, AbsState& state) {
           if (it == state.relations.end()) return;
           // modify_state dispatch (§3.5): append for rollback/temporal,
           // replace the single state for snapshot/historical.
-          if (!RetainsHistory(it->second.type)) it->second.state_txns.clear();
+          if (!RetainsHistory(it->second.type)) {
+            it->second.recorded.reset();
+            it->second.state_txns.clear();
+          }
           it->second.state_txns.push_back(commit);
         }
       },

@@ -2,6 +2,7 @@
 #define TTRA_LANG_ABSINT_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,15 +74,30 @@ struct AbsRelation {
   /// interval of its installation transaction. Index 0 is the define-time
   /// scheme (mirrors Relation::schema_history()).
   std::vector<std::pair<Schema, TxnInterval>> schema_history;
-  /// Commit transactions of the recorded states, in increasing order.
-  /// Snapshot/historical relations replace their single state, so at most
-  /// one entry; rollback/temporal relations append.
+  /// States recorded before the program point's own commits, when the
+  /// facts were seeded from a live Database: a handle to that relation,
+  /// whose state transactions are exact and strictly increasing. Sharing
+  /// it keeps seeding O(#relations) — the facts read the relation's log by
+  /// binary search instead of copying its history. nullptr otherwise.
+  std::shared_ptr<const Relation> recorded;
+  /// Commit transactions of the states the program appended after
+  /// `recorded`'s, in increasing order. Snapshot/historical relations
+  /// replace their single state, so at most one state in all; rollback/
+  /// temporal relations append.
   std::vector<TxnInterval> state_txns;
-  /// True when state_txns lists every state the relation has recorded —
-  /// i.e. the relation's whole life is visible to the interpreter (created
-  /// by the program, or seeded from a live Database). False for relations
-  /// that pre-exist in a Catalog, whose history is unknown.
+  /// True when `recorded` and state_txns list every state the relation has
+  /// recorded — i.e. the relation's whole life is visible to the
+  /// interpreter (created by the program, or seeded from a live Database).
+  /// False for relations that pre-exist in a Catalog, whose history is
+  /// unknown.
   bool states_complete = false;
+
+  /// Number of recorded states: `recorded`'s, then state_txns.
+  size_t StateCount() const;
+  /// Commit transaction of the i-th recorded state (0-based).
+  TxnInterval StateTxnAt(size_t i) const;
+  /// Commit transaction of the most recent state; nullopt when none.
+  std::optional<TxnInterval> LastStateTxn() const;
 
   /// The scheme FINDSTATE-style lookups observe at transaction `txn`, when
   /// provably resolvable from the abstract scheme history (clamps to the
@@ -119,7 +135,8 @@ AbsState InitialAbsState(const Catalog& catalog,
                          std::optional<TransactionNumber> initial_txn);
 
 /// Exact abstract state of a live database: every relation's recorded
-/// transaction numbers and scheme history become singleton intervals and
+/// states (shared with the database through AbsRelation::recorded, in
+/// O(#relations)) and scheme history become exact facts and
 /// states_complete is set, so downstream consumers (the optimizer) get
 /// maximal precision.
 AbsState AbsStateFromDatabase(const Database& db);

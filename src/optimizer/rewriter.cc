@@ -193,8 +193,8 @@ class Rewriter {
     // N provably at/after the last recorded state: FINDSTATE picks that
     // last state either way, and ∞ is O(1) on every storage engine (the
     // reverse-delta engine otherwise replays backwards from the tail).
-    const lang::TxnInterval& last = rel->state_txns.back();
-    if (last.hi.has_value() && txn >= *last.hi) {
+    const std::optional<lang::TxnInterval> last = rel->LastStateTxn();
+    if (last.has_value() && last->hi.has_value() && txn >= *last->hi) {
       return Expr::Rollback(expr.relation_name(), std::nullopt,
                             expr.rollback_historical());
     }

@@ -1,19 +1,31 @@
 #include "rollback/database.h"
 
+#include <atomic>
+
 namespace ttra {
 
 Database::Database(DatabaseOptions options) : options_(options) {}
+
+Relation& Database::Own(std::shared_ptr<const Relation>& slot) {
+  if (slot.use_count() != 1) {
+    slot = std::make_shared<Relation>(*slot);
+  } else {
+    // The last other owner released its reference with a release
+    // decrement; order its reads of the relation before our writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return const_cast<Relation&>(*slot);
+}
 
 Status Database::DefineRelation(const std::string& name, RelationType type,
                                 Schema schema) {
   if (relations_.contains(name)) {
     return AlreadyDefinedError("relation already defined: " + name);
   }
-  relations_.emplace(name,
-                     Relation::Make(type, std::move(schema), txn_ + 1,
-                                    options_.storage,
-                                    options_.checkpoint_interval,
-                                    options_.findstate_cache_capacity));
+  relations_.emplace(name, std::make_shared<Relation>(Relation::Make(
+                               type, std::move(schema), txn_ + 1,
+                               options_.storage, options_.checkpoint_interval,
+                               options_.findstate_cache_capacity)));
   ++txn_;
   return Status::Ok();
 }
@@ -25,7 +37,7 @@ Status Database::ModifyState(const std::string& name,
     return UnknownIdentifierError("modify_state of undefined relation: " +
                                   name);
   }
-  TTRA_RETURN_IF_ERROR(it->second.SetState(state, txn_ + 1));
+  TTRA_RETURN_IF_ERROR(Own(it->second).SetState(state, txn_ + 1));
   ++txn_;
   return Status::Ok();
 }
@@ -37,7 +49,7 @@ Status Database::ModifyState(const std::string& name,
     return UnknownIdentifierError("modify_state of undefined relation: " +
                                   name);
   }
-  TTRA_RETURN_IF_ERROR(it->second.SetState(state, txn_ + 1));
+  TTRA_RETURN_IF_ERROR(Own(it->second).SetState(state, txn_ + 1));
   ++txn_;
   return Status::Ok();
 }
@@ -59,7 +71,8 @@ Status Database::ModifySchema(const std::string& name, Schema schema) {
     return UnknownIdentifierError("modify_schema of undefined relation: " +
                                   name);
   }
-  TTRA_RETURN_IF_ERROR(it->second.SetSchema(std::move(schema), txn_ + 1));
+  TTRA_RETURN_IF_ERROR(
+      Own(it->second).SetSchema(std::move(schema), txn_ + 1));
   ++txn_;
   return Status::Ok();
 }
@@ -102,7 +115,13 @@ Result<HistoricalState> Database::RollbackHistorical(
 
 const Relation* Database::Find(const std::string& name) const {
   auto it = relations_.find(name);
-  return it == relations_.end() ? nullptr : &it->second;
+  return it == relations_.end() ? nullptr : it->second.get();
+}
+
+std::shared_ptr<const Relation> Database::FindShared(
+    const std::string& name) const {
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string> Database::RelationNames() const {
@@ -115,22 +134,14 @@ std::vector<std::string> Database::RelationNames() const {
 size_t Database::ApproxBytes() const {
   size_t total = 0;
   for (const auto& [name, relation] : relations_) {
-    total += name.size() + relation.ApproxBytes();
+    total += name.size() + relation->ApproxBytes();
   }
   return total;
 }
 
 void Database::RestoreRelation(const std::string& name, Relation relation) {
-  relations_.insert_or_assign(name, std::move(relation));
-}
-
-Database Database::Clone() const {
-  Database copy(options_);
-  copy.txn_ = txn_;
-  for (const auto& [name, relation] : relations_) {
-    copy.relations_.emplace(name, relation.Clone());
-  }
-  return copy;
+  relations_.insert_or_assign(name,
+                              std::make_shared<Relation>(std::move(relation)));
 }
 
 }  // namespace ttra

@@ -2,6 +2,7 @@
 #define TTRA_ROLLBACK_DATABASE_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,9 +22,15 @@ struct DatabaseOptions {
 
 /// The paper's DATABASE semantic domain: a database state (identifier →
 /// relation ∪ {⊥}) paired with the transaction number of the most recent
-/// change. The mutating methods implement the command denotations C⟦·⟧
-/// in-place (the efficient realization of "returns a new database"); use
-/// Clone() where value semantics are needed.
+/// change. A Database is a persistent value: copying one is O(#relations)
+/// pointer copies, because relations are shared between copies and a
+/// relation is copied only when a command writes to it — and that copy
+/// shares the relation's recorded history (StateLog is persistent too). So
+/// "C⟦·⟧ returns a new database" is realized as: copy, then run the
+/// command on the copy, at O(change) cost; the mutating methods below run
+/// the command on this version and never disturb another copy. Dropping a
+/// version (an aborted atomic sentence, a superseded snapshot) releases
+/// only what no other version shares.
 ///
 /// Faithful to the paper: a failed command leaves the database — including
 /// its transaction number — completely unchanged, and define_relation on a
@@ -80,6 +87,11 @@ class Database {
   /// The relation bound to `name`, or nullptr (the paper's ⊥).
   const Relation* Find(const std::string& name) const;
 
+  /// The relation bound to `name` as a shared handle, or nullptr. The
+  /// handle pins this version of the relation: later commands on the
+  /// database copy it before writing instead of changing what it shows.
+  std::shared_ptr<const Relation> FindShared(const std::string& name) const;
+
   /// Bound identifiers in sorted order.
   std::vector<std::string> RelationNames() const;
 
@@ -87,25 +99,29 @@ class Database {
 
   const DatabaseOptions& options() const { return options_; }
 
-  /// Deep copy.
-  Database Clone() const;
-
   // --- Restore API (persistence layer only) -------------------------------
   //
   // These bypass the command semantics to rebuild a database exactly as
   // serialized — transaction numbers included. Normal code must go
   // through DefineRelation/ModifyState.
 
-  /// Installs a fully-built relation under `name`, replacing any binding.
+  /// Installs a fully-built relation under `name` as a fresh (unshared)
+  /// relation, replacing any binding.
   void RestoreRelation(const std::string& name, Relation relation);
 
   /// Forces the database's transaction counter.
   void RestoreTransactionNumber(TransactionNumber txn) { txn_ = txn; }
 
  private:
+  /// Copy-on-write: the relation in `slot`, made private to this version
+  /// first if another version still shares it.
+  static Relation& Own(std::shared_ptr<const Relation>& slot);
+
   DatabaseOptions options_;
   TransactionNumber txn_ = 0;
-  std::map<std::string, Relation> relations_;
+  // Every relation is allocated non-const (Own writes through the pointer
+  // when this version is its only owner) and never written while shared.
+  std::map<std::string, std::shared_ptr<const Relation>> relations_;
 };
 
 }  // namespace ttra

@@ -268,7 +268,7 @@ Status DurableExecutor::ReplayRecord(Database& db, std::string_view record) {
     if (!entry.atomic) {
       ApplySentence(db, entry.sentence).IgnoreError();
     } else {
-      Database scratch = db.Clone();
+      Database scratch = db;
       if (ApplySentence(scratch, entry.sentence).ok()) db = std::move(scratch);
     }
   }

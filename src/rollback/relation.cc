@@ -140,14 +140,8 @@ size_t Relation::ApproxBytes() const {
   return slog_ ? slog_->ApproxBytes() : hlog_->ApproxBytes();
 }
 
-Relation Relation::Clone() const {
-  Relation r;
-  r.type_ = type_;
-  r.storage_ = storage_;
-  r.schema_history_ = schema_history_;
-  if (slog_) r.slog_ = slog_->Clone();
-  if (hlog_) r.hlog_ = hlog_->Clone();
-  return r;
+size_t Relation::CountAtOrBefore(TransactionNumber txn) const {
+  return slog_ ? slog_->CountAtOrBefore(txn) : hlog_->CountAtOrBefore(txn);
 }
 
 }  // namespace ttra

@@ -1,13 +1,13 @@
 #ifndef TTRA_ROLLBACK_RELATION_H_
 #define TTRA_ROLLBACK_RELATION_H_
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "storage/logs.h"
 #include "storage/serialize.h"
-#include "storage/state_log.h"
 
 namespace ttra {
 
@@ -30,7 +30,9 @@ bool RetainsHistory(RelationType type);
 /// An element of the paper's RELATION semantic domain: a relation type
 /// paired with a sequence of (state, transaction-number) pairs. The
 /// sequence lives behind a StateLog engine; FINDSTATE is `SnapshotAt` /
-/// `HistoricalAt`.
+/// `HistoricalAt`. A Relation is a value: a copy shares the recorded
+/// history with its source (StateLog is persistent) and costs
+/// O(kStateLogChunkSize + scheme versions), never O(history).
 ///
 /// Extension beyond the paper: relations carry a declared scheme (states
 /// are self-describing in the paper; a declared scheme gives empty states
@@ -88,21 +90,21 @@ class Relation {
   size_t history_length() const;
   /// Transaction number of the i-th recorded pair.
   TransactionNumber TxnAt(size_t i) const;
+  /// Number of recorded pairs whose transaction number is <= `txn`:
+  /// FINDSTATE's binary search without the state.
+  size_t CountAtOrBefore(TransactionNumber txn) const;
   /// Storage-engine footprint (experiment E3).
   size_t ApproxBytes() const;
   StorageKind storage_kind() const { return storage_; }
-
-  /// Deep copy (value semantics for Database::Clone).
-  Relation Clone() const;
 
  private:
   RelationType type_ = RelationType::kSnapshot;
   StorageKind storage_ = StorageKind::kFullCopy;
   // Scheme versions in increasing transaction order; never empty after Make.
   std::vector<std::pair<Schema, TransactionNumber>> schema_history_;
-  // Exactly one of these is non-null, matching HoldsSnapshotStates(type_).
-  std::unique_ptr<StateLog<SnapshotState>> slog_;
-  std::unique_ptr<StateLog<HistoricalState>> hlog_;
+  // Exactly one of these is engaged, matching HoldsSnapshotStates(type_).
+  std::optional<StateLog<SnapshotState>> slog_;
+  std::optional<StateLog<HistoricalState>> hlog_;
 };
 
 }  // namespace ttra

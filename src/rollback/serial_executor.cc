@@ -13,7 +13,7 @@ Result<TransactionNumber> SerialExecutor::Submit(
 Result<TransactionNumber> SerialExecutor::SubmitAtomic(
     const std::function<Status(Database&)>& body) {
   WriterMutexLock lock(mutex_);
-  Database scratch = db_.Clone();
+  Database scratch = db_;
   TTRA_RETURN_IF_ERROR(body(scratch));
   db_ = std::move(scratch);
   return db_.transaction_number();
@@ -44,7 +44,7 @@ Result<HistoricalState> SerialExecutor::RollbackHistorical(
 
 Database SerialExecutor::Snapshot() const {
   ReaderMutexLock lock(mutex_);
-  return db_.Clone();
+  return db_;
 }
 
 void SerialExecutor::Reset(Database db) {

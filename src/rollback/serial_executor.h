@@ -20,8 +20,9 @@ namespace ttra {
 ///  * Submit — the paper's sequencing semantics: commands apply one at a
 ///    time; if one fails mid-body, earlier commands stay applied (each
 ///    command is individually atomic, bodies are not).
-///  * SubmitAtomic — an extension: the body runs against a clone and is
-///    swapped in only on success, making the whole body all-or-nothing.
+///  * SubmitAtomic — an extension: the body runs against a copy of the
+///    database (O(#relations); Database is persistent) and is swapped in
+///    only on success, making the whole body all-or-nothing.
 class SerialExecutor {
  public:
   explicit SerialExecutor(DatabaseOptions options = {}) : db_(options) {}
@@ -34,7 +35,7 @@ class SerialExecutor {
   Result<TransactionNumber> Submit(
       const std::function<Status(Database&)>& body);
 
-  /// Runs `body` on a private clone; on success the clone replaces the
+  /// Runs `body` on a private copy; on success the copy replaces the
   /// database, on failure the database is untouched.
   Result<TransactionNumber> SubmitAtomic(
       const std::function<Status(Database&)>& body);

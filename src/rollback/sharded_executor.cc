@@ -114,7 +114,7 @@ void ApplyEntry(Database& db, const GroupEntry& entry,
                 Result<TransactionNumber>* result) {
   Status applied;
   if (entry.atomic) {
-    Database scratch = db.Clone();
+    Database scratch = db;
     applied = ApplySentence(scratch, entry.sentence);
     if (applied.ok()) db = std::move(scratch);
   } else {
@@ -646,7 +646,7 @@ Database ShardedExecutor::Snapshot() const {
     MutexLock lock(publish_mutex_);
     snapshot = published_;
   }
-  return snapshot->Clone();
+  return *snapshot;
 }
 
 Status ShardedExecutor::Checkpoint() {
@@ -1039,7 +1039,8 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   // Phase 2 — order: transaction numbers are data-dependent (a failed
   // command consumes none), so positions cannot be pre-reserved; the
   // global section is exactly the apply + coordinator append, nothing
-  // else. One full clone per batch.
+  // else. The batch applies to a copy of the tip, which shares every
+  // relation until a command writes it.
   uint64_t commit_index = 0;
   TransactionNumber base = 0;
   TransactionNumber post = 0;
@@ -1059,7 +1060,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
       return;
     }
     base = tip_->transaction_number();
-    auto next = std::make_shared<Database>(tip_->Clone());
+    auto next = std::make_shared<Database>(*tip_);
     std::vector<Result<TransactionNumber>> results;
     results.reserve(entries.size());
     for (const GroupEntry& entry : entries) {

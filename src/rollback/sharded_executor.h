@@ -203,11 +203,12 @@ struct ShardedOptions {
 ///  1b. cross-shard batches append a durable kCrossPrepare marker to every
 ///     other touched shard first (two-phase: all participants hold the
 ///     payload before any commit record exists);
-///  2. order: under the global commit lock, apply the batch onto a clone
-///     of the chain tip — this assigns the paper's strictly-increasing
-///     transaction numbers (they are data-dependent: a failed command
-///     consumes none, so positions cannot be pre-reserved) — and append
-///     the coordinator record (no sync);
+///  2. order: under the global commit lock, apply the batch onto a copy
+///     of the chain tip (O(#relations): copies share history) — this
+///     assigns the paper's strictly-increasing transaction numbers (they
+///     are data-dependent: a failed command consumes none, so positions
+///     cannot be pre-reserved) — and append the coordinator record (no
+///     sync);
 ///  3. commit: append [seq, base, post] to the shard's own WAL and sync
 ///     once — one fsync covers prepare + commit, so a batch costs one
 ///     fsync on its home shard;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <optional>
 #include <utility>
+#include <variant>
 
 #include "storage/state_log.h"
 #include "util/mutex.h"
@@ -15,8 +16,10 @@ namespace ttra {
 /// The replay-based engines (delta/checkpoint/reverse-delta) consult it so
 /// repeated FINDSTATE reads of the same or nearby transactions skip the
 /// replay; readers may probe one log concurrently (SerialExecutor holds
-/// only a shared lock), hence the internal mutex. Cached states are
-/// immutable and shared, so Clone copies the cache by reference.
+/// only a shared lock), hence the internal mutex. Log entries are
+/// immutable once appended, so a cached index stays valid in every version
+/// of the log that shares it: an Append keeps the cache, and a copied log
+/// copies the (at most `capacity`) cached references.
 /// A capacity of 0 disables caching entirely.
 template <typename StateT>
 class FindStateCache {
@@ -28,7 +31,21 @@ class FindStateCache {
     slots_ = other.slots_;
     clock_ = other.clock_;
   }
-  FindStateCache& operator=(const FindStateCache&) = delete;
+  FindStateCache& operator=(const FindStateCache& other) {
+    if (this == &other) return *this;
+    std::vector<Slot> slots;
+    uint64_t clock = 0;
+    {
+      MutexLock lock(other.mutex_);
+      slots = other.slots_;
+      clock = other.clock_;
+    }
+    MutexLock lock(mutex_);
+    capacity_ = other.capacity_;
+    slots_ = std::move(slots);
+    clock_ = clock;
+    return *this;
+  }
 
   size_t capacity() const { return capacity_; }
 
@@ -95,8 +112,8 @@ class FindStateCache {
     *victim = Slot{index, std::move(state), ++clock_};
   }
 
-  /// Invalidates everything (called on Append/ReplaceLast and by vacuum's
-  /// rebuild, which starts from a fresh log anyway).
+  /// Invalidates everything (called by ReplaceLast, after which an index
+  /// names a different entry).
   void Clear() const {
     MutexLock lock(mutex_);
     slots_.clear();
@@ -115,57 +132,202 @@ class FindStateCache {
   mutable uint64_t clock_ TTRA_GUARDED_BY(mutex_) = 0;
 };
 
-/// Direct realization of the paper's semantics: every (state, txn) pair is
-/// stored in full. Entries are shared immutable states, so FINDSTATE and
-/// Clone are allocation-free — O(1) and O(history) pointer copies.
-template <typename StateT>
-class FullCopyLog final : public StateLog<StateT> {
+/// Entries per sealed chunk of a ChunkedVector, and sealed chunks per
+/// group. Copying a vector copies at most this many tail entries.
+inline constexpr size_t kStateLogChunkSize = 64;
+
+/// The append-only sequence every StateLog engine stores its entries in;
+/// each entry carries its transaction number `txn`, strictly increasing.
+/// Built to be copied cheaply: entries fill a tail chunk; a full tail is
+/// sealed into an immutable shared chunk, kStateLogChunkSize sealed chunks
+/// make an immutable shared group, and the full groups are listed by an
+/// immutable shared spine. Only the tail belongs to one copy, so a copy
+/// shares every sealed entry with its source and costs
+/// O(kStateLogChunkSize), and the copies may then append independently
+/// (two versions of a log diverge after their common prefix). Sealing a
+/// chunk copies the open group's chunk pointers (fewer than
+/// kStateLogChunkSize), and closing a group copies the spine (one pointer
+/// per kStateLogChunkSize² entries), so an append costs O(1) amortized at
+/// any history length. Sealed parts are listed with their last
+/// transaction number, so FINDSTATE's search reads no chunk but the one
+/// holding its answer.
+///
+/// Nothing shared is ever written, so versions may be read from other
+/// threads while one of them appends.
+template <typename T>
+class ChunkedVector {
  public:
-  Status Append(const StateT& state, TransactionNumber txn) override {
-    if (!entries_.empty() && txn <= entries_.back().second) {
+  size_t size() const {
+    return (closed_chunks() + open_chunks()) * kStateLogChunkSize +
+           tail_.size();
+  }
+  bool empty() const { return size() == 0; }
+
+  const T& operator[](size_t i) const {
+    const size_t offset = i % kStateLogChunkSize;
+    const size_t chunk = i / kStateLogChunkSize;
+    if (chunk < closed_chunks()) {
+      const Group& group = *(*spine_)[chunk / kStateLogChunkSize].part;
+      return (*group[chunk % kStateLogChunkSize].part)[offset];
+    }
+    if (chunk - closed_chunks() < open_chunks()) {
+      return (*(*open_)[chunk - closed_chunks()].part)[offset];
+    }
+    return tail_[offset];
+  }
+
+  const T& back() const { return (*this)[size() - 1]; }
+
+  void push_back(T value) {
+    tail_.push_back(std::move(value));
+    if (tail_.size() == kStateLogChunkSize) Seal();
+  }
+
+  void clear() {
+    spine_.reset();
+    open_.reset();
+    tail_.clear();
+  }
+
+  /// upper_bound by transaction number: the number of leading entries
+  /// whose txn is <= `txn`. Binary searches over the groups' and chunks'
+  /// last transaction numbers narrow it to one chunk; it allocates
+  /// nothing.
+  size_t CountAtOrBefore(TransactionNumber txn) const {
+    // The newest entry answers most probes (ρ(R, ∞), reads of the
+    // current state), so it is checked first.
+    if (!tail_.empty() && txn >= tail_.back().txn) return size();
+    size_t count = 0;
+    if (spine_ != nullptr) {
+      auto group = FirstAfter(*spine_, txn);
+      count += static_cast<size_t>(group - spine_->begin()) *
+               kStateLogChunkSize * kStateLogChunkSize;
+      if (group != spine_->end()) return count + CountIn(*group->part, txn);
+    }
+    if (open_ != nullptr) {
+      count += CountIn(*open_, txn);
+      if (count < (closed_chunks() + open_chunks()) * kStateLogChunkSize) {
+        return count;
+      }
+    }
+    return count + CountIn(tail_, txn);
+  }
+
+ private:
+  /// A sealed chunk or group with the transaction number of its last
+  /// entry.
+  template <typename Part>
+  struct Sealed {
+    TransactionNumber last_txn = 0;
+    std::shared_ptr<const Part> part;
+  };
+  using Chunk = std::vector<T>;
+  using Group = std::vector<Sealed<Chunk>>;
+  using Spine = std::vector<Sealed<Group>>;
+
+  size_t closed_chunks() const {
+    return spine_ == nullptr ? 0 : spine_->size() * kStateLogChunkSize;
+  }
+  size_t open_chunks() const { return open_ == nullptr ? 0 : open_->size(); }
+
+  template <typename Parts>
+  static auto FirstAfter(const Parts& parts, TransactionNumber txn) {
+    return std::upper_bound(
+        parts.begin(), parts.end(), txn,
+        [](TransactionNumber t, const auto& p) { return t < p.last_txn; });
+  }
+
+  static size_t CountIn(const Chunk& chunk, TransactionNumber txn) {
+    auto after = std::upper_bound(
+        chunk.begin(), chunk.end(), txn,
+        [](TransactionNumber t, const T& entry) { return t < entry.txn; });
+    return static_cast<size_t>(after - chunk.begin());
+  }
+
+  static size_t CountIn(const Group& group, TransactionNumber txn) {
+    auto chunk = FirstAfter(group, txn);
+    const size_t count =
+        static_cast<size_t>(chunk - group.begin()) * kStateLogChunkSize;
+    return chunk == group.end() ? count : count + CountIn(*chunk->part, txn);
+  }
+
+  void Seal() {
+    const TransactionNumber last_txn = tail_.back().txn;
+    auto group = std::make_shared<Group>();
+    group->reserve(kStateLogChunkSize);
+    if (open_ != nullptr) group->assign(open_->begin(), open_->end());
+    group->push_back(
+        {last_txn, std::make_shared<const Chunk>(std::move(tail_))});
+    tail_ = Chunk();
+    tail_.reserve(kStateLogChunkSize);
+    if (group->size() < kStateLogChunkSize) {
+      open_ = std::move(group);
+      return;
+    }
+    auto spine = std::make_shared<Spine>();
+    spine->reserve((spine_ == nullptr ? 0 : spine_->size()) + 1);
+    if (spine_ != nullptr) spine->assign(spine_->begin(), spine_->end());
+    spine->push_back({last_txn, std::move(group)});
+    spine_ = std::move(spine);
+    open_.reset();
+  }
+
+  std::shared_ptr<const Spine> spine_;  // full groups, shared by copies
+  std::shared_ptr<const Group> open_;   // the group being filled, shared
+  Chunk tail_;                          // < kStateLogChunkSize entries
+};
+
+/// Direct realization of the paper's semantics: every (state, txn) pair is
+/// stored in full. Entries are shared immutable states, so FINDSTATE is an
+/// allocation-free binary search.
+template <typename StateT>
+class FullCopyLog {
+ public:
+  Status Append(const StateT& state, TransactionNumber txn) {
+    if (!entries_.empty() && txn <= entries_.back().txn) {
       return InternalError("non-increasing transaction number in Append");
     }
-    entries_.emplace_back(std::make_shared<const StateT>(state), txn);
+    entries_.push_back({std::make_shared<const StateT>(state), txn});
     return Status::Ok();
   }
 
-  Status ReplaceLast(const StateT& state, TransactionNumber txn) override {
+  Status ReplaceLast(const StateT& state, TransactionNumber txn) {
     entries_.clear();
-    entries_.emplace_back(std::make_shared<const StateT>(state), txn);
+    entries_.push_back({std::make_shared<const StateT>(state), txn});
     return Status::Ok();
   }
 
-  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const override {
-    auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), txn,
-        [](TransactionNumber t, const auto& e) { return t < e.second; });
-    if (it == entries_.begin()) return nullptr;
-    return std::prev(it)->first;
+  size_t CountAtOrBefore(TransactionNumber txn) const {
+    return entries_.CountAtOrBefore(txn);
   }
 
-  size_t size() const override { return entries_.size(); }
-
-  TransactionNumber TxnAt(size_t i) const override {
-    return entries_[i].second;
+  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const {
+    const size_t count = CountAtOrBefore(txn);
+    if (count == 0) return nullptr;
+    return entries_[count - 1].state;
   }
 
-  size_t ApproxBytes() const override {
+  size_t size() const { return entries_.size(); }
+
+  TransactionNumber TxnAt(size_t i) const { return entries_[i].txn; }
+
+  size_t ApproxBytes() const {
     size_t total = 0;
-    for (const auto& [state, txn] : entries_) {
-      total += ApproxSize(*state) + sizeof(TransactionNumber);
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      total += ApproxSize(*entries_[i].state) + sizeof(TransactionNumber);
     }
     return total;
   }
 
-  StorageKind kind() const override { return StorageKind::kFullCopy; }
-
-  std::unique_ptr<StateLog<StateT>> Clone() const override {
-    return std::make_unique<FullCopyLog<StateT>>(*this);
-  }
+  StorageKind kind() const { return StorageKind::kFullCopy; }
 
  private:
-  std::vector<std::pair<std::shared_ptr<const StateT>, TransactionNumber>>
-      entries_;
+  struct Entry {
+    std::shared_ptr<const StateT> state;
+    TransactionNumber txn = 0;
+  };
+
+  ChunkedVector<Entry> entries_;
 };
 
 /// Differential ("backlog") engine: each entry stores the rows added and
@@ -173,14 +335,14 @@ class FullCopyLog final : public StateLog<StateT> {
 /// nearest cached reconstruction (or the start); the tail state is kept
 /// shared so ρ(R, ∞) is O(1). Space is proportional to change volume.
 template <typename StateT>
-class DeltaLog final : public StateLog<StateT> {
+class DeltaLog {
  public:
   using Row = typename StateTraits<StateT>::Row;
 
   explicit DeltaLog(size_t cache_capacity = kDefaultFindStateCacheCapacity)
       : cache_(cache_capacity) {}
 
-  Status Append(const StateT& state, TransactionNumber txn) override {
+  Status Append(const StateT& state, TransactionNumber txn) {
     if (!entries_.empty() && txn <= entries_.back().txn) {
       return InternalError("non-increasing transaction number in Append");
     }
@@ -203,23 +365,24 @@ class DeltaLog final : public StateLog<StateT> {
     }
     tail_state_ = std::make_shared<const StateT>(state);
     entries_.push_back(std::move(entry));
-    cache_.Clear();
     return Status::Ok();
   }
 
-  Status ReplaceLast(const StateT& state, TransactionNumber txn) override {
+  Status ReplaceLast(const StateT& state, TransactionNumber txn) {
     entries_.clear();
     tail_state_.reset();
     cache_.Clear();
     return Append(state, txn);
   }
 
-  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const override {
-    auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), txn,
-        [](TransactionNumber t, const Entry& e) { return t < e.txn; });
-    if (it == entries_.begin()) return nullptr;
-    const size_t last = static_cast<size_t>(it - entries_.begin()) - 1;
+  size_t CountAtOrBefore(TransactionNumber txn) const {
+    return entries_.CountAtOrBefore(txn);
+  }
+
+  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const {
+    const size_t count = CountAtOrBefore(txn);
+    if (count == 0) return nullptr;
+    const size_t last = count - 1;
     if (last + 1 == entries_.size()) return tail_state_;
     if (auto cached = cache_.Get(last)) return cached;
     // Seed the replay from the nearest cached reconstruction at or before
@@ -238,13 +401,14 @@ class DeltaLog final : public StateLog<StateT> {
     return state;
   }
 
-  size_t size() const override { return entries_.size(); }
+  size_t size() const { return entries_.size(); }
 
-  TransactionNumber TxnAt(size_t i) const override { return entries_[i].txn; }
+  TransactionNumber TxnAt(size_t i) const { return entries_[i].txn; }
 
-  size_t ApproxBytes() const override {
+  size_t ApproxBytes() const {
     size_t total = 0;
-    for (const Entry& e : entries_) {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
       total += sizeof(TransactionNumber) + 32;  // entry overhead
       for (const Row& r : e.added) total += ApproxSize(r);
       for (const Row& r : e.removed) total += ApproxSize(r);
@@ -252,11 +416,7 @@ class DeltaLog final : public StateLog<StateT> {
     return total;
   }
 
-  StorageKind kind() const override { return StorageKind::kDelta; }
-
-  std::unique_ptr<StateLog<StateT>> Clone() const override {
-    return std::make_unique<DeltaLog<StateT>>(*this);
-  }
+  StorageKind kind() const { return StorageKind::kDelta; }
 
  private:
   struct Entry {
@@ -283,7 +443,7 @@ class DeltaLog final : public StateLog<StateT> {
     }
   }
 
-  std::vector<Entry> entries_;
+  ChunkedVector<Entry> entries_;
   std::shared_ptr<const StateT> tail_state_;  // most recent state, shared
   FindStateCache<StateT> cache_;
 };
@@ -294,7 +454,7 @@ class DeltaLog final : public StateLog<StateT> {
 /// and kDelta (interval ∞). Checkpoint entries are shared immutable
 /// states, so appending a checkpoint and serving one are O(1) copies.
 template <typename StateT>
-class CheckpointLog final : public StateLog<StateT> {
+class CheckpointLog {
  public:
   using Row = typename StateTraits<StateT>::Row;
 
@@ -303,7 +463,7 @@ class CheckpointLog final : public StateLog<StateT> {
       size_t cache_capacity = kDefaultFindStateCacheCapacity)
       : interval_(interval < 1 ? 1 : interval), cache_(cache_capacity) {}
 
-  Status Append(const StateT& state, TransactionNumber txn) override {
+  Status Append(const StateT& state, TransactionNumber txn) {
     if (!entries_.empty() && txn <= entries_.back().txn) {
       return InternalError("non-increasing transaction number in Append");
     }
@@ -326,23 +486,24 @@ class CheckpointLog final : public StateLog<StateT> {
     }
     tail_state_ = std::move(shared);
     entries_.push_back(std::move(entry));
-    cache_.Clear();
     return Status::Ok();
   }
 
-  Status ReplaceLast(const StateT& state, TransactionNumber txn) override {
+  Status ReplaceLast(const StateT& state, TransactionNumber txn) {
     entries_.clear();
     tail_state_.reset();
     cache_.Clear();
     return Append(state, txn);
   }
 
-  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const override {
-    auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), txn,
-        [](TransactionNumber t, const Entry& e) { return t < e.txn; });
-    if (it == entries_.begin()) return nullptr;
-    const size_t last = static_cast<size_t>(it - entries_.begin()) - 1;
+  size_t CountAtOrBefore(TransactionNumber txn) const {
+    return entries_.CountAtOrBefore(txn);
+  }
+
+  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const {
+    const size_t count = CountAtOrBefore(txn);
+    if (count == 0) return nullptr;
+    const size_t last = count - 1;
     if (last + 1 == entries_.size()) return tail_state_;
     if (entries_[last].full != nullptr) return entries_[last].full;
     if (auto cached = cache_.Get(last)) return cached;
@@ -369,13 +530,14 @@ class CheckpointLog final : public StateLog<StateT> {
     return state;
   }
 
-  size_t size() const override { return entries_.size(); }
+  size_t size() const { return entries_.size(); }
 
-  TransactionNumber TxnAt(size_t i) const override { return entries_[i].txn; }
+  TransactionNumber TxnAt(size_t i) const { return entries_[i].txn; }
 
-  size_t ApproxBytes() const override {
+  size_t ApproxBytes() const {
     size_t total = 0;
-    for (const Entry& e : entries_) {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
       total += sizeof(TransactionNumber) + 32;
       if (e.full != nullptr) total += ApproxSize(*e.full);
       for (const Row& r : e.added) total += ApproxSize(r);
@@ -384,11 +546,7 @@ class CheckpointLog final : public StateLog<StateT> {
     return total;
   }
 
-  StorageKind kind() const override { return StorageKind::kCheckpoint; }
-
-  std::unique_ptr<StateLog<StateT>> Clone() const override {
-    return std::make_unique<CheckpointLog<StateT>>(*this);
-  }
+  StorageKind kind() const { return StorageKind::kCheckpoint; }
 
   size_t interval() const { return interval_; }
 
@@ -419,7 +577,7 @@ class CheckpointLog final : public StateLog<StateT> {
   }
 
   size_t interval_;
-  std::vector<Entry> entries_;
+  ChunkedVector<Entry> entries_;
   std::shared_ptr<const StateT> tail_state_;
   FindStateCache<StateT> cache_;
 };
@@ -429,9 +587,10 @@ class CheckpointLog final : public StateLog<StateT> {
 /// ρ(R, ∞) hands out the shared current state in O(1); rolling back to the
 /// k-th most recent state replays backward deltas from the nearest cached
 /// reconstruction. The natural complement of DeltaLog when queries skew
-/// towards the present.
+/// towards the present. Appending only adds the backward delta for the
+/// state it supersedes, so the entries are append-only too.
 template <typename StateT>
-class ReverseDeltaLog final : public StateLog<StateT> {
+class ReverseDeltaLog {
  public:
   using Row = typename StateTraits<StateT>::Row;
 
@@ -439,16 +598,17 @@ class ReverseDeltaLog final : public StateLog<StateT> {
       size_t cache_capacity = kDefaultFindStateCacheCapacity)
       : cache_(cache_capacity) {}
 
-  Status Append(const StateT& state, TransactionNumber txn) override {
-    if (!txns_.empty() && txn <= txns_.back()) {
+  Status Append(const StateT& state, TransactionNumber txn) {
+    if (!entries_.empty() && txn <= entries_.back().txn) {
       return InternalError("non-increasing transaction number in Append");
     }
-    const std::vector<Row>& new_rows = StateTraits<StateT>::Rows(state);
-    if (!txns_.empty()) {
+    Entry entry;
+    entry.txn = txn;
+    if (!entries_.empty()) {
       // Record how to get the *previous* state back from the new one.
+      const std::vector<Row>& new_rows = StateTraits<StateT>::Rows(state);
       const std::vector<Row>& current_rows =
           StateTraits<StateT>::Rows(*current_state_);
-      BackEntry entry;
       entry.schema = current_state_->schema();
       if (current_state_->schema() != state.schema()) {
         // Scheme boundary: keep the previous rows verbatim.
@@ -462,32 +622,33 @@ class ReverseDeltaLog final : public StateLog<StateT> {
                             current_rows.begin(), current_rows.end(),
                             std::back_inserter(entry.removed));
       }
-      back_deltas_.push_back(std::move(entry));
     }
-    txns_.push_back(txn);
+    entries_.push_back(std::move(entry));
     current_state_ = std::make_shared<const StateT>(state);
-    cache_.Clear();
     return Status::Ok();
   }
 
-  Status ReplaceLast(const StateT& state, TransactionNumber txn) override {
-    txns_.clear();
-    back_deltas_.clear();
+  Status ReplaceLast(const StateT& state, TransactionNumber txn) {
+    entries_.clear();
     current_state_.reset();
     cache_.Clear();
     return Append(state, txn);
   }
 
-  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const override {
-    auto it = std::upper_bound(txns_.begin(), txns_.end(), txn);
-    if (it == txns_.begin()) return nullptr;
-    const size_t target = static_cast<size_t>(it - txns_.begin()) - 1;
-    if (target + 1 == txns_.size()) return current_state_;
+  size_t CountAtOrBefore(TransactionNumber txn) const {
+    return entries_.CountAtOrBefore(txn);
+  }
+
+  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const {
+    const size_t count = CountAtOrBefore(txn);
+    if (count == 0) return nullptr;
+    const size_t target = count - 1;
+    if (target + 1 == entries_.size()) return current_state_;
     if (auto cached = cache_.Get(target)) return cached;
     // Walk backwards towards `target` from the nearest reconstruction at
-    // or after it (cached, or the current state); back_deltas_[k] recovers
-    // version k from version k+1.
-    size_t from = txns_.size() - 1;
+    // or after it (cached, or the current state); entries_[k] recovers
+    // version k - 1 from version k.
+    size_t from = entries_.size() - 1;
     std::vector<Row> rows;
     Schema schema;
     if (auto seed = cache_.Ceil(target); seed && seed->first < from) {
@@ -499,7 +660,7 @@ class ReverseDeltaLog final : public StateLog<StateT> {
       schema = current_state_->schema();
     }
     for (size_t k = from; k > target; --k) {
-      const BackEntry& entry = back_deltas_[k - 1];
+      const Entry& entry = entries_[k];
       if (entry.is_full) {
         rows = entry.added;
       } else {
@@ -513,37 +674,37 @@ class ReverseDeltaLog final : public StateLog<StateT> {
     return state;
   }
 
-  size_t size() const override { return txns_.size(); }
+  size_t size() const { return entries_.size(); }
 
-  TransactionNumber TxnAt(size_t i) const override { return txns_[i]; }
+  TransactionNumber TxnAt(size_t i) const { return entries_[i].txn; }
 
-  size_t ApproxBytes() const override {
+  size_t ApproxBytes() const {
     size_t total = 64;
     if (current_state_ != nullptr) total += ApproxSize(*current_state_);
-    for (const BackEntry& e : back_deltas_) {
+    for (size_t i = 1; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
       total += 32;
       for (const Row& r : e.added) total += ApproxSize(r);
       for (const Row& r : e.removed) total += ApproxSize(r);
     }
-    total += txns_.size() * sizeof(TransactionNumber);
+    total += entries_.size() * sizeof(TransactionNumber);
     return total;
   }
 
-  StorageKind kind() const override { return StorageKind::kReverseDelta; }
-
-  std::unique_ptr<StateLog<StateT>> Clone() const override {
-    return std::make_unique<ReverseDeltaLog<StateT>>(*this);
-  }
+  StorageKind kind() const { return StorageKind::kReverseDelta; }
 
  private:
-  struct BackEntry {
+  /// Version k's transaction number and the backward delta that recovers
+  /// version k - 1 from it (empty in entry 0).
+  struct Entry {
+    TransactionNumber txn = 0;
     Schema schema;   // scheme of the *older* state this entry recovers
     bool is_full = false;
     std::vector<Row> added;    // rows to restore (all rows when is_full)
     std::vector<Row> removed;  // rows the newer state introduced
   };
 
-  static void ApplyBack(const BackEntry& entry, std::vector<Row>& rows) {
+  static void ApplyBack(const Entry& entry, std::vector<Row>& rows) {
     if (!entry.removed.empty()) {
       std::vector<Row> kept;
       kept.reserve(rows.size());
@@ -560,10 +721,81 @@ class ReverseDeltaLog final : public StateLog<StateT> {
     }
   }
 
-  std::vector<TransactionNumber> txns_;
-  std::vector<BackEntry> back_deltas_;  // size = txns_.size() - 1
+  ChunkedVector<Entry> entries_;
   std::shared_ptr<const StateT> current_state_;
   FindStateCache<StateT> cache_;
+};
+
+/// A relation's sequence of (state, transaction-number) pairs — the
+/// `[STATE × TRANSACTION NUMBER]*` component of the paper's RELATION
+/// domain — stored by one of the engines above. FINDSTATE (`StateAt`) is
+/// the only read path, so engines are free to store anything that can
+/// reconstruct the sequence.
+///
+/// A StateLog is a persistent value: every engine keeps its entries in
+/// ChunkedVectors, so a copy shares the whole recorded history with its
+/// source and costs O(kStateLogChunkSize), and the two may then append
+/// independently. Copying a log is how a new database version gets its
+/// own relation.
+template <typename StateT>
+class StateLog {
+ public:
+  template <typename Engine>
+    requires(!std::is_same_v<Engine, StateLog>)
+  explicit StateLog(Engine engine) : engine_(std::move(engine)) {}
+
+  /// Appends (state, txn) at the end of the sequence. Requires txn to be
+  /// strictly greater than the last recorded transaction number.
+  Status Append(const StateT& state, TransactionNumber txn) {
+    return std::visit([&](auto& e) { return e.Append(state, txn); }, engine_);
+  }
+
+  /// Replaces the single element of the sequence (snapshot/historical
+  /// relations keep exactly one element). Creates it if the sequence is
+  /// empty.
+  Status ReplaceLast(const StateT& state, TransactionNumber txn) {
+    return std::visit([&](auto& e) { return e.ReplaceLast(state, txn); },
+                      engine_);
+  }
+
+  /// FINDSTATE: the state whose transaction number is the largest one
+  /// <= txn, or nullptr if the sequence is empty or txn precedes it.
+  /// States are immutable and shared: full-copy entries, the tail state,
+  /// and cached reconstructions are returned without copying tuples.
+  std::shared_ptr<const StateT> StateAt(TransactionNumber txn) const {
+    return std::visit([&](const auto& e) { return e.StateAt(txn); }, engine_);
+  }
+
+  /// FINDSTATE's index search alone: the number of recorded pairs whose
+  /// transaction number is <= txn (binary search, no allocation).
+  size_t CountAtOrBefore(TransactionNumber txn) const {
+    return std::visit([&](const auto& e) { return e.CountAtOrBefore(txn); },
+                      engine_);
+  }
+
+  /// Number of (state, txn) pairs in the logical sequence.
+  size_t size() const {
+    return std::visit([](const auto& e) { return e.size(); }, engine_);
+  }
+
+  /// Transaction number of the i-th pair (0-based).
+  TransactionNumber TxnAt(size_t i) const {
+    return std::visit([i](const auto& e) { return e.TxnAt(i); }, engine_);
+  }
+
+  /// Estimated resident bytes — the storage-cost metric of experiment E3.
+  size_t ApproxBytes() const {
+    return std::visit([](const auto& e) { return e.ApproxBytes(); }, engine_);
+  }
+
+  StorageKind kind() const {
+    return std::visit([](const auto& e) { return e.kind(); }, engine_);
+  }
+
+ private:
+  std::variant<FullCopyLog<StateT>, DeltaLog<StateT>, CheckpointLog<StateT>,
+               ReverseDeltaLog<StateT>>
+      engine_;
 };
 
 }  // namespace ttra

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "storage/logs.h"
+
 namespace ttra {
 
 namespace {
@@ -331,12 +333,12 @@ std::vector<std::pair<StateT, TransactionNumber>> MaterializeSequence(
 }
 
 template <typename StateT>
-Result<std::unique_ptr<StateLog<StateT>>> RebuildLog(
+Result<StateLog<StateT>> RebuildLog(
     const std::vector<std::pair<StateT, TransactionNumber>>& sequence,
     StorageKind kind, size_t checkpoint_interval) {
   auto log = MakeStateLog<StateT>(kind, checkpoint_interval);
   for (const auto& [state, txn] : sequence) {
-    TTRA_RETURN_IF_ERROR(log->Append(state, txn));
+    TTRA_RETURN_IF_ERROR(log.Append(state, txn));
   }
   return log;
 }
@@ -354,11 +356,11 @@ template std::vector<std::pair<SnapshotState, TransactionNumber>>
 MaterializeSequence<SnapshotState>(const StateLog<SnapshotState>&);
 template std::vector<std::pair<HistoricalState, TransactionNumber>>
 MaterializeSequence<HistoricalState>(const StateLog<HistoricalState>&);
-template Result<std::unique_ptr<StateLog<SnapshotState>>>
+template Result<StateLog<SnapshotState>>
 RebuildLog<SnapshotState>(
     const std::vector<std::pair<SnapshotState, TransactionNumber>>&,
     StorageKind, size_t);
-template Result<std::unique_ptr<StateLog<HistoricalState>>>
+template Result<StateLog<HistoricalState>>
 RebuildLog<HistoricalState>(
     const std::vector<std::pair<HistoricalState, TransactionNumber>>&,
     StorageKind, size_t);

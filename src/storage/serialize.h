@@ -65,7 +65,7 @@ std::vector<std::pair<StateT, TransactionNumber>> MaterializeSequence(
 
 /// Rebuilds an engine of the given kind from a logical sequence.
 template <typename StateT>
-Result<std::unique_ptr<StateLog<StateT>>> RebuildLog(
+Result<StateLog<StateT>> RebuildLog(
     const std::vector<std::pair<StateT, TransactionNumber>>& sequence,
     StorageKind kind, size_t checkpoint_interval = 16);
 

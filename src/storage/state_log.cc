@@ -48,26 +48,26 @@ size_t ApproxSize(const HistoricalState& state) {
 }
 
 template <typename StateT>
-std::unique_ptr<StateLog<StateT>> MakeStateLog(StorageKind kind,
-                                               size_t checkpoint_interval,
-                                               size_t cache_capacity) {
+StateLog<StateT> MakeStateLog(StorageKind kind, size_t checkpoint_interval,
+                              size_t cache_capacity) {
   switch (kind) {
-    case StorageKind::kFullCopy:
-      return std::make_unique<FullCopyLog<StateT>>();
     case StorageKind::kDelta:
-      return std::make_unique<DeltaLog<StateT>>(cache_capacity);
+      return StateLog<StateT>(DeltaLog<StateT>(cache_capacity));
     case StorageKind::kCheckpoint:
-      return std::make_unique<CheckpointLog<StateT>>(checkpoint_interval,
-                                                     cache_capacity);
+      return StateLog<StateT>(
+          CheckpointLog<StateT>(checkpoint_interval, cache_capacity));
     case StorageKind::kReverseDelta:
-      return std::make_unique<ReverseDeltaLog<StateT>>(cache_capacity);
+      return StateLog<StateT>(ReverseDeltaLog<StateT>(cache_capacity));
+    case StorageKind::kFullCopy:
+      break;
   }
-  return nullptr;
+  return StateLog<StateT>(FullCopyLog<StateT>());
 }
 
-template std::unique_ptr<StateLog<SnapshotState>> MakeStateLog<SnapshotState>(
-    StorageKind, size_t, size_t);
-template std::unique_ptr<StateLog<HistoricalState>>
-MakeStateLog<HistoricalState>(StorageKind, size_t, size_t);
+template StateLog<SnapshotState> MakeStateLog<SnapshotState>(StorageKind,
+                                                             size_t, size_t);
+template StateLog<HistoricalState> MakeStateLog<HistoricalState>(StorageKind,
+                                                                 size_t,
+                                                                 size_t);
 
 }  // namespace ttra

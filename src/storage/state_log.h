@@ -63,45 +63,11 @@ struct StateTraits<HistoricalState> {
   }
 };
 
-/// A relation's sequence of (state, transaction-number) pairs — the
-/// `[STATE × TRANSACTION NUMBER]*` component of the paper's RELATION
-/// domain — behind a storage-engine interface. FINDSTATE (`StateAt`) is the
-/// only read path, so engines are free to store anything that can
-/// reconstruct the sequence.
+/// A relation's sequence of (state, transaction-number) pairs behind one
+/// of four storage engines; a persistent value whose copies share history
+/// (defined in storage/logs.h).
 template <typename StateT>
-class StateLog {
- public:
-  virtual ~StateLog() = default;
-
-  /// Appends (state, txn) at the end of the sequence. Requires txn to be
-  /// strictly greater than the last recorded transaction number.
-  virtual Status Append(const StateT& state, TransactionNumber txn) = 0;
-
-  /// Replaces the single element of the sequence (snapshot/historical
-  /// relations keep exactly one element). Creates it if the sequence is
-  /// empty.
-  virtual Status ReplaceLast(const StateT& state, TransactionNumber txn) = 0;
-
-  /// FINDSTATE: the state whose transaction number is the largest one
-  /// <= txn, or nullptr if the sequence is empty or txn precedes it.
-  /// States are immutable and shared: full-copy entries, the tail state,
-  /// and cached reconstructions are returned without copying tuples.
-  virtual std::shared_ptr<const StateT> StateAt(
-      TransactionNumber txn) const = 0;
-
-  /// Number of (state, txn) pairs in the logical sequence.
-  virtual size_t size() const = 0;
-
-  /// Transaction number of the i-th pair (0-based).
-  virtual TransactionNumber TxnAt(size_t i) const = 0;
-
-  /// Estimated resident bytes — the storage-cost metric of experiment E3.
-  virtual size_t ApproxBytes() const = 0;
-
-  virtual StorageKind kind() const = 0;
-
-  virtual std::unique_ptr<StateLog<StateT>> Clone() const = 0;
-};
+class StateLog;
 
 /// Estimated in-memory footprint of values/tuples/states, used by
 /// ApproxBytes. Deliberately simple and deterministic.
@@ -123,7 +89,7 @@ inline constexpr size_t kDefaultFindStateCacheCapacity = 8;
 /// `cache_capacity` sizes the FINDSTATE reconstruction cache of the
 /// replay-based engines (delta/checkpoint/reverse-delta); 0 disables it.
 template <typename StateT>
-std::unique_ptr<StateLog<StateT>> MakeStateLog(
+StateLog<StateT> MakeStateLog(
     StorageKind kind, size_t checkpoint_interval = 16,
     size_t cache_capacity = kDefaultFindStateCacheCapacity);
 

@@ -1,7 +1,9 @@
 // Unit tests for the abstract interpreter (lang/absint.h): the interval
 // lattice, the per-statement transfer function, seeding from a live
 // database, and the provability queries the optimizer and the W006..W009
-// warnings are built on.
+// warnings are built on. Facts seeded from a database share its relations'
+// state logs; FactsEquivalence checks them against the full transaction
+// lists they replace.
 
 #include "lang/absint.h"
 
@@ -9,6 +11,9 @@
 
 #include "lang/evaluator.h"
 #include "lang/parser.h"
+#include "lang/printer.h"
+#include "optimizer/rewriter.h"
+#include "workload/generator.h"
 
 namespace ttra::lang {
 namespace {
@@ -205,11 +210,161 @@ TEST(AbsStateFromDatabase, IsExact) {
   const AbsRelation* r = state.Find("r");
   ASSERT_NE(r, nullptr);
   EXPECT_TRUE(r->states_complete);
-  ASSERT_EQ(r->state_txns.size(), 2u);
-  EXPECT_EQ(r->state_txns[0], TxnInterval::Exact(2));
-  EXPECT_EQ(r->state_txns[1], TxnInterval::Exact(4));
+  ASSERT_EQ(r->StateCount(), 2u);
+  EXPECT_EQ(r->StateTxnAt(0), TxnInterval::Exact(2));
+  EXPECT_EQ(r->StateTxnAt(1), TxnInterval::Exact(4));
   ASSERT_EQ(r->schema_history.size(), 2u);
   EXPECT_EQ(r->schema_history[1].second, TxnInterval::Exact(3));
+}
+
+// --- Shared facts vs. full transaction lists -----------------------------------
+
+/// The facts of a live database with every recorded state transaction
+/// copied into state_txns — how AbsStateFromDatabase represented them
+/// before it shared the database's state logs. The reference here.
+AbsState FullListFacts(const Database& db) {
+  AbsState state;
+  state.counter = TxnInterval::Exact(db.transaction_number());
+  for (const std::string& name : db.RelationNames()) {
+    const Relation* rel = db.Find(name);
+    AbsRelation r;
+    r.type = rel->type();
+    r.schema = rel->schema();
+    for (const auto& [schema, txn] : rel->schema_history()) {
+      r.schema_history.emplace_back(schema, TxnInterval::Exact(txn));
+    }
+    r.defined_at = r.schema_history.front().second;
+    for (size_t i = 0; i < rel->history_length(); ++i) {
+      r.state_txns.push_back(TxnInterval::Exact(rel->TxnAt(i)));
+    }
+    r.states_complete = true;
+    state.relations.emplace(name, std::move(r));
+  }
+  return state;
+}
+
+void ExpectSameSchema(const Schema* got, const Schema* want,
+                      const std::string& what) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << what;
+  if (got != nullptr) {
+    EXPECT_EQ(*got, *want) << what;
+  }
+}
+
+void ExpectSameFacts(const AbsState& got, const AbsState& want,
+                     TransactionNumber max_probe) {
+  ASSERT_EQ(got.counter, want.counter);
+  ASSERT_EQ(got.relations.size(), want.relations.size());
+  for (const auto& [name, w] : want.relations) {
+    SCOPED_TRACE(name);
+    const AbsRelation* g = got.Find(name);
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->states_complete, w.states_complete);
+    ASSERT_EQ(g->StateCount(), w.StateCount());
+    for (size_t i = 0; i < w.StateCount(); ++i) {
+      EXPECT_EQ(g->StateTxnAt(i), w.StateTxnAt(i)) << "state " << i;
+    }
+    EXPECT_EQ(g->LastStateTxn(), w.LastStateTxn());
+    for (TransactionNumber txn = 0; txn <= max_probe; ++txn) {
+      const std::string at = "txn " + std::to_string(txn);
+      EXPECT_EQ(g->ProvablyEmptyAt(txn), w.ProvablyEmptyAt(txn)) << at;
+      ExpectSameSchema(g->ProvableObservedSchemaAt(txn),
+                       w.ProvableObservedSchemaAt(txn), at);
+      ExpectSameSchema(g->ProvableSchemaAt(txn), w.ProvableSchemaAt(txn), at);
+    }
+    ExpectSameSchema(g->ProvableObservedSchemaAt(std::nullopt),
+                     w.ProvableObservedSchemaAt(std::nullopt), "inf");
+  }
+}
+
+std::string OptimizedText(const Program& program, const Catalog& catalog,
+                          const AbsState& facts) {
+  std::string out;
+  for (const Stmt& stmt : program) {
+    if (const Expr* expr = StmtExpr(stmt)) {
+      out += FormatExprTree(optimizer::OptimizeWithFacts(*expr, catalog,
+                                                         facts)) +
+             "\n";
+    }
+  }
+  return out;
+}
+
+class FactsEquivalence : public ::testing::TestWithParam<uint64_t> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, FactsEquivalence,
+                         ::testing::Range<uint64_t>(0, 8));
+
+TEST_P(FactsEquivalence, SharedLogsAnswerLikeFullLists) {
+  workload::Generator gen(GetParam() + 4100);
+  Rng& rng = gen.rng();
+  const Schema narrow = *Schema::Make({{"a", ValueType::kInt}});
+  const Schema wide =
+      *Schema::Make({{"a", ValueType::kInt}, {"b", ValueType::kInt}});
+  Database db;
+  // One relation of each type, a rollback relation that never records a
+  // state, and one that is defined and deleted again.
+  ASSERT_TRUE(db.DefineRelation("r", RelationType::kRollback, narrow).ok());
+  ASSERT_TRUE(db.DefineRelation("t", RelationType::kTemporal, narrow).ok());
+  ASSERT_TRUE(db.DefineRelation("s", RelationType::kSnapshot, narrow).ok());
+  ASSERT_TRUE(db.DefineRelation("h", RelationType::kHistorical, narrow).ok());
+  ASSERT_TRUE(db.DefineRelation("e", RelationType::kRollback, narrow).ok());
+  ASSERT_TRUE(db.DefineRelation("gone", RelationType::kRollback, narrow).ok());
+  ASSERT_TRUE(db.DeleteRelation("gone").ok());
+  const std::vector<std::string> names = {"r", "t", "s", "h"};
+  const size_t steps = 20 + rng.Uniform(120);
+  for (size_t step = 0; step < steps; ++step) {
+    const std::string& name = names[rng.Uniform(names.size())];
+    const Relation* rel = db.Find(name);
+    if (rng.Uniform(100) < 12) {
+      ASSERT_TRUE(
+          db.ModifySchema(name, rel->schema() == narrow ? wide : narrow)
+              .ok());
+    } else if (HoldsSnapshotStates(rel->type())) {
+      ASSERT_TRUE(db.ModifyState(name, gen.RandomState(rel->schema(), 3)).ok());
+    } else {
+      ASSERT_TRUE(
+          db.ModifyState(name, gen.RandomHistoricalState(rel->schema(), 3))
+              .ok());
+    }
+  }
+  const TransactionNumber now = db.transaction_number();
+  const AbsState shared = AbsStateFromDatabase(db);
+  const AbsState full = FullListFacts(db);
+  ExpectSameFacts(shared, full, now + 2);
+
+  // The optimizer's output is the same for rollbacks anywhere in time,
+  // alone and combined, on every relation.
+  std::string source;
+  for (TransactionNumber txn = 0; txn <= now + 2; ++txn) {
+    const std::string n = std::to_string(txn);
+    const std::string m = std::to_string(rng.Uniform(now + 3));
+    source += "show(rho(r, " + n + "));\nshow(hrho(t, " + n + "));\n";
+    source += "show(rho(e, " + n + "));\nshow(rho(s, " + n + "));\n";
+    source += "show(rho(r, " + n + ") union rho(r, " + m + "));\n";
+    source += "show(hrho(t, " + n + ") minus hrho(t, " + m + "));\n";
+  }
+  source += "show(rho(r, inf));\nshow(hrho(h, inf));\n";
+  const Program probes = MustParse(source);
+  const Catalog catalog(db);
+  EXPECT_EQ(OptimizedText(probes, catalog, shared),
+            OptimizedText(probes, catalog, full));
+
+  // Facts after the program's own commits on top of the seeded ones.
+  const Program program = MustParse(R"(
+    modify_state(r, rho(r, inf));
+    modify_state(s, rho(s, inf));
+    modify_state(e, rho(e, inf));
+    modify_state(t, hrho(t, inf));
+  )");
+  const auto from_shared = Interpret(program, shared, nullptr);
+  const auto from_full = Interpret(program, full, nullptr);
+  ASSERT_EQ(from_shared.size(), from_full.size());
+  for (size_t i = 0; i < from_full.size(); ++i) {
+    SCOPED_TRACE("program point " + std::to_string(i));
+    ExpectSameFacts(from_shared[i], from_full[i], now + 6);
+  }
+  EXPECT_EQ(OptimizedText(probes, catalog, from_shared.back()),
+            OptimizedText(probes, catalog, from_full.back()));
 }
 
 // --- Provability queries -----------------------------------------------------

@@ -106,7 +106,7 @@ std::vector<std::string> OraclePrefixStates(const std::vector<Step>& steps) {
   states.push_back(EncodeDatabase(db));
   for (const Step& step : steps) {
     if (step.atomic) {
-      Database scratch = db.Clone();
+      Database scratch = db;
       if (ApplySentence(scratch, step.sentence).ok()) db = std::move(scratch);
     } else {
       // Non-atomic failures leave partial effects by design; the oracle
@@ -631,7 +631,7 @@ std::vector<std::string> LegacyGroupRecords(const std::vector<Step>& steps,
         EncodeCommand(command, record);
       }
       if (steps[j].atomic) {
-        Database scratch = db.Clone();
+        Database scratch = db;
         if (ApplySentence(scratch, steps[j].sentence).ok()) {
           db = std::move(scratch);
         }
@@ -743,7 +743,7 @@ void RunLegacyRecoveryFaultPoint(uint64_t fault_at,
                                                               : " (torn)"));
   const Command post(
       DefineRelationCmd{"post", RelationType::kSnapshot, EmpSchema()});
-  Database with_post = replayed.Clone();
+  Database with_post = replayed;
   ASSERT_TRUE(ApplySentence(with_post, {post}).ok());
 
   FaultInjectionEnv env;
@@ -867,7 +867,7 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
         ASSERT_NE(batch, prepared.end()) << "commit without prepare";
         for (const GroupEntry& entry : batch->second) {
           if (entry.atomic) {
-            Database scratch = oracle_db.Clone();
+            Database scratch = oracle_db;
             if (ApplySentence(scratch, entry.sentence).ok()) {
               oracle_db = std::move(scratch);
             }

@@ -10,7 +10,7 @@
 #include "lang/evaluator.h"
 #include "rollback/commands.h"
 #include "snapshot/operators.h"
-#include "storage/state_log.h"
+#include "storage/logs.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -234,7 +234,7 @@ TEST_P(CacheEquivalenceTest, AllEnginesAgreeWithCacheOnAndOff) {
   const std::vector<StorageKind> kinds = {
       StorageKind::kFullCopy, StorageKind::kDelta, StorageKind::kCheckpoint,
       StorageKind::kReverseDelta};
-  std::vector<std::unique_ptr<StateLog<SnapshotState>>> logs;
+  std::vector<StateLog<SnapshotState>> logs;
   for (StorageKind kind : kinds) {
     logs.push_back(MakeStateLog<SnapshotState>(kind, 4, /*cache=*/8));
     logs.push_back(MakeStateLog<SnapshotState>(kind, 4, /*cache=*/0));
@@ -244,7 +244,7 @@ TEST_P(CacheEquivalenceTest, AllEnginesAgreeWithCacheOnAndOff) {
   TransactionNumber txn = 1;
   for (int i = 0; i < 30; ++i) {
     txn += 1 + gen.rng().Uniform(3);
-    for (auto& log : logs) ASSERT_TRUE(log->Append(state, txn).ok());
+    for (auto& log : logs) ASSERT_TRUE(log.Append(state, txn).ok());
     state = gen.MutateState(state, 0.3);
   }
   // Two probe rounds in a non-monotone order so cached reconstructions
@@ -253,9 +253,9 @@ TEST_P(CacheEquivalenceTest, AllEnginesAgreeWithCacheOnAndOff) {
     for (TransactionNumber delta = 0; delta <= txn + 1; ++delta) {
       const TransactionNumber probe =
           (round == 0) ? txn + 1 - delta : delta;
-      auto expected = logs[0]->StateAt(probe);
+      auto expected = logs[0].StateAt(probe);
       for (size_t i = 1; i < logs.size(); ++i) {
-        auto got = logs[i]->StateAt(probe);
+        auto got = logs[i].StateAt(probe);
         ASSERT_EQ(expected != nullptr, got != nullptr)
             << "log " << i << " txn " << probe;
         if (expected != nullptr) {

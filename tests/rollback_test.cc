@@ -160,7 +160,7 @@ TEST(RelationTest, SchemaEvolutionVersionsSchemes) {
 TEST(RelationTest, CloneIsDeep) {
   Relation r = Relation::Make(RelationType::kRollback, EmpSchema(), 1);
   ASSERT_TRUE(r.SetState(EmpState({{"a", 1}}), 2).ok());
-  Relation copy = r.Clone();
+  Relation copy = r;
   ASSERT_TRUE(copy.SetState(EmpState({{"b", 2}}), 3).ok());
   EXPECT_EQ(r.history_length(), 1u);
   EXPECT_EQ(copy.history_length(), 2u);
@@ -328,7 +328,7 @@ TEST(DatabaseTest, CloneIsIndependent) {
   ASSERT_TRUE(
       db.DefineRelation("emp", RelationType::kRollback, EmpSchema()).ok());
   ASSERT_TRUE(db.ModifyState("emp", EmpState({{"a", 1}})).ok());
-  Database copy = db.Clone();
+  Database copy = db;
   ASSERT_TRUE(copy.ModifyState("emp", EmpState({{"b", 2}})).ok());
   EXPECT_EQ(*db.Rollback("emp"), EmpState({{"a", 1}}));
   EXPECT_EQ(*copy.Rollback("emp"), EmpState({{"b", 2}}));

@@ -22,7 +22,7 @@ SnapshotState Nums(std::vector<int64_t> values) {
 
 class EngineTest : public ::testing::TestWithParam<StorageKind> {
  protected:
-  std::unique_ptr<StateLog<SnapshotState>> MakeLog(
+  StateLog<SnapshotState> MakeLog(
       size_t cache_capacity = kDefaultFindStateCacheCapacity) {
     return MakeStateLog<SnapshotState>(GetParam(), /*checkpoint_interval=*/4,
                                        cache_capacity);
@@ -50,62 +50,62 @@ INSTANTIATE_TEST_SUITE_P(Kinds, EngineTest,
 
 TEST_P(EngineTest, EmptyLogHasNoStates) {
   auto log = MakeLog();
-  EXPECT_EQ(log->size(), 0u);
-  EXPECT_EQ(log->StateAt(0), nullptr);
-  EXPECT_EQ(log->StateAt(1000), nullptr);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.StateAt(0), nullptr);
+  EXPECT_EQ(log.StateAt(1000), nullptr);
 }
 
 TEST_P(EngineTest, AppendAndFindState) {
   auto log = MakeLog();
-  ASSERT_TRUE(log->Append(Nums({1}), 2).ok());
-  ASSERT_TRUE(log->Append(Nums({1, 2}), 5).ok());
-  ASSERT_TRUE(log->Append(Nums({2}), 9).ok());
-  EXPECT_EQ(log->size(), 3u);
-  EXPECT_EQ(log->StateAt(1), nullptr);
-  EXPECT_EQ(*log->StateAt(2), Nums({1}));
-  EXPECT_EQ(*log->StateAt(4), Nums({1}));
-  EXPECT_EQ(*log->StateAt(5), Nums({1, 2}));
-  EXPECT_EQ(*log->StateAt(8), Nums({1, 2}));
-  EXPECT_EQ(*log->StateAt(9), Nums({2}));
-  EXPECT_EQ(*log->StateAt(UINT64_MAX), Nums({2}));
+  ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
+  ASSERT_TRUE(log.Append(Nums({1, 2}), 5).ok());
+  ASSERT_TRUE(log.Append(Nums({2}), 9).ok());
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.StateAt(1), nullptr);
+  EXPECT_EQ(*log.StateAt(2), Nums({1}));
+  EXPECT_EQ(*log.StateAt(4), Nums({1}));
+  EXPECT_EQ(*log.StateAt(5), Nums({1, 2}));
+  EXPECT_EQ(*log.StateAt(8), Nums({1, 2}));
+  EXPECT_EQ(*log.StateAt(9), Nums({2}));
+  EXPECT_EQ(*log.StateAt(UINT64_MAX), Nums({2}));
 }
 
 TEST_P(EngineTest, AppendRejectsNonIncreasingTxn) {
   auto log = MakeLog();
-  ASSERT_TRUE(log->Append(Nums({1}), 5).ok());
-  EXPECT_FALSE(log->Append(Nums({2}), 5).ok());
-  EXPECT_FALSE(log->Append(Nums({2}), 3).ok());
-  EXPECT_EQ(log->size(), 1u);
+  ASSERT_TRUE(log.Append(Nums({1}), 5).ok());
+  EXPECT_FALSE(log.Append(Nums({2}), 5).ok());
+  EXPECT_FALSE(log.Append(Nums({2}), 3).ok());
+  EXPECT_EQ(log.size(), 1u);
 }
 
 TEST_P(EngineTest, ReplaceLastKeepsSingleState) {
   auto log = MakeLog();
-  ASSERT_TRUE(log->ReplaceLast(Nums({1}), 2).ok());
-  ASSERT_TRUE(log->ReplaceLast(Nums({7}), 3).ok());
-  EXPECT_EQ(log->size(), 1u);
-  EXPECT_EQ(*log->StateAt(3), Nums({7}));
-  EXPECT_EQ(log->TxnAt(0), 3u);
+  ASSERT_TRUE(log.ReplaceLast(Nums({1}), 2).ok());
+  ASSERT_TRUE(log.ReplaceLast(Nums({7}), 3).ok());
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(*log.StateAt(3), Nums({7}));
+  EXPECT_EQ(log.TxnAt(0), 3u);
 }
 
 TEST_P(EngineTest, CloneIsDeep) {
   auto log = MakeLog();
-  ASSERT_TRUE(log->Append(Nums({1}), 2).ok());
-  auto copy = log->Clone();
-  ASSERT_TRUE(copy->Append(Nums({1, 2}), 3).ok());
-  EXPECT_EQ(log->size(), 1u);
-  EXPECT_EQ(copy->size(), 2u);
+  ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
+  auto copy = log;
+  ASSERT_TRUE(copy.Append(Nums({1, 2}), 3).ok());
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(copy.size(), 2u);
 }
 
 TEST_P(EngineTest, HandlesSchemeChangeViaRebase) {
   auto log = MakeLog();
-  ASSERT_TRUE(log->Append(Nums({1, 2}), 2).ok());
+  ASSERT_TRUE(log.Append(Nums({1, 2}), 2).ok());
   Schema wider = *Schema::Make({{"n", ValueType::kInt},
                                 {"s", ValueType::kString}});
   SnapshotState wide = *SnapshotState::Make(
       wider, {Tuple{Value::Int(1), Value::String("x")}});
-  ASSERT_TRUE(log->Append(wide, 3).ok());
-  EXPECT_EQ(*log->StateAt(2), Nums({1, 2}));
-  EXPECT_EQ(*log->StateAt(3), wide);
+  ASSERT_TRUE(log.Append(wide, 3).ok());
+  EXPECT_EQ(*log.StateAt(2), Nums({1, 2}));
+  EXPECT_EQ(*log.StateAt(3), wide);
 }
 
 TEST_P(EngineTest, RepeatedFindStateIsStableAndCached) {
@@ -114,16 +114,16 @@ TEST_P(EngineTest, RepeatedFindStateIsStableAndCached) {
   workload::Generator gen(11);
   SnapshotState state = gen.RandomState(OneCol(), 12);
   for (TransactionNumber txn = 2; txn <= 40; txn += 2) {
-    ASSERT_TRUE(cached->Append(state, txn).ok());
-    ASSERT_TRUE(uncached->Append(state, txn).ok());
+    ASSERT_TRUE(cached.Append(state, txn).ok());
+    ASSERT_TRUE(uncached.Append(state, txn).ok());
     state = gen.MutateState(state, 0.4);
   }
   // Every probe agrees with the cache disabled, repeatedly (the second
   // probe of each txn exercises the cache hit path).
   for (int round = 0; round < 3; ++round) {
     for (TransactionNumber probe = 0; probe <= 42; ++probe) {
-      auto a = cached->StateAt(probe);
-      auto b = uncached->StateAt(probe);
+      auto a = cached.StateAt(probe);
+      auto b = uncached.StateAt(probe);
       ASSERT_EQ(a != nullptr, b != nullptr) << "txn " << probe;
       if (a != nullptr) {
         EXPECT_EQ(*a, *b) << "txn " << probe;
@@ -131,26 +131,26 @@ TEST_P(EngineTest, RepeatedFindStateIsStableAndCached) {
     }
   }
   // Repeated probes of the same transaction share one reconstruction.
-  auto first = cached->StateAt(20);
-  auto second = cached->StateAt(20);
+  auto first = cached.StateAt(20);
+  auto second = cached.StateAt(20);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), second.get());
 }
 
 TEST_P(EngineTest, CacheInvalidatedByAppendAndReplaceLast) {
   auto log = MakeLog(/*cache_capacity=*/4);
-  ASSERT_TRUE(log->Append(Nums({1}), 2).ok());
-  ASSERT_TRUE(log->Append(Nums({1, 2}), 4).ok());
-  EXPECT_EQ(*log->StateAt(2), Nums({1}));  // populate the cache
-  EXPECT_EQ(*log->StateAt(4), Nums({1, 2}));
-  ASSERT_TRUE(log->Append(Nums({3}), 6).ok());
-  EXPECT_EQ(*log->StateAt(2), Nums({1}));
-  EXPECT_EQ(*log->StateAt(4), Nums({1, 2}));
-  EXPECT_EQ(*log->StateAt(6), Nums({3}));
-  ASSERT_TRUE(log->ReplaceLast(Nums({9}), 7).ok());
-  EXPECT_EQ(log->size(), 1u);
-  EXPECT_EQ(log->StateAt(6), nullptr);
-  EXPECT_EQ(*log->StateAt(7), Nums({9}));
+  ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
+  ASSERT_TRUE(log.Append(Nums({1, 2}), 4).ok());
+  EXPECT_EQ(*log.StateAt(2), Nums({1}));  // populate the cache
+  EXPECT_EQ(*log.StateAt(4), Nums({1, 2}));
+  ASSERT_TRUE(log.Append(Nums({3}), 6).ok());
+  EXPECT_EQ(*log.StateAt(2), Nums({1}));
+  EXPECT_EQ(*log.StateAt(4), Nums({1, 2}));
+  EXPECT_EQ(*log.StateAt(6), Nums({3}));
+  ASSERT_TRUE(log.ReplaceLast(Nums({9}), 7).ok());
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.StateAt(6), nullptr);
+  EXPECT_EQ(*log.StateAt(7), Nums({9}));
 }
 
 // --- Engine equivalence under random command streams (experiment E3) ----------
@@ -172,19 +172,19 @@ TEST_P(EngineEquivalenceTest, AllEnginesAgreeOnEveryTransaction) {
   std::vector<TransactionNumber> txns;
   for (int i = 0; i < 40; ++i) {
     txn += 1 + gen.rng().Uniform(3);  // gaps in transaction numbers
-    ASSERT_TRUE(full->Append(state, txn).ok());
-    ASSERT_TRUE(delta->Append(state, txn).ok());
-    ASSERT_TRUE(ckpt->Append(state, txn).ok());
-    ASSERT_TRUE(rev->Append(state, txn).ok());
+    ASSERT_TRUE(full.Append(state, txn).ok());
+    ASSERT_TRUE(delta.Append(state, txn).ok());
+    ASSERT_TRUE(ckpt.Append(state, txn).ok());
+    ASSERT_TRUE(rev.Append(state, txn).ok());
     txns.push_back(txn);
     state = gen.MutateState(state, 0.35);
   }
   // Probe every recorded txn, gaps, and out-of-range values.
   for (TransactionNumber probe = 0; probe <= txn + 2; ++probe) {
-    auto a = full->StateAt(probe);
-    auto b = delta->StateAt(probe);
-    auto c = ckpt->StateAt(probe);
-    auto d = rev->StateAt(probe);
+    auto a = full.StateAt(probe);
+    auto b = delta.StateAt(probe);
+    auto c = ckpt.StateAt(probe);
+    auto d = rev.StateAt(probe);
     EXPECT_EQ(a != nullptr, b != nullptr);
     EXPECT_EQ(a != nullptr, c != nullptr);
     EXPECT_EQ(a != nullptr, d != nullptr);
@@ -207,15 +207,15 @@ TEST_P(EngineEquivalenceTest, HistoricalEnginesAgree) {
   TransactionNumber txn = 1;
   for (int i = 0; i < 25; ++i) {
     txn += 1 + gen.rng().Uniform(2);
-    ASSERT_TRUE(full->Append(state, txn).ok());
-    ASSERT_TRUE(delta->Append(state, txn).ok());
-    ASSERT_TRUE(ckpt->Append(state, txn).ok());
+    ASSERT_TRUE(full.Append(state, txn).ok());
+    ASSERT_TRUE(delta.Append(state, txn).ok());
+    ASSERT_TRUE(ckpt.Append(state, txn).ok());
     state = gen.MutateState(state, 0.3);
   }
   for (TransactionNumber probe = 0; probe <= txn + 1; ++probe) {
-    auto a = full->StateAt(probe);
-    auto b = delta->StateAt(probe);
-    auto c = ckpt->StateAt(probe);
+    auto a = full.StateAt(probe);
+    auto b = delta.StateAt(probe);
+    auto c = ckpt.StateAt(probe);
     ASSERT_EQ(a != nullptr, b != nullptr);
     ASSERT_EQ(a != nullptr, c != nullptr);
     if (a != nullptr) {
@@ -257,12 +257,12 @@ TEST_P(EngineEquivalenceTest, DeltaUsesLessSpaceOnSmallChanges) {
   TransactionNumber txn = 1;
   for (int i = 0; i < 30; ++i) {
     ++txn;
-    ASSERT_TRUE(full->Append(state, txn).ok());
-    ASSERT_TRUE(delta->Append(state, txn).ok());
+    ASSERT_TRUE(full.Append(state, txn).ok());
+    ASSERT_TRUE(delta.Append(state, txn).ok());
     state = gen.MutateState(state, 0.02);  // 2% churn
   }
   // The paper's storage argument: full copies blow up, deltas do not.
-  EXPECT_LT(delta->ApproxBytes(), full->ApproxBytes() / 4);
+  EXPECT_LT(delta.ApproxBytes(), full.ApproxBytes() / 4);
 }
 
 // --- Serialization -----------------------------------------------------------
@@ -314,10 +314,10 @@ TEST(SerializeTest, SequenceRoundTripAcrossEngines) {
   auto log = MakeStateLog<SnapshotState>(StorageKind::kDelta);
   SnapshotState state = gen.RandomState(schema, 20);
   for (TransactionNumber txn = 2; txn < 22; txn += 2) {
-    ASSERT_TRUE(log->Append(state, txn).ok());
+    ASSERT_TRUE(log.Append(state, txn).ok());
     state = gen.MutateState(state, 0.3);
   }
-  auto sequence = MaterializeSequence(*log);
+  auto sequence = MaterializeSequence(log);
   std::string encoded = EncodeStateSequence(sequence);
   auto decoded = DecodeStateSequence<SnapshotState>(encoded);
   ASSERT_TRUE(decoded.ok());
@@ -329,8 +329,8 @@ TEST(SerializeTest, SequenceRoundTripAcrossEngines) {
   auto rebuilt = RebuildLog(*decoded, StorageKind::kCheckpoint, 3);
   ASSERT_TRUE(rebuilt.ok());
   for (TransactionNumber probe = 0; probe < 25; ++probe) {
-    auto a = log->StateAt(probe);
-    auto b = (*rebuilt)->StateAt(probe);
+    auto a = log.StateAt(probe);
+    auto b = rebuilt->StateAt(probe);
     ASSERT_EQ(a != nullptr, b != nullptr);
     if (a != nullptr) {
       EXPECT_EQ(*a, *b);

@@ -5,8 +5,12 @@
 //  * SerialExecutor serializes writers and runs readers concurrently, so
 //    StateLog::StateAt (replay + cache fill) races only against other
 //    readers, never against Append;
-//  * states are copy-on-write — Snapshot()/Clone() hand immutable reps to
-//    other threads, which evaluate operators on them concurrently.
+//  * states are copy-on-write — Snapshot() and Database copies hand
+//    immutable reps to other threads, which evaluate operators on them
+//    concurrently;
+//  * Database versions are persistent — readers FINDSTATE on old pinned
+//    versions while the writer appends to newer ones across chunk
+//    boundaries of the shared state logs.
 //
 // The assertions are deliberately light: these tests earn their keep under
 // ThreadSanitizer (cmake -DTTRA_SANITIZE=thread; tools/check.sh --tsan),
@@ -149,6 +153,83 @@ TEST(TsanStressTest, StateLogReadersVsWriterReverseDelta) {
   HammerStateLog(StorageKind::kReverseDelta);
 }
 
+/// Persistent versions: the writer publishes a copy of its database after
+/// every commit (O(#relations), sharing the state logs) and appends on,
+/// across several chunk boundaries, while readers pin published versions
+/// — keeping some for a while — and FINDSTATE on them. Every pinned
+/// version must keep answering exactly as when it was published.
+void HammerPinnedVersions(StorageKind storage) {
+  Database db(DatabaseOptions{.storage = storage,
+                              .checkpoint_interval = 4,
+                              .findstate_cache_capacity = 4});
+  ASSERT_TRUE(
+      db.DefineRelation("r", RelationType::kRollback, StressSchema()).ok());
+  ASSERT_TRUE(db.ModifyState("r", StateOfSize(1)).ok());
+  Mutex mutex;
+  std::shared_ptr<const Database> published =
+      std::make_shared<const Database>(db);
+  const int commits = static_cast<int>(3 * kStateLogChunkSize) + 5;
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reader_errors{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaderThreads);
+  for (int t = 0; t < kReaderThreads; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t salt = static_cast<uint64_t>(t) + 1;
+      std::vector<std::shared_ptr<const Database>> pinned;
+      for (int i = 0; i < 400 || !done.load(); ++i) {
+        std::shared_ptr<const Database> version;
+        {
+          MutexLock lock(mutex);
+          version = published;
+        }
+        if (pinned.size() < 4) {
+          pinned.push_back(version);
+        } else {
+          pinned[static_cast<size_t>(i) % pinned.size()] = version;
+        }
+        for (const auto& old : pinned) {
+          // modify_state commit c (txn c + 1) leaves c tuples, so the
+          // state as of txn has txn - 1 tuples, up to the version's end.
+          const TransactionNumber now = old->transaction_number();
+          salt = salt * 6364136223846793005u + 1442695040888963407u;
+          const TransactionNumber txn = 2 + (salt >> 33) % (now - 1);
+          auto state = old->Rollback("r", txn);
+          if (!state.ok() || state->size() != txn - 1 ||
+              old->Find("r")->history_length() != now - 1) {
+            reader_errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (int commit = 2; commit <= commits; ++commit) {
+    ASSERT_TRUE(
+        db.ModifyState("r", StateOfSize(static_cast<size_t>(commit))).ok());
+    auto next = std::make_shared<const Database>(db);
+    MutexLock lock(mutex);
+    published = std::move(next);
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(reader_errors.load(), 0);
+  EXPECT_EQ(db.Find("r")->history_length(), static_cast<size_t>(commits));
+}
+
+TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksFullCopy) {
+  HammerPinnedVersions(StorageKind::kFullCopy);
+}
+TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksDelta) {
+  HammerPinnedVersions(StorageKind::kDelta);
+}
+TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksCheckpoint) {
+  HammerPinnedVersions(StorageKind::kCheckpoint);
+}
+TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksReverseDelta) {
+  HammerPinnedVersions(StorageKind::kReverseDelta);
+}
+
 TEST(TsanStressTest, CowStatesSharedAcrossThreads) {
   SerialExecutor exec;
   ASSERT_TRUE(exec.Submit([](Database& db) {
@@ -207,7 +288,7 @@ TEST(TsanStressTest, LanguageEvalOnSharedSnapshots) {
         // whose nodes are shared_ptr-counted across threads.
         Status status = exec.Read([&](const Database& db) {
           std::vector<lang::StateValue> outputs;
-          Database view = db.Clone();  // clones share immutable state reps
+          Database view = db;  // copies share relations and history
           TTRA_RETURN_IF_ERROR(
               lang::ExecProgram(*program, view, &outputs));
           if (outputs.size() != 1 ||

@@ -68,7 +68,7 @@ TEST(VacuumTest, TypeRules) {
 
 TEST(VacuumTest, AttachRestoresFullHistory) {
   Database db = BuildLedger();
-  Database original = db.Clone();
+  Database original = db;
   auto result = VacuumRelation(db, "log", 4);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(AttachArchive(db, "log", result->archive).ok());
@@ -114,7 +114,7 @@ TEST(VacuumTest, WorksOnTemporalRelations) {
     modify_state(t, (n: int) {(1) @ [0, 9), (2) @ [4, 6)});
   )");
   ASSERT_TRUE(db.ok());
-  Database original = db->Clone();
+  Database original = *db;
   auto result = VacuumRelation(*db, "t", 4);  // archive txns 2 and 3
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->archived_states, 2u);
@@ -196,7 +196,7 @@ TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
   ASSERT_TRUE(recovered.Open().ok());
   Database db = recovered.Snapshot();
   ASSERT_EQ(db.transaction_number(), 4u);  // define + states 0..2
-  Database salvaged = db.Clone();
+  Database salvaged = db;
 
   // Vacuum the middle of the salvaged history, then re-attach: every
   // rollback answer of the salvaged prefix survives the round trip.
@@ -226,7 +226,7 @@ TEST_P(VacuumPropertyTest, VacuumThenAttachIsIdentityForRollbackAnswers) {
                                           15, 0.3);
   Database db;
   ASSERT_TRUE(ApplySentence(db, commands).ok());
-  Database original = db.Clone();
+  Database original = db;
   const TransactionNumber cutoff = 1 + gen.rng().Uniform(20);
   auto result = VacuumRelation(db, "r", cutoff);
   ASSERT_TRUE(result.ok());
