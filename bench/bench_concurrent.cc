@@ -44,17 +44,7 @@ Schema BenchSchema() {
   return *Schema::Make({{"id", ValueType::kInt}, {"v", ValueType::kInt}});
 }
 
-void ResetDir(Env* env) {
-  (void)env->Remove(std::string(kDir) + "/wal.log");
-  (void)env->Remove(std::string(kDir) + "/checkpoint.db");
-  (void)env->Remove(std::string(kDir) + "/checkpoint.db.tmp");
-  // Sharded layout (BM_ShardedCommitThroughput).
-  for (int k = 0; k < 8; ++k) {
-    (void)env->Remove(std::string(kDir) + "/" + ShardWalFile(k));
-  }
-  (void)env->Remove(std::string(kDir) + "/" + kCoordinatorLogFile);
-  (void)env->Remove(std::string(kDir) + "/" + kShardManifestFile);
-}
+void ResetDir(Env* env) { (void)ResetWalDir(env, kDir); }
 
 /// Commits/sec vs group-commit batch size, sync policy kAlways (every
 /// acknowledged batch is fsync'ed). The bench thread submits

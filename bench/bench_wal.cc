@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "rollback/durable_executor.h"
+#include "rollback/sharded_executor.h"
 #include "storage/env.h"
 #include "storage/wal.h"
 #include "workload/generator.h"
@@ -55,8 +56,7 @@ void RunCommitThroughput(benchmark::State& state, SyncPolicy policy,
   options.batch_size = batch_size;
   DurableExecutor exec(env, "/tmp/ttra_bench_wal_dir", options);
   // Fresh state per run: discard whatever the previous run left behind.
-  (void)env->Remove(exec.wal_path());
-  (void)env->Remove(exec.checkpoint_path());
+  (void)ResetWalDir(env, exec.dir());
   if (!exec.Open().ok()) {
     state.SkipWithError("cannot open durable executor");
     return;

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "rollback/persistence.h"
 #include "storage/wal.h"
 
 namespace ttra {
@@ -126,12 +127,6 @@ CompactStore::CompactStore(Env* env, std::string dir, CompactOptions options)
       options_(options),
       manifest_(env, dir_ + "/" + kCompactManifestFile) {}
 
-bool CompactStore::IsCompactDir(const Env& env, const std::string& dir) {
-  return env.Exists(dir + "/" + kCompactManifestFile);
-}
-
-bool CompactStore::Exists() const { return env_->Exists(manifest_path()); }
-
 CompactStore::RelationEntry CompactStore::FreshEntry() const {
   RelationEntry entry;
   entry.snapshot_cache = std::make_shared<FindStateCache<SnapshotState>>(
@@ -142,6 +137,24 @@ CompactStore::RelationEntry CompactStore::FreshEntry() const {
 }
 
 Result<Database> CompactStore::Load(const DatabaseOptions& options) {
+  const std::string legacy = dir_ + "/" + kLegacyCheckpointFile;
+  const bool legacy_image = env_->Exists(legacy);
+  legacy_checkpoint_ = legacy_image || env_->Exists(legacy + ".tmp");
+  if (!env_->Exists(manifest_path())) {
+    Database db(options);
+    if (legacy_image) {
+      TTRA_ASSIGN_OR_RETURN(db, LoadDatabase(legacy, options, env_));
+    }
+    MutexLock lock(mutex_);
+    relations_.clear();
+    db_txn_ = 0;
+    next_sequence_ = 1;
+    next_generation_ = 0;
+    manifest_bytes_ = 0;
+    armed_ = false;
+    return db;
+  }
+
   TTRA_ASSIGN_OR_RETURN(WalReadResult manifest_log,
                         ReadWal(*env_, manifest_path()));
   if (manifest_log.records_after_hole > 0) {
@@ -214,6 +227,9 @@ Result<Database> CompactStore::Load(const DatabaseOptions& options) {
     TTRA_RETURN_IF_ERROR(env_->Sync(manifest_path()));
   }
   TTRA_RETURN_IF_ERROR(manifest_.OpenForAppend());
+  // A crash after the migrating manifest commit can leave the legacy
+  // image behind; the manifest already supersedes it.
+  RemoveLegacyCheckpoint();
 
   MutexLock lock(mutex_);
   relations_ = std::move(next);
@@ -223,6 +239,30 @@ Result<Database> CompactStore::Load(const DatabaseOptions& options) {
   manifest_bytes_ = manifest_log.valid_size;
   armed_ = true;
   return db;
+}
+
+void CompactStore::RemoveLegacyCheckpoint() {
+  if (!legacy_checkpoint_) return;
+  // Best-effort: a leftover image is never read while a manifest exists,
+  // and the next Load retries the removal.
+  const std::string legacy = dir_ + "/" + kLegacyCheckpointFile;
+  for (const std::string& path : {legacy, legacy + ".tmp"}) {
+    if (env_->Exists(path)) env_->Remove(path).IgnoreError();
+  }
+  legacy_checkpoint_ = false;
+}
+
+Status CompactStore::SwapInManifest(const ManifestRecord& record) {
+  const std::string tmp = manifest_path() + ".tmp";
+  {
+    WalWriter tmp_writer(env_, tmp);
+    TTRA_RETURN_IF_ERROR(tmp_writer.Create());
+    TTRA_RETURN_IF_ERROR(
+        tmp_writer.AddRecord(EncodeManifestRecord(record)));
+    TTRA_RETURN_IF_ERROR(tmp_writer.Sync());
+  }
+  TTRA_RETURN_IF_ERROR(env_->Rename(tmp, manifest_path()));
+  return manifest_.OpenForAppend();
 }
 
 template <typename StateT>
@@ -380,18 +420,22 @@ Status CompactStore::WriteCheckpoint(const Database& db) {
 
   // The manifest record is the commit point: segments are already synced
   // (PersistStates), so once this record is durable the checkpoint is.
+  // The first record starts the manifest through a swap, so a crash never
+  // leaves a manifest without a full record.
   if (!armed) {
-    TTRA_RETURN_IF_ERROR(manifest_.Create());
+    TTRA_RETURN_IF_ERROR(SwapInManifest(record));
+  } else {
+    Status append = manifest_.AddRecord(EncodeManifestRecord(record));
+    if (!append.ok()) {
+      // A failed append may have left a torn frame; cut back to the good
+      // boundary so a later record cannot strand behind a hole. (Callers
+      // still treat the failure as fail-stop-worthy.)
+      manifest_.ResetTail().IgnoreError();
+      return append;
+    }
+    TTRA_RETURN_IF_ERROR(manifest_.Sync());
   }
-  Status append = manifest_.AddRecord(EncodeManifestRecord(record));
-  if (!append.ok()) {
-    // A failed append may have left a torn frame; cut back to the good
-    // boundary so a later record cannot strand behind a hole. (Callers
-    // still treat the failure as fail-stop-worthy.)
-    manifest_.ResetTail().IgnoreError();
-    return append;
-  }
-  TTRA_RETURN_IF_ERROR(manifest_.Sync());
+  RemoveLegacyCheckpoint();
 
   MutexLock lock(mutex_);
   relations_ = std::move(next);
@@ -436,19 +480,8 @@ Status CompactStore::Compact(const Database& db) {
     next.emplace(name, std::move(entry));
   }
 
-  // Copy-then-swap: the new chain is written aside as a complete
-  // one-record manifest, made durable, then atomically renamed over the
-  // old one. A crash on either side leaves one consistent chain.
-  const std::string tmp = manifest_path() + ".tmp";
-  {
-    WalWriter tmp_writer(env_, tmp);
-    TTRA_RETURN_IF_ERROR(tmp_writer.Create());
-    TTRA_RETURN_IF_ERROR(
-        tmp_writer.AddRecord(EncodeManifestRecord(record)));
-    TTRA_RETURN_IF_ERROR(tmp_writer.Sync());
-  }
-  TTRA_RETURN_IF_ERROR(env_->Rename(tmp, manifest_path()));
-  TTRA_RETURN_IF_ERROR(manifest_.OpenForAppend());
+  TTRA_RETURN_IF_ERROR(SwapInManifest(record));
+  RemoveLegacyCheckpoint();
 
   {
     MutexLock lock(mutex_);

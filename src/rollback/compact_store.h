@@ -14,11 +14,12 @@
 
 namespace ttra {
 
-/// Compact checkpoint store (DESIGN.md §16): the efficient implementation
-/// the paper's claim (iii) anticipates, proved equivalent to the
+/// Compact checkpoint store (DESIGN.md §16), the one checkpoint format
+/// both durable executors write: the efficient implementation the
+/// paper's claim (iii) anticipates, proved equivalent to the
 /// full-state-copy semantics by the compact-storage oracle suite. Instead
-/// of rewriting `checkpoint.db` (the whole database, every state in
-/// full) on every checkpoint, the store keeps
+/// of rewriting the whole database, every state in full, on every
+/// checkpoint, the store keeps
 ///
 ///   * one delta-encoded *segment file* per relation (keyframes +
 ///     insert/delete tuple deltas, each entry WAL-framed and
@@ -36,6 +37,10 @@ namespace ttra {
 /// fresh generation and atomically swaps a one-record manifest over the
 /// old chain; concurrent probes retry onto the new generation, and
 /// epoch-pinned readers are untouched (their snapshots are in memory).
+///
+/// Directories written before this layout became the only one hold a
+/// full-copy kLegacyCheckpointFile instead. Load reads it once when no
+/// manifest exists; the first manifest commit after that removes it.
 
 struct CompactOptions {
   /// A keyframe every this many segment entries (and on schema change).
@@ -49,11 +54,6 @@ class CompactStore {
  public:
   CompactStore(Env* env, std::string dir, CompactOptions options = {});
 
-  /// True when `dir` holds a compact layout (its manifest exists) — the
-  /// auto-adoption check, like IsShardedDir for the sharded layout.
-  static bool IsCompactDir(const Env& env, const std::string& dir);
-
-  bool Exists() const;
   std::string manifest_path() const { return dir_ + "/" + kCompactManifestFile; }
   std::string segment_path(const std::string& name, uint64_t generation) const {
     return dir_ + "/" + SegmentFileName(name, generation);
@@ -63,12 +63,16 @@ class CompactStore {
   /// chain, decodes every covered segment prefix, and re-arms the store
   /// for appending. Damage inside the covered region (missing segment,
   /// short prefix, bit rot) fails with kCorruption and an fsck hint.
+  /// Without a manifest: the legacy checkpoint image if one exists (the
+  /// next WriteCheckpoint or Compact migrates it), else the empty
+  /// database.
   Result<Database> Load(const DatabaseOptions& options);
 
   /// Incremental checkpoint: appends the states/schemas recorded since
   /// the covered watermark for each dirtied relation, then appends one
   /// manifest record (the commit point). A no-op when nothing changed.
-  /// Serialized by the caller (the executor's commit lock).
+  /// The first record after a legacy Load is full and removes the legacy
+  /// image. Serialized by the caller (the executor's commit lock).
   Status WriteCheckpoint(const Database& db);
 
   /// Online vacuum: rewrites every live relation into a fresh-generation
@@ -120,6 +124,16 @@ class CompactStore {
 
   RelationEntry FreshEntry() const;
 
+  /// Removes the legacy checkpoint image and its temp file once a
+  /// manifest record covers their state; a no-op unless Load found one.
+  void RemoveLegacyCheckpoint();
+
+  /// Copy-then-swap: writes `record` aside as a complete one-record
+  /// manifest, makes it durable, atomically renames it over the manifest
+  /// and re-arms the appender. A crash on either side leaves one
+  /// consistent chain (or none, before the first checkpoint).
+  Status SwapInManifest(const ManifestRecord& record);
+
   /// Appends rel's uncovered suffix to its segment, rewriting the whole
   /// segment at a fresh generation when the watermark no longer matches
   /// the live history (e.g. an archival vacuum shrank it).
@@ -152,6 +166,10 @@ class CompactStore {
   uint64_t next_generation_ TTRA_GUARDED_BY(mutex_) = 0;
   uint64_t manifest_bytes_ TTRA_GUARDED_BY(mutex_) = 0;
   bool armed_ TTRA_GUARDED_BY(mutex_) = false;
+  /// Set by a Load that found a legacy checkpoint image (or its temp
+  /// file); cleared once a committed manifest record supersedes it.
+  /// Write-path only, like manifest_.
+  bool legacy_checkpoint_ = false;
   Stats stats_ TTRA_GUARDED_BY(mutex_);
 
   /// Appender for the manifest log; used only on the (serialized) write

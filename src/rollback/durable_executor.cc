@@ -99,6 +99,7 @@ DurableExecutor::DurableExecutor(Env* env, std::string dir,
       dir_(std::move(dir)),
       options_(options),
       exec_(options.db),
+      compact_(env, dir_, options.compact),
       wal_(env, dir_ + "/wal.log") {}
 
 Status DurableExecutor::Open() {
@@ -109,8 +110,8 @@ Status DurableExecutor::Open() {
 
   // Layout detection, the mirror of ShardedExecutor::Start's: a sharded
   // directory (MANIFEST) must not be opened as a single-writer one. Its
-  // shard logs would be ignored, and the checkpoint rewritten below is
-  // the same checkpoint.db the sharded layout reads.
+  // shard logs would be ignored, and the checkpoint written below is the
+  // same segment store the sharded layout reads.
   if (env_->Exists(dir_ + "/MANIFEST")) {
     return InvalidArgumentError(
         dir_ + " holds a sharded layout (MANIFEST); open it with the "
@@ -119,24 +120,8 @@ Status DurableExecutor::Open() {
         "directory");
   }
 
-  // A directory that already holds a compact layout is adopted even when
-  // the option is off, so reopening with default options never misreads
-  // (or clobbers) a compact directory.
-  if (compact_ == nullptr &&
-      (options_.compact_storage || CompactStore::IsCompactDir(*env_, dir_))) {
-    compact_ = std::make_unique<CompactStore>(env_, dir_, options_.compact);
-  }
-
-  // 1. Last checkpoint (or the empty database before the first one). A
-  // compact store loads from its manifest; a legacy checkpoint.db under a
-  // compact-enabled open is the migration source.
-  Database db(options_.db);
-  if (compact_ != nullptr && compact_->Exists()) {
-    TTRA_ASSIGN_OR_RETURN(db, compact_->Load(options_.db));
-  } else if (env_->Exists(checkpoint_path())) {
-    TTRA_ASSIGN_OR_RETURN(db,
-                          LoadDatabase(checkpoint_path(), options_.db, env_));
-  }
+  // 1. Last checkpoint (or the empty database before the first one).
+  TTRA_ASSIGN_OR_RETURN(Database db, compact_.Load(options_.db));
   last_recovery_.checkpoint_txn = db.transaction_number();
 
   // 2. Replay the command suffix the WAL adds on top of it. A torn tail is
@@ -165,38 +150,24 @@ Status DurableExecutor::Open() {
     wal_valid_size = wal.valid_size;
     wal_torn = wal.torn_tail;
     for (const std::string& record : wal.records) {
-      TTRA_RETURN_IF_ERROR(ReplayRecord(db, record));
-      ++last_recovery_.replayed_records;
+      TTRA_ASSIGN_OR_RETURN(size_t applied, ReplayRecord(db, record));
+      last_recovery_.replayed_records += applied;
     }
   }
 
-  // 3. Re-establish the on-disk invariant: checkpoint covers the current
-  // state. Legacy layout: rewrite checkpoint.db and start an empty WAL.
-  // Compact layout: append an incremental manifest record and KEEP the
-  // WAL (replay skips covered records by pre_txn; the retained log is
-  // what lets fsck rebuild the exact acked prefix after segment damage) —
-  // only CompactStorage() truncates it.
-  if (compact_ != nullptr) {
-    TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
-    if (env_->Exists(checkpoint_path())) {
-      // Migration is committed by the manifest write above; the legacy
-      // checkpoint (and any torn temp) is dead weight from here on.
-      env_->Remove(checkpoint_path()).IgnoreError();
+  // 3. Re-establish the on-disk invariant: the checkpoint covers the
+  // current state. Append an incremental manifest record and KEEP the WAL
+  // (replay skips covered records by pre_txn; the retained log is what
+  // lets fsck rebuild the exact acked prefix after segment damage) — only
+  // CompactStorage() truncates it.
+  TTRA_RETURN_IF_ERROR(compact_.WriteCheckpoint(db));
+  if (wal_exists) {
+    if (wal_torn) {
+      TTRA_RETURN_IF_ERROR(env_->TruncateTo(wal_.path(), wal_valid_size));
+      TTRA_RETURN_IF_ERROR(env_->Sync(wal_.path()));
     }
-    if (env_->Exists(checkpoint_path() + ".tmp")) {
-      env_->Remove(checkpoint_path() + ".tmp").IgnoreError();
-    }
-    if (wal_exists) {
-      if (wal_torn) {
-        TTRA_RETURN_IF_ERROR(env_->TruncateTo(wal_.path(), wal_valid_size));
-        TTRA_RETURN_IF_ERROR(env_->Sync(wal_.path()));
-      }
-      TTRA_RETURN_IF_ERROR(wal_.OpenForAppend());
-    } else {
-      TTRA_RETURN_IF_ERROR(wal_.Create());
-    }
+    TTRA_RETURN_IF_ERROR(wal_.OpenForAppend());
   } else {
-    TTRA_RETURN_IF_ERROR(SaveDatabase(db, checkpoint_path(), env_));
     TTRA_RETURN_IF_ERROR(wal_.Create());
   }
 
@@ -246,13 +217,15 @@ Status DurableExecutor::RetryWalOp(const std::function<Status()>& op,
   return status;
 }
 
-Status DurableExecutor::ReplayRecord(Database& db, std::string_view record) {
+Result<size_t> DurableExecutor::ReplayRecord(Database& db,
+                                             std::string_view record) {
   TTRA_ASSIGN_OR_RETURN(std::vector<LoggedSentence> entries,
                         DecodeWalRecord(record));
+  size_t applied = 0;
   for (const LoggedSentence& entry : entries) {
     if (entry.pre_txn < db.transaction_number()) {
-      // Already covered by the checkpoint (crash between checkpoint
-      // publication and WAL truncation).
+      // Already covered by the checkpoint: the WAL is retained across
+      // checkpoints.
       continue;
     }
     if (entry.pre_txn > db.transaction_number()) {
@@ -271,8 +244,9 @@ Status DurableExecutor::ReplayRecord(Database& db, std::string_view record) {
       Database scratch = db;
       if (ApplySentence(scratch, entry.sentence).ok()) db = std::move(scratch);
     }
+    ++applied;
   }
-  return Status::Ok();
+  return applied;
 }
 
 Result<TransactionNumber> DurableExecutor::SubmitInternal(
@@ -321,9 +295,9 @@ Result<TransactionNumber> DurableExecutor::SubmitInternal(
   ++commits_since_checkpoint_;
   if (options_.checkpoint_every != 0 &&
       commits_since_checkpoint_ >= options_.checkpoint_every) {
-    // Best effort: a failed checkpoint leaves the WAL authoritative, which
-    // is safe; a failed WAL truncation inside flips healthy_ off.
-    CheckpointLocked().IgnoreError();
+    // The sentence is durable and applied whatever happens here; a failed
+    // checkpoint flips fail-stop inside, so later submits see it.
+    CheckpointLocked(/*compact=*/false).IgnoreError();
   }
   return result;
 }
@@ -342,35 +316,25 @@ Result<TransactionNumber> DurableExecutor::SubmitAtomic(
   return SubmitInternal(sentence, /*atomic=*/true);
 }
 
-Status DurableExecutor::CheckpointLocked() {
-  if (compact_ != nullptr) {
-    // Incremental manifest record; the WAL is retained. A failure other
-    // than a clean no-op leaves the manifest writer in an unknown state
-    // (a torn record would strand later appends behind a hole), so it
-    // flips fail-stop; reopening re-arms from the validated prefix.
-    Status status = compact_->WriteCheckpoint(exec_.Snapshot());
-    if (!status.ok()) {
-      FailStopLocked(status);
-      return status;
-    }
-    commits_since_checkpoint_ = 0;
-    return Status::Ok();
+Status DurableExecutor::CheckpointLocked(bool compact) {
+  // A checkpoint appends an incremental manifest record and KEEPS the WAL.
+  // A compaction swaps in a full manifest that covers every committed
+  // transaction before the WAL restarts empty, so a crash between the two
+  // replays WAL records the manifest already covers (skipped by pre_txn).
+  // Any failure leaves the manifest writer or the WAL in an unknown state
+  // (a torn record would strand later appends behind a hole), so it flips
+  // fail-stop; reopening re-arms from the validated prefix.
+  const Database db = exec_.Snapshot();
+  Status status = compact ? compact_.Compact(db) : compact_.WriteCheckpoint(db);
+  if (status.ok() && compact) {
+    status = wal_.Create();
+    commits_since_sync_ = 0;
   }
-  // Publishing the checkpoint (write temp, sync, durable rename) must
-  // strictly precede truncating the WAL: a crash in between leaves both a
-  // complete checkpoint and a WAL whose records the replay skips by
-  // transaction number.
-  TTRA_RETURN_IF_ERROR(
-      SaveDatabase(exec_.Snapshot(), checkpoint_path(), env_));
-  Status status = wal_.Create();
   if (!status.ok()) {
-    // The WAL file is in an unknown state; stop accepting writes. The
-    // checkpoint just written covers everything committed so far.
     FailStopLocked(status);
     return status;
   }
   commits_since_checkpoint_ = 0;
-  commits_since_sync_ = 0;
   return Status::Ok();
 }
 
@@ -379,7 +343,7 @@ Status DurableExecutor::Checkpoint() {
   if (!healthy_) {
     return UnavailableError("durable executor needs recovery; reopen");
   }
-  return CheckpointLocked();
+  return CheckpointLocked(/*compact=*/false);
 }
 
 Status DurableExecutor::CompactStorage() {
@@ -387,27 +351,7 @@ Status DurableExecutor::CompactStorage() {
   if (!healthy_) {
     return UnavailableError("durable executor needs recovery; reopen");
   }
-  if (compact_ == nullptr) {
-    return InvalidArgumentError(
-        "compact storage is not enabled for this executor (open with "
-        "compact_storage = true)");
-  }
-  // Commit order: the swapped-in full manifest covers every committed
-  // transaction before the WAL restarts empty, so a crash between the two
-  // replays WAL records the manifest already covers (skipped by pre_txn).
-  Status status = compact_->Compact(exec_.Snapshot());
-  if (!status.ok()) {
-    FailStopLocked(status);
-    return status;
-  }
-  status = wal_.Create();
-  if (!status.ok()) {
-    FailStopLocked(status);
-    return status;
-  }
-  commits_since_checkpoint_ = 0;
-  commits_since_sync_ = 0;
-  return Status::Ok();
+  return CheckpointLocked(/*compact=*/true);
 }
 
 bool DurableExecutor::healthy() const {

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,14 +58,11 @@ struct DurableOptions {
   size_t checkpoint_every = 0;
   /// Transient-failure retry policy for WAL appends and syncs.
   RetryOptions retry;
-  /// Use the compact checkpoint layout (DESIGN.md §16): delta-encoded
-  /// per-relation segments plus an incremental manifest, instead of
-  /// rewriting checkpoint.db in full. A directory that already holds a
-  /// compact layout is adopted regardless of this flag; a legacy
-  /// checkpoint.db is migrated on the first compact Open(). Under compact
-  /// storage the WAL is retained across checkpoints (it is the salvage
-  /// baseline) and only truncated by CompactStorage().
+  /// Inert: nothing reads it, because the compact layout is the only
+  /// checkpoint format. It is deleted together with its last setter,
+  /// ExecutorOptions() in e2ebench/main.cc.
   bool compact_storage = false;
+  /// Segment keyframe spacing and probe cache of the checkpoint store.
   CompactOptions compact;
 };
 
@@ -92,17 +88,18 @@ Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record);
 /// committed commands — the sole determinant of database state under the
 /// paper's C⟦·⟧ semantics — survives a crash.
 ///
-/// On-disk layout in `dir`: "checkpoint.db" (SaveDatabase output) plus
-/// "wal.log" (commands committed since the checkpoint). Open() recovers:
-/// load the checkpoint, replay the WAL suffix (tolerating a torn tail),
-/// then re-establish the invariant by writing a fresh checkpoint and an
-/// empty WAL.
+/// On-disk layout in `dir`: the compact checkpoint (CompactStore:
+/// segments.manifest plus one segment file per relation) and "wal.log",
+/// the commands committed so far. Checkpoints keep the WAL; only
+/// CompactStorage() truncates it. Open() recovers: load the checkpoint,
+/// replay the WAL records it does not cover (tolerating a torn tail),
+/// then re-establish the invariant by appending a checkpoint record that
+/// covers the recovered state.
 ///
 /// Replay is deterministic re-execution: a record is applied exactly as it
 /// was live (paper sequencing for Submit, all-or-nothing for
 /// SubmitAtomic), and records whose pre-commit transaction number is
-/// already covered by the checkpoint are skipped, so a crash between
-/// checkpoint publication and WAL truncation is harmless.
+/// already covered by the checkpoint are skipped.
 ///
 /// After any WAL write failure the executor fails stop: the in-memory
 /// state can no longer be proven equal to a replay of the log, so every
@@ -131,15 +128,14 @@ class DurableExecutor {
   /// Durably logs a sentence and applies it all-or-nothing.
   Result<TransactionNumber> SubmitAtomic(const std::vector<Command>& sentence);
 
-  /// Writes a fresh checkpoint of the current state. Legacy layout:
-  /// rewrites checkpoint.db and truncates the WAL. Compact layout:
-  /// appends an incremental manifest record (the WAL is retained).
+  /// Writes a fresh checkpoint of the current state: an incremental
+  /// manifest record. The WAL is retained.
   Status Checkpoint();
 
-  /// Online storage vacuum (compact layout only): rewrites every segment
-  /// at a fresh generation, swaps a one-record full manifest over the
-  /// chain, removes superseded segments, and truncates the WAL. Holds the
-  /// commit lock (writes wait) but readers are untouched.
+  /// Online storage vacuum: rewrites every segment at a fresh generation,
+  /// swaps a one-record full manifest over the chain, removes superseded
+  /// segments, and truncates the WAL. Holds the commit lock (writes wait)
+  /// but readers are untouched.
   Status CompactStorage();
 
   // Read side (pass-through to the wrapped SerialExecutor).
@@ -182,26 +178,30 @@ class DurableExecutor {
   /// What the last Open() found.
   struct RecoveryInfo {
     TransactionNumber checkpoint_txn = 0;  ///< txn restored from checkpoint
-    size_t replayed_records = 0;           ///< WAL records applied on top
+    /// Logged sentences applied on top of the checkpoint; those it
+    /// already covers are skipped and not counted.
+    size_t replayed_records = 0;
     bool torn_tail = false;                ///< trailing torn record dropped
   };
   RecoveryInfo last_recovery() const;
 
-  std::string checkpoint_path() const { return dir_ + "/checkpoint.db"; }
   std::string wal_path() const { return dir_ + "/wal.log"; }
   const std::string& dir() const { return dir_; }
 
-  /// The compact store backing this executor, or nullptr under the legacy
-  /// layout. Set once by Open(); the store is internally synchronized, so
-  /// probes (ρ by interval index over the checkpointed segments) are safe
-  /// concurrently with commits.
-  CompactStore* compact_store() const { return compact_.get(); }
+  /// The checkpoint store backing this executor. It is internally
+  /// synchronized, so probes (ρ by interval index over the checkpointed
+  /// segments) are safe concurrently with commits.
+  CompactStore* compact_store() { return &compact_; }
 
  private:
   Result<TransactionNumber> SubmitInternal(
       const std::vector<Command>& sentence, bool atomic);
-  Status CheckpointLocked() TTRA_REQUIRES(commit_mutex_);
-  Status ReplayRecord(Database& db, std::string_view record);
+  /// Checkpoint (`compact` false) or storage compaction (true) of the
+  /// current state; any failure flips fail-stop.
+  Status CheckpointLocked(bool compact) TTRA_REQUIRES(commit_mutex_);
+  /// Replays one WAL record onto `db`; returns the number of its logged
+  /// sentences that were applied (the rest the checkpoint covers).
+  Result<size_t> ReplayRecord(Database& db, std::string_view record);
 
   /// Runs a WAL operation with the configured bounded-backoff retry.
   /// `reset_tail` cuts the log back to the last good record boundary
@@ -218,10 +218,7 @@ class DurableExecutor {
   DurableOptions options_;
   SerialExecutor exec_;
 
-  /// Non-null iff the compact layout is active. Created by Open() (before
-  /// the executor accepts work) and never reset, so the unsynchronized
-  /// accessor above is safe.
-  std::unique_ptr<CompactStore> compact_;
+  CompactStore compact_;
 
   // The commit lock serializes the log-before-apply protocol (WAL append,
   // sync bookkeeping, checkpoint scheduling) and the health state it

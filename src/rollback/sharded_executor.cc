@@ -173,6 +173,50 @@ Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir) {
   return static_cast<uint32_t>(shards);
 }
 
+namespace {
+
+/// True for a file name ResetWalDir sweeps (see its contract).
+bool IsStorageFileName(std::string_view name) {
+  for (std::string_view suffix : {".quarantine", ".tmp"}) {
+    if (name.size() > suffix.size() &&
+        name.substr(name.size() - suffix.size()) == suffix) {
+      name.remove_suffix(suffix.size());
+      break;
+    }
+  }
+  for (std::string_view fixed :
+       {std::string_view("wal.log"), std::string_view(kLegacyCheckpointFile),
+        std::string_view(kCompactManifestFile),
+        std::string_view(kShardManifestFile),
+        std::string_view(kCoordinatorLogFile)}) {
+    if (name == fixed) return true;
+  }
+  constexpr std::string_view kShardPrefix = "shard-";
+  constexpr std::string_view kShardSuffix = ".wal";
+  if (name.size() > kShardPrefix.size() + kShardSuffix.size() &&
+      name.substr(0, kShardPrefix.size()) == kShardPrefix &&
+      name.substr(name.size() - kShardSuffix.size()) == kShardSuffix) {
+    const std::string_view number = name.substr(
+        kShardPrefix.size(),
+        name.size() - kShardPrefix.size() - kShardSuffix.size());
+    return number.find_first_not_of("0123456789") == std::string_view::npos;
+  }
+  return IsSegmentFileName(name);
+}
+
+}  // namespace
+
+Status ResetWalDir(Env* env, const std::string& dir) {
+  Result<std::vector<std::string>> files = env->List(dir);
+  if (!files.ok()) return env->Exists(dir) ? files.status() : Status::Ok();
+  for (const std::string& file : *files) {
+    if (IsStorageFileName(file)) {
+      TTRA_RETURN_IF_ERROR(env->Remove(dir + "/" + file));
+    }
+  }
+  return Status::Ok();
+}
+
 size_t ShardOfName(const std::string& name, size_t shards) {
   if (shards <= 1) return 0;
   uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
@@ -263,7 +307,10 @@ Result<HistoricalState> Session::RollbackHistorical(
 
 ShardedExecutor::ShardedExecutor(Env* env, std::string dir,
                                  ShardedOptions options)
-    : env_(env), dir_(std::move(dir)), options_(options) {
+    : env_(env),
+      dir_(std::move(dir)),
+      options_(options),
+      compact_(env, dir_, options.durable.compact) {
   options_.shards = std::max<size_t>(1, options_.shards);
 }
 
@@ -310,25 +357,9 @@ Status ShardedExecutor::Start() {
     shards_.push_back(std::move(shard));
   }
 
-  // Compact layout: adopted when present, enabled by option otherwise
-  // (a legacy checkpoint.db is migrated on the first compact Start()).
-  if (compact_ == nullptr &&
-      (options_.durable.compact_storage ||
-       CompactStore::IsCompactDir(*env_, dir_))) {
-    compact_ =
-        std::make_unique<CompactStore>(env_, dir_, options_.durable.compact);
-  }
-
   // Merged recovery: checkpoint, then every shard WAL + the coordinator
   // log re-establish one total order.
-  Database db(options_.durable.db);
-  const std::string checkpoint_path = dir_ + "/checkpoint.db";
-  if (compact_ != nullptr && compact_->Exists()) {
-    TTRA_ASSIGN_OR_RETURN(db, compact_->Load(options_.durable.db));
-  } else if (env_->Exists(checkpoint_path)) {
-    TTRA_ASSIGN_OR_RETURN(
-        db, LoadDatabase(checkpoint_path, options_.durable.db, env_));
-  }
+  TTRA_ASSIGN_OR_RETURN(Database db, compact_.Load(options_.durable.db));
   const TransactionNumber checkpoint_txn = db.transaction_number();
   TTRA_RETURN_IF_ERROR(Recover(db));
   {
@@ -339,18 +370,7 @@ Status ShardedExecutor::Start() {
 
   // Re-establish the on-disk invariant: one checkpoint covering the
   // merged replay, fresh logs, sequence spaces reset.
-  if (compact_ != nullptr) {
-    TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
-    if (env_->Exists(checkpoint_path)) {
-      // Migration committed by the manifest write above.
-      env_->Remove(checkpoint_path).IgnoreError();
-    }
-    if (env_->Exists(checkpoint_path + ".tmp")) {
-      env_->Remove(checkpoint_path + ".tmp").IgnoreError();
-    }
-  } else {
-    TTRA_RETURN_IF_ERROR(SaveDatabase(db, checkpoint_path, env_));
-  }
+  TTRA_RETURN_IF_ERROR(compact_.WriteCheckpoint(db));
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock lock(shards_[k]->wal_mutex);
     TTRA_RETURN_IF_ERROR(shards_[k]->wal->Create());
@@ -650,6 +670,14 @@ Database ShardedExecutor::Snapshot() const {
 }
 
 Status ShardedExecutor::Checkpoint() {
+  return CheckpointAll(/*compact=*/false);
+}
+
+Status ShardedExecutor::CompactStorage() {
+  return CheckpointAll(/*compact=*/true);
+}
+
+Status ShardedExecutor::CheckpointAll(bool compact) {
   // Exclusive gate: every writer holds the gate shared from prepare to
   // durability marking, so owning it exclusively proves no batch is in
   // flight anywhere — the watermark equals the chain tip and all sequence
@@ -668,81 +696,25 @@ Status ShardedExecutor::Checkpoint() {
     }
     tip = tip_;
   }
-  // Write the checkpoint image with no executor mutex held: the exclusive
-  // gate already quiesces every writer (nothing can move the tip), the
+  // Write the checkpoint with no executor mutex held: the exclusive gate
+  // already quiesces every writer (nothing can move the tip), the
   // copy-on-write snapshot is immutable, and this is by far the longest
   // I/O in the system — stats()/healthy() probes must not stall behind it.
-  if (compact_ != nullptr) {
-    Status status = compact_->WriteCheckpoint(*tip);
-    if (!status.ok()) {
-      // The manifest writer may hold a torn tail; only a re-Start()
-      // re-arms it from the validated prefix.
-      MutexLock lock(commit_mutex_);
-      EnterDegradedLocked(status);
-      return status;
-    }
-  } else {
-    TTRA_RETURN_IF_ERROR(SaveDatabase(*tip, dir_ + "/checkpoint.db", env_));
-  }
+  Status status =
+      compact ? compact_.Compact(*tip) : compact_.WriteCheckpoint(*tip);
   MutexLock lock(commit_mutex_);
-  // Checkpoint durable and it covers every commit: the logs may restart.
-  for (size_t k = 0; k < shard_count_; ++k) {
-    MutexLock wal_lock(shards_[k]->wal_mutex);
-    Status status = shards_[k]->wal->Create();
-    if (!status.ok()) {
-      EnterDegradedLocked(status);
-      return status;
-    }
-    shards_[k]->next_seq = 1;
-    shards_[k]->commits_since_sync = 0;
-  }
-  Status status = coordinator_->Create();
   if (!status.ok()) {
+    // The manifest writer may hold a torn tail; only a re-Start() re-arms
+    // it from the validated prefix.
     EnterDegradedLocked(status);
     return status;
   }
-  coordinator_unsynced_ = 0;
-  coordinator_good_ = true;
-  commits_since_checkpoint_ = 0;
-  return Status::Ok();
-}
-
-Status ShardedExecutor::CompactStorage() {
-  // Same quiesce-then-truncate protocol as Checkpoint, with the image
-  // write replaced by a full segment rewrite + manifest swap.
-  WriterMutexLock gate(checkpoint_gate_);
-  std::shared_ptr<const Database> tip;
-  {
-    MutexLock lock(commit_mutex_);
-    if (!started_ || tip_ == nullptr) {
-      return UnavailableError("sharded executor is not running");
-    }
-    if (degraded_) {
-      return UnavailableError("sharded executor is degraded (" +
-                              degraded_reason_.ToString() +
-                              "); repair storage and reopen");
-    }
-    tip = tip_;
-  }
-  if (compact_ == nullptr) {
-    return InvalidArgumentError(
-        "compact storage is not enabled for this executor (start with "
-        "compact_storage = true)");
-  }
-  {
-    Status status = compact_->Compact(*tip);
-    if (!status.ok()) {
-      MutexLock lock(commit_mutex_);
-      EnterDegradedLocked(status);
-      return status;
-    }
-  }
-  MutexLock lock(commit_mutex_);
-  // The swapped-in full manifest covers every commit: the logs may
-  // restart (a crash in between replays records the manifest skips).
+  // The manifest sync is the commit point and the checkpoint covers every
+  // commit: the logs may restart (a crash in between replays records the
+  // manifest skips).
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock wal_lock(shards_[k]->wal_mutex);
-    Status status = shards_[k]->wal->Create();
+    status = shards_[k]->wal->Create();
     if (!status.ok()) {
       EnterDegradedLocked(status);
       return status;
@@ -750,7 +722,7 @@ Status ShardedExecutor::CompactStorage() {
     shards_[k]->next_seq = 1;
     shards_[k]->commits_since_sync = 0;
   }
-  Status status = coordinator_->Create();
+  status = coordinator_->Create();
   if (!status.ok()) {
     EnterDegradedLocked(status);
     return status;

@@ -20,10 +20,12 @@ namespace ttra {
 // On-disk layout of a sharded directory
 // ---------------------------------------------------------------------------
 //
-//   dir/MANIFEST         shard count + format version (text, written once)
-//   dir/checkpoint.db    one global checkpoint (SaveDatabase output)
-//   dir/shard-<k>.wal    per-shard write-ahead log, k in [0, shards)
-//   dir/coordinator.log  advisory cross-shard commit order (WAL format)
+//   dir/MANIFEST           shard count + format version (text, written
+//                          once)
+//   dir/segments.manifest  one global checkpoint (CompactStore), plus
+//   dir/seg-*.seg          one segment file per relation
+//   dir/shard-<k>.wal      per-shard write-ahead log, k in [0, shards)
+//   dir/coordinator.log    advisory cross-shard commit order (WAL format)
 //
 // Every log file uses the standard WAL framing (storage/wal.h); the record
 // payloads use the kinds below, disjoint from DurableExecutor's 0/1/2 so a
@@ -40,6 +42,14 @@ bool IsShardedDir(const Env& env, const std::string& dir);
 
 /// Parses dir/MANIFEST; kCorruption on malformed content.
 Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir);
+
+/// Removes every file either durable executor or `ttra fsck --repair`
+/// writes in `dir`, whatever its layout: wal.log, the shard WALs, the
+/// coordinator log and MANIFEST, the segment manifest and segment files,
+/// a legacy checkpoint image, and their `.tmp`/`.quarantine` remains. The
+/// next open of `dir` starts from the empty database. Other files and a
+/// missing `dir` are left alone.
+Status ResetWalDir(Env* env, const std::string& dir);
 
 /// Home shard of a relation identifier: FNV-1a(name) % shards. Exposed so
 /// tests and benches can predict (or deliberately spread) placement.
@@ -272,22 +282,20 @@ class ShardedExecutor {
   /// Consistent deep copy of the published snapshot.
   Database Snapshot() const;
 
-  /// Quiesces in-flight batches (checkpoint gate), saves one global
-  /// checkpoint covering every shard, then truncates all shard WALs and
-  /// the coordinator log and resets the sequence spaces. Under the
-  /// compact layout the checkpoint image is an incremental manifest
-  /// record instead of a checkpoint.db rewrite; the shard-log truncation
-  /// protocol is unchanged (the manifest sync is the commit point, so
-  /// truncation still strictly follows a durable covering checkpoint).
+  /// Quiesces in-flight batches (checkpoint gate), appends one global
+  /// incremental manifest record covering every shard, then truncates all
+  /// shard WALs and the coordinator log and resets the sequence spaces.
+  /// The manifest sync is the commit point, so truncation strictly
+  /// follows a durable covering checkpoint.
   Status Checkpoint();
 
-  /// Online segment vacuum (compact layout only): like Checkpoint, but
-  /// rewrites every segment at a fresh generation and swaps a one-record
-  /// full manifest over the chain. Reader sessions are untouched.
+  /// Online segment vacuum: like Checkpoint, but rewrites every segment at
+  /// a fresh generation and swaps a one-record full manifest over the
+  /// chain. Reader sessions are untouched.
   Status CompactStorage();
 
-  /// The compact store backing the layout (nullptr when legacy).
-  CompactStore* compact_store() const { return compact_.get(); }
+  /// The checkpoint store backing the layout (internally synchronized).
+  CompactStore* compact_store() { return &compact_; }
 
   bool healthy() const;
 
@@ -401,12 +409,14 @@ class ShardedExecutor {
   /// Recovery: merge shard WALs + coordinator into one database.
   Status Recover(Database& db) TTRA_EXCLUDES(commit_mutex_);
 
+  /// Checkpoint (`compact` false) or CompactStorage (true): quiesce, write
+  /// the store, then restart every shard log and the coordinator log.
+  Status CheckpointAll(bool compact) TTRA_EXCLUDES(commit_mutex_);
+
   Env* env_;
   std::string dir_;
   ShardedOptions options_;
-  /// Non-null iff the compact layout is active; set by Start() before any
-  /// writer runs, internally synchronized (see DurableExecutor::compact_).
-  std::unique_ptr<CompactStore> compact_;
+  CompactStore compact_;
   size_t shard_count_ = 0;  ///< effective count (MANIFEST-adopted)
   std::vector<std::unique_ptr<Shard>> shards_;
   bool started_ = false;

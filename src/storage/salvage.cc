@@ -301,7 +301,7 @@ std::string_view SalvageVerdictName(SalvageVerdict verdict) {
 Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
                                   const SalvageOptions& options) {
   SalvageReport report;
-  const std::string checkpoint = dir + "/" + options.checkpoint_file;
+  const std::string checkpoint = dir + "/" + kLegacyCheckpointFile;
   const std::string manifest = dir + "/" + options.manifest_file;
 
   if (env->Exists(checkpoint)) {

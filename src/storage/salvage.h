@@ -57,8 +57,8 @@ struct SalvageFinding {
 };
 
 struct SalvageOptions {
-  /// File names inside the directory (the DurableExecutor layout).
-  std::string checkpoint_file = "checkpoint.db";
+  /// File names inside the directory (the DurableExecutor layout). A
+  /// legacy kLegacyCheckpointFile, when present, is validated too.
   std::string wal_file = "wal.log";
   /// Sharded (ShardedExecutor) layout: when `manifest_file` exists in the
   /// directory, the scan switches to it — shard count from the manifest,
@@ -72,7 +72,8 @@ struct SalvageOptions {
   /// Same, for sharded WAL / coordinator record payloads (the sharded
   /// commit protocol uses different record kinds).
   std::function<Status(std::string_view payload)> validate_shard_record;
-  /// Semantic validation of the checkpoint bytes. Unset = presence only.
+  /// Semantic validation of a legacy checkpoint image's bytes. Unset =
+  /// presence only.
   std::function<Status(std::string_view data)> validate_checkpoint;
   /// Compact layout (CompactStore): when this file exists in the
   /// directory, the scan also covers the checkpoint manifest chain and

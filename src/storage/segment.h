@@ -26,6 +26,13 @@ namespace ttra {
 /// The manifest of a compact directory (presence marks the layout).
 inline constexpr char kCompactManifestFile[] = "segments.manifest";
 
+/// The full-copy checkpoint image (SaveDatabase format) that directories
+/// written before the compact layout became the only one still hold.
+/// Nothing writes it any more: CompactStore::Load reads it once when no
+/// manifest exists, and the first manifest commit after that removes it.
+/// fsck validates it, because recovery reads it.
+inline constexpr char kLegacyCheckpointFile[] = "checkpoint.db";
+
 /// "seg-<escaped relation name>.<generation>.seg". Escaping keeps names
 /// with path-hostile characters on one flat directory level.
 std::string SegmentFileName(std::string_view relation, uint64_t generation);

@@ -14,6 +14,7 @@
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 #include "storage/serialize.h"
+#include "storage/wal.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -27,7 +28,7 @@ namespace {
 // observable behavior must be indistinguishable from it. This suite makes
 // the claim a property: for each seed, one random command program is
 // executed through a plain SerialExecutor (the spec) and through every
-// durable engine with compact storage enabled, interleaved with random
+// durable engine (both write the compact layout), interleaved with random
 // checkpoints, reopens (recovery through CompactStore::Load), and online
 // CompactStorage() calls. The contracts:
 //
@@ -37,8 +38,10 @@ namespace {
 //  2. ρ(I, N) answers are equal at EVERY epoch 0..final, both through the
 //     recovered in-memory database and through the on-disk probe path
 //     (ProbeSnapshot/ProbeHistorical), with the probe cache on or off;
-//  3. migrating a legacy full-copy directory to the compact layout (and
-//     the reverse adoption on reopen) preserves byte-equality.
+//  3. migrating a legacy directory (full-copy checkpoint.db plus a WAL of
+//     plain records, built by hand because nothing writes it any more)
+//     to the compact layout preserves byte-equality and removes the
+//     legacy image.
 //
 // Runs as 10 fixed ctest shards that together sweep TTRA_ORACLE_SEEDS
 // seeds (read at RUN time; default 100 — CI's quick lane lowers it to 25,
@@ -185,9 +188,49 @@ Database RunSerialOracle(const Program& program, std::vector<bool>& acks) {
   return serial.Snapshot();
 }
 
+/// Writes the pre-compact single-writer layout by hand: SaveDatabase of the
+/// oracle after the first `split` sentences as checkpoint.db, and a
+/// wal.log of plain kind-0 (sequenced) / kind-1 (atomic) records
+/// [u8 kind][u64 pre_txn][u64 n][n commands]. The log starts two sentences
+/// before the split, as a crash between checkpoint publication and WAL
+/// truncation left it, so recovery must skip the covered records.
+void WriteLegacyDir(Env* env, const std::string& dir, const Program& program,
+                    size_t split) {
+  const auto put_u64 = [](uint64_t v, std::string& out) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  WalWriter wal(env, dir + "/wal.log");
+  ASSERT_TRUE(wal.Create().ok());
+  const size_t wal_from = split >= 2 ? split - 2 : 0;
+  SerialExecutor serial;
+  for (size_t i = 0; i <= program.sentences.size(); ++i) {
+    if (i == split) {
+      ASSERT_TRUE(SaveDatabase(serial.Snapshot(),
+                               dir + "/" + kLegacyCheckpointFile, env)
+                      .ok());
+    }
+    if (i == program.sentences.size()) break;
+    const Sentence& sentence = program.sentences[i];
+    if (i >= wal_from) {
+      std::string record(1, static_cast<char>(sentence.atomic ? 1 : 0));
+      put_u64(serial.transaction_number(), record);
+      put_u64(sentence.commands.size(), record);
+      for (const Command& command : sentence.commands) {
+        EncodeCommand(command, record);
+      }
+      ASSERT_TRUE(wal.AddRecord(record).ok());
+    }
+    auto body = [&](Database& db) {
+      return ApplySentence(db, sentence.commands);
+    };
+    (void)(sentence.atomic ? serial.SubmitAtomic(body) : serial.Submit(body));
+  }
+  ASSERT_TRUE(wal.Sync().ok());
+}
+
 /// Runs the program through a DurableExecutor, honoring the interleave
-/// schedule (compact-only actions downgrade to plain checkpoints when the
-/// engine runs the legacy layout).
+/// schedule.
 void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
                 const Program& program,
                 const std::vector<Interleave>& schedule,
@@ -211,11 +254,7 @@ void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
         ASSERT_TRUE(exec->Open().ok()) << "reopen after sentence " << i;
         break;
       case Interleave::kCompactStorage:
-        if (options.compact_storage) {
-          ASSERT_TRUE(exec->CompactStorage().ok());
-        } else {
-          ASSERT_TRUE(exec->Checkpoint().ok());
-        }
+        ASSERT_TRUE(exec->CompactStorage().ok());
         break;
     }
   }
@@ -300,7 +339,6 @@ void RunCompactOracleSeed(uint64_t seed) {
   InMemoryEnv env;
   const std::string dir = "compact";
   DurableOptions compact_options;
-  compact_options.compact_storage = true;
   compact_options.compact.keyframe_interval = 3;  // short replay chains
   std::vector<bool> compact_acks;
   RunDurable(&env, dir, compact_options, program, schedule, compact_acks);
@@ -312,7 +350,6 @@ void RunCompactOracleSeed(uint64_t seed) {
   const Database recovered = reopened.Snapshot();
   ASSERT_EQ(oracle_bytes, EncodeDatabase(recovered));
   VerifyRollbackEquality(oracle, recovered);
-  ASSERT_NE(reopened.compact_store(), nullptr);
   VerifyProbeEquality(*reopened.compact_store(), recovered);
   if (recovered.transaction_number() > 0) {
     EXPECT_GT(reopened.compact_store()->stats().probes, 0u);
@@ -340,27 +377,22 @@ void RunCompactOracleSeed(uint64_t seed) {
   ASSERT_EQ(oracle_bytes, EncodeDatabase(*cacheless_db));
   VerifyRollbackEquality(oracle, *cacheless_db);
 
-  // --- legacy layout + migration -------------------------------------------
+  // --- legacy directory + migration ----------------------------------------
   const std::string legacy_dir = "legacy";
-  DurableOptions legacy_options;  // full-copy checkpoint.db
-  std::vector<bool> legacy_acks;
-  RunDurable(&env, legacy_dir, legacy_options, program, schedule,
-             legacy_acks);
-  ASSERT_EQ(oracle_acks, legacy_acks);
-  ASSERT_FALSE(CompactStore::IsCompactDir(env, legacy_dir));
-
-  DurableOptions migrate = compact_options;
-  DurableExecutor migrated(&env, legacy_dir, migrate);
+  WriteLegacyDir(&env, legacy_dir, program,
+                 seed % (program.sentences.size() + 1));
+  if (::testing::Test::HasFatalFailure()) return;
+  DurableExecutor migrated(&env, legacy_dir, compact_options);
   ASSERT_TRUE(migrated.Open().ok());
   ASSERT_EQ(oracle_bytes, EncodeDatabase(migrated.Snapshot()));
-  ASSERT_TRUE(CompactStore::IsCompactDir(env, legacy_dir));
-  ASSERT_FALSE(env.Exists(legacy_dir + "/checkpoint.db"));
+  ASSERT_TRUE(env.Exists(legacy_dir + "/" + kCompactManifestFile));
+  ASSERT_FALSE(env.Exists(legacy_dir + "/" + kLegacyCheckpointFile));
+  ASSERT_FALSE(env.Exists(legacy_dir + "/" + kLegacyCheckpointFile + ".tmp"));
 
-  // Once migrated, a flagless reopen adopts the compact layout.
-  DurableExecutor adopted(&env, legacy_dir, DurableOptions{});
+  // Once migrated, a reopen recovers from the manifest.
+  DurableExecutor adopted(&env, legacy_dir, compact_options);
   ASSERT_TRUE(adopted.Open().ok());
   ASSERT_EQ(oracle_bytes, EncodeDatabase(adopted.Snapshot()));
-  ASSERT_NE(adopted.compact_store(), nullptr);
 }
 
 class CompactStorageOracleTest : public ::testing::TestWithParam<int> {};
@@ -401,7 +433,6 @@ void RunConcurrentCompactSeed(uint64_t seed) {
     const std::string dir = "sharded-" + std::to_string(shards);
     ShardedOptions options;
     options.shards = shards;
-    options.durable.compact_storage = true;
     options.durable.compact.keyframe_interval = 3;
     ShardedExecutor exec(&env, dir, options);
     ASSERT_TRUE(exec.Start().ok());
@@ -425,7 +456,6 @@ void RunConcurrentCompactSeed(uint64_t seed) {
     ASSERT_TRUE(exec.Checkpoint().ok());
     const Database final_db = exec.Snapshot();
     ASSERT_EQ(oracle_bytes, EncodeDatabase(final_db));
-    ASSERT_NE(exec.compact_store(), nullptr);
     VerifyProbeEquality(*exec.compact_store(), final_db);
     exec.Stop();
 

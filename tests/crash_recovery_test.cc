@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "rollback/durable_executor.h"
-#include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
@@ -521,7 +520,7 @@ TEST(CrashRecoveryTest, TornTailIsReportedByRecovery) {
   EXPECT_EQ(recovered.transaction_number(), 1u);
 }
 
-TEST(CrashRecoveryTest, CheckpointTruncatesWalAndPreservesState) {
+TEST(CrashRecoveryTest, CheckpointKeepsWalUntilCompactStorage) {
   InMemoryEnv env;
   DurableExecutor exec(&env, "d", DurableOptions{});
   ASSERT_TRUE(exec.Open().ok());
@@ -537,12 +536,26 @@ TEST(CrashRecoveryTest, CheckpointTruncatesWalAndPreservesState) {
   ASSERT_TRUE(exec.Checkpoint().ok());
   auto wal = ReadWal(env, "d/wal.log");
   ASSERT_TRUE(wal.ok());
-  EXPECT_TRUE(wal->records.empty());  // all state now in the checkpoint
+  EXPECT_EQ(wal->records.size(), steps.size());  // retained: fsck's baseline
 
-  DurableExecutor recovered(&env, "d", DurableOptions{});
-  ASSERT_TRUE(recovered.Open().ok());
-  EXPECT_EQ(recovered.last_recovery().replayed_records, 0u);
-  EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), want);
+  {
+    // Every record is covered by the checkpoint: none is applied again.
+    DurableExecutor recovered(&env, "d", DurableOptions{});
+    ASSERT_TRUE(recovered.Open().ok());
+    EXPECT_EQ(recovered.last_recovery().checkpoint_txn,
+              recovered.transaction_number());
+    EXPECT_EQ(recovered.last_recovery().replayed_records, 0u);
+    EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), want);
+    ASSERT_TRUE(recovered.CompactStorage().ok());
+  }
+  wal = ReadWal(env, "d/wal.log");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_TRUE(wal->records.empty());  // only a compaction truncates it
+
+  DurableExecutor compacted(&env, "d", DurableOptions{});
+  ASSERT_TRUE(compacted.Open().ok());
+  EXPECT_EQ(compacted.last_recovery().replayed_records, 0u);
+  EXPECT_EQ(EncodeDatabase(compacted.Snapshot()), want);
 }
 
 TEST(CrashRecoveryTest, SyncPolicyBatchMayLoseOnlyUnsyncedSuffix) {
@@ -576,11 +589,7 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
   Env* env = Env::Default();
   const std::string dir = ::testing::TempDir() + "/ttra_crash_posix";
   // Start from a clean directory: TempDir persists across test runs.
-  for (const char* file : {"/wal.log", "/checkpoint.db", "/checkpoint.db.tmp"}) {
-    if (env->Exists(dir + file)) {
-      ASSERT_TRUE(env->Remove(dir + file).ok());
-    }
-  }
+  ASSERT_TRUE(ResetWalDir(env, dir).ok());
   DurableOptions options;
   {
     DurableExecutor exec(env, dir, options);
@@ -730,8 +739,8 @@ void WriteLegacyLog(Env& env, const std::vector<std::string>& records) {
 }
 
 /// A clean legacy log, then a fault at op `fault_at` of its recovery —
-/// Open() replays the group records, checkpoints them and truncates the
-/// log — and of one auto-checkpointed commit after it. Crash; a fault-free
+/// Open() replays the group records and checkpoints them — and of one
+/// auto-checkpointed commit after it. Crash; a fault-free
 /// reopen must hold every batch, plus the commit if it was acknowledged.
 void RunLegacyRecoveryFaultPoint(uint64_t fault_at,
                                  FaultInjectionEnv::FaultMode mode,
@@ -841,13 +850,10 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
     // By-hand recovery oracle: checkpoint, then every batch of the shard
     // WAL whose prepare and commit records both survived, in commit order,
     // up to the first gap.
-    DurableOptions plain;
-    Database oracle_db(plain.db);
-    if (env.Exists("c/checkpoint.db")) {
-      auto loaded = LoadDatabase("c/checkpoint.db", plain.db, &env);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      oracle_db = *std::move(loaded);
-    }
+    CompactStore checkpoint(&env, "c");
+    auto loaded = checkpoint.Load(DatabaseOptions{});
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    Database oracle_db = *std::move(loaded);
     const std::string wal_path = "c/" + ShardWalFile(0);
     if (env.Exists(wal_path)) {
       auto wal = ReadWal(env, wal_path);

@@ -89,13 +89,13 @@ SalvageOptions FsckOptions() {
   return options;
 }
 
-/// One seeded schedule. With `compact` the executor checkpoints through
-/// the compact layout every few commits, so the fault plan also strikes
-/// mid-segment-append and mid-manifest-append — the crash windows the
-/// compact salvage rules exist for.
-void RunSeed(uint64_t seed, bool compact) {
+/// One seeded schedule. With `checkpoints` the executor also checkpoints
+/// every few commits, so the fault plan strikes mid-segment-append and
+/// mid-manifest-append too — the crash windows the compact salvage rules
+/// exist for. Without, only Start() checkpoints, before the plan is armed.
+void RunSeed(uint64_t seed, bool checkpoints) {
   SCOPED_TRACE("seed " + std::to_string(seed) +
-               (compact ? " (compact)" : ""));
+               (checkpoints ? " (checkpoints)" : ""));
   Rng rng(seed);
 
   // The workload and its oracle: canonical state after each prefix.
@@ -127,8 +127,7 @@ void RunSeed(uint64_t seed, bool compact) {
   options.durable.retry.sleeper = [&sleeper_calls](std::chrono::microseconds) {
     ++sleeper_calls;
   };
-  if (compact) {
-    options.durable.compact_storage = true;
+  if (checkpoints) {
     options.durable.checkpoint_every = 4;
     options.durable.compact.keyframe_interval = 3;
   }
@@ -151,8 +150,8 @@ void RunSeed(uint64_t seed, bool compact) {
       ++acked;
     } else if (!failed) {
       failed = true;
-      if (compact && result.status().code() == ErrorCode::kReadOnly) {
-        // A periodic compact checkpoint failed AFTER its triggering
+      if (checkpoints && result.status().code() == ErrorCode::kReadOnly) {
+        // A periodic checkpoint failed AFTER its triggering
         // commit was acked: the executor fail-stopped between submits,
         // so the first refused sentence already sees the read-only code
         // (its message carries the checkpoint's real cause).
@@ -218,11 +217,11 @@ void RunSeed(uint64_t seed, bool compact) {
 
   auto scan = ScanStorage(&env, "t", FsckOptions());
   ASSERT_TRUE(scan.ok()) << scan.status();
-  if (!compact) {
+  if (!checkpoints) {
     ASSERT_NE(scan->verdict, SalvageVerdict::kUnrecoverable)
         << "the checkpoint is never written under the fault plan";
   } else if (scan->verdict == SalvageVerdict::kUnrecoverable) {
-    // Compact mode does write covered state. Damage INSIDE it with no
+    // Periodic checkpoints do write covered state. Damage INSIDE it with no
     // provable WAL rebuild base is honestly unrecoverable — but only a
     // lying fsync or post-crash rot can manufacture that.
     ASSERT_TRUE(plan_stats.lying_syncs > 0 || rotted)
@@ -277,7 +276,7 @@ void RunSeed(uint64_t seed, bool compact) {
 TEST(FaultTortureTest, SeededScheduleSweep) {
   const size_t seeds = SeedCount();
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    RunSeed(seed, /*compact=*/false);
+    RunSeed(seed, /*checkpoints=*/false);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -285,7 +284,7 @@ TEST(FaultTortureTest, SeededScheduleSweep) {
 TEST(FaultTortureTest, CompactStorageSeededScheduleSweep) {
   const size_t seeds = SeedCount();
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    RunSeed(seed, /*compact=*/true);
+    RunSeed(seed, /*checkpoints=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -537,7 +537,6 @@ SalvageOptions CompactSalvageOptions() {
 
 DurableOptions CompactExecutorOptions() {
   DurableOptions options;
-  options.compact_storage = true;
   options.compact.keyframe_interval = 3;
   return options;
 }

@@ -145,7 +145,7 @@ TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
   };
   const auto before = snapshot();
   // The reverse direction: opening the directory as a single-writer one
-  // would ignore the shard logs and rewrite the shared checkpoint.db.
+  // would ignore the shard logs and checkpoint into the shared store.
   DurableExecutor single(&env, "db", DurableOptions{});
   const Status status = single.Open();
   ASSERT_FALSE(status.ok());
@@ -153,6 +153,53 @@ TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
   EXPECT_NE(status.message().find("MANIFEST"), std::string::npos);
   EXPECT_EQ(snapshot(), before);
   EXPECT_FALSE(env.Exists("db/wal.log"));
+}
+
+TEST(ShardLayoutTest, ResetWalDirStartsEveryLayoutEmpty) {
+  InMemoryEnv env;
+  const Command define{
+      DefineRelationCmd{"emp", RelationType::kRollback, EmpSchema()}};
+  {
+    DurableExecutor single(&env, "single", DurableOptions{});
+    ASSERT_TRUE(single.Open().ok());
+    ASSERT_TRUE(single.Submit(define).ok());
+    ASSERT_TRUE(single.Checkpoint().ok());
+  }
+  {
+    ShardedExecutor sharded(&env, "sharded", FastOptions(3));
+    ASSERT_TRUE(sharded.Start().ok());
+    ASSERT_TRUE(sharded.Submit(define).ok());
+    ASSERT_TRUE(sharded.Checkpoint().ok());
+    ASSERT_TRUE(sharded
+                    .Submit(Command{
+                        ModifySnapshotCmd{"emp", EmpState({{"a", 1}})}})
+                    .ok());
+    sharded.Stop();
+  }
+  // A legacy image and fsck's quarantined bytes are swept too; a file the
+  // executors never write is left alone.
+  ASSERT_TRUE(env.Append("single/checkpoint.db", "legacy").ok());
+  ASSERT_TRUE(env.Append("single/wal.log.quarantine", "cut").ok());
+  ASSERT_TRUE(env.Append("sharded/notes.txt", "kept").ok());
+  ASSERT_TRUE(ResetWalDir(&env, "single").ok());
+  ASSERT_TRUE(ResetWalDir(&env, "sharded").ok());
+  ASSERT_TRUE(ResetWalDir(&env, "missing").ok());
+  EXPECT_TRUE(env.List("single")->empty());
+  EXPECT_EQ(*env.List("sharded"), std::vector<std::string>{"notes.txt"});
+
+  // Each starts as an empty database: the define succeeds again.
+  DurableExecutor single(&env, "single", DurableOptions{});
+  ASSERT_TRUE(single.Open().ok());
+  EXPECT_EQ(single.transaction_number(), 0u);
+  EXPECT_TRUE(single.Snapshot().RelationNames().empty());
+  EXPECT_TRUE(single.Submit(define).ok());
+  ShardedExecutor sharded(&env, "sharded", FastOptions(1));
+  ASSERT_TRUE(sharded.Start().ok());
+  EXPECT_EQ(sharded.shards(), 1u);  // no MANIFEST left to adopt
+  EXPECT_EQ(sharded.transaction_number(), 0u);
+  EXPECT_TRUE(sharded.Snapshot().RelationNames().empty());
+  EXPECT_TRUE(sharded.Submit(define).ok());
+  sharded.Stop();
 }
 
 TEST(ShardedExecutorTest, CommitsRouteToHomeShardsAndReadersSeeOneChain) {

@@ -399,7 +399,6 @@ TEST(TsanStressTest, OnlineCompactionVsProducersReadersAndProbes) {
   InMemoryEnv env;
   ShardedOptions options;
   options.shards = 1;
-  options.durable.compact_storage = true;
   options.durable.compact.keyframe_interval = 4;
   options.durable.checkpoint_every = 8;
   options.group_commit.max_batch = 8;

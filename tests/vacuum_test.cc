@@ -250,7 +250,6 @@ TEST(OnlineCompactionTest, CompactionRacesWritersReadersAndProbes) {
   InMemoryEnv env;
   ShardedOptions options;
   options.shards = 1;
-  options.durable.compact_storage = true;
   options.durable.compact.keyframe_interval = 4;
   ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());

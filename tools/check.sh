@@ -195,11 +195,11 @@ fi
 
 if [ "$do_compact" -eq 1 ]; then
   # Compact-storage gate: the property oracle (label `compact`) proving
-  # the delta-encoded segment engine equivalent to the full-copy baseline
-  # — byte-equal databases after reopen, ρ(I, N) probe equality at every
-  # epoch, FINDSTATE-cache-on/off agreement — across Serial, Durable and
-  # Sharded (one and three shards) executors, plus legacy-directory
-  # migration.
+  # the delta-encoded segment engine, the only checkpoint format, equal to
+  # the full-copy semantics — byte-equal databases after reopen, ρ(I, N)
+  # probe equality at every epoch, FINDSTATE-cache-on/off agreement —
+  # across Serial, Durable and Sharded (one and three shards) executors,
+  # plus migration of a hand-built legacy checkpoint.db directory.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-100}" \
   run_pass build compact
 fi
@@ -301,8 +301,10 @@ if [ "$do_bench" -eq 1 ]; then
   ./build-release/bench/bench_concurrent \
     --benchmark_min_time=0.05 \
     --benchmark_out=BENCH_concurrent.json --benchmark_out_format=json
-  # Experiment E17: compact segment engine vs full-copy checkpoint.db —
-  # bytes appended per transaction and FINDSTATE probe latency.
+  # Experiment E17: compact segment engine — bytes appended per
+  # transaction, and FINDSTATE probe latency against loading a full-copy
+  # export image. (The deleted full-copy write path's bytes per
+  # transaction are recorded in EXPERIMENTS.md E17.)
   ./build-release/bench/bench_storage \
     --benchmark_filter='BM_BytesPerTxn|BM_FindStateProbe' \
     --benchmark_min_time=0.05 \

@@ -3,7 +3,7 @@
 //   ttra run <script> [--db <file>] [--save <file>] [--lax] [--optimize]
 //                     [--explain] [--wal-dir <dir>] [--fresh] [--recover]
 //                     [--group-commit] [--sessions <n>] [--batch <k>]
-//                     [--shards <n>] [--compact-storage]
+//                     [--shards <n>]
 //   ttra check <script> [--json] [--werror] [--help]
 //   ttra describe --db <file>
 //   ttra vacuum --db <file> --relation <name> --before <txn>
@@ -31,8 +31,13 @@
 // With --wal-dir, `run` executes durably: state is recovered from the
 // directory's checkpoint + write-ahead log, and every update is logged and
 // fsync'ed before it is acknowledged, so a crash mid-script loses nothing
-// that was reported committed. --fresh discards any previous state in the
-// directory first; --recover prints a recovery report before running.
+// that was reported committed. The checkpoint is the compact layout
+// (DESIGN.md §16): per-relation delta-encoded segment files chained by
+// segments.manifest. The single-writer WAL is kept across checkpoints
+// until `vacuum --wal-dir`; a directory written by an earlier build, with
+// a full-copy checkpoint.db, is migrated on its first open. --fresh
+// discards any previous state in the directory first; --recover prints a
+// recovery report before running.
 // `recover` just recovers, reports, and (with --save) exports a plain
 // database file. It refuses mid-log corruption (intact records stranded
 // beyond a damaged one) instead of silently replaying a hole; `fsck`
@@ -59,15 +64,10 @@
 // Flags are checked per command: an unknown flag, a missing value, or a
 // count that is not a whole decimal number is a usage error (exit 2).
 //
-// With --compact-storage, durable checkpoints use the compact layout
-// (DESIGN.md §16): per-relation delta-encoded segment files chained by
-// segments.manifest instead of full-copy checkpoint.db images. A
-// directory that already has the compact layout is adopted regardless of
-// the flag; a legacy directory is migrated on the first checkpoint.
-// `vacuum --wal-dir` compacts such a directory online — it rewrites every
-// segment chain to a single keyframe, collapses the manifest chain to one
-// full record, and truncates the WAL, all without blocking pinned
-// readers. `recover` and `fsck` detect the compact layout automatically.
+// `vacuum --wal-dir` compacts a durable directory online: it rewrites
+// every segment chain to a single keyframe, collapses the manifest chain
+// to one full record, and truncates the WAL, all without blocking pinned
+// readers.
 //
 // `modelcheck` runs the deterministic schedule explorer (src/modelcheck)
 // over the commit-protocol scenarios: every interleaving of the scaled-down
@@ -136,7 +136,6 @@ struct Flags {
   bool help = false;
   bool repair = false;
   bool seeded_bug = false;
-  bool compact_storage = false;
 };
 
 /// The flags one subcommand accepts: switches set a Flags member and take
@@ -155,8 +154,7 @@ const FlagSpec* FlagsOf(const std::string& command) {
          {"explain", &Flags::explain},
          {"fresh", &Flags::fresh},
          {"recover", &Flags::recover},
-         {"group-commit", &Flags::group_commit},
-         {"compact-storage", &Flags::compact_storage}},
+         {"group-commit", &Flags::group_commit}},
         {"db", "save", "wal-dir", "sessions", "batch", "shards"}}},
       {"check",
        {{{"json", &Flags::json},
@@ -321,74 +319,6 @@ void ReportRecovery(TransactionNumber txn,
   std::cout << ")\n";
 }
 
-Status ResetWalDir(Env* env, const std::string& wal_dir) {
-  if (IsShardedDir(*env, wal_dir)) {
-    // Shard count from the manifest when readable. A reset must also work
-    // when the manifest is itself the corrupt part, so on a read failure
-    // fall back to probing the contiguous shard numbering (bounded by the
-    // manifest's own 4096-shard plausibility cap) instead of silently
-    // leaving shard WALs behind to confuse the next recovery.
-    uint32_t shard_count = 0;
-    Result<uint32_t> shards = ReadShardManifest(*env, wal_dir);
-    if (shards.ok()) {
-      shard_count = *shards;
-    } else {
-      for (uint32_t k = 0; k < 4096; ++k) {
-        if (!env->Exists(wal_dir + "/" + ShardWalFile(k)) &&
-            !env->Exists(wal_dir + "/" + ShardWalFile(k) + ".quarantine")) {
-          break;
-        }
-        shard_count = k + 1;
-      }
-    }
-    for (uint32_t k = 0; k < shard_count; ++k) {
-      for (const char* suffix : {"", ".quarantine"}) {
-        const std::string path = wal_dir + "/" + ShardWalFile(k) + suffix;
-        if (!env->Exists(path)) continue;
-        TTRA_RETURN_IF_ERROR(env->Remove(path));
-      }
-    }
-    for (const std::string& name :
-         {std::string(kCoordinatorLogFile),
-          std::string(kCoordinatorLogFile) + ".quarantine",
-          std::string(kShardManifestFile)}) {
-      const std::string path = wal_dir + "/" + name;
-      if (!env->Exists(path)) continue;
-      TTRA_RETURN_IF_ERROR(env->Remove(path));
-    }
-  }
-  for (const char* name : {"wal.log", "checkpoint.db", "checkpoint.db.tmp"}) {
-    const std::string path = wal_dir + "/" + std::string(name);
-    if (!env->Exists(path)) continue;
-    TTRA_RETURN_IF_ERROR(env->Remove(path));
-  }
-  // Compact-storage layout: the checkpoint manifest chain plus every
-  // segment file in the directory (a reset must also sweep generations a
-  // damaged manifest no longer references) and their quarantined remains.
-  for (const std::string& name :
-       {std::string(kCompactManifestFile),
-        std::string(kCompactManifestFile) + ".quarantine",
-        std::string(kCompactManifestFile) + ".tmp"}) {
-    const std::string path = wal_dir + "/" + name;
-    if (!env->Exists(path)) continue;
-    TTRA_RETURN_IF_ERROR(env->Remove(path));
-  }
-  if (Result<std::vector<std::string>> entries = env->List(wal_dir);
-      entries.ok()) {
-    constexpr std::string_view kQuarantine = ".quarantine";
-    for (const std::string& name : *entries) {
-      std::string_view base = name;
-      if (base.size() > kQuarantine.size() &&
-          base.substr(base.size() - kQuarantine.size()) == kQuarantine) {
-        base.remove_suffix(kQuarantine.size());
-      }
-      if (!IsSegmentFileName(base)) continue;
-      TTRA_RETURN_IF_ERROR(env->Remove(wal_dir + "/" + name));
-    }
-  }
-  return Status::Ok();
-}
-
 /// The statement loop of `run --group-commit`/`run --shards`. Returns 0
 /// on success.
 int RunProgramConcurrently(ShardedExecutor& exec,
@@ -515,7 +445,6 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
   }
   ShardedOptions options;
   options.shards = 1;
-  options.durable.compact_storage = flags.compact_storage;
   if (!CountFlag(flags, "batch", 1, UINT64_MAX,
                  options.group_commit.max_batch)) {
     return UsageError("--batch expects a positive whole number");
@@ -582,9 +511,7 @@ int CmdRunDurable(const Flags& flags, const std::string& wal_dir) {
     Status reset = ResetWalDir(env, wal_dir);
     if (!reset.ok()) return Fail("cannot reset state: " + reset.ToString());
   }
-  DurableOptions options;
-  options.compact_storage = flags.compact_storage;
-  DurableExecutor exec(env, wal_dir, options);
+  DurableExecutor exec(env, wal_dir);
   Status opened = exec.Open();
   if (!opened.ok()) return Fail("recovery failed: " + opened.ToString());
   if (flags.recover) ReportRecovery(exec);
@@ -626,7 +553,7 @@ int CmdRun(const Flags& flags) {
     return Fail("usage: ttra run <script> [--db f] [--save f] [--lax] "
                 "[--optimize] [--explain] [--wal-dir d] [--fresh] "
                 "[--recover] [--group-commit] [--sessions n] [--batch k] "
-                "[--shards n] [--compact-storage]");
+                "[--shards n]");
   }
   auto wal_dir = flags.values.find("wal-dir");
   if (flags.group_commit || flags.values.count("sessions") ||
@@ -732,9 +659,7 @@ int CmdDescribe(const Flags& flags) {
 /// executor. Rewrites every relation's segment chain to a single keyframe
 /// at the current tip, collapses the manifest chain to one full record,
 /// and truncates the WAL — readers pinned at older epochs keep their
-/// in-memory states (copy-then-swap; nothing blocks on them). Implies
-/// --compact-storage: a legacy full-copy directory is migrated to the
-/// compact layout by the compaction itself.
+/// in-memory states (copy-then-swap; nothing blocks on them).
 int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
   if (flags.values.count("db") || flags.values.count("relation") ||
       flags.values.count("before")) {
@@ -744,9 +669,7 @@ int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
   }
   Env* env = Env::Default();
   if (IsShardedDir(*env, wal_dir)) {
-    ShardedOptions options;
-    options.durable.compact_storage = true;
-    ShardedExecutor exec(env, wal_dir, options);
+    ShardedExecutor exec(env, wal_dir);
     Status started = exec.Start();
     if (!started.ok()) return Fail("recovery failed: " + started.ToString());
     Status compacted = exec.CompactStorage();
@@ -759,9 +682,7 @@ int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
               << exec.transaction_number() << ", ~" << bytes << " bytes)\n";
     return 0;
   }
-  DurableOptions options;
-  options.compact_storage = true;
-  DurableExecutor exec(env, wal_dir, options);
+  DurableExecutor exec(env, wal_dir);
   Status opened = exec.Open();
   if (!opened.ok()) return Fail("recovery failed: " + opened.ToString());
   Status compacted = exec.CompactStorage();
