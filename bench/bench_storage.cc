@@ -1,13 +1,21 @@
 // Experiment E3: the storage/retrieval tradeoff the paper explicitly
 // leaves to "more efficient implementations" (§2). Measures, per engine:
-//   * bytes per recorded transaction as the update ratio varies, and
-//   * FINDSTATE latency at a random past transaction.
+//   * bytes per recorded transaction as the update ratio varies,
+//   * FINDSTATE latency at a random past transaction, and
+//   * resident memory per state of a long one-tuple-change history
+//     (BM_HistoryResidentBytes).
 // Full-copy is the paper's direct semantics; delta and checkpointed delta
 // are the optimized realizations proven equivalent by the test suite.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <string>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "rollback/compact_store.h"
 #include "rollback/durable_executor.h"
@@ -15,6 +23,7 @@
 #include "storage/env.h"
 #include "storage/serialize.h"
 #include "storage/logs.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -143,10 +152,115 @@ void BM_SerializeRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_SerializeRoundTrip)->Arg(4)->Arg(16)->Arg(64);
 
 // ---------------------------------------------------------------------------
+// Resident history in the end-to-end preload's shape: kResidentStates states
+// of a 32-tuple rollback relation and as many of a 16-tuple temporal one,
+// each state one tuple away from the last, committed through Database. Per
+// engine: resident-set growth per state pair (VmRSS after the history is
+// built, less VmRSS before, with freed heap returned to the OS first so
+// earlier runs do not hide growth) and the latency of ρ(acct, N) at a
+// random recorded N.
+
+constexpr size_t kResidentStates = 20000;
+
+/// VmRSS of this process in bytes, or 0 where /proc is unavailable.
+size_t ResidentBytes() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0;
+  char line[256];
+  size_t kb = 0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %zu kB", &kb) == 1) break;
+  }
+  std::fclose(status);
+  return kb * 1024;
+}
+
+Tuple AcctRow(Rng& rng) {
+  return Tuple{Value::Int(rng.UniformInt(0, 31)),
+               Value::String("o" + std::to_string(rng.UniformInt(0, 7))),
+               Value::Int(rng.UniformInt(0, 999))};
+}
+
+HistoricalTuple PosRow(Rng& rng) {
+  const Chronon a = rng.UniformInt(0, 998);
+  return HistoricalTuple{
+      Tuple{Value::Int(rng.UniformInt(0, 31)),
+            Value::String("t" + std::to_string(rng.UniformInt(0, 3)))},
+      TemporalElement::Span(a, rng.UniformInt(a + 1, std::min<Chronon>(
+                                                        1000, a + 300)))};
+}
+
+void RunHistoryResident(benchmark::State& state, StorageKind kind) {
+  const Schema acct_schema = *Schema::Make({{"id", ValueType::kInt},
+                                            {"owner", ValueType::kString},
+                                            {"bal", ValueType::kInt}});
+  const Schema pos_schema = *Schema::Make(
+      {{"id", ValueType::kInt}, {"title", ValueType::kString}});
+  const size_t before = ResidentBytes();
+  Database db(DatabaseOptions{.storage = kind, .checkpoint_interval = 16});
+  if (!db.DefineRelation("acct", RelationType::kRollback, acct_schema).ok() ||
+      !db.DefineRelation("pos", RelationType::kTemporal, pos_schema).ok()) {
+    state.SkipWithError("define failed");
+    return;
+  }
+  Rng rng(41);
+  std::vector<Tuple> acct;
+  for (int i = 0; i < 32; ++i) acct.push_back(AcctRow(rng));
+  std::vector<HistoricalTuple> pos;
+  for (int i = 0; i < 16; ++i) pos.push_back(PosRow(rng));
+  const TransactionNumber first = db.transaction_number() + 1;
+  for (size_t i = 0; i < kResidentStates; ++i) {
+    acct[rng.Uniform(acct.size())] = AcctRow(rng);
+    pos[rng.Uniform(pos.size())] = PosRow(rng);
+    if (!db.ModifyState("acct", *SnapshotState::Make(acct_schema, acct))
+             .ok() ||
+        !db.ModifyState("pos", *HistoricalState::Make(pos_schema, pos))
+             .ok()) {
+      state.SkipWithError("modify_state failed");
+      return;
+    }
+  }
+  const size_t after = ResidentBytes();
+  const TransactionNumber last = db.transaction_number();
+  for (auto _ : state) {
+    const TransactionNumber n =
+        first + static_cast<TransactionNumber>(rng.Uniform(last - first + 1));
+    Result<SnapshotState> found = db.Rollback("acct", n);
+    if (!found.ok()) {
+      state.SkipWithError("rollback failed");
+      return;
+    }
+    benchmark::DoNotOptimize(*found);
+  }
+  const double growth = after > before ? static_cast<double>(after - before)
+                                       : 0.0;
+  state.counters["rss_growth_mb"] = growth / (1024.0 * 1024.0);
+  state.counters["rss_bytes_per_state_pair"] = growth / kResidentStates;
+  state.SetLabel(std::string(StorageKindName(kind)));
+}
+
+void BM_HistoryResidentBytes(benchmark::State& state) {
+  constexpr StorageKind kKinds[] = {StorageKind::kFullCopy,
+                                    StorageKind::kCheckpoint,
+                                    StorageKind::kDelta,
+                                    StorageKind::kReverseDelta};
+  RunHistoryResident(state, kKinds[state.range(0)]);
+}
+// Fixed iterations: the history is built once per engine, and a delta
+// engine's ρ replays thousands of entries.
+BENCHMARK(BM_HistoryResidentBytes)
+    ->DenseRange(0, 3)
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
 // Experiment E17: the on-disk compact checkpoint engine (DESIGN.md §16),
 // through the real DurableExecutor write path. The full-copy write path
 // it replaced is gone (its 68,077 B/txn stays recorded in
-// BENCH_storage.json); the probe baseline still reads a full-copy image,
+// EXPERIMENTS.md E17); the probe baseline still reads a full-copy image,
 // written by SaveDatabase, the `--save` export format.
 
 /// In-memory env that counts every byte handed to Append — the write

@@ -87,10 +87,9 @@ Result<HistoricalState> Project(const HistoricalState& state,
   std::vector<HistoricalTuple> projected;
   projected.reserve(state.size());
   for (const HistoricalTuple& ht : state.tuples()) {
-    std::vector<Value> values;
-    values.reserve(indices.size());
-    for (size_t i : indices) values.push_back(ht.tuple.at(i));
-    projected.push_back(HistoricalTuple{Tuple(std::move(values)), ht.valid});
+    Tuple::Builder builder(indices.size());
+    for (size_t i : indices) builder.Add(ht.tuple.at(i));
+    projected.push_back(HistoricalTuple{std::move(builder).Build(), ht.valid});
   }
   return HistoricalState::Make(std::move(schema), std::move(projected));
 }
@@ -222,7 +221,8 @@ Result<HistoricalState> NaturalJoin(const HistoricalState& lhs,
       rhs_only.push_back(j);
     }
   }
-  std::vector<Attribute> result_attrs = lhs.schema().attributes();
+  std::vector<Attribute> result_attrs(lhs.schema().attributes().begin(),
+                                     lhs.schema().attributes().end());
   for (size_t j : rhs_only) result_attrs.push_back(rhs.schema().attribute(j));
   TTRA_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(result_attrs)));
 
@@ -230,10 +230,10 @@ Result<HistoricalState> NaturalJoin(const HistoricalState& lhs,
                   std::vector<HistoricalTuple>& out) {
     TemporalElement both = a.valid.Intersect(b.valid);
     if (both.empty()) return;
-    std::vector<Value> values = a.tuple.values();
-    for (size_t j : rhs_only) values.push_back(b.tuple.at(j));
-    out.push_back(
-        HistoricalTuple{Tuple(std::move(values)), std::move(both)});
+    Tuple::Builder builder(a.tuple.size() + rhs_only.size());
+    builder.Append(a.tuple.values());
+    for (size_t j : rhs_only) builder.Add(b.tuple.at(j));
+    out.push_back(HistoricalTuple{std::move(builder).Build(), std::move(both)});
   };
 
   std::vector<HistoricalTuple> joined;

@@ -31,6 +31,8 @@ struct HistoricalTuple {
   }
 };
 
+static_assert(sizeof(HistoricalTuple) == 2 * sizeof(void*));
+
 std::ostream& operator<<(std::ostream& os, const HistoricalTuple& tuple);
 
 /// An element of the paper's HISTORICAL STATE semantic domain: the history
@@ -41,7 +43,10 @@ std::ostream& operator<<(std::ostream& os, const HistoricalTuple& tuple);
 ///
 /// Like SnapshotState, historical states are immutable and copy-on-write:
 /// copies share one representation, so FINDSTATE reads and clones never
-/// deep-copy the tuple vector.
+/// deep-copy the tuple vector. A HistoricalTuple is two pointers: its
+/// Tuple and its TemporalElement each hold a shared immutable payload, so
+/// a state that keeps a row of its predecessor shares that row's values
+/// and intervals.
 class HistoricalState {
  public:
   HistoricalState() = default;

@@ -12,25 +12,28 @@ TemporalElement TemporalElement::Of(std::vector<Interval> intervals) {
                      [](const Interval& i) { return i.empty(); }),
       intervals.end());
   std::sort(intervals.begin(), intervals.end());
-  TemporalElement element;
+  // Coalesce in place: [0, kept) is the canonical prefix.
+  size_t kept = 0;
   for (const Interval& interval : intervals) {
-    if (!element.intervals_.empty() &&
-        element.intervals_.back().Meets(interval)) {
-      element.intervals_.back().end =
-          std::max(element.intervals_.back().end, interval.end);
+    if (kept > 0 && intervals[kept - 1].Meets(interval)) {
+      intervals[kept - 1].end = std::max(intervals[kept - 1].end, interval.end);
     } else {
-      element.intervals_.push_back(interval);
+      intervals[kept++] = interval;
     }
   }
+  intervals.resize(kept);
+  TemporalElement element;
+  element.intervals_ = SharedArray<Interval>(std::move(intervals));
   return element;
 }
 
 bool TemporalElement::Contains(Chronon t) const {
   // Binary search: first interval with begin > t, then check predecessor.
+  const std::span<const Interval> all = intervals();
   auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), t,
+      all.begin(), all.end(), t,
       [](Chronon value, const Interval& i) { return value < i.begin; });
-  if (it == intervals_.begin()) return false;
+  if (it == all.begin()) return false;
   return std::prev(it)->Contains(t);
 }
 
@@ -53,7 +56,7 @@ bool TemporalElement::Covers(const TemporalElement& other) const {
 
 uint64_t TemporalElement::Duration() const {
   uint64_t total = 0;
-  for (const Interval& i : intervals_) {
+  for (const Interval& i : intervals()) {
     const uint64_t len = static_cast<uint64_t>(i.end) -
                          static_cast<uint64_t>(i.begin);
     if (total > UINT64_MAX - len) return UINT64_MAX;
@@ -63,9 +66,13 @@ uint64_t TemporalElement::Duration() const {
 }
 
 TemporalElement TemporalElement::Union(const TemporalElement& other) const {
-  std::vector<Interval> merged = intervals_;
-  merged.insert(merged.end(), other.intervals_.begin(),
-                other.intervals_.end());
+  if (other.empty() || intervals().data() == other.intervals().data()) {
+    return *this;
+  }
+  if (empty()) return other;
+  std::vector<Interval> merged(intervals().begin(), intervals().end());
+  merged.insert(merged.end(), other.intervals().begin(),
+                other.intervals().end());
   return Of(std::move(merged));
 }
 
@@ -92,7 +99,7 @@ TemporalElement TemporalElement::Difference(
     const TemporalElement& other) const {
   std::vector<Interval> result;
   size_t j = 0;
-  for (Interval a : intervals_) {
+  for (Interval a : intervals()) {
     while (j < other.intervals_.size() &&
            other.intervals_[j].end <= a.begin) {
       ++j;
@@ -125,7 +132,7 @@ std::string TemporalElement::ToString() const {
 
 size_t TemporalElement::Hash() const {
   size_t seed = intervals_.size();
-  for (const Interval& i : intervals_) {
+  for (const Interval& i : intervals()) {
     seed = HashCombine(seed, HashValue(i.begin));
     seed = HashCombine(seed, HashValue(i.end));
   }

@@ -3,10 +3,12 @@
 
 #include <initializer_list>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "historical/interval.h"
+#include "util/shared_array.h"
 
 namespace ttra {
 
@@ -32,7 +34,7 @@ class TemporalElement {
   /// The single chronon t.
   static TemporalElement Point(Chronon t) { return Of({Interval::Point(t)}); }
 
-  const std::vector<Interval>& intervals() const { return intervals_; }
+  std::span<const Interval> intervals() const { return intervals_.span(); }
   bool empty() const { return intervals_.empty(); }
 
   bool Contains(Chronon t) const;
@@ -42,9 +44,9 @@ class TemporalElement {
   /// Total number of chronons (saturates at INT64_MAX).
   uint64_t Duration() const;
   /// Earliest chronon; requires !empty().
-  Chronon Min() const { return intervals_.front().begin; }
+  Chronon Min() const { return intervals_[0].begin; }
   /// One past the latest chronon; requires !empty().
-  Chronon Max() const { return intervals_.back().end; }
+  Chronon Max() const { return intervals_[intervals_.size() - 1].end; }
 
   TemporalElement Union(const TemporalElement& other) const;
   TemporalElement Intersect(const TemporalElement& other) const;
@@ -63,7 +65,9 @@ class TemporalElement {
   }
 
  private:
-  std::vector<Interval> intervals_;
+  // Shared immutable payload, like Tuple's: copying an element (into a
+  // state, a delta row, an operator result) never copies its intervals.
+  SharedArray<Interval> intervals_;
 };
 
 std::ostream& operator<<(std::ostream& os, const TemporalElement& element);

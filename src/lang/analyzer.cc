@@ -87,7 +87,8 @@ Result<ExprType> CombineBinary(const Expr& expr, const ExprType& lhs,
     case BinaryOp::kJoin: {
       // Natural-join result: lhs attributes then rhs-only attributes;
       // shared names must agree on type.
-      std::vector<Attribute> attrs = lhs.schema.attributes();
+      std::vector<Attribute> attrs(lhs.schema.attributes().begin(),
+                                   lhs.schema.attributes().end());
       for (const Attribute& attr : rhs.schema.attributes()) {
         auto i = lhs.schema.IndexOf(attr.name);
         if (i.has_value()) {
@@ -107,7 +108,8 @@ Result<ExprType> CombineBinary(const Expr& expr, const ExprType& lhs,
 }
 
 Result<ExprType> ExtendType(const Expr& expr, const ExprType& child) {
-  std::vector<Attribute> attrs = child.schema.attributes();
+  std::vector<Attribute> attrs(child.schema.attributes().begin(),
+                               child.schema.attributes().end());
   for (const auto& [name, scalar] : expr.definitions()) {
     TTRA_ASSIGN_OR_RETURN(ValueType type, scalar.TypeIn(child.schema));
     auto i = child.schema.IndexOf(name);

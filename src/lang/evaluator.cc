@@ -77,7 +77,8 @@ struct ExtendPlan {
 Result<ExtendPlan> PlanExtend(
     const Schema& child,
     const std::vector<std::pair<std::string, ScalarExpr>>& definitions) {
-  std::vector<Attribute> attrs = child.attributes();
+  std::vector<Attribute> attrs(child.attributes().begin(),
+                               child.attributes().end());
   std::vector<int> sources(attrs.size());
   for (size_t i = 0; i < attrs.size(); ++i) sources[i] = ~static_cast<int>(i);
   for (size_t d = 0; d < definitions.size(); ++d) {
@@ -99,18 +100,17 @@ Result<ExtendPlan> PlanExtend(
 Result<Tuple> ApplyExtend(
     const ExtendPlan& plan, const Schema& child_schema, const Tuple& tuple,
     const std::vector<std::pair<std::string, ScalarExpr>>& definitions) {
-  std::vector<Value> values;
-  values.reserve(plan.sources.size());
+  Tuple::Builder builder(plan.sources.size());
   for (int source : plan.sources) {
     if (source >= 0) {
       TTRA_ASSIGN_OR_RETURN(
           Value v, definitions[source].second.Eval(child_schema, tuple));
-      values.push_back(std::move(v));
+      builder.Add(std::move(v));
     } else {
-      values.push_back(tuple.at(static_cast<size_t>(~source)));
+      builder.Add(tuple.at(static_cast<size_t>(~source)));
     }
   }
-  return Tuple(std::move(values));
+  return std::move(builder).Build();
 }
 
 Result<StateValue> EvalExtend(const Expr& expr, const Database& db) {

@@ -37,7 +37,7 @@ Result<LoggedSentence> DecodeEntry(ByteReader& reader) {
   if (atomic > 1) return CorruptionError("invalid group entry mode");
   entry.atomic = atomic != 0;
   TTRA_ASSIGN_OR_RETURN(entry.pre_txn, reader.ReadU64());
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   entry.sentence.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     TTRA_ASSIGN_OR_RETURN(Command command, DecodeCommand(reader));
@@ -58,7 +58,7 @@ Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record) {
     LoggedSentence entry;
     entry.atomic = kind == kKindAtomic;
     TTRA_ASSIGN_OR_RETURN(entry.pre_txn, reader.ReadU64());
-    TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+    TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
     entry.sentence.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       TTRA_ASSIGN_OR_RETURN(Command command, DecodeCommand(reader));
@@ -66,7 +66,7 @@ Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record) {
     }
     entries.push_back(std::move(entry));
   } else if (kind == kKindGroup) {
-    TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+    TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
     entries.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       TTRA_ASSIGN_OR_RETURN(LoggedSentence entry, DecodeEntry(reader));

@@ -59,7 +59,7 @@ Result<std::pair<std::string, Relation>> DecodeRelation(
   }
   const RelationType type = static_cast<RelationType>(type_tag);
 
-  TTRA_ASSIGN_OR_RETURN(uint64_t schema_versions, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t schema_versions, reader.ReadCount());
   if (schema_versions == 0) {
     return CorruptionError("relation without a scheme");
   }

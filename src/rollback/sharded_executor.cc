@@ -38,7 +38,7 @@ Result<GroupEntry> DecodeShardEntry(ByteReader& reader) {
   TTRA_ASSIGN_OR_RETURN(uint8_t atomic, reader.ReadByte());
   if (atomic > 1) return CorruptionError("invalid shard entry mode");
   entry.atomic = atomic != 0;
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   entry.sentence.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     TTRA_ASSIGN_OR_RETURN(Command command, DecodeCommand(reader));
@@ -57,7 +57,7 @@ std::string EncodeEntriesBlob(const std::vector<GroupEntry>& entries) {
 }
 
 Status DecodeEntriesBlob(ByteReader& reader, ShardRecord& record) {
-  TTRA_ASSIGN_OR_RETURN(record.count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(record.count, reader.ReadCount());
   record.entries.reserve(record.count);
   for (uint64_t i = 0; i < record.count; ++i) {
     TTRA_ASSIGN_OR_RETURN(GroupEntry entry, DecodeShardEntry(reader));

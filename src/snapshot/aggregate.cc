@@ -57,7 +57,8 @@ Result<Schema> AggregateSchema(const Schema& input,
                                const std::vector<std::string>& group_attrs,
                                const std::vector<AggregateDef>& aggregates) {
   TTRA_ASSIGN_OR_RETURN(Schema group_schema, input.Project(group_attrs));
-  std::vector<Attribute> attrs = group_schema.attributes();
+  std::vector<Attribute> attrs(group_schema.attributes().begin(),
+                               group_schema.attributes().end());
   for (const AggregateDef& def : aggregates) {
     ValueType input_type = ValueType::kInt;  // irrelevant for count
     if (def.func != AggFunc::kCount) {

@@ -70,16 +70,16 @@ EquiJoinSplit SplitEquiJoin(const Predicate& predicate, const Schema& lhs,
 }
 
 Tuple JoinKeyOf(const Tuple& t, const std::vector<size_t>& indices) {
-  std::vector<Value> values;
-  values.reserve(indices.size());
-  for (size_t i : indices) values.push_back(t.at(i));
-  return Tuple(std::move(values));
+  Tuple::Builder builder(indices.size());
+  for (size_t i : indices) builder.Add(t.at(i));
+  return std::move(builder).Build();
 }
 
 Tuple ConcatTuples(const Tuple& a, const Tuple& b) {
-  std::vector<Value> values = a.values();
-  values.insert(values.end(), b.values().begin(), b.values().end());
-  return Tuple(std::move(values));
+  Tuple::Builder builder(a.size() + b.size());
+  builder.Append(a.values());
+  builder.Append(b.values());
+  return std::move(builder).Build();
 }
 
 }  // namespace ttra::snapshot_ops

@@ -89,10 +89,9 @@ Result<SnapshotState> Project(const SnapshotState& state,
   std::vector<Tuple> projected;
   projected.reserve(state.size());
   for (const Tuple& tuple : state.tuples()) {
-    std::vector<Value> values;
-    values.reserve(indices.size());
-    for (size_t i : indices) values.push_back(tuple.at(i));
-    projected.emplace_back(std::move(values));
+    Tuple::Builder builder(indices.size());
+    for (size_t i : indices) builder.Add(tuple.at(i));
+    projected.push_back(std::move(builder).Build());
   }
   return SnapshotState::Make(std::move(schema), std::move(projected));
 }
@@ -225,14 +224,16 @@ Result<SnapshotState> NaturalJoin(const SnapshotState& lhs,
       rhs_only.push_back(j);
     }
   }
-  std::vector<Attribute> result_attrs = lhs.schema().attributes();
+  std::vector<Attribute> result_attrs(lhs.schema().attributes().begin(),
+                                     lhs.schema().attributes().end());
   for (size_t j : rhs_only) result_attrs.push_back(rhs.schema().attribute(j));
   TTRA_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(result_attrs)));
 
   auto emit = [&](const Tuple& a, const Tuple& b, std::vector<Tuple>& out) {
-    std::vector<Value> values = a.values();
-    for (size_t j : rhs_only) values.push_back(b.at(j));
-    out.emplace_back(std::move(values));
+    Tuple::Builder builder(a.size() + rhs_only.size());
+    builder.Append(a.values());
+    for (size_t j : rhs_only) builder.Add(b.at(j));
+    out.push_back(std::move(builder).Build());
   };
 
   std::vector<Tuple> joined;

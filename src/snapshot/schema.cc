@@ -18,7 +18,7 @@ Result<Schema> Schema::Make(std::vector<Attribute> attributes) {
       return SchemaMismatchError("duplicate attribute name: " + attr.name);
     }
   }
-  return Schema(std::move(attributes));
+  return Schema(SharedArray<Attribute>(std::move(attributes)));
 }
 
 std::optional<size_t> Schema::IndexOf(std::string_view name) const {
@@ -31,7 +31,7 @@ std::optional<size_t> Schema::IndexOf(std::string_view name) const {
 std::vector<std::string> Schema::Names() const {
   std::vector<std::string> names;
   names.reserve(attributes_.size());
-  for (const Attribute& attr : attributes_) names.push_back(attr.name);
+  for (const Attribute& attr : attributes()) names.push_back(attr.name);
   return names;
 }
 
@@ -49,8 +49,8 @@ Result<Schema> Schema::Project(const std::vector<std::string>& names) const {
 }
 
 Result<Schema> Schema::Concat(const Schema& other) const {
-  std::vector<Attribute> combined = attributes_;
-  for (const Attribute& attr : other.attributes_) {
+  std::vector<Attribute> combined(attributes().begin(), attributes().end());
+  for (const Attribute& attr : other.attributes()) {
     if (IndexOf(attr.name).has_value()) {
       return SchemaMismatchError(
           "cartesian product would duplicate attribute: " + attr.name);
@@ -71,7 +71,7 @@ Result<Schema> Schema::Rename(std::string_view from,
     return SchemaMismatchError("rename target already exists: " +
                                std::string(to));
   }
-  std::vector<Attribute> renamed = attributes_;
+  std::vector<Attribute> renamed(attributes().begin(), attributes().end());
   renamed[*index].name = std::string(to);
   return Schema::Make(std::move(renamed));
 }
@@ -90,7 +90,7 @@ std::string Schema::ToString() const {
 
 size_t Schema::Hash() const {
   size_t seed = 0;
-  for (const Attribute& attr : attributes_) {
+  for (const Attribute& attr : attributes()) {
     seed = HashCombine(seed, HashValue(attr.name));
     seed = HashCombine(seed, static_cast<size_t>(attr.type));
   }

@@ -2,12 +2,14 @@
 #define TTRA_SNAPSHOT_SCHEMA_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "snapshot/value.h"
 #include "util/result.h"
+#include "util/shared_array.h"
 
 namespace ttra {
 
@@ -21,7 +23,9 @@ struct Attribute {
 
 /// An ordered list of uniquely-named attributes. Schemas are value types;
 /// the operators derive result schemas from operand schemas (projection,
-/// product concatenation, rename).
+/// product concatenation, rename). Like a Tuple, a schema is one pointer
+/// to a shared immutable attribute list, so every state over one scheme
+/// holds the same list.
 class Schema {
  public:
   Schema() = default;
@@ -29,7 +33,7 @@ class Schema {
   /// Fails with kSchemaMismatch if names repeat or are not identifiers.
   static Result<Schema> Make(std::vector<Attribute> attributes);
 
-  const std::vector<Attribute>& attributes() const { return attributes_; }
+  std::span<const Attribute> attributes() const { return attributes_.span(); }
   size_t size() const { return attributes_.size(); }
   bool empty() const { return attributes_.empty(); }
 
@@ -62,10 +66,10 @@ class Schema {
   friend bool operator==(const Schema&, const Schema&) = default;
 
  private:
-  explicit Schema(std::vector<Attribute> attributes)
+  explicit Schema(SharedArray<Attribute> attributes)
       : attributes_(std::move(attributes)) {}
 
-  std::vector<Attribute> attributes_;
+  SharedArray<Attribute> attributes_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Schema& schema);

@@ -23,7 +23,10 @@ namespace ttra {
 /// States are immutable and copy-on-write: the scheme and tuple vector
 /// live in a shared representation, so copying a state (operator results,
 /// FINDSTATE reads, Relation/Database clones) is a reference-count bump,
-/// never a deep copy of the tuple vector.
+/// never a deep copy of the tuple vector. One level down, each Tuple and
+/// the Schema are themselves one pointer to a shared immutable payload:
+/// a new state built from an old one's tuples (σ, ∪, −, a delta decode)
+/// holds 8 bytes per tuple and shares every kept tuple's values.
 class SnapshotState {
  public:
   /// The empty state over the empty scheme (what FINDSTATE yields for a

@@ -36,7 +36,7 @@ std::string Tuple::ToString() const {
 
 size_t Tuple::Hash() const {
   size_t seed = values_.size();
-  for (const Value& v : values_) seed = HashCombine(seed, v.Hash());
+  for (const Value& v : values()) seed = HashCombine(seed, v.Hash());
   return seed;
 }
 

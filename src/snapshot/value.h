@@ -75,7 +75,32 @@ class Value {
     return a.value_ == b.value_;
   }
   friend bool operator<(const Value& a, const Value& b) {
-    return a.value_ < b.value_;
+    return CanonicalOrder(a, b) < 0;
+  }
+
+  /// The canonical order as one three-way test: negative, zero or positive
+  /// exactly when a < b, neither, or b < a (so NaN ties with NaN, as under
+  /// operator<). Tuple order uses it to test each value once.
+  static int CanonicalOrder(const Value& a, const Value& b) {
+    if (a.value_.index() != b.value_.index()) {
+      return a.value_.index() < b.value_.index() ? -1 : 1;
+    }
+    auto sign = [](const auto& x, const auto& y) {
+      return x < y ? -1 : (y < x ? 1 : 0);
+    };
+    switch (a.type()) {
+      case ValueType::kInt:
+        return sign(a.AsInt(), b.AsInt());
+      case ValueType::kDouble:
+        return sign(a.AsDouble(), b.AsDouble());
+      case ValueType::kString:
+        return a.AsString().compare(b.AsString());
+      case ValueType::kBool:
+        return sign(a.AsBool(), b.AsBool());
+      case ValueType::kUserTime:
+        return sign(a.AsTime().ticks, b.AsTime().ticks);
+    }
+    return 0;
   }
 
   /// Three-way comparison *within* a type for predicate evaluation;

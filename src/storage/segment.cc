@@ -1,6 +1,7 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace ttra {
@@ -66,7 +67,7 @@ Result<HistoricalState> DecodeStateBody(ByteReader& reader,
 
 template <typename RowT>
 Result<std::vector<RowT>> DecodeRowList(ByteReader& reader) {
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<RowT> rows;
   rows.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -200,7 +201,8 @@ Result<StateT> DecodeSegmentEntry(std::string_view payload,
   }
   // rows(next) = (rows(prev) − removed) ∪ added; all three operands are
   // sorted and the sets disjoint by construction, so the result is again
-  // canonical and the trusted constructor applies.
+  // canonical and the trusted constructor applies. Kept rows are copies of
+  // prev's, so they share its tuple payloads.
   const std::vector<Row>& prev_rows = StateTraits<StateT>::Rows(*prev);
   std::vector<Row> kept;
   kept.reserve(prev_rows.size());
@@ -208,8 +210,10 @@ Result<StateT> DecodeSegmentEntry(std::string_view payload,
                       removed.end(), std::back_inserter(kept));
   std::vector<Row> rows;
   rows.reserve(kept.size() + added.size());
-  std::merge(kept.begin(), kept.end(), added.begin(), added.end(),
-             std::back_inserter(rows));
+  std::merge(std::make_move_iterator(kept.begin()),
+             std::make_move_iterator(kept.end()),
+             std::make_move_iterator(added.begin()),
+             std::make_move_iterator(added.end()), std::back_inserter(rows));
   return StateTraits<StateT>::FromRows(prev->schema(), std::move(rows));
 }
 

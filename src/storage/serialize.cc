@@ -128,13 +128,23 @@ Result<double> ByteReader::ReadDouble() {
 
 Result<std::string> ByteReader::ReadString() {
   TTRA_ASSIGN_OR_RETURN(uint64_t length, ReadU64());
-  if (pos_ + length > data_.size()) {
+  if (length > remaining()) {
     return CorruptionError("truncated input (string of length " +
                            std::to_string(length) + ")");
   }
   std::string s(data_.substr(pos_, length));
   pos_ += length;
   return s;
+}
+
+Result<uint64_t> ByteReader::ReadCount() {
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, ReadU64());
+  if (count > remaining()) {
+    return CorruptionError("element count " + std::to_string(count) +
+                           " exceeds the " + std::to_string(remaining()) +
+                           " bytes left");
+  }
+  return count;
 }
 
 Result<Value> DecodeValue(ByteReader& reader) {
@@ -166,18 +176,17 @@ Result<Value> DecodeValue(ByteReader& reader) {
 }
 
 Result<Tuple> DecodeTuple(ByteReader& reader) {
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
-  std::vector<Value> values;
-  values.reserve(count);
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
+  Tuple::Builder builder(count);
   for (uint64_t i = 0; i < count; ++i) {
     TTRA_ASSIGN_OR_RETURN(Value v, DecodeValue(reader));
-    values.push_back(std::move(v));
+    builder.Add(std::move(v));
   }
-  return Tuple(std::move(values));
+  return std::move(builder).Build();
 }
 
 Result<Schema> DecodeSchema(ByteReader& reader) {
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<Attribute> attrs;
   attrs.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -197,7 +206,7 @@ Result<Schema> DecodeSchema(ByteReader& reader) {
 
 Result<SnapshotState> DecodeSnapshotState(ByteReader& reader) {
   TTRA_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(reader));
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<Tuple> tuples;
   tuples.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -213,7 +222,7 @@ Result<SnapshotState> DecodeSnapshotState(ByteReader& reader) {
 }
 
 Result<TemporalElement> DecodeTemporalElement(ByteReader& reader) {
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<Interval> intervals;
   intervals.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -226,7 +235,7 @@ Result<TemporalElement> DecodeTemporalElement(ByteReader& reader) {
 
 Result<HistoricalState> DecodeHistoricalState(ByteReader& reader) {
   TTRA_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(reader));
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<HistoricalTuple> tuples;
   tuples.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -303,7 +312,7 @@ Result<std::vector<std::pair<StateT, TransactionNumber>>> DecodeStateSequence(
   if (Fnv1a(payload) != checksum) return CorruptionError("checksum mismatch");
 
   ByteReader reader(payload);
-  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<std::pair<StateT, TransactionNumber>> sequence;
   sequence.reserve(count);
   TransactionNumber last_txn = 0;

@@ -32,8 +32,13 @@ class ByteReader {
   Result<int64_t> ReadI64();
   Result<double> ReadDouble();
   Result<std::string> ReadString();
+  /// Reads an element count. Every encoded element takes at least one
+  /// byte, so a count larger than remaining() is corrupt; rejecting it here
+  /// keeps a damaged count from reaching reserve() or an allocation.
+  Result<uint64_t> ReadCount();
 
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:

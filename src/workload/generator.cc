@@ -44,12 +44,11 @@ Value Generator::RandomValue(ValueType type) {
 }
 
 Tuple Generator::RandomTuple(const Schema& schema) {
-  std::vector<Value> values;
-  values.reserve(schema.size());
+  Tuple::Builder builder(schema.size());
   for (const Attribute& attr : schema.attributes()) {
-    values.push_back(RandomValue(attr.type));
+    builder.Add(RandomValue(attr.type));
   }
-  return Tuple(std::move(values));
+  return std::move(builder).Build();
 }
 
 SnapshotState Generator::RandomState(const Schema& schema, size_t tuples) {

@@ -119,6 +119,28 @@ TEST(TemporalElementTest, DurationAndBounds) {
   EXPECT_EQ(TemporalElement().Duration(), 0u);
 }
 
+TEST(TemporalElementTest, CopiesShareOneIntervalPayload) {
+  static_assert(sizeof(TemporalElement) == sizeof(void*));
+  const TemporalElement a =
+      TemporalElement::Of({Interval::Make(0, 4), Interval::Make(10, 11)});
+  const TemporalElement b = a;
+  EXPECT_EQ(a.intervals().data(), b.intervals().data());
+  // A union with nothing new returns the operand itself.
+  EXPECT_EQ(a.Union(TemporalElement()).intervals().data(),
+            a.intervals().data());
+  EXPECT_EQ(TemporalElement().Union(a).intervals().data(),
+            a.intervals().data());
+  EXPECT_EQ(a.Union(b).intervals().data(), a.intervals().data());
+  // Equal elements built apart compare equal and order neither way.
+  const TemporalElement c =
+      TemporalElement::Of({Interval::Make(10, 11), Interval::Make(0, 4)});
+  EXPECT_NE(a.intervals().data(), c.intervals().data());
+  EXPECT_EQ(a, c);
+  EXPECT_FALSE(a < c);
+  EXPECT_FALSE(c < a);
+  EXPECT_TRUE(TemporalElement().intervals().empty());
+}
+
 TEST(TemporalElementTest, ToStringForms) {
   EXPECT_EQ(TemporalElement().ToString(), "[)");
   EXPECT_EQ(TemporalElement::Span(1, 5).ToString(), "[1, 5)");

@@ -11,11 +11,14 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <set>
 #include <variant>
 
+#include "historical/hoperators.h"
 #include "rollback/commands.h"
 #include "rollback/database.h"
 #include "rollback/persistence.h"
+#include "snapshot/operators.h"
 #include "storage/logs.h"
 #include "workload/generator.h"
 
@@ -408,6 +411,77 @@ TEST_P(PersistentDatabaseModelTest, ForksCommandsAndDropsAgreeWithModel) {
     }
   }
   for (const auto& [db, model] : versions) ExpectMatches(db, model, true);
+}
+
+// --- Shared tuple payloads across history ------------------------------------
+
+/// A history of one-tuple commits holds one tuple payload per distinct
+/// tuple, not one per tuple per state: each commit unions one new tuple
+/// into the current state (a kernel that copies the kept tuples across),
+/// and every engine must hand back states whose tuples are those payloads.
+class PayloadSharingTest : public ::testing::TestWithParam<StorageKind> {};
+
+INSTANTIATE_TEST_SUITE_P(Kinds, PayloadSharingTest,
+                         ::testing::Values(StorageKind::kFullCopy,
+                                           StorageKind::kDelta,
+                                           StorageKind::kCheckpoint,
+                                           StorageKind::kReverseDelta),
+                         [](const auto& info) { return KindName(info.param); });
+
+Tuple NumberedRow(int64_t i) { return Tuple{Value::Int(i), Value::Int(-i)}; }
+
+TEST_P(PayloadSharingTest, OneTupleCommitsAddOnePayloadEach) {
+  constexpr int64_t kInitial = 32;
+  constexpr int64_t kCommits = 40;
+  Database db(DatabaseOptions{.storage = GetParam(),
+                              .checkpoint_interval = 4,
+                              .findstate_cache_capacity = 4});
+  ASSERT_TRUE(db.DefineRelation("acct", RelationType::kRollback, Narrow()).ok());
+  ASSERT_TRUE(db.DefineRelation("hist", RelationType::kTemporal, Narrow()).ok());
+  std::vector<Tuple> initial;
+  std::vector<HistoricalTuple> initial_history;
+  for (int64_t i = 0; i < kInitial; ++i) {
+    initial.push_back(NumberedRow(i));
+    initial_history.push_back(
+        HistoricalTuple{NumberedRow(i), TemporalElement::Span(i, i + 5)});
+  }
+  ASSERT_TRUE(
+      db.ModifyState("acct", *SnapshotState::Make(Narrow(), initial)).ok());
+  ASSERT_TRUE(db.ModifyState("hist", *HistoricalState::Make(
+                                         Narrow(), initial_history))
+                  .ok());
+  const TransactionNumber first = db.transaction_number() - 1;
+  for (int64_t i = kInitial; i < kInitial + kCommits; ++i) {
+    auto one = SnapshotState::Make(Narrow(), {NumberedRow(i)});
+    auto next = snapshot_ops::Union(*db.Rollback("acct"), *one);
+    ASSERT_TRUE(next.ok());
+    ASSERT_TRUE(db.ModifyState("acct", *next).ok());
+    auto one_history = HistoricalState::Make(
+        Narrow(), {HistoricalTuple{NumberedRow(i), TemporalElement::Point(i)}});
+    auto next_history =
+        historical_ops::Union(*db.RollbackHistorical("hist"), *one_history);
+    ASSERT_TRUE(next_history.ok());
+    ASSERT_TRUE(db.ModifyState("hist", *next_history).ok());
+  }
+
+  // Every state of both histories, each read by FINDSTATE on this version.
+  std::set<const Value*> payloads;
+  std::set<const Value*> history_payloads;
+  size_t tuple_states = 0;
+  for (TransactionNumber txn = first; txn <= db.transaction_number(); ++txn) {
+    auto state = db.Rollback("acct", txn);
+    ASSERT_TRUE(state.ok());
+    for (const Tuple& t : state->tuples()) payloads.insert(t.values().data());
+    auto history = db.RollbackHistorical("hist", txn);
+    ASSERT_TRUE(history.ok());
+    for (const HistoricalTuple& ht : history->tuples()) {
+      history_payloads.insert(ht.tuple.values().data());
+    }
+    tuple_states += state->size();
+  }
+  EXPECT_GT(tuple_states, static_cast<size_t>(kInitial * kCommits));
+  EXPECT_LE(payloads.size(), static_cast<size_t>(kInitial + kCommits));
+  EXPECT_LE(history_payloads.size(), static_cast<size_t>(kInitial + kCommits));
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "snapshot/operators.h"
 #include "snapshot/predicate.h"
 #include "snapshot/schema.h"
 #include "snapshot/state.h"
 #include "snapshot/value.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -80,6 +83,44 @@ TEST(ValueTest, HashRespectsEquality) {
   EXPECT_NE(Value::Int(5).Hash(), Value::Time(5).Hash());
 }
 
+TEST(ValueTest, CanonicalOrderIsTypeThenNaturalOrder) {
+  // The model: type tag first, then the order within the type; NaN is
+  // neither below nor above any double, as under the raw double `<`.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Int(-3),      Value::Int(0),        Value::Int(7),
+      Value::Double(-0.0), Value::Double(0.0),   Value::Double(2.5),
+      Value::Double(nan),  Value::String(""),    Value::String("a"),
+      Value::String("ab"), Value::String("b"),   Value::Bool(false),
+      Value::Bool(true),   Value::Time(-1),      Value::Time(4)};
+  auto model = [](const Value& a, const Value& b) {
+    if (a.type() != b.type()) return a.type() < b.type() ? -1 : 1;
+    auto sign = [](const auto& x, const auto& y) {
+      return x < y ? -1 : (y < x ? 1 : 0);
+    };
+    switch (a.type()) {
+      case ValueType::kInt:
+        return sign(a.AsInt(), b.AsInt());
+      case ValueType::kDouble:
+        return sign(a.AsDouble(), b.AsDouble());
+      case ValueType::kString:
+        return sign(a.AsString(), b.AsString());
+      case ValueType::kBool:
+        return sign(a.AsBool(), b.AsBool());
+      case ValueType::kUserTime:
+        return sign(a.AsTime().ticks, b.AsTime().ticks);
+    }
+    return 0;
+  };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      const int order = Value::CanonicalOrder(a, b);
+      EXPECT_EQ((order > 0) - (order < 0), model(a, b)) << a << " vs " << b;
+      EXPECT_EQ(a < b, model(a, b) < 0) << a << " vs " << b;
+    }
+  }
+}
+
 TEST(ValueTest, ParseValueTypeRoundTrip) {
   for (ValueType t : {ValueType::kInt, ValueType::kDouble, ValueType::kString,
                       ValueType::kBool, ValueType::kUserTime}) {
@@ -136,6 +177,16 @@ TEST(SchemaTest, Rename) {
   EXPECT_FALSE(TwoCol().Rename("id", "name").ok());
 }
 
+TEST(SchemaTest, CopiesShareOneAttributeList) {
+  const Schema copy = TwoCol();
+  EXPECT_EQ(copy.attributes().data(), TwoCol().attributes().data());
+  // Every state over one scheme holds the same list.
+  const SnapshotState a = State({Row(1, "a")});
+  const SnapshotState b = State({Row(2, "b")});
+  EXPECT_EQ(a.schema().attributes().data(), b.schema().attributes().data());
+  EXPECT_EQ(MakeSchema({}).attributes().data(), nullptr);
+}
+
 TEST(SchemaTest, ToStringForm) {
   EXPECT_EQ(TwoCol().ToString(), "(id: int, name: string)");
   EXPECT_EQ(MakeSchema({}).ToString(), "()");
@@ -150,6 +201,97 @@ TEST(TupleTest, ConformsToChecksArityAndTypes) {
   auto status = wrong.ConformsTo(TwoCol());
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kTypeMismatch);
+}
+
+TEST(TupleTest, IsOnePointer) {
+  static_assert(sizeof(Tuple) == sizeof(void*));
+  static_assert(sizeof(Schema) == sizeof(void*));
+}
+
+TEST(TupleTest, CopiesShareOnePayload) {
+  const Tuple a = Row(1, "a");
+  const Tuple b = a;
+  Tuple c;
+  c = b;
+  EXPECT_EQ(a.values().data(), b.values().data());
+  EXPECT_EQ(a.values().data(), c.values().data());
+  // An equal tuple built separately is equal but has its own payload.
+  const Tuple d = Row(1, "a");
+  EXPECT_EQ(a, d);
+  EXPECT_NE(a.values().data(), d.values().data());
+  // A state's tuples are the caller's tuples, not copies of their values.
+  const SnapshotState state = State({a});
+  EXPECT_EQ(state.tuples()[0].values().data(), a.values().data());
+}
+
+TEST(TupleTest, MoveLeavesAnEmptyTuple) {
+  Tuple a = Row(7, "x");
+  const Value* payload = a.values().data();
+  Tuple b = std::move(a);
+  EXPECT_EQ(b.values().data(), payload);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a, Tuple());    // NOLINT(bugprone-use-after-move)
+  Tuple c;
+  c = std::move(b);
+  EXPECT_EQ(c.values().data(), payload);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c, Row(7, "x"));
+}
+
+TEST(TupleTest, ZeroArity) {
+  const Tuple empty;
+  const Tuple built = Tuple::Builder(0).Build();
+  const Tuple from_vector{std::vector<Value>{}};
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.values().empty());
+  EXPECT_EQ(empty, built);
+  EXPECT_EQ(empty, from_vector);
+  EXPECT_FALSE(empty < built);
+  EXPECT_TRUE(empty < Tuple{Value::Int(0)});
+  EXPECT_EQ(empty.ToString(), "()");
+  EXPECT_EQ(empty.Hash(), built.Hash());
+  const Schema none = MakeSchema({});
+  EXPECT_TRUE(empty.ConformsTo(none).ok());
+  const SnapshotState state = *SnapshotState::Make(none, {empty, built});
+  EXPECT_EQ(state.size(), 1u);
+}
+
+TEST(TupleTest, BuilderWritesTheValuesInOrder) {
+  Tuple::Builder builder(3);
+  builder.Add(Value::Int(1));
+  const std::vector<Value> rest = {Value::String("s"), Value::Bool(true)};
+  builder.Append(rest);
+  const Tuple t = std::move(builder).Build();
+  EXPECT_EQ(t, (Tuple{Value::Int(1), Value::String("s"), Value::Bool(true)}));
+}
+
+TEST(TupleTest, EqualityAndOrderAgreeWithAVectorModel) {
+  workload::Generator gen(17, {.value_range = 3, .max_string_length = 2});
+  Rng rng(29);
+  const ValueType kTypes[] = {ValueType::kInt, ValueType::kString,
+                              ValueType::kBool};
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Value> values;
+    for (size_t j = rng.Uniform(4); j > 0; --j) {
+      values.push_back(gen.RandomValue(kTypes[rng.Uniform(3)]));
+    }
+    tuples.emplace_back(std::move(values));
+    // Every few tuples, a copy on the same payload.
+    if (i % 7 == 0) tuples.push_back(tuples.back());
+  }
+  auto model = [](const Tuple& t) {
+    return std::vector<Value>(t.values().begin(), t.values().end());
+  };
+  for (const Tuple& a : tuples) {
+    for (const Tuple& b : tuples) {
+      ASSERT_EQ(a == b, model(a) == model(b)) << a << " vs " << b;
+      ASSERT_EQ(a < b, model(a) < model(b)) << a << " vs " << b;
+      if (a == b) {
+        ASSERT_EQ(a.Hash(), b.Hash());
+      }
+    }
+  }
 }
 
 TEST(StateTest, MakeCanonicalizesSortedUnique) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rollback/commands.h"
 #include "storage/logs.h"
+#include "storage/segment.h"
 #include "storage/serialize.h"
 #include "storage/state_log.h"
 #include "workload/generator.h"
@@ -399,6 +402,176 @@ TEST(SerializeTest, ApproxSizeGrowsWithContent) {
             ApproxSize(Value::Int(1)));
   EXPECT_GT(ApproxSize(Tuple{Value::Int(1), Value::Int(2)}),
             ApproxSize(Tuple{Value::Int(1)}));
+}
+
+// --- Decoded counts ------------------------------------------------------------
+//
+// Every encoded element takes at least one byte, so a count larger than
+// the bytes left is corruption. Each decoder must say so instead of
+// handing the count to reserve() (std::bad_alloc at 2^40).
+
+constexpr uint64_t kHugeCount = uint64_t{1} << 40;
+
+void PutTestU64(uint64_t v, std::string& out) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+std::string EncodedNarrowSchema() {
+  std::string out;
+  EncodeSchema(*Schema::Make({{"id", ValueType::kInt}}), out);
+  return out;
+}
+
+/// A count followed by `tail` filler bytes (fewer than the count claims).
+std::string HugeCountThen(size_t tail) {
+  std::string out;
+  PutTestU64(kHugeCount, out);
+  out.append(tail, '\0');
+  return out;
+}
+
+template <typename Decode>
+void ExpectCorruption(const std::string& bytes, Decode decode) {
+  ByteReader reader(bytes);
+  auto result = decode(reader);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kCorruption)
+      << result.status().message();
+}
+
+TEST(DecodeCountTest, ByteReaderRemainingAndCount) {
+  std::string bytes;
+  PutTestU64(3, bytes);
+  bytes += "abc";
+  ByteReader reader(bytes);
+  EXPECT_EQ(reader.remaining(), 11u);
+  auto count = reader.ReadCount();
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 3u);  // exactly the bytes left is fine
+  EXPECT_EQ(reader.remaining(), 3u);
+  std::string huge_string;
+  PutTestU64(~uint64_t{0}, huge_string);  // pos + length would overflow
+  ExpectCorruption(huge_string, [](ByteReader& r) { return r.ReadString(); });
+}
+
+TEST(DecodeCountTest, TupleArityBeyondInput) {
+  ExpectCorruption(HugeCountThen(16), DecodeTuple);
+  // A well-formed tuple still decodes, its count equal to its bytes' floor.
+  std::string good;
+  EncodeTuple(Tuple{Value::Bool(true), Value::Bool(false)}, good);
+  ByteReader reader(good);
+  auto tuple = DecodeTuple(reader);
+  ASSERT_TRUE(tuple.ok());
+  EXPECT_EQ(*tuple, (Tuple{Value::Bool(true), Value::Bool(false)}));
+}
+
+TEST(DecodeCountTest, SchemaCountBeyondInput) {
+  ExpectCorruption(HugeCountThen(16), DecodeSchema);
+}
+
+TEST(DecodeCountTest, SnapshotStateTupleCountBeyondInput) {
+  ExpectCorruption(EncodedNarrowSchema() + HugeCountThen(16),
+                   DecodeSnapshotState);
+}
+
+TEST(DecodeCountTest, TemporalElementCountBeyondInput) {
+  ExpectCorruption(HugeCountThen(16), DecodeTemporalElement);
+}
+
+TEST(DecodeCountTest, HistoricalStateTupleCountBeyondInput) {
+  ExpectCorruption(EncodedNarrowSchema() + HugeCountThen(16),
+                   DecodeHistoricalState);
+}
+
+TEST(DecodeCountTest, StateSequenceCountBeyondInput) {
+  // A correctly framed sequence whose state count is damaged: the frame
+  // checksum matches, so only the count check can refuse it.
+  const std::string payload = HugeCountThen(16);
+  uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (unsigned char c : payload) {
+    fnv ^= c;
+    fnv *= 0x100000001b3ULL;
+  }
+  std::string framed = EncodeStateSequence<SnapshotState>({});
+  framed.resize(8 + 1);  // magic + version
+  PutTestU64(fnv, framed);
+  PutTestU64(payload.size(), framed);
+  framed += payload;
+  auto decoded = DecodeStateSequence<SnapshotState>(framed);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+}
+
+TEST(DecodeCountTest, SegmentDeltaRowCountBeyondInput) {
+  const SnapshotState prev = *SnapshotState::Make(
+      *Schema::Make({{"id", ValueType::kInt}}), {Tuple{Value::Int(1)}});
+  std::string entry;
+  entry.push_back(static_cast<char>(SegmentEntryKind::kDelta));
+  PutTestU64(7, entry);
+  entry += HugeCountThen(16);
+  auto decoded = DecodeSegmentEntry<SnapshotState>(entry, &prev);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+  EXPECT_FALSE(
+      ValidateSegmentEntry(SegmentStateKind::kSnapshotRows, entry).ok());
+}
+
+// --- Shared payloads through the segment delta codec ------------------------------
+
+/// Rows of `next` that are neither removed nor added by the delta from
+/// `prev` must come back on the predecessor's payloads.
+template <typename StateT, typename SharesFn>
+void ExpectDeltaDecodeSharesKeptRows(const StateT& prev, const StateT& next,
+                                     SharesFn shares) {
+  const std::string entry = EncodeDeltaEntry(prev, next, 9);
+  auto decoded = DecodeSegmentEntry<StateT>(entry, &prev);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  ASSERT_EQ(*decoded, next);
+  size_t kept = 0;
+  for (const auto& row : decoded->tuples()) {
+    auto it = std::lower_bound(prev.tuples().begin(), prev.tuples().end(),
+                               row);
+    if (it != prev.tuples().end() && *it == row) {
+      ++kept;
+      EXPECT_TRUE(shares(row, *it)) << row;
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, decoded->size());
+}
+
+TEST(SegmentCodecTest, DeltaDecodeSharesKeptSnapshotRows) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    workload::Generator gen(seed + 500);
+    const Schema schema = gen.RandomSchema(3);
+    const SnapshotState prev = gen.RandomState(schema, 40);
+    SnapshotState next = gen.MutateState(prev, 0.1);
+    std::vector<Tuple> rows = next.tuples();
+    rows.push_back(gen.RandomTuple(schema));  // at least one added row
+    next = *SnapshotState::Make(schema, std::move(rows));
+    ExpectDeltaDecodeSharesKeptRows(
+        prev, next, [](const Tuple& a, const Tuple& b) {
+          return a.values().data() == b.values().data();
+        });
+  }
+}
+
+TEST(SegmentCodecTest, DeltaDecodeSharesKeptHistoricalRows) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    workload::Generator gen(seed + 600);
+    const Schema schema = gen.RandomSchema(2);
+    const HistoricalState prev = gen.RandomHistoricalState(schema, 40);
+    HistoricalState next = gen.MutateState(prev, 0.1);
+    std::vector<HistoricalTuple> rows = next.tuples();
+    rows.push_back(HistoricalTuple{gen.RandomTuple(schema),
+                                   TemporalElement::Span(2000, 2001)});
+    next = *HistoricalState::Make(schema, std::move(rows));
+    ExpectDeltaDecodeSharesKeptRows(
+        prev, next, [](const HistoricalTuple& a, const HistoricalTuple& b) {
+          return a.tuple.values().data() == b.tuple.values().data() &&
+                 a.valid.intervals().data() == b.valid.intervals().data();
+        });
+  }
 }
 
 }  // namespace

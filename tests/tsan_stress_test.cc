@@ -8,6 +8,8 @@
 //  * states are copy-on-write — Snapshot() and Database copies hand
 //    immutable reps to other threads, which evaluate operators on them
 //    concurrently;
+//  * tuple payloads are immutable and shared by reference count, so
+//    threads copy and drop the same tuples concurrently;
 //  * Database versions are persistent — readers FINDSTATE on old pinned
 //    versions while the writer appends to newer ones across chunk
 //    boundaries of the shared state logs.
@@ -80,6 +82,54 @@ TEST(TsanStressTest, FindStateCacheConcurrentProbesAndFills) {
     for (int i = 0; i < 500; ++i) cache.Clear();
   });
   for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// Tuple payloads are shared by reference count. Every thread copies the
+/// same pinned tuples (concurrent increments on one payload) and drops its
+/// copies (concurrent decrements); each round's hand-off copies outlive
+/// the main thread's, so the block is freed on whichever worker drops the
+/// last reference. Under TSan a missing acquire on that last drop, or a
+/// read of a freed payload, is a hard failure.
+TEST(TsanStressTest, SharedTuplePayloadsCopiedAndDroppedAcrossThreads) {
+  std::atomic<int> mismatches{0};
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Tuple> pinned;
+    for (int i = 0; i < 16; ++i) {
+      // Strings long enough to live on the heap, so a use after free of
+      // the payload touches freed memory twice over.
+      pinned.push_back(Tuple{Value::Int(round),
+                             Value::String("payload-" + std::to_string(i) +
+                                           "-of-a-heap-allocated-string")});
+    }
+    std::vector<Tuple> handoff;
+    for (int i = 0; i < 16; ++i) {
+      handoff.push_back(Tuple{Value::Int(round), Value::Int(i)});
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(kReaderThreads);
+    for (int t = 0; t < kReaderThreads; ++t) {
+      threads.emplace_back([&pinned, &mismatches, mine = handoff, round] {
+        for (int i = 0; i < 100; ++i) {
+          std::vector<Tuple> local = pinned;
+          for (size_t j = 0; j < local.size(); ++j) {
+            if (local[j].values().data() != pinned[j].values().data() ||
+                local[j].at(0).AsInt() != round) {
+              mismatches.fetch_add(1);
+            }
+          }
+          Tuple moved = std::move(local.back());
+          local.pop_back();
+          if (moved != pinned.back()) mismatches.fetch_add(1);
+        }
+        for (const Tuple& t : mine) {
+          if (t.at(0).AsInt() != round) mismatches.fetch_add(1);
+        }
+      });
+    }
+    handoff.clear();
+    for (std::thread& t : threads) t.join();
+  }
   EXPECT_EQ(mismatches.load(), 0);
 }
 

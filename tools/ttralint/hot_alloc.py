@@ -24,8 +24,11 @@ import re
 from core import build_analyzer
 
 # The per-tuple hot set. Storage and executor code allocate on control
-# paths (commit, checkpoint) where an arena buys nothing.
-DEFAULT_PATHS = ["src/snapshot", "src/historical", "src/lang/evaluator.cc"]
+# paths (commit, checkpoint) where an arena buys nothing. The shared
+# payload behind Tuple, Schema and TemporalElement allocates once per
+# built tuple, so it is in the set too.
+DEFAULT_PATHS = ["src/snapshot", "src/historical", "src/lang/evaluator.cc",
+                 "src/util/shared_array.h"]
 
 CATEGORIES = {
     "new": re.compile(r"\bnew\s+[A-Za-z_(]"),
