@@ -201,13 +201,11 @@ BENCHMARK(BM_ShardedCommitThroughput)
 /// fixed iteration count keeps the preload from being repeated while the
 /// library sizes the run.
 void BM_CommitVsHistory(benchmark::State& state) {
-  const auto kind = static_cast<StorageKind>(state.range(0));
-  const auto history = static_cast<size_t>(state.range(1));
+  const auto history = static_cast<size_t>(state.range(0));
   InMemoryEnv env;
   ShardedOptions options;
   options.shards = 1;
   options.durable.sync_policy = SyncPolicy::kNever;
-  options.durable.db.storage = kind;
   options.group_commit.max_batch = 64;
   ShardedExecutor exec(&env, kDir, options);
   if (!exec.Start().ok()) {
@@ -296,21 +294,19 @@ void BM_CommitVsHistory(benchmark::State& state) {
   exec.Stop();
 }
 BENCHMARK(BM_CommitVsHistory)
-    ->ArgsProduct({{static_cast<int64_t>(StorageKind::kFullCopy),
-                    static_cast<int64_t>(StorageKind::kDelta),
-                    static_cast<int64_t>(StorageKind::kCheckpoint),
-                    static_cast<int64_t>(StorageKind::kReverseDelta)},
-                   {0, 100000, 400000}})
-    ->ArgNames({"storage", "history"})
+    ->Arg(0)
+    ->Arg(100000)
+    ->Arg(400000)
+    ->ArgName("history")
     ->Iterations(32768)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 /// Reader-session scaling, 1→16 threads: every thread opens a pinned
-/// session and evaluates ρ(emp, n) for random committed n. The database
-/// holds 64 committed states under the delta engine with a small
-/// FINDSTATE cache, so reads mix cache hits with log reconstruction —
-/// the realistic mix a hot rollback relation serves.
+/// session and evaluates ρ(emp, n) for random committed n over 64
+/// committed states: the cost of a pinned read session on a hot rollback
+/// relation (session open, FINDSTATE, release), so any overhead added to
+/// the read path shows here.
 ShardedExecutor* g_read_exec = nullptr;
 
 void BM_ReaderSessionScaling(benchmark::State& state) {
@@ -319,9 +315,6 @@ void BM_ReaderSessionScaling(benchmark::State& state) {
     ResetDir(env);
     ShardedOptions options;
     options.shards = 1;
-    options.durable.db.storage = StorageKind::kDelta;
-    options.durable.db.checkpoint_interval = 8;
-    options.durable.db.findstate_cache_capacity = 8;
     g_read_exec = new ShardedExecutor(env, kDir, options);
     if (!g_read_exec->Start().ok()) {
       state.SkipWithError("cannot start executor");

@@ -15,10 +15,9 @@ namespace {
 
 namespace hops = historical_ops;
 
-Database BuildTemporal(size_t history, size_t state_size,
-                       StorageKind kind = StorageKind::kFullCopy) {
+Database BuildTemporal(size_t history, size_t state_size) {
   workload::Generator gen(29);
-  Database db(DatabaseOptions{kind, 16});
+  Database db;
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
                                        {"name", ValueType::kString}});
   (void)db.DefineRelation("t", RelationType::kTemporal, schema);
@@ -30,11 +29,11 @@ Database BuildTemporal(size_t history, size_t state_size,
   return db;
 }
 
-// ρ̂(t, N) at the middle of a growing history — mirrors BM_Rollback* of
+// ρ̂(t, N) at the middle of a growing history — mirrors BM_Rollback of
 // experiment E2, over historical states.
-void RunHrho(benchmark::State& state, StorageKind kind) {
+void BM_Hrho(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
-  Database db = BuildTemporal(history, 128, kind);
+  Database db = BuildTemporal(history, 128);
   const TransactionNumber middle = 1 + history / 2;
   for (auto _ : state) {
     auto result = db.RollbackHistorical("t", middle);
@@ -42,19 +41,7 @@ void RunHrho(benchmark::State& state, StorageKind kind) {
   }
   state.counters["bytes"] = static_cast<double>(db.ApproxBytes());
 }
-
-void BM_HrhoFullCopy(benchmark::State& state) {
-  RunHrho(state, StorageKind::kFullCopy);
-}
-void BM_HrhoDelta(benchmark::State& state) {
-  RunHrho(state, StorageKind::kDelta);
-}
-void BM_HrhoCheckpoint(benchmark::State& state) {
-  RunHrho(state, StorageKind::kCheckpoint);
-}
-BENCHMARK(BM_HrhoFullCopy)->Range(16, 1024);
-BENCHMARK(BM_HrhoDelta)->Range(16, 1024);
-BENCHMARK(BM_HrhoCheckpoint)->Range(16, 1024);
+BENCHMARK(BM_Hrho)->Range(16, 1024);
 
 // δ_{G,V}: valid-time selection + projection as interval complexity grows.
 void BM_Delta(benchmark::State& state) {

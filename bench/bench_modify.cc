@@ -13,8 +13,7 @@
 namespace ttra {
 namespace {
 
-void RunModify(benchmark::State& state, RelationType type,
-               StorageKind storage) {
+void RunModify(benchmark::State& state, RelationType type) {
   const size_t state_size = static_cast<size_t>(state.range(0));
   workload::Generator gen(17);
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
@@ -26,7 +25,7 @@ void RunModify(benchmark::State& state, RelationType type,
     states.push_back(current);
     current = gen.MutateState(current, 0.1);
   }
-  Database db(DatabaseOptions{storage, 16});
+  Database db;
   (void)db.DefineRelation("r", type, schema);
   size_t next = 0;
   for (auto _ : state) {
@@ -34,7 +33,7 @@ void RunModify(benchmark::State& state, RelationType type,
     // benchmark runs measure steady-state appends, not allocator pressure.
     if (db.Find("r")->history_length() >= 1024) {
       state.PauseTiming();
-      db = Database(DatabaseOptions{storage, 16});
+      db = Database();
       (void)db.DefineRelation("r", type, schema);
       state.ResumeTiming();
     }
@@ -47,22 +46,14 @@ void RunModify(benchmark::State& state, RelationType type,
 }
 
 void BM_ModifySnapshot(benchmark::State& state) {
-  RunModify(state, RelationType::kSnapshot, StorageKind::kFullCopy);
+  RunModify(state, RelationType::kSnapshot);
 }
-void BM_ModifyRollbackFullCopy(benchmark::State& state) {
-  RunModify(state, RelationType::kRollback, StorageKind::kFullCopy);
-}
-void BM_ModifyRollbackDelta(benchmark::State& state) {
-  RunModify(state, RelationType::kRollback, StorageKind::kDelta);
-}
-void BM_ModifyRollbackCheckpoint(benchmark::State& state) {
-  RunModify(state, RelationType::kRollback, StorageKind::kCheckpoint);
+void BM_ModifyRollback(benchmark::State& state) {
+  RunModify(state, RelationType::kRollback);
 }
 
 BENCHMARK(BM_ModifySnapshot)->Range(16, 4096);
-BENCHMARK(BM_ModifyRollbackFullCopy)->Range(16, 4096);
-BENCHMARK(BM_ModifyRollbackDelta)->Range(16, 4096);
-BENCHMARK(BM_ModifyRollbackCheckpoint)->Range(16, 4096);
+BENCHMARK(BM_ModifyRollback)->Range(16, 4096);
 
 // Temporal relations: the identical construction over historical states
 // (orthogonality in action at the update path).
@@ -76,13 +67,13 @@ void BM_ModifyTemporal(benchmark::State& state) {
     states.push_back(current);
     current = gen.MutateState(current, 0.1);
   }
-  Database db(DatabaseOptions{StorageKind::kDelta, 16});
+  Database db;
   (void)db.DefineRelation("t", RelationType::kTemporal, schema);
   size_t next = 0;
   for (auto _ : state) {
     if (db.Find("t")->history_length() >= 1024) {
       state.PauseTiming();
-      db = Database(DatabaseOptions{StorageKind::kDelta, 16});
+      db = Database();
       (void)db.DefineRelation("t", RelationType::kTemporal, schema);
       state.ResumeTiming();
     }

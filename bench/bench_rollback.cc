@@ -1,8 +1,7 @@
 // Experiment E2: cost of the rollback operator ρ(R, N) as history length
-// grows, for each storage engine and for three probe positions (oldest
-// state, middle, current). The paper's direct semantics (full-copy) gives
-// O(log h) lookups; delta pays O(h) replay; checkpointed delta bounds the
-// replay by the checkpoint interval.
+// grows, at three probe positions (oldest state, middle, current). The
+// full-copy log answers every probe with one O(log h) binary search, so
+// the cost should be flat in both history length and probe position.
 
 #include <benchmark/benchmark.h>
 
@@ -15,11 +14,9 @@ namespace {
 constexpr size_t kStateSize = 256;
 constexpr double kChurn = 0.1;
 
-Database BuildDatabase(StorageKind kind, size_t history,
-                       size_t checkpoint_interval,
-                       size_t cache_capacity = kDefaultFindStateCacheCapacity) {
+Database BuildDatabase(size_t history) {
   workload::Generator gen(7);
-  Database db(DatabaseOptions{kind, checkpoint_interval, cache_capacity});
+  Database db;
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
                                        {"payload", ValueType::kString}});
   (void)db.DefineRelation("r", RelationType::kRollback, schema);
@@ -33,10 +30,10 @@ Database BuildDatabase(StorageKind kind, size_t history,
 
 enum Probe { kOldest = 0, kMiddle = 1, kCurrent = 2 };
 
-void RunRollback(benchmark::State& state, StorageKind kind) {
+void BM_Rollback(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
   const Probe probe = static_cast<Probe>(state.range(1));
-  Database db = BuildDatabase(kind, history, 16);
+  Database db = BuildDatabase(history);
   const TransactionNumber target =
       probe == kOldest ? 2
       : probe == kMiddle ? 1 + history / 2
@@ -49,19 +46,6 @@ void RunRollback(benchmark::State& state, StorageKind kind) {
   state.counters["bytes"] = static_cast<double>(db.ApproxBytes());
 }
 
-void BM_RollbackFullCopy(benchmark::State& state) {
-  RunRollback(state, StorageKind::kFullCopy);
-}
-void BM_RollbackDelta(benchmark::State& state) {
-  RunRollback(state, StorageKind::kDelta);
-}
-void BM_RollbackCheckpoint(benchmark::State& state) {
-  RunRollback(state, StorageKind::kCheckpoint);
-}
-void BM_RollbackReverseDelta(benchmark::State& state) {
-  RunRollback(state, StorageKind::kReverseDelta);
-}
-
 void RollbackArgs(benchmark::internal::Benchmark* bench) {
   for (int history : {16, 64, 256, 1024}) {
     for (int probe : {kOldest, kMiddle, kCurrent}) {
@@ -70,63 +54,17 @@ void RollbackArgs(benchmark::internal::Benchmark* bench) {
   }
 }
 
-BENCHMARK(BM_RollbackFullCopy)->Apply(RollbackArgs);
-BENCHMARK(BM_RollbackDelta)->Apply(RollbackArgs);
-BENCHMARK(BM_RollbackCheckpoint)->Apply(RollbackArgs);
-BENCHMARK(BM_RollbackReverseDelta)->Apply(RollbackArgs);
+BENCHMARK(BM_Rollback)->Apply(RollbackArgs);
 
-// ρ(R, ∞) — the common case: always the tail, cheap for every engine.
+// ρ(R, ∞) — the common case: the tail of the log.
 void BM_RollbackCurrentInf(benchmark::State& state) {
-  const StorageKind kind = static_cast<StorageKind>(state.range(0));
-  Database db = BuildDatabase(kind, 256, 16);
+  Database db = BuildDatabase(256);
   for (auto _ : state) {
     auto result = db.Rollback("r");
     benchmark::DoNotOptimize(result);
   }
-  state.SetLabel(std::string(StorageKindName(kind)));
 }
-BENCHMARK(BM_RollbackCurrentInf)->DenseRange(0, 3);
-
-// --- Experiment E12: repeated ρ(R, N) with the FINDSTATE cache on/off ---
-//
-// Rolling a delta-backed relation repeatedly to the same past transaction
-// is the worst case for pure replay (O(history) per call) and the best
-// case for the reconstruction cache (O(1) after the first call).
-
-void RunRepeatedRollback(benchmark::State& state, size_t cache_capacity) {
-  const size_t history = static_cast<size_t>(state.range(0));
-  Database db = BuildDatabase(StorageKind::kDelta, history, 16,
-                              cache_capacity);
-  const TransactionNumber middle = 1 + history / 2;
-  for (auto _ : state) {
-    auto result = db.Rollback("r", middle);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["history"] = static_cast<double>(history);
-}
-
-void BM_RepeatedRollbackDeltaCached(benchmark::State& state) {
-  RunRepeatedRollback(state, kDefaultFindStateCacheCapacity);
-}
-void BM_RepeatedRollbackDeltaUncached(benchmark::State& state) {
-  RunRepeatedRollback(state, 0);
-}
-BENCHMARK(BM_RepeatedRollbackDeltaCached)->Range(64, 1024);
-BENCHMARK(BM_RepeatedRollbackDeltaUncached)->Range(64, 1024);
-
-// Checkpoint-interval sweep at fixed history: the E2/E3 tradeoff dial.
-void BM_RollbackCheckpointInterval(benchmark::State& state) {
-  const size_t interval = static_cast<size_t>(state.range(0));
-  Database db = BuildDatabase(StorageKind::kCheckpoint, 512, interval);
-  const TransactionNumber middle = 1 + 256;
-  for (auto _ : state) {
-    auto result = db.Rollback("r", middle);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["interval"] = static_cast<double>(interval);
-  state.counters["bytes"] = static_cast<double>(db.ApproxBytes());
-}
-BENCHMARK(BM_RollbackCheckpointInterval)->RangeMultiplier(4)->Range(1, 256);
+BENCHMARK(BM_RollbackCurrentInf);
 
 }  // namespace
 }  // namespace ttra

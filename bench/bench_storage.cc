@@ -1,11 +1,13 @@
-// Experiment E3: the storage/retrieval tradeoff the paper explicitly
-// leaves to "more efficient implementations" (§2). Measures, per engine:
-//   * bytes per recorded transaction as the update ratio varies,
-//   * FINDSTATE latency at a random past transaction, and
+// Experiment E3: what the paper's full-copy semantics costs in memory
+// and retrieval, and what the compact segments cost on disk. Measures:
+//   * estimated resident bytes per recorded transaction as the update
+//     ratio varies, with FINDSTATE at a past transaction as the timed
+//     retrieval cost,
+//   * append cost per recorded state,
 //   * resident memory per state of a long one-tuple-change history
-//     (BM_HistoryResidentBytes).
-// Full-copy is the paper's direct semantics; delta and checkpointed delta
-// are the optimized realizations proven equivalent by the test suite.
+//     (BM_HistoryResidentBytes), and
+//   * bytes appended per transaction and probe latency of the on-disk
+//     compact segments (experiment E17).
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +24,6 @@
 #include "rollback/persistence.h"
 #include "storage/env.h"
 #include "storage/serialize.h"
-#include "storage/logs.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -32,10 +33,9 @@ namespace {
 constexpr size_t kHistory = 200;
 constexpr size_t kStateSize = 500;
 
-StateLog<SnapshotState> BuildLog(StorageKind kind, double churn,
-                                 size_t interval) {
+StateLog<SnapshotState> BuildLog(double churn) {
   workload::Generator gen(11);
-  auto log = MakeStateLog<SnapshotState>(kind, interval);
+  StateLog<SnapshotState> log;
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
                                        {"payload", ValueType::kString}});
   SnapshotState state = gen.RandomState(schema, kStateSize);
@@ -47,12 +47,11 @@ StateLog<SnapshotState> BuildLog(StorageKind kind, double churn,
 }
 
 // churn is permille (range args must be integers).
-void RunSpace(benchmark::State& state, StorageKind kind) {
+void BM_Space(benchmark::State& state) {
   const double churn = static_cast<double>(state.range(0)) / 1000.0;
-  auto log = BuildLog(kind, churn, 16);
+  auto log = BuildLog(churn);
   // Space is a property of the built log, not of an inner loop; the timed
-  // region measures a full FINDSTATE at the middle as the retrieval cost
-  // that buys that space.
+  // region measures a FINDSTATE at the middle as the retrieval cost.
   for (auto _ : state) {
     benchmark::DoNotOptimize(log.StateAt(kHistory / 2));
   }
@@ -60,41 +59,10 @@ void RunSpace(benchmark::State& state, StorageKind kind) {
       static_cast<double>(log.ApproxBytes()) / kHistory;
   state.counters["churn_permille"] = static_cast<double>(state.range(0));
 }
+BENCHMARK(BM_Space)->Arg(10)->Arg(50)->Arg(200)->Arg(500);
 
-void BM_SpaceFullCopy(benchmark::State& state) {
-  RunSpace(state, StorageKind::kFullCopy);
-}
-void BM_SpaceDelta(benchmark::State& state) {
-  RunSpace(state, StorageKind::kDelta);
-}
-void BM_SpaceCheckpoint(benchmark::State& state) {
-  RunSpace(state, StorageKind::kCheckpoint);
-}
-void BM_SpaceReverseDelta(benchmark::State& state) {
-  RunSpace(state, StorageKind::kReverseDelta);
-}
-
-BENCHMARK(BM_SpaceFullCopy)->Arg(10)->Arg(50)->Arg(200)->Arg(500);
-BENCHMARK(BM_SpaceDelta)->Arg(10)->Arg(50)->Arg(200)->Arg(500);
-BENCHMARK(BM_SpaceCheckpoint)->Arg(10)->Arg(50)->Arg(200)->Arg(500);
-BENCHMARK(BM_SpaceReverseDelta)->Arg(10)->Arg(50)->Arg(200)->Arg(500);
-
-// Checkpoint-interval sweep: interval 1 ≈ full-copy space, interval ∞ ≈
-// delta space; retrieval cost moves the other way.
-void BM_CheckpointIntervalSpace(benchmark::State& state) {
-  const size_t interval = static_cast<size_t>(state.range(0));
-  auto log = BuildLog(StorageKind::kCheckpoint, 0.05, interval);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(log.StateAt(kHistory / 2));
-  }
-  state.counters["bytes_per_txn"] =
-      static_cast<double>(log.ApproxBytes()) / kHistory;
-  state.counters["interval"] = static_cast<double>(interval);
-}
-BENCHMARK(BM_CheckpointIntervalSpace)->RangeMultiplier(2)->Range(1, 128);
-
-// Append cost: what each engine pays at modify_state time.
-void RunAppend(benchmark::State& state, StorageKind kind) {
+// Append cost: what the log pays at modify_state time.
+void BM_Append(benchmark::State& state) {
   workload::Generator gen(13);
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
                                        {"payload", ValueType::kString}});
@@ -109,7 +77,7 @@ void RunAppend(benchmark::State& state, StorageKind kind) {
   }
   for (auto _ : state) {
     state.PauseTiming();
-    auto log = MakeStateLog<SnapshotState>(kind, 16);
+    StateLog<SnapshotState> log;
     state.ResumeTiming();
     for (size_t i = 0; i < states.size(); ++i) {
       (void)log.Append(states[i], i + 1);
@@ -118,27 +86,11 @@ void RunAppend(benchmark::State& state, StorageKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-
-void BM_AppendFullCopy(benchmark::State& state) {
-  RunAppend(state, StorageKind::kFullCopy);
-}
-void BM_AppendDelta(benchmark::State& state) {
-  RunAppend(state, StorageKind::kDelta);
-}
-void BM_AppendCheckpoint(benchmark::State& state) {
-  RunAppend(state, StorageKind::kCheckpoint);
-}
-void BM_AppendReverseDelta(benchmark::State& state) {
-  RunAppend(state, StorageKind::kReverseDelta);
-}
-BENCHMARK(BM_AppendFullCopy);
-BENCHMARK(BM_AppendDelta);
-BENCHMARK(BM_AppendCheckpoint);
-BENCHMARK(BM_AppendReverseDelta);
+BENCHMARK(BM_Append);
 
 // Serialization throughput with checksum verification.
 void BM_SerializeRoundTrip(benchmark::State& state) {
-  auto log = BuildLog(StorageKind::kFullCopy, 0.1, 16);
+  auto log = BuildLog(0.1);
   auto sequence = MaterializeSequence(log);
   sequence.resize(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -154,8 +106,8 @@ BENCHMARK(BM_SerializeRoundTrip)->Arg(4)->Arg(16)->Arg(64);
 // ---------------------------------------------------------------------------
 // Resident history in the end-to-end preload's shape: kResidentStates states
 // of a 32-tuple rollback relation and as many of a 16-tuple temporal one,
-// each state one tuple away from the last, committed through Database. Per
-// engine: resident-set growth per state pair (VmRSS after the history is
+// each state one tuple away from the last, committed through Database:
+// resident-set growth per state pair (VmRSS after the history is
 // built, less VmRSS before, with freed heap returned to the OS first so
 // earlier runs do not hide growth) and the latency of ρ(acct, N) at a
 // random recorded N.
@@ -193,14 +145,14 @@ HistoricalTuple PosRow(Rng& rng) {
                                                         1000, a + 300)))};
 }
 
-void RunHistoryResident(benchmark::State& state, StorageKind kind) {
+void BM_HistoryResidentBytes(benchmark::State& state) {
   const Schema acct_schema = *Schema::Make({{"id", ValueType::kInt},
                                             {"owner", ValueType::kString},
                                             {"bal", ValueType::kInt}});
   const Schema pos_schema = *Schema::Make(
       {{"id", ValueType::kInt}, {"title", ValueType::kString}});
   const size_t before = ResidentBytes();
-  Database db(DatabaseOptions{.storage = kind, .checkpoint_interval = 16});
+  Database db;
   if (!db.DefineRelation("acct", RelationType::kRollback, acct_schema).ok() ||
       !db.DefineRelation("pos", RelationType::kTemporal, pos_schema).ok()) {
     state.SkipWithError("define failed");
@@ -239,20 +191,9 @@ void RunHistoryResident(benchmark::State& state, StorageKind kind) {
                                        : 0.0;
   state.counters["rss_growth_mb"] = growth / (1024.0 * 1024.0);
   state.counters["rss_bytes_per_state_pair"] = growth / kResidentStates;
-  state.SetLabel(std::string(StorageKindName(kind)));
 }
-
-void BM_HistoryResidentBytes(benchmark::State& state) {
-  constexpr StorageKind kKinds[] = {StorageKind::kFullCopy,
-                                    StorageKind::kCheckpoint,
-                                    StorageKind::kDelta,
-                                    StorageKind::kReverseDelta};
-  RunHistoryResident(state, kKinds[state.range(0)]);
-}
-// Fixed iterations: the history is built once per engine, and a delta
-// engine's ρ replays thousands of entries.
+// Fixed iterations: the history is built once.
 BENCHMARK(BM_HistoryResidentBytes)
-    ->DenseRange(0, 3)
     ->Iterations(200)
     ->Unit(benchmark::kMicrosecond);
 

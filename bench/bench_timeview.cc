@@ -18,10 +18,9 @@ struct Setup {
   benzvi::TrmRelation trm{Schema()};
 };
 
-Setup Build(size_t history, size_t state_size, StorageKind kind) {
+Setup Build(size_t history, size_t state_size) {
   workload::Generator gen(61);
   Setup setup;
-  setup.db = Database(DatabaseOptions{kind, 16});
   const Schema schema = *Schema::Make({{"id", ValueType::kInt},
                                        {"name", ValueType::kString}});
   (void)setup.db.DefineRelation("t", RelationType::kTemporal, schema);
@@ -36,9 +35,9 @@ Setup Build(size_t history, size_t state_size, StorageKind kind) {
 }
 
 // ρ̂(t, tt) then timeslice at tv — our two-step path.
-void RunRhoSlice(benchmark::State& state, StorageKind kind) {
+void BM_RhoSlice(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
-  Setup setup = Build(history, 128, kind);
+  Setup setup = Build(history, 128);
   const TransactionNumber tt = 1 + history / 2;
   for (auto _ : state) {
     auto rolled = setup.db.RollbackHistorical("t", tt);
@@ -47,20 +46,12 @@ void RunRhoSlice(benchmark::State& state, StorageKind kind) {
   state.counters["temporal_bytes"] =
       static_cast<double>(setup.db.ApproxBytes());
 }
-
-void BM_RhoSliceFullCopy(benchmark::State& state) {
-  RunRhoSlice(state, StorageKind::kFullCopy);
-}
-void BM_RhoSliceDelta(benchmark::State& state) {
-  RunRhoSlice(state, StorageKind::kDelta);
-}
-BENCHMARK(BM_RhoSliceFullCopy)->Range(16, 1024);
-BENCHMARK(BM_RhoSliceDelta)->Range(16, 1024);
+BENCHMARK(BM_RhoSlice)->Range(16, 1024);
 
 // Ben-Zvi's one-step Time-View over the flat interval table.
 void BM_TimeView(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
-  Setup setup = Build(history, 128, StorageKind::kFullCopy);
+  Setup setup = Build(history, 128);
   const TransactionNumber tt = 1 + history / 2;
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.trm.TimeView(500, tt));
@@ -75,7 +66,7 @@ BENCHMARK(BM_TimeView)->Range(16, 1024);
 // ρ̂ is a FINDSTATE lookup. This is the composability asymmetry §5 argues.
 void BM_FullHistoryViaRho(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
-  Setup setup = Build(history, 128, StorageKind::kFullCopy);
+  Setup setup = Build(history, 128);
   const TransactionNumber tt = 1 + history / 2;
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.db.RollbackHistorical("t", tt));
@@ -85,7 +76,7 @@ BENCHMARK(BM_FullHistoryViaRho)->Range(16, 1024);
 
 void BM_FullHistoryViaTrm(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
-  Setup setup = Build(history, 128, StorageKind::kFullCopy);
+  Setup setup = Build(history, 128);
   const TransactionNumber tt = 1 + history / 2;
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.trm.HistoricalAsOf(tt));

@@ -46,10 +46,10 @@ bool Apply(ttra::Database& db, std::string_view quel_source) {
 int main() {
   using namespace ttra;
 
-  // Store the ledger with the delta engine: storage grows with change
-  // volume, not state size — the paper's "more efficient implementation",
-  // provably equivalent to the full-copy semantics.
-  Database db(DatabaseOptions{StorageKind::kDelta, 16});
+  // Every state of the ledger is kept in full, as the paper defines it;
+  // consecutive states share every tuple they have in common, so storage
+  // grows with change volume, not state size.
+  Database db;
   Status status = lang::Run(
       "define_relation(accounts, rollback, (owner: string, balance: int));",
       db);

@@ -191,8 +191,7 @@ class Rewriter {
       return Expr::Const(SnapshotState::Empty(*at));
     }
     // N provably at/after the last recorded state: FINDSTATE picks that
-    // last state either way, and ∞ is O(1) on every storage engine (the
-    // reverse-delta engine otherwise replays backwards from the tail).
+    // last state either way, and ∞ names it without a transaction number.
     const std::optional<lang::TxnInterval> last = rel->LastStateTxn();
     if (last.has_value() && last->hi.has_value() && txn >= *last->hi) {
       return Expr::Rollback(expr.relation_name(), std::nullopt,

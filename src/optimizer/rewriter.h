@@ -61,8 +61,8 @@ lang::Expr Optimize(const lang::Expr& expr, const lang::Catalog& catalog,
 //                    would return (only when the observed scheme is
 //                    provably the current one).
 //  * ρ-∞ normalize:  ρ/ρ̂(I, N) with N provably at/after the relation's
-//                    last recorded state → ρ/ρ̂(I, ∞), which every storage
-//                    engine answers in O(1) (no backward replay).
+//                    last recorded state → ρ/ρ̂(I, ∞), which names the
+//                    current state without a transaction number.
 //  * const fold:     a relation-free subexpression whose evaluation
 //                    succeeds → its value as a constant (TTRA-W009's
 //                    rewrite; evaluation failure keeps the expression so
@@ -77,8 +77,7 @@ lang::Expr Optimize(const lang::Expr& expr, const lang::Catalog& catalog,
 // expression evaluates against — AbsStateFromDatabase(db) right before
 // execution, or Interpret()'s per-statement pre-state for whole programs
 // (the latter is exact for strict execution; see DESIGN.md §10). The
-// oracle test replays rewritten vs. original programs on every storage
-// engine to enforce this.
+// oracle test replays rewritten vs. original programs to enforce this.
 lang::Expr OptimizeWithFacts(const lang::Expr& expr,
                              const lang::Catalog& catalog,
                              const lang::AbsState& facts,

@@ -12,7 +12,7 @@ namespace ttra {
 
 /// Plain-data command forms mirroring the paper's COMMAND syntactic domain
 /// with expressions already evaluated to constant states. Used by the
-/// workload generators and the storage-engine equivalence suites; the full
+/// workload generators and the state-log equivalence suites; the full
 /// language (with algebraic expressions inside modify_state) lives in
 /// src/lang.
 

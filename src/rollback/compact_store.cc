@@ -79,8 +79,7 @@ const Schema& ManifestSchemaAt(
 template <typename StateT>
 Result<Relation> RebuildRelation(
     const ManifestRelation& meta,
-    const std::vector<std::pair<StateT, TransactionNumber>>& sequence,
-    const DatabaseOptions& options) {
+    const std::vector<std::pair<StateT, TransactionNumber>>& sequence) {
   if (meta.relation_type > static_cast<uint8_t>(RelationType::kTemporal)) {
     return CorruptionError("invalid relation type tag in manifest");
   }
@@ -90,8 +89,7 @@ Result<Relation> RebuildRelation(
   }
   const auto& schemas = meta.schema_history;
   Relation relation =
-      Relation::Make(type, schemas.front().second, schemas.front().first,
-                     options.storage, options.checkpoint_interval);
+      Relation::Make(type, schemas.front().second, schemas.front().first);
   size_t next_schema = 1;
   for (const auto& [state, txn] : sequence) {
     while (next_schema < schemas.size() && schemas[next_schema].first <= txn) {
@@ -196,7 +194,7 @@ Result<Database> CompactStore::Load(const DatabaseOptions& options) {
           auto sequence,
           DecodeSegmentSequence<SnapshotState>(seg.records, meta));
       TTRA_ASSIGN_OR_RETURN(Relation relation,
-                            RebuildRelation(meta, sequence, options));
+                            RebuildRelation(meta, sequence));
       if (!sequence.empty()) {
         entry.snapshot_last = std::make_shared<const SnapshotState>(
             std::move(sequence.back().first));
@@ -207,7 +205,7 @@ Result<Database> CompactStore::Load(const DatabaseOptions& options) {
           auto sequence,
           DecodeSegmentSequence<HistoricalState>(seg.records, meta));
       TTRA_ASSIGN_OR_RETURN(Relation relation,
-                            RebuildRelation(meta, sequence, options));
+                            RebuildRelation(meta, sequence));
       if (!sequence.empty()) {
         entry.historical_last = std::make_shared<const HistoricalState>(
             std::move(sequence.back().first));

@@ -3,12 +3,13 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rollback/database.h"
 #include "storage/env.h"
-#include "storage/logs.h"
 #include "storage/segment.h"
 #include "util/mutex.h"
 
@@ -42,12 +43,95 @@ namespace ttra {
 /// full-copy kLegacyCheckpointFile instead. Load reads it once when no
 /// manifest exists; the first manifest commit after that removes it.
 
+/// Small thread-safe LRU of decoded states, keyed by segment entry
+/// ordinal: the probe-side FINDSTATE cache of a compact segment. Probes of
+/// one relation may run concurrently, hence the internal mutex. Segment
+/// entries are immutable once written and a rewritten segment gets a fresh
+/// cache, so a cached ordinal always names the state cached under it. A
+/// copy copies the (at most `capacity`) cached references. A capacity of 0
+/// disables caching entirely.
+template <typename StateT>
+class FindStateCache {
+ public:
+  explicit FindStateCache(size_t capacity) : capacity_(capacity) {}
+
+  FindStateCache(const FindStateCache& other) : capacity_(other.capacity_) {
+    MutexLock lock(other.mutex_);
+    slots_ = other.slots_;
+    clock_ = other.clock_;
+  }
+  FindStateCache& operator=(const FindStateCache&) = delete;
+
+  size_t capacity() const { return capacity_; }
+
+  /// The cached state for exactly `index`, or nullptr.
+  std::shared_ptr<const StateT> Get(size_t index) const {
+    MutexLock lock(mutex_);
+    for (Slot& slot : slots_) {
+      if (slot.index == index) {
+        slot.stamp = ++clock_;
+        return slot.state;
+      }
+    }
+    return nullptr;
+  }
+
+  /// The cached entry with the greatest index <= `index` (a replay seed),
+  /// or nullopt.
+  std::optional<std::pair<size_t, std::shared_ptr<const StateT>>> Floor(
+      size_t index) const {
+    MutexLock lock(mutex_);
+    Slot* best = nullptr;
+    for (Slot& slot : slots_) {
+      if (slot.index <= index && (best == nullptr || slot.index > best->index)) {
+        best = &slot;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    best->stamp = ++clock_;
+    return std::make_pair(best->index, best->state);
+  }
+
+  /// Caches `state` under `index`, evicting the least recently used slot
+  /// when full.
+  void Put(size_t index, std::shared_ptr<const StateT> state) const {
+    if (capacity_ == 0) return;
+    MutexLock lock(mutex_);
+    Slot* victim = nullptr;
+    for (Slot& slot : slots_) {
+      if (slot.index == index) {
+        slot.state = std::move(state);
+        slot.stamp = ++clock_;
+        return;
+      }
+      if (victim == nullptr || slot.stamp < victim->stamp) victim = &slot;
+    }
+    if (slots_.size() < capacity_) {
+      slots_.push_back(Slot{index, std::move(state), ++clock_});
+      return;
+    }
+    *victim = Slot{index, std::move(state), ++clock_};
+  }
+
+ private:
+  struct Slot {
+    size_t index = 0;
+    std::shared_ptr<const StateT> state;
+    uint64_t stamp = 0;
+  };
+
+  const size_t capacity_;
+  mutable Mutex mutex_;
+  mutable std::vector<Slot> slots_ TTRA_GUARDED_BY(mutex_);
+  mutable uint64_t clock_ TTRA_GUARDED_BY(mutex_) = 0;
+};
+
 struct CompactOptions {
   /// A keyframe every this many segment entries (and on schema change).
   /// Bounds FINDSTATE replay length; smaller trades bytes for latency.
   size_t keyframe_interval = 16;
   /// Capacity of each relation's probe-side FINDSTATE cache (0 disables).
-  size_t probe_cache_capacity = kDefaultFindStateCacheCapacity;
+  size_t probe_cache_capacity = 8;
 };
 
 class CompactStore {

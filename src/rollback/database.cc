@@ -4,7 +4,7 @@
 
 namespace ttra {
 
-Database::Database(DatabaseOptions options) : options_(options) {}
+Database::Database(DatabaseOptions /*options*/) {}
 
 Relation& Database::Own(std::shared_ptr<const Relation>& slot) {
   if (slot.use_count() != 1) {
@@ -23,9 +23,7 @@ Status Database::DefineRelation(const std::string& name, RelationType type,
     return AlreadyDefinedError("relation already defined: " + name);
   }
   relations_.emplace(name, std::make_shared<Relation>(Relation::Make(
-                               type, std::move(schema), txn_ + 1,
-                               options_.storage, options_.checkpoint_interval,
-                               options_.findstate_cache_capacity)));
+                               type, std::move(schema), txn_ + 1)));
   ++txn_;
   return Status::Ok();
 }

@@ -11,13 +11,11 @@
 
 namespace ttra {
 
-/// Storage configuration applied to relations created in a database.
+/// Database configuration. Inert: every relation keeps its history in the
+/// one full-copy StateLog, so nothing reads `storage`; the field stays only
+/// so existing callers that set it still compile.
 struct DatabaseOptions {
   StorageKind storage = StorageKind::kFullCopy;
-  size_t checkpoint_interval = 16;
-  /// FINDSTATE reconstruction-cache capacity per relation log (0 disables
-  /// caching; see kDefaultFindStateCacheCapacity).
-  size_t findstate_cache_capacity = kDefaultFindStateCacheCapacity;
 };
 
 /// The paper's DATABASE semantic domain: a database state (identifier →
@@ -97,8 +95,6 @@ class Database {
 
   size_t ApproxBytes() const;
 
-  const DatabaseOptions& options() const { return options_; }
-
   // --- Restore API (persistence layer only) -------------------------------
   //
   // These bypass the command semantics to rebuild a database exactly as
@@ -117,7 +113,6 @@ class Database {
   /// first if another version still shares it.
   static Relation& Own(std::shared_ptr<const Relation>& slot);
 
-  DatabaseOptions options_;
   TransactionNumber txn_ = 0;
   // Every relation is allocated non-const (Own writes through the pointer
   // when this version is its only owner) and never written while shared.

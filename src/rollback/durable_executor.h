@@ -49,6 +49,8 @@ struct RetryOptions {
 };
 
 struct DurableOptions {
+  /// Inert, like DatabaseOptions itself: set by existing callers, read by
+  /// nothing.
   DatabaseOptions db;
   SyncPolicy sync_policy = SyncPolicy::kAlways;
   /// Commits between syncs under SyncPolicy::kBatch.

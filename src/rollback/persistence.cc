@@ -50,8 +50,7 @@ void EncodeRelation(const std::string& name, const Relation& relation,
   }
 }
 
-Result<std::pair<std::string, Relation>> DecodeRelation(
-    ByteReader& reader, const DatabaseOptions& options) {
+Result<std::pair<std::string, Relation>> DecodeRelation(ByteReader& reader) {
   TTRA_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
   TTRA_ASSIGN_OR_RETURN(uint8_t type_tag, reader.ReadByte());
   if (type_tag > static_cast<uint8_t>(RelationType::kTemporal)) {
@@ -77,8 +76,7 @@ Result<std::pair<std::string, Relation>> DecodeRelation(
   }
 
   Relation relation =
-      Relation::Make(type, schemas.front().first, schemas.front().second,
-                     options.storage, options.checkpoint_interval);
+      Relation::Make(type, schemas.front().first, schemas.front().second);
 
   TTRA_ASSIGN_OR_RETURN(uint64_t states, reader.ReadU64());
   size_t next_schema = 1;
@@ -168,7 +166,7 @@ Result<Database> DecodeDatabase(std::string_view data,
   TTRA_ASSIGN_OR_RETURN(uint64_t relation_count, reader.ReadU64());
   Database db(options);
   for (uint64_t i = 0; i < relation_count; ++i) {
-    TTRA_ASSIGN_OR_RETURN(auto entry, DecodeRelation(reader, options));
+    TTRA_ASSIGN_OR_RETURN(auto entry, DecodeRelation(reader));
     db.RestoreRelation(entry.first, std::move(entry.second));
   }
   if (!reader.AtEnd()) {

@@ -10,18 +10,16 @@ namespace ttra {
 
 /// Whole-database persistence: every relation's type, scheme history, and
 /// complete logical state sequence, plus the database's transaction
-/// counter, in one checksummed frame. The storage engine is *not* part of
-/// the format — it is an implementation choice, so a database saved from
-/// a delta-engine process can be loaded into a checkpoint-engine one (the
-/// paper's point that the semantics defines the information content, and
-/// engines merely realize it).
+/// counter, in one checksummed frame. The in-memory representation is
+/// *not* part of the format (the paper's point that the semantics defines
+/// the information content, and an implementation merely realizes it).
 
 /// Serializes the database to bytes.
 std::string EncodeDatabase(const Database& db);
 
-/// Rebuilds a database from EncodeDatabase output. Relations are stored
-/// with the engines configured by `options`. Any corruption (bad magic,
-/// checksum, truncation, invalid payload) yields kCorruption.
+/// Rebuilds a database from EncodeDatabase output (`options` is inert;
+/// see DatabaseOptions). Any corruption (bad magic, checksum, truncation,
+/// invalid payload) yields kCorruption.
 Result<Database> DecodeDatabase(std::string_view data,
                                 DatabaseOptions options = {});
 

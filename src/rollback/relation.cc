@@ -35,18 +35,14 @@ bool RetainsHistory(RelationType type) {
 }
 
 Relation Relation::Make(RelationType type, Schema schema,
-                        TransactionNumber defined_at, StorageKind storage,
-                        size_t checkpoint_interval, size_t cache_capacity) {
+                        TransactionNumber defined_at) {
   Relation r;
   r.type_ = type;
-  r.storage_ = storage;
   r.schema_history_.emplace_back(std::move(schema), defined_at);
   if (HoldsSnapshotStates(type)) {
-    r.slog_ = MakeStateLog<SnapshotState>(storage, checkpoint_interval,
-                                          cache_capacity);
+    r.slog_.emplace();
   } else {
-    r.hlog_ = MakeStateLog<HistoricalState>(storage, checkpoint_interval,
-                                            cache_capacity);
+    r.hlog_.emplace();
   }
   return r;
 }

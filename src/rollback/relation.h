@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "storage/logs.h"
 #include "storage/serialize.h"
 
 namespace ttra {
@@ -29,7 +28,7 @@ bool RetainsHistory(RelationType type);
 
 /// An element of the paper's RELATION semantic domain: a relation type
 /// paired with a sequence of (state, transaction-number) pairs. The
-/// sequence lives behind a StateLog engine; FINDSTATE is `SnapshotAt` /
+/// sequence lives in a StateLog; FINDSTATE is `SnapshotAt` /
 /// `HistoricalAt`. A Relation is a value: a copy shares the recorded
 /// history with its source (StateLog is persistent) and costs
 /// O(kStateLogChunkSize + scheme versions), never O(history).
@@ -45,10 +44,7 @@ class Relation {
   Relation() = default;
 
   static Relation Make(RelationType type, Schema schema,
-                       TransactionNumber defined_at,
-                       StorageKind storage = StorageKind::kFullCopy,
-                       size_t checkpoint_interval = 16,
-                       size_t cache_capacity = kDefaultFindStateCacheCapacity);
+                       TransactionNumber defined_at);
 
   RelationType type() const { return type_; }
 
@@ -93,13 +89,11 @@ class Relation {
   /// Number of recorded pairs whose transaction number is <= `txn`:
   /// FINDSTATE's binary search without the state.
   size_t CountAtOrBefore(TransactionNumber txn) const;
-  /// Storage-engine footprint (experiment E3).
+  /// Estimated resident bytes of the recorded history (experiment E3).
   size_t ApproxBytes() const;
-  StorageKind storage_kind() const { return storage_; }
 
  private:
   RelationType type_ = RelationType::kSnapshot;
-  StorageKind storage_ = StorageKind::kFullCopy;
   // Scheme versions in increasing transaction order; never empty after Make.
   std::vector<std::pair<Schema, TransactionNumber>> schema_history_;
   // Exactly one of these is engaged, matching HoldsSnapshotStates(type_).

@@ -25,13 +25,11 @@ void PutString(std::string_view s, std::string& out) {
 /// archive bytes, so failures propagate rather than being discarded.
 template <typename StateT>
 Result<Relation> RebuildRelation(
-    const Relation& original, const DatabaseOptions& options,
+    const Relation& original,
     const std::vector<std::pair<StateT, TransactionNumber>>& sequence) {
   const auto& schemas = original.schema_history();
-  Relation rebuilt =
-      Relation::Make(original.type(), schemas.front().first,
-                     schemas.front().second, options.storage,
-                     options.checkpoint_interval);
+  Relation rebuilt = Relation::Make(original.type(), schemas.front().first,
+                                    schemas.front().second);
   size_t next_schema = 1;
   for (const auto& [state, txn] : sequence) {
     while (next_schema < schemas.size() && schemas[next_schema].second <= txn) {
@@ -73,7 +71,7 @@ Result<VacuumResult> VacuumTyped(
     result.archive.push_back(HoldsSnapshotStates(relation.type()) ? 0 : 1);
     result.archive += EncodeStateSequence(prefix);
     TTRA_ASSIGN_OR_RETURN(Relation rebuilt,
-                          RebuildRelation(relation, db.options(), suffix));
+                          RebuildRelation(relation, suffix));
     db.RestoreRelation(name, std::move(rebuilt));
     db.RestoreTransactionNumber(db.transaction_number() + 1);
   }
@@ -102,7 +100,7 @@ Status AttachTyped(Database& db, const std::string& name,
     archived.emplace_back(std::move(state), txn);
   }
   TTRA_ASSIGN_OR_RETURN(Relation rebuilt,
-                        RebuildRelation(relation, db.options(), archived));
+                        RebuildRelation(relation, archived));
   db.RestoreRelation(name, std::move(rebuilt));
   db.RestoreTransactionNumber(db.transaction_number() + 1);
   return Status::Ok();

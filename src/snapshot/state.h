@@ -17,8 +17,8 @@ namespace ttra {
 ///
 /// The tuple set is kept canonical (sorted, deduplicated), which makes
 /// state equality a linear scan. Canonical equality is load-bearing: the
-/// delta storage engine diffs states, FINDSTATE tests compare against
-/// oracles, and the property suites assert algebraic identities.
+/// segment codec diffs states, FINDSTATE tests compare against oracles,
+/// and the property suites assert algebraic identities.
 ///
 /// States are immutable and copy-on-write: the scheme and tuple vector
 /// live in a shared representation, so copying a state (operator results,

@@ -209,8 +209,8 @@ DecodeSegmentSequence(const std::vector<std::string>& records,
 /// transaction number <= txn), located by binary-searching the interval
 /// index and then walking entry *headers* only — no body is decoded.
 /// `found` is false when txn precedes the first covered entry or the
-/// segment is empty. Callers key their reconstruction caches by the
-/// ordinal, so a cache hit skips all body decoding.
+/// segment is empty. Callers key their probe caches by the ordinal, so a
+/// cache hit skips all body decoding.
 struct SegmentFloor {
   bool found = false;
   uint64_t ordinal = 0;

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "storage/logs.h"
-
 namespace ttra {
 
 namespace {
@@ -341,17 +339,6 @@ std::vector<std::pair<StateT, TransactionNumber>> MaterializeSequence(
   return sequence;
 }
 
-template <typename StateT>
-Result<StateLog<StateT>> RebuildLog(
-    const std::vector<std::pair<StateT, TransactionNumber>>& sequence,
-    StorageKind kind, size_t checkpoint_interval) {
-  auto log = MakeStateLog<StateT>(kind, checkpoint_interval);
-  for (const auto& [state, txn] : sequence) {
-    TTRA_RETURN_IF_ERROR(log.Append(state, txn));
-  }
-  return log;
-}
-
 // Explicit instantiations for the two state kinds.
 template std::string EncodeStateSequence<SnapshotState>(
     const std::vector<std::pair<SnapshotState, TransactionNumber>>&);
@@ -365,13 +352,5 @@ template std::vector<std::pair<SnapshotState, TransactionNumber>>
 MaterializeSequence<SnapshotState>(const StateLog<SnapshotState>&);
 template std::vector<std::pair<HistoricalState, TransactionNumber>>
 MaterializeSequence<HistoricalState>(const StateLog<HistoricalState>&);
-template Result<StateLog<SnapshotState>>
-RebuildLog<SnapshotState>(
-    const std::vector<std::pair<SnapshotState, TransactionNumber>>&,
-    StorageKind, size_t);
-template Result<StateLog<HistoricalState>>
-RebuildLog<HistoricalState>(
-    const std::vector<std::pair<HistoricalState, TransactionNumber>>&,
-    StorageKind, size_t);
 
 }  // namespace ttra

@@ -10,7 +10,7 @@
 namespace ttra {
 
 /// Binary codec for the semantic-domain value types. The on-disk form of a
-/// relation is its *logical* state sequence (engine-independent), framed
+/// relation is its *logical* state sequence, framed
 /// with a magic number, version, and a 64-bit FNV-1a checksum; decoding
 /// verifies the frame and fails with kCorruption instead of misreading.
 
@@ -63,16 +63,10 @@ template <typename StateT>
 Result<std::vector<std::pair<StateT, TransactionNumber>>> DecodeStateSequence(
     std::string_view data);
 
-/// Extracts the logical sequence from any engine (via FINDSTATE replay).
+/// Extracts the logical sequence from a log (one FINDSTATE per pair).
 template <typename StateT>
 std::vector<std::pair<StateT, TransactionNumber>> MaterializeSequence(
     const StateLog<StateT>& log);
-
-/// Rebuilds an engine of the given kind from a logical sequence.
-template <typename StateT>
-Result<StateLog<StateT>> RebuildLog(
-    const std::vector<std::pair<StateT, TransactionNumber>>& sequence,
-    StorageKind kind, size_t checkpoint_interval = 16);
 
 }  // namespace ttra
 

@@ -1,22 +1,27 @@
 #include "storage/state_log.h"
 
-#include "storage/logs.h"
-
 namespace ttra {
 
-std::string_view StorageKindName(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kFullCopy:
-      return "full-copy";
-    case StorageKind::kDelta:
-      return "delta";
-    case StorageKind::kCheckpoint:
-      return "checkpoint";
-    case StorageKind::kReverseDelta:
-      return "reverse-delta";
-  }
-  return "unknown";
+namespace {
+
+// A state representation's schema and vector headers.
+constexpr size_t kStateHeaderBytes = 64;
+// A shared payload's reference count and length.
+constexpr size_t kPayloadHeaderBytes = 24;
+
+size_t ApproxNewBytes(const TemporalElement& valid,
+                      std::unordered_set<const void*>& seen) {
+  if (!seen.insert(valid.intervals().data()).second) return 0;
+  return kPayloadHeaderBytes + valid.intervals().size() * sizeof(Interval);
 }
+
+size_t ApproxNewBytes(const Tuple& tuple,
+                      std::unordered_set<const void*>& seen) {
+  if (!seen.insert(tuple.values().data()).second) return 0;
+  return ApproxSize(tuple);
+}
+
+}  // namespace
 
 size_t ApproxSize(const Value& value) {
   size_t base = 16;  // tag + discriminated-union payload
@@ -25,49 +30,27 @@ size_t ApproxSize(const Value& value) {
 }
 
 size_t ApproxSize(const Tuple& tuple) {
-  size_t total = 24;  // vector header
+  size_t total = kPayloadHeaderBytes;
   for (const Value& v : tuple.values()) total += ApproxSize(v);
   return total;
 }
 
-size_t ApproxSize(const SnapshotState& state) {
-  size_t total = 64;  // schema + headers
-  for (const Tuple& t : state.tuples()) total += ApproxSize(t);
+size_t ApproxNewBytes(const SnapshotState& state,
+                      std::unordered_set<const void*>& seen) {
+  if (!seen.insert(&state.tuples()).second) return 0;
+  size_t total = kStateHeaderBytes + state.size() * sizeof(Tuple);
+  for (const Tuple& t : state.tuples()) total += ApproxNewBytes(t, seen);
   return total;
 }
 
-size_t ApproxSize(const HistoricalTuple& tuple) {
-  return ApproxSize(tuple.tuple) + 24 +
-         tuple.valid.intervals().size() * sizeof(Interval);
-}
-
-size_t ApproxSize(const HistoricalState& state) {
-  size_t total = 64;
-  for (const HistoricalTuple& t : state.tuples()) total += ApproxSize(t);
-  return total;
-}
-
-template <typename StateT>
-StateLog<StateT> MakeStateLog(StorageKind kind, size_t checkpoint_interval,
-                              size_t cache_capacity) {
-  switch (kind) {
-    case StorageKind::kDelta:
-      return StateLog<StateT>(DeltaLog<StateT>(cache_capacity));
-    case StorageKind::kCheckpoint:
-      return StateLog<StateT>(
-          CheckpointLog<StateT>(checkpoint_interval, cache_capacity));
-    case StorageKind::kReverseDelta:
-      return StateLog<StateT>(ReverseDeltaLog<StateT>(cache_capacity));
-    case StorageKind::kFullCopy:
-      break;
+size_t ApproxNewBytes(const HistoricalState& state,
+                      std::unordered_set<const void*>& seen) {
+  if (!seen.insert(&state.tuples()).second) return 0;
+  size_t total = kStateHeaderBytes + state.size() * sizeof(HistoricalTuple);
+  for (const HistoricalTuple& t : state.tuples()) {
+    total += ApproxNewBytes(t.tuple, seen) + ApproxNewBytes(t.valid, seen);
   }
-  return StateLog<StateT>(FullCopyLog<StateT>());
+  return total;
 }
-
-template StateLog<SnapshotState> MakeStateLog<SnapshotState>(StorageKind,
-                                                             size_t, size_t);
-template StateLog<HistoricalState> MakeStateLog<HistoricalState>(StorageKind,
-                                                                 size_t,
-                                                                 size_t);
 
 }  // namespace ttra

@@ -8,7 +8,7 @@
 namespace ttra {
 
 /// Order-dependent hash combiner (boost-style). Used to hash tuples and
-/// states for the delta storage engine and for container keys.
+/// states for container keys.
 inline size_t HashCombine(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }

@@ -367,16 +367,6 @@ void RunCompactOracleSeed(uint64_t seed) {
   VerifyProbeEquality(cold, *cold_db);
   EXPECT_EQ(cold.stats().probe_cache_hits, 0u);
 
-  // A FINDSTATE-cache-disabled LOAD must also be indistinguishable (the
-  // in-memory cache integration, independent of the probe cache).
-  DatabaseOptions no_cache;
-  no_cache.findstate_cache_capacity = 0;
-  CompactStore cacheless(&env, dir, compact_options.compact);
-  Result<Database> cacheless_db = cacheless.Load(no_cache);
-  ASSERT_TRUE(cacheless_db.ok()) << cacheless_db.status();
-  ASSERT_EQ(oracle_bytes, EncodeDatabase(*cacheless_db));
-  VerifyRollbackEquality(oracle, *cacheless_db);
-
   // --- legacy directory + migration ----------------------------------------
   const std::string legacy_dir = "legacy";
   WriteLegacyDir(&env, legacy_dir, program,

@@ -350,12 +350,6 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards,
 
   InMemoryEnv env;
   ShardedOptions options;
-  const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
-                               StorageKind::kCheckpoint,
-                               StorageKind::kReverseDelta};
-  options.durable.db.storage = kinds[seed % 4];
-  options.durable.db.checkpoint_interval = 4;
-  if (seed % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.group_commit.max_batch = 8;
   options.shards = nshards;

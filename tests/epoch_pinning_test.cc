@@ -13,8 +13,8 @@ namespace {
 
 // Epoch-pinning property suite: a Session opened at transaction number N
 // must answer every query from exactly ρ(·, N) — never observing a later
-// commit — across storage engines, FINDSTATE cache hits/evictions,
-// checkpoints, and executor restarts. The workload is the counter trick:
+// commit — across batch bounds, segment keyframe spacings, checkpoints,
+// and executor restarts. The workload is the counter trick:
 // the state committed at transaction n has a size that is a pure function
 // of n, so "never observes beyond the epoch" becomes a size equation any
 // thread can check without synchronizing with the writer.
@@ -33,22 +33,18 @@ SnapshotState StateOfSize(size_t n) {
 }
 
 // Size committed at transaction n (modify_state commits start at txn 2:
-// txn 1 is the define). Kept non-monotonic so a stale cache entry serving
-// the wrong transaction is a visible size mismatch, not a plausible value.
+// txn 1 is the define). Kept non-monotonic so a read serving the wrong
+// transaction is a visible size mismatch, not a plausible value.
 size_t SizeAt(TransactionNumber n) { return static_cast<size_t>(n % 7); }
 
 ShardedOptions OptionsFor(int variant) {
-  const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
-                               StorageKind::kCheckpoint,
-                               StorageKind::kReverseDelta};
   ShardedOptions options;
   options.shards = 1;
-  options.durable.db.storage = kinds[variant % 4];
-  options.durable.db.checkpoint_interval = 3;
-  // Odd variants: a 2-entry FINDSTATE cache, so most pinned reads
-  // reconstruct from the log instead of hitting a cached state.
-  if (variant % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
-  options.group_commit.max_batch = 4;
+  // Variants sweep the batch bound (1, 2, 4, 8) and, on odd variants, a
+  // segment keyframe every 2 entries instead of 16, so the serial phase's
+  // restart reloads history through mostly keyframes or mostly deltas.
+  options.group_commit.max_batch = size_t{1} << ((variant / 2) % 4);
+  options.durable.compact.keyframe_interval = variant % 2 == 1 ? 2 : 16;
   return options;
 }
 
@@ -96,8 +92,7 @@ TEST_P(EpochPinningTest, PinnedSessionsSurviveCommitsCheckpointsAndRestart) {
     Result<SnapshotState> now = session.Rollback("c");
     ASSERT_TRUE(now.ok()) << now.status();
     EXPECT_EQ(now->size(), SizeAt(session.epoch()));
-    // Every historical state up to the epoch, twice: the second pass hits
-    // (or, with the tiny cache, re-fills) the FINDSTATE cache and must
+    // Every historical state up to the epoch, twice: repeating a read must
     // not change the answer.
     for (int pass = 0; pass < 2; ++pass) {
       for (TransactionNumber n = 2; n <= session.epoch(); ++n) {

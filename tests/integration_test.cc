@@ -1,5 +1,5 @@
 // End-to-end scenarios across every layer: language → evaluator →
-// database → storage engines → serialization, plus the Quel front-end and
+// database → state logs → serialization, plus the Quel front-end and
 // the optimizer in one pipeline.
 
 #include <gtest/gtest.h>
@@ -92,11 +92,11 @@ TEST(IntegrationTest, OptimizerInTheExecutionPipeline) {
 }
 
 TEST(IntegrationTest, PersistAndRestoreAcrossEngines) {
-  // Build with delta storage, serialize the logical sequence, restore
-  // into a fresh database with checkpoint storage, and verify rollback
-  // answers match at every transaction.
+  // Build a history, serialize its logical sequence, restore it into a
+  // fresh database by replay, and verify rollback answers match at every
+  // transaction.
   workload::Generator gen(99);
-  Database db(DatabaseOptions{StorageKind::kDelta, 16});
+  Database db;
   const Schema schema = gen.RandomSchema();
   ASSERT_TRUE(db.DefineRelation("r", RelationType::kRollback, schema).ok());
   SnapshotState state = gen.RandomState(schema, 30);
@@ -112,10 +112,10 @@ TEST(IntegrationTest, PersistAndRestoreAcrossEngines) {
                           relation->TxnAt(i));
   }
   const std::string bytes = EncodeStateSequence(sequence);
-  // Restore into a checkpoint-engine database by replay.
+  // Restore by replay.
   auto decoded = DecodeStateSequence<SnapshotState>(bytes);
   ASSERT_TRUE(decoded.ok());
-  Database restored(DatabaseOptions{StorageKind::kCheckpoint, 4});
+  Database restored;
   ASSERT_TRUE(
       restored.DefineRelation("r", RelationType::kRollback, schema).ok());
   for (const auto& [s, txn] : *decoded) {
@@ -208,35 +208,30 @@ TEST(IntegrationTest, AnalyzerAcceptsExactlyWhatEvaluatorAccepts) {
 }
 
 TEST(IntegrationTest, LargeSentenceStressAcrossEngines) {
-  // A longer randomized sentence against all engines; the language path
-  // and the plain-command path must land in identical databases.
+  // A longer randomized sentence; the language path and the plain-command
+  // path must land in identical databases.
   workload::Generator gen(4242);
   auto commands = gen.RandomCommandStream("r", RelationType::kRollback, 60,
                                           40, 0.25);
-  for (StorageKind kind : {StorageKind::kFullCopy, StorageKind::kDelta,
-                           StorageKind::kCheckpoint}) {
-    Database via_commands(DatabaseOptions{kind, 8});
-    ASSERT_TRUE(ApplySentence(via_commands, commands).ok());
-    Database via_lang(DatabaseOptions{kind, 8});
-    lang::Program program;
-    for (const Command& cmd : commands) {
-      if (std::holds_alternative<DefineRelationCmd>(cmd)) {
-        const auto& c = std::get<DefineRelationCmd>(cmd);
-        program.push_back(
-            lang::DefineRelationStmt{c.name, c.type, c.schema});
-      } else {
-        const auto& c = std::get<ModifySnapshotCmd>(cmd);
-        program.push_back(
-            lang::ModifyStateStmt{c.name, lang::Expr::Const(c.state)});
-      }
+  Database via_commands;
+  ASSERT_TRUE(ApplySentence(via_commands, commands).ok());
+  Database via_lang;
+  lang::Program program;
+  for (const Command& cmd : commands) {
+    if (std::holds_alternative<DefineRelationCmd>(cmd)) {
+      const auto& c = std::get<DefineRelationCmd>(cmd);
+      program.push_back(lang::DefineRelationStmt{c.name, c.type, c.schema});
+    } else {
+      const auto& c = std::get<ModifySnapshotCmd>(cmd);
+      program.push_back(
+          lang::ModifyStateStmt{c.name, lang::Expr::Const(c.state)});
     }
-    ASSERT_TRUE(lang::ExecProgram(program, via_lang).ok());
-    ASSERT_EQ(via_commands.transaction_number(),
-              via_lang.transaction_number());
-    for (TransactionNumber txn = 0;
-         txn <= via_commands.transaction_number(); ++txn) {
-      EXPECT_EQ(*via_commands.Rollback("r", txn), *via_lang.Rollback("r", txn));
-    }
+  }
+  ASSERT_TRUE(lang::ExecProgram(program, via_lang).ok());
+  ASSERT_EQ(via_commands.transaction_number(), via_lang.transaction_number());
+  for (TransactionNumber txn = 0; txn <= via_commands.transaction_number();
+       ++txn) {
+    EXPECT_EQ(*via_commands.Rollback("r", txn), *via_lang.Rollback("r", txn));
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "lang/evaluator.h"
 #include "lang/parser.h"
+#include "spec_log.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -21,27 +22,21 @@ TEST_P(FindStateOracleTest, MatchesLinearScan) {
   const Schema schema = gen.RandomSchema();
   Database db;
   ASSERT_TRUE(db.DefineRelation("r", RelationType::kRollback, schema).ok());
-  // Record the reference sequence alongside.
-  std::vector<std::pair<SnapshotState, TransactionNumber>> reference;
+  // Record the reference sequence alongside, in the paper-literal
+  // SpecLog (FINDSTATE as a linear scan).
+  SpecLog<SnapshotState> reference;
   SnapshotState state = gen.RandomState(schema, 15);
   for (int i = 0; i < 25; ++i) {
     ASSERT_TRUE(db.ModifyState("r", state).ok());
-    reference.emplace_back(state, db.transaction_number());
+    reference.Append(state, db.transaction_number());
     state = gen.MutateState(state, 0.3);
   }
-  // The paper's FINDSTATE: the state whose txn is the largest <= probe,
-  // written as the obvious linear scan.
-  auto oracle = [&reference,
-                 &schema](TransactionNumber probe) -> SnapshotState {
-    const SnapshotState* best = nullptr;
-    for (const auto& [s, txn] : reference) {
-      if (txn <= probe) best = &s;
-    }
-    return best != nullptr ? *best : SnapshotState::Empty(schema);
-  };
   for (TransactionNumber probe = 0; probe <= db.transaction_number() + 3;
        ++probe) {
-    EXPECT_EQ(*db.Rollback("r", probe), oracle(probe)) << "probe " << probe;
+    const SnapshotState* want = reference.StateAt(probe);
+    EXPECT_EQ(*db.Rollback("r", probe),
+              want != nullptr ? *want : SnapshotState::Empty(schema))
+        << "probe " << probe;
   }
 }
 

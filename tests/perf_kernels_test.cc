@@ -10,7 +10,6 @@
 #include "lang/evaluator.h"
 #include "rollback/commands.h"
 #include "snapshot/operators.h"
-#include "storage/logs.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -220,72 +219,6 @@ TEST(ProductGuardTest, EmptyOperandsProduceEmptyProduct) {
                               SnapshotState::Empty(RightSchema()));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
-}
-
-// --- FINDSTATE equivalence with the cache on and off --------------------------
-
-class CacheEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheEquivalenceTest,
-                         ::testing::Range<uint64_t>(0, 6));
-
-TEST_P(CacheEquivalenceTest, AllEnginesAgreeWithCacheOnAndOff) {
-  workload::Generator gen(GetParam() + 900);
-  const Schema schema = gen.RandomSchema();
-  const std::vector<StorageKind> kinds = {
-      StorageKind::kFullCopy, StorageKind::kDelta, StorageKind::kCheckpoint,
-      StorageKind::kReverseDelta};
-  std::vector<StateLog<SnapshotState>> logs;
-  for (StorageKind kind : kinds) {
-    logs.push_back(MakeStateLog<SnapshotState>(kind, 4, /*cache=*/8));
-    logs.push_back(MakeStateLog<SnapshotState>(kind, 4, /*cache=*/0));
-  }
-
-  SnapshotState state = gen.RandomState(schema, 20);
-  TransactionNumber txn = 1;
-  for (int i = 0; i < 30; ++i) {
-    txn += 1 + gen.rng().Uniform(3);
-    for (auto& log : logs) ASSERT_TRUE(log.Append(state, txn).ok());
-    state = gen.MutateState(state, 0.3);
-  }
-  // Two probe rounds in a non-monotone order so cached reconstructions
-  // from round one serve (and must not corrupt) round two.
-  for (int round = 0; round < 2; ++round) {
-    for (TransactionNumber delta = 0; delta <= txn + 1; ++delta) {
-      const TransactionNumber probe =
-          (round == 0) ? txn + 1 - delta : delta;
-      auto expected = logs[0].StateAt(probe);
-      for (size_t i = 1; i < logs.size(); ++i) {
-        auto got = logs[i].StateAt(probe);
-        ASSERT_EQ(expected != nullptr, got != nullptr)
-            << "log " << i << " txn " << probe;
-        if (expected != nullptr) {
-          EXPECT_EQ(*expected, *got) << "log " << i << " txn " << probe;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(CacheEquivalenceTest, DatabasesAgreeWithCacheOnAndOff) {
-  workload::Generator gen(GetParam() + 950);
-  auto commands =
-      gen.RandomCommandStream("r", RelationType::kRollback, 25, 15, 0.3);
-  Database cached(DatabaseOptions{StorageKind::kDelta, 16,
-                                  /*findstate_cache_capacity=*/8});
-  Database uncached(DatabaseOptions{StorageKind::kDelta, 16,
-                                    /*findstate_cache_capacity=*/0});
-  ASSERT_TRUE(ApplySentence(cached, commands).ok());
-  ASSERT_TRUE(ApplySentence(uncached, commands).ok());
-  for (int round = 0; round < 2; ++round) {
-    for (TransactionNumber probe = 0;
-         probe <= cached.transaction_number() + 1; ++probe) {
-      auto a = cached.Rollback("r", probe);
-      auto b = uncached.Rollback("r", probe);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(*a, *b) << "txn " << probe;
-    }
-  }
 }
 
 // --- Evaluator fusion ---------------------------------------------------------

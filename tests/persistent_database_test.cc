@@ -2,7 +2,7 @@
 // database is O(#relations): copies share every relation, and a relation's
 // state log shares its recorded history through immutable chunks. These
 // tests check that no version ever sees what another version does — byte
-// for byte, for every storage engine and every relation type — that
+// for byte, for every relation type — that
 // FINDSTATE is exact around chunk boundaries, and that randomized forks,
 // commands and drops agree with a deep-copy reference model.
 
@@ -19,7 +19,7 @@
 #include "rollback/database.h"
 #include "rollback/persistence.h"
 #include "snapshot/operators.h"
-#include "storage/logs.h"
+#include "storage/state_log.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -35,12 +35,6 @@ Schema Wide() {
   return *Schema::Make({{"id", ValueType::kInt},
                         {"v", ValueType::kInt},
                         {"w", ValueType::kString}});
-}
-
-std::string KindName(StorageKind kind) {
-  std::string name(StorageKindName(kind));
-  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-  return name;
 }
 
 using StateValue = std::variant<SnapshotState, HistoricalState>;
@@ -70,24 +64,16 @@ StateValue StateAt(const Relation& relation, TransactionNumber txn) {
   return *relation.HistoricalAt(txn);
 }
 
-// --- Version isolation, per storage engine × relation type ---------------------
+// --- Version isolation, per relation type ---------------------------------------
 
-class PersistentDatabaseTest
-    : public ::testing::TestWithParam<std::tuple<StorageKind, RelationType>> {
+class PersistentDatabaseTest : public ::testing::TestWithParam<RelationType> {
  protected:
-  StorageKind storage() const { return std::get<0>(GetParam()); }
-  RelationType type() const { return std::get<1>(GetParam()); }
-
-  DatabaseOptions Options() const {
-    return DatabaseOptions{.storage = storage(),
-                           .checkpoint_interval = 4,
-                           .findstate_cache_capacity = 4};
-  }
+  RelationType type() const { return GetParam(); }
 
   /// "r" of the parameter type with `states` states (so a retaining
   /// relation crosses chunk boundaries), plus a rollback relation "side".
   Database Preloaded(size_t states) const {
-    Database db(Options());
+    Database db;
     EXPECT_TRUE(db.DefineRelation("r", type(), Narrow()).ok());
     EXPECT_TRUE(
         db.DefineRelation("side", RelationType::kRollback, Narrow()).ok());
@@ -104,17 +90,11 @@ class PersistentDatabaseTest
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    KindsAndTypes, PersistentDatabaseTest,
-    ::testing::Combine(
-        ::testing::Values(StorageKind::kFullCopy, StorageKind::kDelta,
-                          StorageKind::kCheckpoint,
-                          StorageKind::kReverseDelta),
-        ::testing::Values(RelationType::kSnapshot, RelationType::kRollback,
-                          RelationType::kHistorical,
-                          RelationType::kTemporal)),
+    Types, PersistentDatabaseTest,
+    ::testing::Values(RelationType::kSnapshot, RelationType::kRollback,
+                      RelationType::kHistorical, RelationType::kTemporal),
     [](const auto& info) {
-      return KindName(std::get<0>(info.param)) + "_" +
-             std::string(RelationTypeName(std::get<1>(info.param)));
+      return std::string(RelationTypeName(info.param));
     });
 
 TEST_P(PersistentDatabaseTest, OldCopyUnchangedByEveryCommand) {
@@ -215,16 +195,7 @@ TEST_P(PersistentDatabaseTest, TwoCopiesDivergeAfterAppends) {
 
 // --- FINDSTATE around chunk boundaries ------------------------------------------
 
-class ChunkBoundaryTest : public ::testing::TestWithParam<StorageKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Kinds, ChunkBoundaryTest,
-                         ::testing::Values(StorageKind::kFullCopy,
-                                           StorageKind::kDelta,
-                                           StorageKind::kCheckpoint,
-                                           StorageKind::kReverseDelta),
-                         [](const auto& info) { return KindName(info.param); });
-
-TEST_P(ChunkBoundaryTest, FindStateIsExactAtEverySizeAroundTheChunk) {
+TEST(ChunkBoundaryTest, FindStateIsExactAtEverySizeAroundTheChunk) {
   // Entry i holds states[i] at txn 10(i+1), so every probe between two
   // entries has a well-defined floor. A copy of the log is kept at each
   // size around a chunk and a group boundary (kChunk² entries); the
@@ -239,9 +210,7 @@ TEST_P(ChunkBoundaryTest, FindStateIsExactAtEverySizeAroundTheChunk) {
   for (size_t i = 1; i < total; ++i) {
     states.push_back(gen.MutateState(states.back(), 0.3));
   }
-  StateLog<SnapshotState> log =
-      MakeStateLog<SnapshotState>(GetParam(), /*checkpoint_interval=*/4,
-                                  /*cache_capacity=*/4);
+  StateLog<SnapshotState> log;
   std::map<size_t, StateLog<SnapshotState>> versions;
   for (size_t i = 0; i < total; ++i) {
     ASSERT_TRUE(log.Append(states[i], 10 * (i + 1)).ok());
@@ -266,14 +235,6 @@ TEST_P(ChunkBoundaryTest, FindStateIsExactAtEverySizeAroundTheChunk) {
           probes.push_back(txn);
         }
       }
-    }
-    // Walk in the engine's cheap direction: the forward-delta engines
-    // replay from the last reconstruction before a probe, the reverse-delta
-    // engine from the first one after it.
-    if (GetParam() == StorageKind::kReverseDelta) {
-      std::sort(probes.rbegin(), probes.rend());
-    } else {
-      std::sort(probes.begin(), probes.end());
     }
     for (TransactionNumber txn : probes) {
       const size_t count = std::min<size_t>(txn / 10, size);
@@ -325,29 +286,19 @@ void ExpectMatches(const Database& db, const Model& model, bool deep) {
   }
 }
 
-class PersistentDatabaseModelTest
-    : public ::testing::TestWithParam<std::tuple<StorageKind, uint64_t>> {};
+class PersistentDatabaseModelTest : public ::testing::TestWithParam<uint64_t> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndSeeds, PersistentDatabaseModelTest,
-    ::testing::Combine(::testing::Values(StorageKind::kFullCopy,
-                                         StorageKind::kDelta,
-                                         StorageKind::kCheckpoint,
-                                         StorageKind::kReverseDelta),
-                       ::testing::Values(uint64_t{1}, uint64_t{2})),
-    [](const auto& info) {
-      return KindName(std::get<0>(info.param)) + "_seed" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, PersistentDatabaseModelTest,
+                         ::testing::Values(uint64_t{1}, uint64_t{2}),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 TEST_P(PersistentDatabaseModelTest, ForksCommandsAndDropsAgreeWithModel) {
-  const DatabaseOptions options{.storage = std::get<0>(GetParam()),
-                                .checkpoint_interval = 4,
-                                .findstate_cache_capacity = 4};
-  workload::Generator gen(std::get<1>(GetParam()) * 7919);
+  workload::Generator gen(GetParam() * 7919);
   Rng& rng = gen.rng();
   std::vector<std::pair<Database, Model>> versions;
-  versions.emplace_back(Database(options), Model());
+  versions.emplace_back(Database(), Model());
   const std::vector<std::string> names = {"a", "b", "c"};
   const std::vector<RelationType> types = {
       RelationType::kSnapshot, RelationType::kRollback,
@@ -418,24 +369,13 @@ TEST_P(PersistentDatabaseModelTest, ForksCommandsAndDropsAgreeWithModel) {
 /// A history of one-tuple commits holds one tuple payload per distinct
 /// tuple, not one per tuple per state: each commit unions one new tuple
 /// into the current state (a kernel that copies the kept tuples across),
-/// and every engine must hand back states whose tuples are those payloads.
-class PayloadSharingTest : public ::testing::TestWithParam<StorageKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Kinds, PayloadSharingTest,
-                         ::testing::Values(StorageKind::kFullCopy,
-                                           StorageKind::kDelta,
-                                           StorageKind::kCheckpoint,
-                                           StorageKind::kReverseDelta),
-                         [](const auto& info) { return KindName(info.param); });
-
+/// and FINDSTATE must hand back states whose tuples are those payloads.
 Tuple NumberedRow(int64_t i) { return Tuple{Value::Int(i), Value::Int(-i)}; }
 
-TEST_P(PayloadSharingTest, OneTupleCommitsAddOnePayloadEach) {
+TEST(PayloadSharingTest, OneTupleCommitsAddOnePayloadEach) {
   constexpr int64_t kInitial = 32;
   constexpr int64_t kCommits = 40;
-  Database db(DatabaseOptions{.storage = GetParam(),
-                              .checkpoint_interval = 4,
-                              .findstate_cache_capacity = 4});
+  Database db;
   ASSERT_TRUE(db.DefineRelation("acct", RelationType::kRollback, Narrow()).ok());
   ASSERT_TRUE(db.DefineRelation("hist", RelationType::kTemporal, Narrow()).ok());
   std::vector<Tuple> initial;

@@ -1,9 +1,8 @@
 // Oracle for the facts-driven rewriter (OptimizeWithFacts/OptimizeProgram):
 // a rewritten program must be observably equivalent to the original — same
-// statuses, same show outputs, byte-identical final database — on every
-// storage engine. This is the soundness gate for the abstract interpreter's
-// consumers (DESIGN.md §10): if a fact ever over-claims, some engine/seed
-// pair here diverges.
+// statuses, same show outputs, byte-identical final database. This is the
+// soundness gate for the abstract interpreter's consumers (DESIGN.md §10):
+// if a fact ever over-claims, some seed here diverges.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +19,6 @@
 namespace ttra {
 namespace {
 
-constexpr StorageKind kEngines[] = {
-    StorageKind::kFullCopy, StorageKind::kDelta, StorageKind::kCheckpoint,
-    StorageKind::kReverseDelta};
-
 struct RunOutcome {
   bool ok = false;
   std::string status;
@@ -32,10 +27,8 @@ struct RunOutcome {
   std::string encoded;
 };
 
-RunOutcome Execute(const lang::Program& program, StorageKind kind) {
-  DatabaseOptions options;
-  options.storage = kind;
-  Database db(options);
+RunOutcome Execute(const lang::Program& program) {
+  Database db;
   RunOutcome out;
   const Status status =
       lang::ExecProgram(program, db, &out.outputs, {.strict = true});
@@ -46,19 +39,16 @@ RunOutcome Execute(const lang::Program& program, StorageKind kind) {
   return out;
 }
 
-void ExpectEquivalentOnAllEngines(const lang::Program& original,
-                                  const lang::Program& rewritten) {
-  for (StorageKind kind : kEngines) {
-    SCOPED_TRACE(std::string("engine ") + std::string(StorageKindName(kind)));
-    const RunOutcome a = Execute(original, kind);
-    const RunOutcome b = Execute(rewritten, kind);
-    EXPECT_EQ(a.ok, b.ok) << a.status << " vs " << b.status;
-    EXPECT_EQ(a.txn, b.txn);
-    EXPECT_EQ(a.encoded, b.encoded) << "final database states differ";
-    ASSERT_EQ(a.outputs.size(), b.outputs.size());
-    for (size_t i = 0; i < a.outputs.size(); ++i) {
-      EXPECT_TRUE(a.outputs[i] == b.outputs[i]) << "show output " << i;
-    }
+void ExpectEquivalent(const lang::Program& original,
+                      const lang::Program& rewritten) {
+  const RunOutcome a = Execute(original);
+  const RunOutcome b = Execute(rewritten);
+  EXPECT_EQ(a.ok, b.ok) << a.status << " vs " << b.status;
+  EXPECT_EQ(a.txn, b.txn);
+  EXPECT_EQ(a.encoded, b.encoded) << "final database states differ";
+  ASSERT_EQ(a.outputs.size(), b.outputs.size());
+  for (size_t i = 0; i < a.outputs.size(); ++i) {
+    EXPECT_TRUE(a.outputs[i] == b.outputs[i]) << "show output " << i;
   }
 }
 
@@ -76,7 +66,7 @@ int CheckWholeProgram(const lang::Program& program) {
   const lang::Program rewritten = optimizer::OptimizeProgram(
       program, lang::Catalog(), lang::AbsStateFromDatabase(Database()),
       &stats);
-  ExpectEquivalentOnAllEngines(program, rewritten);
+  ExpectEquivalent(program, rewritten);
   return stats.applications;
 }
 
@@ -88,37 +78,31 @@ int CheckWholeProgram(const std::string& source) {
 /// the database it is about to run on (exactly what `ttra run --optimize`
 /// does), in strict and lax modes.
 void CheckPerStatement(const lang::Program& program, bool strict) {
-  for (StorageKind kind : kEngines) {
-    SCOPED_TRACE(std::string("engine ") + std::string(StorageKindName(kind)) +
-                 (strict ? " strict" : " lax"));
-    DatabaseOptions options;
-    options.storage = kind;
-    Database a(options);
-    Database b(options);
-    std::vector<lang::StateValue> out_a, out_b;
-    const lang::ExecOptions exec{.strict = strict};
-    for (const lang::Stmt& stmt : program) {
-      const lang::Catalog catalog(b);
-      const lang::AbsState facts = lang::AbsStateFromDatabase(b);
-      lang::Stmt optimized = stmt;
-      if (auto* modify = std::get_if<lang::ModifyStateStmt>(&optimized)) {
-        modify->expr = optimizer::OptimizeWithFacts(modify->expr, catalog,
-                                                    facts);
-      } else if (auto* show = std::get_if<lang::ShowStmt>(&optimized)) {
-        show->expr = optimizer::OptimizeWithFacts(show->expr, catalog, facts);
-      }
-      const Status sa = lang::ExecStmt(stmt, a, &out_a, exec);
-      const Status sb = lang::ExecStmt(optimized, b, &out_b, exec);
-      EXPECT_EQ(sa.ok(), sb.ok())
-          << sa.ToString() << " vs " << sb.ToString();
-      if (strict && (!sa.ok() || !sb.ok())) break;
+  SCOPED_TRACE(strict ? "strict" : "lax");
+  Database a;
+  Database b;
+  std::vector<lang::StateValue> out_a, out_b;
+  const lang::ExecOptions exec{.strict = strict};
+  for (const lang::Stmt& stmt : program) {
+    const lang::Catalog catalog(b);
+    const lang::AbsState facts = lang::AbsStateFromDatabase(b);
+    lang::Stmt optimized = stmt;
+    if (auto* modify = std::get_if<lang::ModifyStateStmt>(&optimized)) {
+      modify->expr = optimizer::OptimizeWithFacts(modify->expr, catalog,
+                                                  facts);
+    } else if (auto* show = std::get_if<lang::ShowStmt>(&optimized)) {
+      show->expr = optimizer::OptimizeWithFacts(show->expr, catalog, facts);
     }
-    EXPECT_EQ(a.transaction_number(), b.transaction_number());
-    EXPECT_EQ(EncodeDatabase(a), EncodeDatabase(b));
-    ASSERT_EQ(out_a.size(), out_b.size());
-    for (size_t i = 0; i < out_a.size(); ++i) {
-      EXPECT_TRUE(out_a[i] == out_b[i]) << "show output " << i;
-    }
+    const Status sa = lang::ExecStmt(stmt, a, &out_a, exec);
+    const Status sb = lang::ExecStmt(optimized, b, &out_b, exec);
+    EXPECT_EQ(sa.ok(), sb.ok()) << sa.ToString() << " vs " << sb.ToString();
+    if (strict && (!sa.ok() || !sb.ok())) break;
+  }
+  EXPECT_EQ(a.transaction_number(), b.transaction_number());
+  EXPECT_EQ(EncodeDatabase(a), EncodeDatabase(b));
+  ASSERT_EQ(out_a.size(), out_b.size());
+  for (size_t i = 0; i < out_a.size(); ++i) {
+    EXPECT_TRUE(out_a[i] == out_b[i]) << "show output " << i;
   }
 }
 
@@ -177,7 +161,7 @@ TEST(RewriteOracle, ConstantFolding) {
 TEST(RewriteOracle, ValueDependentFailureIsPreserved) {
   // The extend divides by zero: relation-free, but evaluation fails, so
   // the fold must NOT fire and the rewritten program must fail at run time
-  // exactly like the original (on every engine).
+  // exactly like the original.
   CheckWholeProgram(R"(
     define_relation(r, snapshot, (n: int));
     show(extend[z = (n / 0)]((n: int) {(1)}));
@@ -228,10 +212,10 @@ TEST(RewriteOracle, AnalyzerRejectedStatementsAreUntouched) {
       &stats);
   ASSERT_EQ(rewritten.size(), program.size());
   EXPECT_TRUE(rewritten[1] == program[1]);
-  ExpectEquivalentOnAllEngines(program, rewritten);
+  ExpectEquivalent(program, rewritten);
 }
 
-// --- Randomized programs over every engine ----------------------------------
+// --- Randomized programs --------------------------------------------------------
 
 class RewriteOracleSeeds : public ::testing::TestWithParam<uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, RewriteOracleSeeds,

@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "rollback/commands.h"
-#include "storage/logs.h"
+#include "rollback/compact_store.h"
+#include "spec_log.h"
 #include "storage/segment.h"
 #include "storage/serialize.h"
 #include "storage/state_log.h"
@@ -21,45 +22,17 @@ SnapshotState Nums(std::vector<int64_t> values) {
   return *SnapshotState::Make(OneCol(), std::move(tuples));
 }
 
-// --- Per-engine unit behaviour ------------------------------------------------
+// --- StateLog unit behaviour ----------------------------------------------------
 
-class EngineTest : public ::testing::TestWithParam<StorageKind> {
- protected:
-  StateLog<SnapshotState> MakeLog(
-      size_t cache_capacity = kDefaultFindStateCacheCapacity) {
-    return MakeStateLog<SnapshotState>(GetParam(), /*checkpoint_interval=*/4,
-                                       cache_capacity);
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Kinds, EngineTest,
-                         ::testing::Values(StorageKind::kFullCopy,
-                                           StorageKind::kDelta,
-                                           StorageKind::kCheckpoint,
-                                           StorageKind::kReverseDelta),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case StorageKind::kFullCopy:
-                               return std::string("FullCopy");
-                             case StorageKind::kDelta:
-                               return std::string("Delta");
-                             case StorageKind::kCheckpoint:
-                               return std::string("Checkpoint");
-                             case StorageKind::kReverseDelta:
-                               return std::string("ReverseDelta");
-                           }
-                           return std::string("Unknown");
-                         });
-
-TEST_P(EngineTest, EmptyLogHasNoStates) {
-  auto log = MakeLog();
+TEST(StateLogTest, EmptyLogHasNoStates) {
+  StateLog<SnapshotState> log;
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.StateAt(0), nullptr);
   EXPECT_EQ(log.StateAt(1000), nullptr);
 }
 
-TEST_P(EngineTest, AppendAndFindState) {
-  auto log = MakeLog();
+TEST(StateLogTest, AppendAndFindState) {
+  StateLog<SnapshotState> log;
   ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
   ASSERT_TRUE(log.Append(Nums({1, 2}), 5).ok());
   ASSERT_TRUE(log.Append(Nums({2}), 9).ok());
@@ -73,16 +46,16 @@ TEST_P(EngineTest, AppendAndFindState) {
   EXPECT_EQ(*log.StateAt(UINT64_MAX), Nums({2}));
 }
 
-TEST_P(EngineTest, AppendRejectsNonIncreasingTxn) {
-  auto log = MakeLog();
+TEST(StateLogTest, AppendRejectsNonIncreasingTxn) {
+  StateLog<SnapshotState> log;
   ASSERT_TRUE(log.Append(Nums({1}), 5).ok());
   EXPECT_FALSE(log.Append(Nums({2}), 5).ok());
   EXPECT_FALSE(log.Append(Nums({2}), 3).ok());
   EXPECT_EQ(log.size(), 1u);
 }
 
-TEST_P(EngineTest, ReplaceLastKeepsSingleState) {
-  auto log = MakeLog();
+TEST(StateLogTest, ReplaceLastKeepsSingleState) {
+  StateLog<SnapshotState> log;
   ASSERT_TRUE(log.ReplaceLast(Nums({1}), 2).ok());
   ASSERT_TRUE(log.ReplaceLast(Nums({7}), 3).ok());
   EXPECT_EQ(log.size(), 1u);
@@ -90,8 +63,19 @@ TEST_P(EngineTest, ReplaceLastKeepsSingleState) {
   EXPECT_EQ(log.TxnAt(0), 3u);
 }
 
-TEST_P(EngineTest, CloneIsDeep) {
-  auto log = MakeLog();
+TEST(StateLogTest, ReplaceLastDropsEveryEarlierPair) {
+  StateLog<SnapshotState> log;
+  ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
+  ASSERT_TRUE(log.Append(Nums({1, 2}), 4).ok());
+  ASSERT_TRUE(log.Append(Nums({3}), 6).ok());
+  ASSERT_TRUE(log.ReplaceLast(Nums({9}), 7).ok());
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.StateAt(6), nullptr);
+  EXPECT_EQ(*log.StateAt(7), Nums({9}));
+}
+
+TEST(StateLogTest, CopiesAppendIndependently) {
+  StateLog<SnapshotState> log;
   ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
   auto copy = log;
   ASSERT_TRUE(copy.Append(Nums({1, 2}), 3).ok());
@@ -99,8 +83,8 @@ TEST_P(EngineTest, CloneIsDeep) {
   EXPECT_EQ(copy.size(), 2u);
 }
 
-TEST_P(EngineTest, HandlesSchemeChangeViaRebase) {
-  auto log = MakeLog();
+TEST(StateLogTest, HandlesSchemeChange) {
+  StateLog<SnapshotState> log;
   ASSERT_TRUE(log.Append(Nums({1, 2}), 2).ok());
   Schema wider = *Schema::Make({{"n", ValueType::kInt},
                                 {"s", ValueType::kString}});
@@ -111,161 +95,250 @@ TEST_P(EngineTest, HandlesSchemeChangeViaRebase) {
   EXPECT_EQ(*log.StateAt(3), wide);
 }
 
-TEST_P(EngineTest, RepeatedFindStateIsStableAndCached) {
-  auto cached = MakeLog(/*cache_capacity=*/4);
-  auto uncached = MakeLog(/*cache_capacity=*/0);
-  workload::Generator gen(11);
-  SnapshotState state = gen.RandomState(OneCol(), 12);
-  for (TransactionNumber txn = 2; txn <= 40; txn += 2) {
-    ASSERT_TRUE(cached.Append(state, txn).ok());
-    ASSERT_TRUE(uncached.Append(state, txn).ok());
-    state = gen.MutateState(state, 0.4);
-  }
-  // Every probe agrees with the cache disabled, repeatedly (the second
-  // probe of each txn exercises the cache hit path).
-  for (int round = 0; round < 3; ++round) {
-    for (TransactionNumber probe = 0; probe <= 42; ++probe) {
-      auto a = cached.StateAt(probe);
-      auto b = uncached.StateAt(probe);
-      ASSERT_EQ(a != nullptr, b != nullptr) << "txn " << probe;
-      if (a != nullptr) {
-        EXPECT_EQ(*a, *b) << "txn " << probe;
-      }
-    }
-  }
-  // Repeated probes of the same transaction share one reconstruction.
-  auto first = cached.StateAt(20);
-  auto second = cached.StateAt(20);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first.get(), second.get());
+TEST(StateLogTest, FindStateHandsOutTheStoredState) {
+  StateLog<SnapshotState> log;
+  ASSERT_TRUE(log.Append(Nums({1, 2}), 2).ok());
+  ASSERT_TRUE(log.Append(Nums({3}), 5).ok());
+  // Every probe inside one pair's span returns that pair's stored state.
+  EXPECT_EQ(log.StateAt(2).get(), log.StateAt(4).get());
+  EXPECT_NE(log.StateAt(4).get(), log.StateAt(5).get());
 }
 
-TEST_P(EngineTest, CacheInvalidatedByAppendAndReplaceLast) {
-  auto log = MakeLog(/*cache_capacity=*/4);
-  ASSERT_TRUE(log.Append(Nums({1}), 2).ok());
-  ASSERT_TRUE(log.Append(Nums({1, 2}), 4).ok());
-  EXPECT_EQ(*log.StateAt(2), Nums({1}));  // populate the cache
-  EXPECT_EQ(*log.StateAt(4), Nums({1, 2}));
-  ASSERT_TRUE(log.Append(Nums({3}), 6).ok());
-  EXPECT_EQ(*log.StateAt(2), Nums({1}));
-  EXPECT_EQ(*log.StateAt(4), Nums({1, 2}));
-  EXPECT_EQ(*log.StateAt(6), Nums({3}));
-  ASSERT_TRUE(log.ReplaceLast(Nums({9}), 7).ok());
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.StateAt(6), nullptr);
-  EXPECT_EQ(*log.StateAt(7), Nums({9}));
+// Bytes one appended state may add at most when it differs from its
+// predecessor in one tuple: the entry and the state's header (well under
+// this), one handle per tuple, and the changed tuple's payload.
+constexpr size_t kStateOverheadBound = 128;
+
+TEST(StateLogTest, ApproxBytesChargesEachSharedPayloadOnce) {
+  const Schema schema = *Schema::Make({{"id", ValueType::kInt},
+                                       {"name", ValueType::kString}});
+  constexpr size_t kTuples = 64;
+  std::vector<Tuple> tuples;
+  for (size_t i = 0; i < kTuples; ++i) {
+    tuples.push_back(Tuple{Value::Int(static_cast<int64_t>(i)),
+                           Value::String("row-" + std::to_string(i))});
+  }
+  StateLog<SnapshotState> log;
+  ASSERT_TRUE(log.Append(*SnapshotState::Make(schema, tuples), 1).ok());
+  for (TransactionNumber txn = 2; txn <= 200; ++txn) {
+    const size_t before = log.ApproxBytes();
+    Tuple changed{Value::Int(static_cast<int64_t>(txn % kTuples)),
+                  Value::String("version-" + std::to_string(txn))};
+    const size_t bound =
+        ApproxSize(changed) + kStateOverheadBound + kTuples * sizeof(Tuple);
+    tuples[txn % kTuples] = std::move(changed);
+    ASSERT_TRUE(log.Append(*SnapshotState::Make(schema, tuples), txn).ok());
+    ASSERT_LE(log.ApproxBytes() - before, bound) << "txn " << txn;
+  }
+  // Re-appending a copy of the last state shares its representation.
+  const size_t before = log.ApproxBytes();
+  ASSERT_TRUE(log.Append(*log.StateAt(200), 201).ok());
+  EXPECT_LE(log.ApproxBytes() - before, kStateOverheadBound);
 }
 
-// --- Engine equivalence under random command streams (experiment E3) ----------
+TEST(StateLogTest, ApproxBytesChargesEachSharedHistoricalPayloadOnce) {
+  const Schema schema = *Schema::Make({{"id", ValueType::kInt}});
+  constexpr size_t kTuples = 32;
+  std::vector<HistoricalTuple> tuples;
+  for (size_t i = 0; i < kTuples; ++i) {
+    tuples.push_back(HistoricalTuple{Tuple{Value::Int(static_cast<int64_t>(i))},
+                                     TemporalElement::Span(0, 10)});
+  }
+  StateLog<HistoricalState> log;
+  ASSERT_TRUE(log.Append(*HistoricalState::Make(schema, tuples), 1).ok());
+  for (TransactionNumber txn = 2; txn <= 100; ++txn) {
+    const size_t before = log.ApproxBytes();
+    const auto at = static_cast<Chronon>(txn);
+    HistoricalTuple changed{Tuple{Value::Int(static_cast<int64_t>(txn % kTuples))},
+                            TemporalElement::Span(at, at + 5)};
+    const size_t bound = ApproxSize(changed.tuple) + kStateOverheadBound +
+                         kTuples * sizeof(HistoricalTuple);
+    tuples[txn % kTuples] = std::move(changed);
+    ASSERT_TRUE(log.Append(*HistoricalState::Make(schema, tuples), txn).ok());
+    ASSERT_LE(log.ApproxBytes() - before, bound) << "txn " << txn;
+  }
+}
+
+// --- FindStateCache, the compact store's probe cache -----------------------------
+
+std::shared_ptr<const SnapshotState> Shared(std::vector<int64_t> values) {
+  return std::make_shared<const SnapshotState>(Nums(std::move(values)));
+}
+
+TEST(FindStateCacheTest, GetReturnsExactlyTheCachedIndex) {
+  const FindStateCache<SnapshotState> cache(4);
+  EXPECT_EQ(cache.Get(3), nullptr);
+  auto three = Shared({3});
+  cache.Put(3, three);
+  EXPECT_EQ(cache.Get(3), three);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_EQ(cache.Get(4), nullptr);
+  // Putting an index again replaces its state.
+  auto again = Shared({33});
+  cache.Put(3, again);
+  EXPECT_EQ(cache.Get(3), again);
+}
+
+TEST(FindStateCacheTest, FloorIsTheGreatestCachedIndexAtOrBelow) {
+  const FindStateCache<SnapshotState> cache(4);
+  EXPECT_FALSE(cache.Floor(10).has_value());
+  cache.Put(2, Shared({2}));
+  cache.Put(7, Shared({7}));
+  EXPECT_FALSE(cache.Floor(1).has_value());
+  EXPECT_EQ(cache.Floor(2)->first, 2u);
+  EXPECT_EQ(cache.Floor(6)->first, 2u);
+  EXPECT_EQ(cache.Floor(7)->first, 7u);
+  auto seed = cache.Floor(100);
+  ASSERT_TRUE(seed.has_value());
+  EXPECT_EQ(seed->first, 7u);
+  EXPECT_EQ(*seed->second, Nums({7}));
+}
+
+TEST(FindStateCacheTest, EvictsTheLeastRecentlyUsedAtCapacity) {
+  const FindStateCache<SnapshotState> cache(2);
+  cache.Put(1, Shared({1}));
+  cache.Put(2, Shared({2}));
+  ASSERT_NE(cache.Get(1), nullptr);  // 2 is now least recently used
+  cache.Put(3, Shared({3}));
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
+  // A Floor hit counts as a use too.
+  ASSERT_EQ(cache.Floor(1)->first, 1u);  // 3 is now least recently used
+  cache.Put(4, Shared({4}));
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.Get(3), nullptr);
+  EXPECT_NE(cache.Get(4), nullptr);
+}
+
+TEST(FindStateCacheTest, CapacityZeroCachesNothing) {
+  const FindStateCache<SnapshotState> cache(0);
+  EXPECT_EQ(cache.capacity(), 0u);
+  cache.Put(1, Shared({1}));
+  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_FALSE(cache.Floor(1).has_value());
+}
+
+TEST(FindStateCacheTest, CopiesAreIndependent) {
+  const FindStateCache<SnapshotState> cache(2);
+  auto one = Shared({1});
+  cache.Put(1, one);
+  const FindStateCache<SnapshotState> copy(cache);
+  EXPECT_EQ(copy.capacity(), 2u);
+  EXPECT_EQ(copy.Get(1), one);  // the copy shares the cached state
+  copy.Put(2, Shared({2}));
+  cache.Put(3, Shared({3}));
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_EQ(copy.Get(3), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
+  EXPECT_NE(copy.Get(2), nullptr);
+}
+
+// --- StateLog against the paper-literal SpecLog (experiment E3) -----------------
+//
+// The two engines compared are StateLog and SpecLog, the paper's sequence
+// with FINDSTATE as a linear scan: every recorded transaction, the gaps
+// between them, and probes past both ends must agree, across a scheme
+// change and a ReplaceLast.
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 12));
 
+template <typename StateT>
+void ExpectSameFindState(const StateLog<StateT>& log,
+                         const SpecLog<StateT>& spec, TransactionNumber last) {
+  ASSERT_EQ(log.size(), spec.size());
+  for (TransactionNumber probe = 0; probe <= last + 2; ++probe) {
+    auto got = log.StateAt(probe);
+    const StateT* want = spec.StateAt(probe);
+    ASSERT_EQ(got != nullptr, want != nullptr) << "txn " << probe;
+    if (want != nullptr) {
+      EXPECT_EQ(*got, *want) << "txn " << probe;
+    }
+  }
+  ASSERT_NE(log.StateAt(UINT64_MAX), nullptr);
+  EXPECT_EQ(*log.StateAt(UINT64_MAX), *spec.StateAt(UINT64_MAX));
+}
+
+/// Appends `count` states to both logs, starting from `state` and mutating
+/// it by `churn` each time, with random gaps of 1..`max_gap` between
+/// transaction numbers.
+template <typename StateT>
+void AppendToBoth(workload::Generator& gen, StateT state, int count,
+                  double churn, uint64_t max_gap, TransactionNumber& txn,
+                  StateLog<StateT>& log, SpecLog<StateT>& spec) {
+  for (int i = 0; i < count; ++i) {
+    txn += 1 + gen.rng().Uniform(max_gap);
+    ASSERT_TRUE(log.Append(state, txn).ok());
+    spec.Append(state, txn);
+    state = gen.MutateState(state, churn);
+  }
+}
+
 TEST_P(EngineEquivalenceTest, AllEnginesAgreeOnEveryTransaction) {
   workload::Generator gen(GetParam());
   const Schema schema = gen.RandomSchema();
-  auto full = MakeStateLog<SnapshotState>(StorageKind::kFullCopy);
-  auto delta = MakeStateLog<SnapshotState>(StorageKind::kDelta);
-  auto ckpt = MakeStateLog<SnapshotState>(StorageKind::kCheckpoint, 5);
-  auto rev = MakeStateLog<SnapshotState>(StorageKind::kReverseDelta);
-
-  SnapshotState state = gen.RandomState(schema, 25);
+  StateLog<SnapshotState> log;
+  SpecLog<SnapshotState> spec;
   TransactionNumber txn = 1;
-  std::vector<TransactionNumber> txns;
-  for (int i = 0; i < 40; ++i) {
-    txn += 1 + gen.rng().Uniform(3);  // gaps in transaction numbers
-    ASSERT_TRUE(full.Append(state, txn).ok());
-    ASSERT_TRUE(delta.Append(state, txn).ok());
-    ASSERT_TRUE(ckpt.Append(state, txn).ok());
-    ASSERT_TRUE(rev.Append(state, txn).ok());
-    txns.push_back(txn);
-    state = gen.MutateState(state, 0.35);
-  }
-  // Probe every recorded txn, gaps, and out-of-range values.
-  for (TransactionNumber probe = 0; probe <= txn + 2; ++probe) {
-    auto a = full.StateAt(probe);
-    auto b = delta.StateAt(probe);
-    auto c = ckpt.StateAt(probe);
-    auto d = rev.StateAt(probe);
-    EXPECT_EQ(a != nullptr, b != nullptr);
-    EXPECT_EQ(a != nullptr, c != nullptr);
-    EXPECT_EQ(a != nullptr, d != nullptr);
-    if (a != nullptr) {
-      EXPECT_EQ(*a, *b) << "delta diverged at txn " << probe;
-      EXPECT_EQ(*a, *c) << "checkpoint diverged at txn " << probe;
-      EXPECT_EQ(*a, *d) << "reverse-delta diverged at txn " << probe;
-    }
-  }
+  AppendToBoth(gen, gen.RandomState(schema, 25), 40, 0.35, 3, txn, log, spec);
+  ExpectSameFindState(log, spec, txn);
+  // A scheme change part-way through the history.
+  const Schema wider = gen.RandomSchema(schema.size() + 1);
+  AppendToBoth(gen, gen.RandomState(wider, 15), 10, 0.35, 3, txn, log, spec);
+  ExpectSameFindState(log, spec, txn);
+  // ReplaceLast collapses both to a single pair.
+  txn += 2;
+  const SnapshotState replacement = gen.RandomState(wider, 5);
+  ASSERT_TRUE(log.ReplaceLast(replacement, txn).ok());
+  spec.ReplaceLast(replacement, txn);
+  ExpectSameFindState(log, spec, txn);
 }
 
 TEST_P(EngineEquivalenceTest, HistoricalEnginesAgree) {
   workload::Generator gen(GetParam() + 777);
   const Schema schema = gen.RandomSchema();
-  auto full = MakeStateLog<HistoricalState>(StorageKind::kFullCopy);
-  auto delta = MakeStateLog<HistoricalState>(StorageKind::kDelta);
-  auto ckpt = MakeStateLog<HistoricalState>(StorageKind::kCheckpoint, 3);
-
-  HistoricalState state = gen.RandomHistoricalState(schema, 15);
+  StateLog<HistoricalState> log;
+  SpecLog<HistoricalState> spec;
   TransactionNumber txn = 1;
-  for (int i = 0; i < 25; ++i) {
-    txn += 1 + gen.rng().Uniform(2);
-    ASSERT_TRUE(full.Append(state, txn).ok());
-    ASSERT_TRUE(delta.Append(state, txn).ok());
-    ASSERT_TRUE(ckpt.Append(state, txn).ok());
-    state = gen.MutateState(state, 0.3);
-  }
-  for (TransactionNumber probe = 0; probe <= txn + 1; ++probe) {
-    auto a = full.StateAt(probe);
-    auto b = delta.StateAt(probe);
-    auto c = ckpt.StateAt(probe);
-    ASSERT_EQ(a != nullptr, b != nullptr);
-    ASSERT_EQ(a != nullptr, c != nullptr);
-    if (a != nullptr) {
-      EXPECT_EQ(*a, *b);
-      EXPECT_EQ(*a, *c);
-    }
-  }
+  AppendToBoth(gen, gen.RandomHistoricalState(schema, 15), 25, 0.3, 2, txn,
+               log, spec);
+  ExpectSameFindState(log, spec, txn);
+  const Schema wider = gen.RandomSchema(schema.size() + 1);
+  AppendToBoth(gen, gen.RandomHistoricalState(wider, 10), 8, 0.3, 2, txn, log,
+               spec);
+  ExpectSameFindState(log, spec, txn);
+  txn += 2;
+  const HistoricalState replacement = gen.RandomHistoricalState(wider, 5);
+  ASSERT_TRUE(log.ReplaceLast(replacement, txn).ok());
+  spec.ReplaceLast(replacement, txn);
+  ExpectSameFindState(log, spec, txn);
 }
 
 TEST_P(EngineEquivalenceTest, DatabasesWithDifferentEnginesAgree) {
+  // A Database's ρ against a SpecLog recording every state the same
+  // random command stream commits.
   workload::Generator gen(GetParam() + 31);
   auto commands = gen.RandomCommandStream("r", RelationType::kRollback, 30,
                                           20, 0.3);
-  Database full_db(DatabaseOptions{StorageKind::kFullCopy, 16});
-  Database delta_db(DatabaseOptions{StorageKind::kDelta, 16});
-  Database ckpt_db(DatabaseOptions{StorageKind::kCheckpoint, 4});
-  ASSERT_TRUE(ApplySentence(full_db, commands).ok());
-  ASSERT_TRUE(ApplySentence(delta_db, commands).ok());
-  ASSERT_TRUE(ApplySentence(ckpt_db, commands).ok());
-  for (TransactionNumber probe = 0; probe <= full_db.transaction_number() + 1;
+  Database db;
+  SpecLog<SnapshotState> spec;
+  for (const Command& command : commands) {
+    ASSERT_TRUE(ApplyCommand(db, command).ok());
+    if (const auto* modify = std::get_if<ModifySnapshotCmd>(&command)) {
+      spec.Append(modify->state, db.transaction_number());
+    }
+  }
+  const Schema schema = db.Find("r")->schema();
+  for (TransactionNumber probe = 0; probe <= db.transaction_number() + 1;
        ++probe) {
-    auto a = full_db.Rollback("r", probe);
-    auto b = delta_db.Rollback("r", probe);
-    auto c = ckpt_db.Rollback("r", probe);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(*a, *b);
-    EXPECT_EQ(*a, *c);
+    auto got = db.Rollback("r", probe);
+    ASSERT_TRUE(got.ok());
+    const SnapshotState* want = spec.StateAt(probe);
+    EXPECT_EQ(*got, want != nullptr ? *want : SnapshotState::Empty(schema))
+        << "txn " << probe;
   }
-}
-
-TEST_P(EngineEquivalenceTest, DeltaUsesLessSpaceOnSmallChanges) {
-  workload::Generator gen(GetParam() + 1234);
-  const Schema schema = gen.RandomSchema(3);
-  auto full = MakeStateLog<SnapshotState>(StorageKind::kFullCopy);
-  auto delta = MakeStateLog<SnapshotState>(StorageKind::kDelta);
-  SnapshotState state = gen.RandomState(schema, 200);
-  TransactionNumber txn = 1;
-  for (int i = 0; i < 30; ++i) {
-    ++txn;
-    ASSERT_TRUE(full.Append(state, txn).ok());
-    ASSERT_TRUE(delta.Append(state, txn).ok());
-    state = gen.MutateState(state, 0.02);  // 2% churn
-  }
-  // The paper's storage argument: full copies blow up, deltas do not.
-  EXPECT_LT(delta.ApproxBytes(), full.ApproxBytes() / 4);
 }
 
 // --- Serialization -----------------------------------------------------------
@@ -314,7 +387,7 @@ TEST(SerializeTest, HistoricalStateRoundTrip) {
 TEST(SerializeTest, SequenceRoundTripAcrossEngines) {
   workload::Generator gen(7);
   const Schema schema = gen.RandomSchema();
-  auto log = MakeStateLog<SnapshotState>(StorageKind::kDelta);
+  StateLog<SnapshotState> log;
   SnapshotState state = gen.RandomState(schema, 20);
   for (TransactionNumber txn = 2; txn < 22; txn += 2) {
     ASSERT_TRUE(log.Append(state, txn).ok());
@@ -328,12 +401,15 @@ TEST(SerializeTest, SequenceRoundTripAcrossEngines) {
   for (size_t i = 0; i < sequence.size(); ++i) {
     EXPECT_EQ((*decoded)[i], sequence[i]);
   }
-  // Rebuild into a different engine and verify FINDSTATE agreement.
-  auto rebuilt = RebuildLog(*decoded, StorageKind::kCheckpoint, 3);
-  ASSERT_TRUE(rebuilt.ok());
+  // Rebuild a log from the decoded sequence and verify FINDSTATE
+  // agreement.
+  StateLog<SnapshotState> rebuilt;
+  for (const auto& [decoded_state, txn] : *decoded) {
+    ASSERT_TRUE(rebuilt.Append(decoded_state, txn).ok());
+  }
   for (TransactionNumber probe = 0; probe < 25; ++probe) {
     auto a = log.StateAt(probe);
-    auto b = rebuilt->StateAt(probe);
+    auto b = rebuilt.StateAt(probe);
     ASSERT_EQ(a != nullptr, b != nullptr);
     if (a != nullptr) {
       EXPECT_EQ(*a, *b);

@@ -1,10 +1,10 @@
 // Multi-threaded stress tests for the documented concurrency contracts:
 //
-//  * FindStateCache is thread-safe on its own (readers probe one relation
-//    log concurrently while SerialExecutor holds only a shared lock);
+//  * FindStateCache, the compact store's probe cache, is thread-safe on
+//    its own (probes of one relation run concurrently);
 //  * SerialExecutor serializes writers and runs readers concurrently, so
-//    StateLog::StateAt (replay + cache fill) races only against other
-//    readers, never against Append;
+//    StateLog::StateAt races only against other readers, never against
+//    Append;
 //  * states are copy-on-write — Snapshot() and Database copies hand
 //    immutable reps to other threads, which evaluate operators on them
 //    concurrently;
@@ -16,7 +16,7 @@
 //
 // The assertions are deliberately light: these tests earn their keep under
 // ThreadSanitizer (cmake -DTTRA_SANITIZE=thread; tools/check.sh --tsan),
-// where any data race in the cache, the replay engines, or the shared-rep
+// where any data race in the cache, the state logs, or the shared-rep
 // refcounting is a hard failure. They still run (fast) unsanitized.
 
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@
 #include "rollback/serial_executor.h"
 #include "rollback/sharded_executor.h"
 #include "snapshot/operators.h"
-#include "storage/logs.h"
+#include "storage/state_log.h"
 
 namespace ttra {
 namespace {
@@ -71,15 +71,17 @@ TEST(TsanStressTest, FindStateCacheConcurrentProbesAndFills) {
             floor && floor->second->size() != 3) {
           mismatches.fetch_add(1);
         }
-        if (auto ceil = cache.Ceil(index); ceil && ceil->second->size() != 3) {
-          mismatches.fetch_add(1);
-        }
       }
     });
   }
-  // One thread keeps invalidating, as Append/ReplaceLast would.
-  threads.emplace_back([&cache] {
-    for (int i = 0; i < 500; ++i) cache.Clear();
+  // One thread keeps copying the cache while the others fill it.
+  threads.emplace_back([&cache, &mismatches] {
+    for (int i = 0; i < 500; ++i) {
+      const FindStateCache<SnapshotState> copy(cache);
+      if (auto floor = copy.Floor(7); floor && floor->second->size() != 3) {
+        mismatches.fetch_add(1);
+      }
+    }
   });
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
@@ -133,14 +135,10 @@ TEST(TsanStressTest, SharedTuplePayloadsCopiedAndDroppedAcrossThreads) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-/// One serialized writer appends states while readers replay historical
-/// states through the engine's FindStateCache. Run for every storage
-/// engine: full-copy shares entries directly; delta/checkpoint/
-/// reverse-delta replay and fill the cache concurrently.
-void HammerStateLog(StorageKind storage) {
-  SerialExecutor exec(DatabaseOptions{.storage = storage,
-                                      .checkpoint_interval = 4,
-                                      .findstate_cache_capacity = 4});
+/// One serialized writer appends states while readers FINDSTATE historical
+/// states of the full-copy log, which hands out its shared entries.
+TEST(TsanStressTest, StateLogReadersVsWriterFullCopy) {
+  SerialExecutor exec;
   ASSERT_TRUE(exec.Submit([](Database& db) {
                     return db.DefineRelation("r", RelationType::kRollback,
                                              StressSchema());
@@ -150,8 +148,8 @@ void HammerStateLog(StorageKind storage) {
   // First commit lands before the readers start, so every probe has a
   // committed modify_state to aim at. Each reader then performs a FIXED
   // number of probes (rather than spinning until the writer finishes):
-  // the shared_mutex has no fairness guarantee, and under the delta
-  // engines replaying readers can otherwise starve the writer forever.
+  // the shared_mutex has no fairness guarantee, and spinning readers can
+  // otherwise starve the writer forever.
   ASSERT_TRUE(
       exec.Submit([](Database& db) { return db.ModifyState("r", StateOfSize(1)); })
           .ok());
@@ -190,28 +188,13 @@ void HammerStateLog(StorageKind storage) {
             static_cast<TransactionNumber>(kWriterCommits + 1));
 }
 
-TEST(TsanStressTest, StateLogReadersVsWriterFullCopy) {
-  HammerStateLog(StorageKind::kFullCopy);
-}
-TEST(TsanStressTest, StateLogReadersVsWriterDelta) {
-  HammerStateLog(StorageKind::kDelta);
-}
-TEST(TsanStressTest, StateLogReadersVsWriterCheckpoint) {
-  HammerStateLog(StorageKind::kCheckpoint);
-}
-TEST(TsanStressTest, StateLogReadersVsWriterReverseDelta) {
-  HammerStateLog(StorageKind::kReverseDelta);
-}
-
 /// Persistent versions: the writer publishes a copy of its database after
 /// every commit (O(#relations), sharing the state logs) and appends on,
 /// across several chunk boundaries, while readers pin published versions
 /// — keeping some for a while — and FINDSTATE on them. Every pinned
 /// version must keep answering exactly as when it was published.
-void HammerPinnedVersions(StorageKind storage) {
-  Database db(DatabaseOptions{.storage = storage,
-                              .checkpoint_interval = 4,
-                              .findstate_cache_capacity = 4});
+TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksFullCopy) {
+  Database db;
   ASSERT_TRUE(
       db.DefineRelation("r", RelationType::kRollback, StressSchema()).ok());
   ASSERT_TRUE(db.ModifyState("r", StateOfSize(1)).ok());
@@ -265,19 +248,6 @@ void HammerPinnedVersions(StorageKind storage) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_EQ(db.Find("r")->history_length(), static_cast<size_t>(commits));
-}
-
-TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksFullCopy) {
-  HammerPinnedVersions(StorageKind::kFullCopy);
-}
-TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksDelta) {
-  HammerPinnedVersions(StorageKind::kDelta);
-}
-TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksCheckpoint) {
-  HammerPinnedVersions(StorageKind::kCheckpoint);
-}
-TEST(TsanStressTest, PinnedVersionsVsWriterAcrossChunksReverseDelta) {
-  HammerPinnedVersions(StorageKind::kReverseDelta);
 }
 
 TEST(TsanStressTest, CowStatesSharedAcrossThreads) {
@@ -369,7 +339,6 @@ TEST(TsanStressTest, SingleShardProducersReadersCheckpointer) {
   InMemoryEnv env;
   ShardedOptions options;
   options.shards = 1;
-  options.durable.db.findstate_cache_capacity = 4;
   options.group_commit.max_batch = 8;
   ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());

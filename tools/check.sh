@@ -209,14 +209,15 @@ if [ "$do_model" -eq 1 ]; then
   #
   # Static: the lock-order analyzer proves the acquires-while-holding
   # graph of the annotated sources acyclic, self-tests its own parser,
-  # must still flag the planted ABBA fixture, and pins the
-  # SerialExecutor -> FindStateCache acquisition order.
+  # must still flag the planted ABBA fixture, and pins the probe cache
+  # (FindStateCache) as a leaf towards the store and executor locks.
   if command -v python3 >/dev/null 2>&1; then
     echo "== lockorder self-test"
     python3 tools/lockorder/lockorder.py --self-test
-    echo "== lockorder: src acyclic + pinned SerialExecutor/FindStateCache order"
+    echo "== lockorder: src acyclic + probe cache pinned as a leaf"
     python3 tools/lockorder/lockorder.py src \
-      --require-edge SerialExecutor::mutex_ FindStateCache::mutex_ \
+      --forbid-edge CompactStore::mutex_ FindStateCache::mutex_ \
+      --forbid-edge FindStateCache::mutex_ CompactStore::mutex_ \
       --forbid-edge FindStateCache::mutex_ SerialExecutor::mutex_
     echo "== lockorder: injected cycle fixture (must fail)"
     if python3 tools/lockorder/lockorder.py \
@@ -282,9 +283,10 @@ if [ "$do_lint" -eq 1 ]; then
 fi
 
 if [ "$do_bench" -eq 1 ]; then
-  # Release bench smoke (experiment E12): exercises the hash-join and
-  # FINDSTATE-cache fast paths under optimization and records the results
-  # next to the sources for EXPERIMENTS.md.
+  # Release bench smoke: exercises the hash-join fast path (experiment
+  # E12) and ρ against history length and probe position on the full-copy
+  # log (E2) under optimization, and records the results next to the
+  # sources for EXPERIMENTS.md.
   echo "== configure build-release (bench smoke)"
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "== build build-release benches"
@@ -295,7 +297,7 @@ if [ "$do_bench" -eq 1 ]; then
     --benchmark_min_time=0.05 \
     --benchmark_out=BENCH_operators.json --benchmark_out_format=json
   ./build-release/bench/bench_rollback \
-    --benchmark_filter='BM_RepeatedRollback' \
+    --benchmark_filter='BM_Rollback/' \
     --benchmark_min_time=0.05 \
     --benchmark_out=BENCH_rollback.json --benchmark_out_format=json
   ./build-release/bench/bench_concurrent \
