@@ -20,8 +20,8 @@
 #endif
 
 #include "rollback/compact_store.h"
-#include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
+#include "rollback/sharded_executor.h"
 #include "storage/env.h"
 #include "storage/serialize.h"
 #include "util/random.h"
@@ -199,7 +199,7 @@ BENCHMARK(BM_HistoryResidentBytes)
 
 // ---------------------------------------------------------------------------
 // Experiment E17: the on-disk compact checkpoint engine (DESIGN.md §16),
-// through the real DurableExecutor write path. The full-copy write path
+// through the real durable write path (ShardedExecutor, one shard). The full-copy write path
 // it replaced is gone (its 68,077 B/txn stays recorded in
 // EXPERIMENTS.md E17); the probe baseline still reads a full-copy image,
 // written by SaveDatabase, the `--save` export format.
@@ -236,11 +236,12 @@ std::vector<Command> DiskWorkload(const Schema& schema) {
   return commands;
 }
 
-DurableOptions DiskOptions() {
-  DurableOptions options;
-  options.sync_policy = SyncPolicy::kNever;
-  options.checkpoint_every = 4;
-  options.compact.keyframe_interval = 16;
+ShardedOptions DiskOptions() {
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable.sync_policy = SyncPolicy::kNever;
+  options.durable.checkpoint_every = 4;
+  options.durable.compact.keyframe_interval = 16;
   return options;
 }
 
@@ -254,9 +255,10 @@ void BM_BytesPerTxnCompact(benchmark::State& state) {
   uint64_t appended = 0;
   for (auto _ : state) {
     CountingEnv env;
-    DurableExecutor exec(&env, "b", DiskOptions());
-    if (!exec.Open().ok() ||
-        !exec.Submit(DefineRelationCmd{"emp", RelationType::kRollback, schema})
+    ShardedExecutor exec(&env, "b", DiskOptions());
+    if (!exec.Start().ok() ||
+        !exec.Submit(Command{
+                 DefineRelationCmd{"emp", RelationType::kRollback, schema}})
              .ok()) {
       state.SkipWithError("open/define failed");
       return;
@@ -292,9 +294,10 @@ void RunFindStateProbe(benchmark::State& state, bool compact) {
       {{"id", ValueType::kInt}, {"payload", ValueType::kString}});
   InMemoryEnv env;
   {
-    DurableExecutor exec(&env, "b", DiskOptions());
-    if (!exec.Open().ok() ||
-        !exec.Submit(DefineRelationCmd{"emp", RelationType::kRollback, schema})
+    ShardedExecutor exec(&env, "b", DiskOptions());
+    if (!exec.Start().ok() ||
+        !exec.Submit(Command{
+                 DefineRelationCmd{"emp", RelationType::kRollback, schema}})
              .ok()) {
       state.SkipWithError("open/define failed");
       return;

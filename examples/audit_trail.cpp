@@ -13,7 +13,7 @@
 #include "lang/evaluator.h"
 #include "lang/printer.h"
 #include "quel/quel.h"
-#include "rollback/durable_executor.h"
+#include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
 namespace {
@@ -106,10 +106,11 @@ int main() {
   // --- Crash safety ---------------------------------------------------
   // An audit trail is only as trustworthy as its durability: an append
   // that vanishes in a crash is exactly the tampering the ledger exists
-  // to rule out. DurableExecutor logs every command to a write-ahead log
-  // and fsyncs it before acknowledging. We demonstrate with the fault-
-  // injection environment, which simulates a power cut deterministically;
-  // swap in Env::Default() and a real directory for production use.
+  // to rule out. The durable executor (one writer shard here) logs every
+  // command to a write-ahead log and fsyncs it before acknowledging. We
+  // demonstrate with the fault-injection environment, which simulates a
+  // power cut deterministically; swap in Env::Default() and a real
+  // directory for production use.
   std::cout << "\n--- durable ledger with a simulated power cut ---\n";
   FaultInjectionEnv env;
   const Schema ledger_schema = *Schema::Make(
@@ -119,9 +120,11 @@ int main() {
         ledger_schema, {Tuple{Value::String(owner), Value::Int(balance)}});
   };
 
+  ShardedOptions one_writer;
+  one_writer.shards = 1;
   {
-    DurableExecutor ledger(&env, "ledger");
-    if (!ledger.Open().ok()) return 1;
+    ShardedExecutor ledger(&env, "ledger", one_writer);
+    if (!ledger.Start().ok()) return 1;
     (void)ledger.Submit(
         DefineRelationCmd{"accounts", RelationType::kRollback, ledger_schema});
     auto acked = ledger.Submit(ModifySnapshotCmd{"accounts",
@@ -134,7 +137,7 @@ int main() {
     auto lost = ledger.Submit(ModifySnapshotCmd{"accounts",
                                                 account("mallory", 9999)});
     std::cout << "unacknowledged update: " << lost.status() << "\n";
-    std::cout << "executor is now fail-stop: "
+    std::cout << "executor is now read-only: "
               << ledger.Submit(ModifySnapshotCmd{"accounts",
                                                  account("bob", 1)})
                      .status()
@@ -145,13 +148,14 @@ int main() {
   // Reopen after the "reboot": recovery replays the log and lands on the
   // acknowledged prefix — alice's deposit survives, mallory's torn write
   // does not.
-  DurableExecutor recovered(&env, "ledger");
-  if (!recovered.Open().ok()) return 1;
+  ShardedExecutor recovered(&env, "ledger", one_writer);
+  if (!recovered.Start().ok()) return 1;
   const auto info = recovered.last_recovery();
   std::cout << "recovered transaction " << recovered.transaction_number()
             << " (checkpoint at " << info.checkpoint_txn << ", "
-            << info.replayed_records << " wal record(s) replayed"
-            << (info.torn_tail ? ", torn tail truncated" : "") << ")\n"
-            << lang::FormatTable(*recovered.Rollback("accounts"));
+            << info.replayed_sentences << " sentence(s) replayed"
+            << (info.torn_tails > 0 ? ", torn tail truncated" : "") << ")\n"
+            << lang::FormatTable(
+                   *recovered.OpenSession().Rollback("accounts"));
   return 0;
 }

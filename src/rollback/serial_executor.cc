@@ -47,9 +47,4 @@ Database SerialExecutor::Snapshot() const {
   return db_;
 }
 
-void SerialExecutor::Reset(Database db) {
-  WriterMutexLock lock(mutex_);
-  db_ = std::move(db);
-}
-
 }  // namespace ttra

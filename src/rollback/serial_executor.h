@@ -55,11 +55,6 @@ class SerialExecutor {
   /// Consistent point-in-time copy of the whole database.
   Database Snapshot() const;
 
-  /// Replaces the database wholesale under the exclusive lock. Reserved
-  /// for DurableExecutor's recovery (installing a checkpoint + replayed
-  /// WAL). Normal code must go through Submit.
-  void Reset(Database db);
-
  private:
   mutable SharedMutex mutex_;
   Database db_ TTRA_GUARDED_BY(mutex_);

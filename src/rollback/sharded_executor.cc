@@ -108,17 +108,17 @@ std::string EncodeCoordCommit(uint64_t shard, uint64_t seq,
 }
 
 /// Deterministic re-execution of one batch entry, mirroring the live
-/// apply (paper sequencing vs all-or-nothing) — shared by the commit path
-/// and recovery so they cannot diverge.
-void ApplyEntry(Database& db, const GroupEntry& entry,
-                Result<TransactionNumber>* result) {
+/// apply (paper sequencing vs all-or-nothing) — shared by the commit path,
+/// recovery and the legacy migration so they cannot diverge.
+void ApplyEntry(Database& db, const std::vector<Command>& sentence,
+                bool atomic, Result<TransactionNumber>* result) {
   Status applied;
-  if (entry.atomic) {
+  if (atomic) {
     Database scratch = db;
-    applied = ApplySentence(scratch, entry.sentence);
+    applied = ApplySentence(scratch, sentence);
     if (applied.ok()) db = std::move(scratch);
   } else {
-    applied = ApplySentence(db, entry.sentence);
+    applied = ApplySentence(db, sentence);
   }
   if (result != nullptr) {
     if (applied.ok()) {
@@ -139,14 +139,117 @@ Status MidLogCorruption(const std::string& path, const WalReadResult& wal) {
       "`ttra fsck --repair` to quarantine the damage");
 }
 
+/// Record kinds of the legacy single-writer wal.log. Only read: earlier
+/// builds wrote them, and their directories must still migrate.
+enum RecordKind : uint8_t {
+  /// [u8 0][u64 pre_txn][u64 n][n commands], paper sequencing.
+  kKindSentence = 0,
+  /// The same body, applied all-or-nothing.
+  kKindAtomic = 1,
+  /// A group-committed batch: [u64 count] followed by `count` entries of
+  /// [u8 atomic][u64 pre_txn][u64 n][n commands].
+  kKindGroup = 2,
+};
+
+Result<LoggedSentence> DecodeLoggedSentence(ByteReader& reader, bool atomic) {
+  LoggedSentence entry;
+  entry.atomic = atomic;
+  TTRA_ASSIGN_OR_RETURN(entry.pre_txn, reader.ReadU64());
+  TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
+  entry.sentence.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    TTRA_ASSIGN_OR_RETURN(Command command, DecodeCommand(reader));
+    entry.sentence.push_back(std::move(command));
+  }
+  return entry;
+}
+
+/// What replaying a legacy wal.log did.
+struct LegacyReplay {
+  size_t applied = 0;  ///< logged sentences applied (not covered)
+  bool torn_tail = false;
+};
+
+/// Replays the legacy wal.log at `path` onto `db`, exactly as the
+/// single-writer executor re-executed it: a logged sentence whose pre_txn
+/// the database has passed is covered by the checkpoint and skipped; one
+/// that expects a later transaction is a gap, i.e. corruption. A torn tail
+/// is the crash signature and is dropped; intact records beyond damage
+/// are refused, because replaying only the prefix would silently drop
+/// acknowledged commits.
+Result<LegacyReplay> ReplayLegacyWal(const Env& env, const std::string& path,
+                                     Database& db) {
+  TTRA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWal(env, path));
+  if (wal.records_after_hole > 0) return MidLogCorruption(path, wal);
+  LegacyReplay replay;
+  replay.torn_tail = wal.torn_tail;
+  for (const std::string& record : wal.records) {
+    TTRA_ASSIGN_OR_RETURN(std::vector<LoggedSentence> entries,
+                          DecodeWalRecord(record));
+    for (const LoggedSentence& entry : entries) {
+      if (entry.pre_txn < db.transaction_number()) continue;
+      if (entry.pre_txn > db.transaction_number()) {
+        return CorruptionError("gap in " + path + ": record expects txn " +
+                               std::to_string(entry.pre_txn) +
+                               ", database is at " +
+                               std::to_string(db.transaction_number()));
+      }
+      ApplyEntry(db, entry.sentence, entry.atomic, nullptr);
+      ++replay.applied;
+    }
+  }
+  return replay;
+}
+
+std::string ShardManifestText(size_t shards) {
+  return std::string(kManifestMagic) + " " + std::to_string(kManifestVersion) +
+         "\nshards " + std::to_string(shards) + "\n";
+}
+
 }  // namespace
+
+Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record) {
+  ByteReader reader(record);
+  TTRA_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadByte());
+  std::vector<LoggedSentence> entries;
+  if (kind == kKindSentence || kind == kKindAtomic) {
+    // The kind byte doubles as the atomic flag; the body has no mode byte.
+    TTRA_ASSIGN_OR_RETURN(LoggedSentence entry,
+                          DecodeLoggedSentence(reader, kind == kKindAtomic));
+    entries.push_back(std::move(entry));
+  } else if (kind == kKindGroup) {
+    TTRA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
+    entries.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      TTRA_ASSIGN_OR_RETURN(uint8_t atomic, reader.ReadByte());
+      if (atomic > 1) return CorruptionError("invalid group entry mode");
+      TTRA_ASSIGN_OR_RETURN(LoggedSentence entry,
+                            DecodeLoggedSentence(reader, atomic != 0));
+      entries.push_back(std::move(entry));
+    }
+  } else {
+    return CorruptionError("invalid wal record kind");
+  }
+  if (!reader.AtEnd()) {
+    return CorruptionError("trailing bytes in wal record");
+  }
+  return entries;
+}
+
+std::string_view SyncPolicyName(SyncPolicy policy) {
+  switch (policy) {
+    case SyncPolicy::kAlways:
+      return "always";
+    case SyncPolicy::kBatch:
+      return "batch";
+    case SyncPolicy::kNever:
+      return "never";
+  }
+  return "unknown";
+}
 
 std::string ShardWalFile(size_t shard) {
   return "shard-" + std::to_string(shard) + ".wal";
-}
-
-bool IsShardedDir(const Env& env, const std::string& dir) {
-  return env.Exists(dir + "/" + kShardManifestFile);
 }
 
 Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir) {
@@ -185,7 +288,8 @@ bool IsStorageFileName(std::string_view name) {
     }
   }
   for (std::string_view fixed :
-       {std::string_view("wal.log"), std::string_view(kLegacyCheckpointFile),
+       {std::string_view(kLegacyWalFile),
+        std::string_view(kLegacyCheckpointFile),
         std::string_view(kCompactManifestFile),
         std::string_view(kShardManifestFile),
         std::string_view(kCoordinatorLogFile)}) {
@@ -320,31 +424,21 @@ Status ShardedExecutor::Start() {
   if (started_) return Status::Ok();
   TTRA_RETURN_IF_ERROR(env_->CreateDir(dir_));
 
-  // Layout detection. A single-writer directory (wal.log, no MANIFEST)
-  // must not be silently adopted: its log would be ignored and every
-  // commit in it dropped.
+  // Layout detection. A MANIFEST fixes the shard count: records are
+  // already routed by hash-mod-N, so reopening with a different N would
+  // misfile every future commit. A legacy single-writer wal.log is
+  // migrated into one shard (see the header); its MANIFEST is written only
+  // once its records are replayed, so a refused migration leaves the
+  // directory as it was for `ttra fsck`.
   const std::string manifest_path = dir_ + "/" + kShardManifestFile;
-  if (!env_->Exists(manifest_path) && env_->Exists(dir_ + "/wal.log")) {
-    return InvalidArgumentError(
-        dir_ + " holds a single-writer log (wal.log); recover it with "
-        "`ttra recover` (unsharded) or start the sharded executor in a "
-        "fresh directory");
-  }
-  size_t shards = options_.shards;
-  if (env_->Exists(manifest_path)) {
-    // The directory remembers its own shard count: records are already
-    // routed by hash-mod-N, so reopening with a different N would misfile
-    // every future commit. The MANIFEST wins.
+  const std::string legacy_wal = dir_ + "/" + kLegacyWalFile;
+  const bool has_manifest = env_->Exists(manifest_path);
+  const bool migrate = env_->Exists(legacy_wal);
+  size_t shards = migrate ? 1 : options_.shards;
+  if (has_manifest) {
     TTRA_ASSIGN_OR_RETURN(uint32_t manifest_shards,
                           ReadShardManifest(*env_, dir_));
     shards = manifest_shards;
-  } else {
-    const std::string text = std::string(kManifestMagic) + " " +
-                             std::to_string(kManifestVersion) + "\nshards " +
-                             std::to_string(shards) + "\n";
-    TTRA_RETURN_IF_ERROR(env_->Truncate(manifest_path));
-    TTRA_RETURN_IF_ERROR(env_->Append(manifest_path, text));
-    TTRA_RETURN_IF_ERROR(env_->Sync(manifest_path));
   }
   shard_count_ = shards;
 
@@ -357,20 +451,39 @@ Status ShardedExecutor::Start() {
     shards_.push_back(std::move(shard));
   }
 
-  // Merged recovery: checkpoint, then every shard WAL + the coordinator
-  // log re-establish one total order.
+  // Merged recovery: checkpoint, the legacy wal.log if any (it predates
+  // every shard record), then every shard WAL + the coordinator log
+  // re-establish one total order.
   TTRA_ASSIGN_OR_RETURN(Database db, compact_.Load(options_.durable.db));
   const TransactionNumber checkpoint_txn = db.transaction_number();
+  LegacyReplay legacy;
+  if (migrate) {
+    TTRA_ASSIGN_OR_RETURN(legacy, ReplayLegacyWal(*env_, legacy_wal, db));
+  }
   TTRA_RETURN_IF_ERROR(Recover(db));
   {
     MutexLock lock(commit_mutex_);
     last_recovery_.checkpoint_txn = checkpoint_txn;
     last_recovery_.shards = shard_count_;
+    last_recovery_.migrated_legacy_wal = migrate;
+    last_recovery_.replayed_sentences += legacy.applied;
+    if (legacy.torn_tail) ++last_recovery_.torn_tails;
+  }
+  if (!has_manifest) {
+    // Temp file + rename: a crash mid-write must not leave a torn MANIFEST
+    // that every later Start() would refuse.
+    const std::string tmp = manifest_path + ".tmp";
+    TTRA_RETURN_IF_ERROR(env_->Truncate(tmp));
+    TTRA_RETURN_IF_ERROR(env_->Append(tmp, ShardManifestText(shards)));
+    TTRA_RETURN_IF_ERROR(env_->Sync(tmp));
+    TTRA_RETURN_IF_ERROR(env_->Rename(tmp, manifest_path));
   }
 
   // Re-establish the on-disk invariant: one checkpoint covering the
-  // merged replay, fresh logs, sequence spaces reset.
+  // merged replay, fresh logs, sequence spaces reset. The legacy log goes
+  // only once that checkpoint is durable.
   TTRA_RETURN_IF_ERROR(compact_.WriteCheckpoint(db));
+  if (migrate) TTRA_RETURN_IF_ERROR(env_->Remove(legacy_wal));
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock lock(shards_[k]->wal_mutex);
     TTRA_RETURN_IF_ERROR(shards_[k]->wal->Create());
@@ -542,7 +655,7 @@ Status ShardedExecutor::Recover(Database& db) {
                              std::to_string(current));
     }
     for (const GroupEntry& entry : entries) {
-      ApplyEntry(db, entry, nullptr);
+      ApplyEntry(db, entry.sentence, entry.atomic, nullptr);
       ++last_recovery_.replayed_sentences;
     }
     if (db.transaction_number() != commit.post) {
@@ -1037,7 +1150,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
     results.reserve(entries.size());
     for (const GroupEntry& entry : entries) {
       Result<TransactionNumber> result(0);
-      ApplyEntry(*next, entry, &result);
+      ApplyEntry(*next, entry.sentence, entry.atomic, &result);
       results.push_back(std::move(result));
     }
     post = next->transaction_number();

@@ -2,19 +2,94 @@
 #define TTRA_ROLLBACK_SHARDED_EXECUTOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "rollback/durable_executor.h"
+#include "rollback/commands.h"
+#include "rollback/compact_store.h"
+#include "storage/wal.h"
 #include "util/bounded_queue.h"
 #include "util/mutex.h"
 #include "util/vthread.h"
 
 namespace ttra {
+
+/// When a write-ahead log is fsync'ed relative to commit acknowledgement.
+enum class SyncPolicy {
+  /// Sync before acknowledging every batch: an acknowledged commit is
+  /// never lost (the durability the paper's append-only transaction-time
+  /// semantics implies).
+  kAlways,
+  /// Sync once `DurableOptions::batch_size` commits have accumulated on a
+  /// shard: bounded loss window, much higher throughput.
+  kBatch,
+  /// Never sync explicitly; the OS decides. Only the checkpoint is
+  /// guaranteed after a crash.
+  kNever,
+};
+
+std::string_view SyncPolicyName(SyncPolicy policy);
+
+/// How WAL append/sync failures are retried before the executor gives up
+/// and degrades. Only kIoError is retried — it is the transient class
+/// (a controller hiccup, an interrupted write); kResourceExhausted (disk
+/// full) and kCorruption cannot heal on their own and fail immediately.
+struct RetryOptions {
+  /// Total attempts per WAL operation. 1 = no retry (the default: a
+  /// single failure degrades the executor).
+  size_t max_attempts = 1;
+  /// Backoff before the k-th retry: initial_backoff * 2^k, capped at
+  /// max_backoff.
+  std::chrono::microseconds initial_backoff{100};
+  std::chrono::microseconds max_backoff{10'000};
+  /// Injectable sleep so tests drive backoff with a fake clock instead of
+  /// wall-clock sleeps. Unset = std::this_thread::sleep_for.
+  std::function<void(std::chrono::microseconds)> sleeper;
+};
+
+struct DurableOptions {
+  /// Inert, like DatabaseOptions itself: set by existing callers, read by
+  /// nothing.
+  DatabaseOptions db;
+  SyncPolicy sync_policy = SyncPolicy::kAlways;
+  /// Commits between syncs under SyncPolicy::kBatch.
+  size_t batch_size = 32;
+  /// Auto-checkpoint (and truncate the WALs) every N commits; 0 = only
+  /// when Checkpoint() is called.
+  size_t checkpoint_every = 0;
+  /// Transient-failure retry policy for WAL appends and syncs.
+  RetryOptions retry;
+  /// Inert: nothing reads it, because the compact layout is the only
+  /// checkpoint format. It is deleted together with its last setter,
+  /// ExecutorOptions() in e2ebench/main.cc.
+  bool compact_storage = false;
+  /// Segment keyframe spacing and probe cache of the checkpoint store.
+  CompactOptions compact;
+};
+
+/// A sentence as an earlier build's single-writer executor recorded it in
+/// "wal.log": the sentence, its submit mode, and the transaction number
+/// before it applied.
+struct LoggedSentence {
+  std::vector<Command> sentence;
+  TransactionNumber pre_txn = 0;  ///< transaction number before this apply
+  bool atomic = false;
+};
+
+/// Decodes one record payload of a legacy single-writer "wal.log" (as
+/// returned by ReadWal) into its logged sentences: one for a plain
+/// (kind 0) or atomic (kind 1) record, several for a group-commit record
+/// (kind 2). Nothing writes these records any more; ShardedExecutor::Start
+/// replays them once, when it migrates such a directory, and `ttra fsck`
+/// validates them in a directory that has not been migrated yet.
+/// Malformed input → kCorruption.
+Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record);
 
 // ---------------------------------------------------------------------------
 // On-disk layout of a sharded directory
@@ -28,23 +103,28 @@ namespace ttra {
 //   dir/coordinator.log    advisory cross-shard commit order (WAL format)
 //
 // Every log file uses the standard WAL framing (storage/wal.h); the record
-// payloads use the kinds below, disjoint from DurableExecutor's 0/1/2 so a
-// sharded record fed to DecodeWalRecord fails loudly and vice versa.
+// payloads use the kinds below, disjoint from the legacy single-writer
+// kinds 0/1/2 so a sharded record fed to DecodeWalRecord fails loudly and
+// vice versa.
+//
+// A directory written by an earlier build's single-writer executor holds
+// the same checkpoint plus one "wal.log" of legacy records (and perhaps a
+// full-copy "checkpoint.db", which CompactStore::Load migrates). Start()
+// migrates it once: see there.
 
 inline constexpr char kShardManifestFile[] = "MANIFEST";
 inline constexpr char kCoordinatorLogFile[] = "coordinator.log";
+inline constexpr char kLegacyWalFile[] = "wal.log";
 
 /// "shard-<k>.wal".
 std::string ShardWalFile(size_t shard);
 
-/// True iff `dir` holds a sharded layout (a MANIFEST is present).
-bool IsShardedDir(const Env& env, const std::string& dir);
-
 /// Parses dir/MANIFEST; kCorruption on malformed content.
 Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir);
 
-/// Removes every file either durable executor or `ttra fsck --repair`
-/// writes in `dir`, whatever its layout: wal.log, the shard WALs, the
+/// Removes every file the executor, an earlier build's single-writer
+/// executor or `ttra fsck --repair` writes in `dir`, whatever its layout:
+/// a legacy wal.log, the shard WALs, the
 /// coordinator log and MANIFEST, the segment manifest and segment files,
 /// a legacy checkpoint image, and their `.tmp`/`.quarantine` remains. The
 /// next open of `dir` starts from the empty database. Other files and a
@@ -176,6 +256,7 @@ struct ShardedOptions {
   GroupCommitOptions group_commit;
   /// Writer shards. A directory remembers the count it was created with
   /// (MANIFEST) and Start() adopts it; this value seeds a fresh directory.
+  /// A legacy single-writer directory always migrates to one shard.
   size_t shards = 2;
   /// Coordinator records between opportunistic coordinator syncs (the log
   /// is advisory, so it is never synced on the ack path). Stop() and
@@ -248,6 +329,15 @@ class ShardedExecutor {
 
   /// Recovers the merged durable state, publishes the initial snapshot and
   /// starts one writer thread per shard. Call again only after Stop().
+  ///
+  /// A legacy single-writer directory (a "wal.log" is present) is migrated
+  /// here, once: load the checkpoint, replay the wal.log records it does
+  /// not cover (skipped by pre_txn; a torn tail is dropped, damage in the
+  /// middle of the log is refused — `ttra fsck --repair` decides that
+  /// cut), write a one-shard MANIFEST if there is none, write the covering
+  /// checkpoint, and only then remove wal.log. A crash anywhere before the
+  /// removal makes the next Start() repeat the migration, which changes
+  /// nothing: every record the checkpoint covers is skipped.
   Status Start();
 
   /// Closes every queue, commits everything enqueued, joins the writers
@@ -322,7 +412,10 @@ class ShardedExecutor {
     /// Prepared-but-uncommitted batches plus committed batches stranded
     /// beyond the first base-txn gap — all provably unacknowledged.
     size_t dropped_in_doubt = 0;
-    size_t torn_tails = 0;  ///< shard/coordinator logs with a torn tail
+    size_t torn_tails = 0;  ///< logs with a torn tail, legacy wal.log included
+    /// A legacy wal.log was migrated; its applied sentences are counted in
+    /// replayed_sentences.
+    bool migrated_legacy_wal = false;
   };
   RecoveryInfo last_recovery() const;
 

@@ -372,6 +372,16 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
       Aggregate(report, log);
       report.logs.push_back(std::move(log));
     }
+    // A migration that stopped after writing the MANIFEST but before
+    // removing the legacy single-writer log leaves both; the next open
+    // replays that log, so it is scanned (and repaired) with the rest.
+    if (env->Exists(dir + "/" + options.wal_file)) {
+      SalvageLogReport log;
+      ScanOneLog(env, dir + "/" + options.wal_file, options.validate_record,
+                 report, log);
+      Aggregate(report, log);
+      report.logs.push_back(std::move(log));
+    }
   } else {
     SalvageLogReport log;
     ScanOneLog(env, dir + "/" + options.wal_file, options.validate_record,

@@ -11,8 +11,10 @@
 
 namespace ttra {
 
-/// Offline inspection and repair of a DurableExecutor or ShardedExecutor
-/// storage directory — the engine behind `ttra fsck`. The scan is
+/// Offline inspection and repair of a ShardedExecutor storage directory,
+/// or of a legacy single-writer one (a "wal.log" written by an earlier
+/// build, which the executor's first Start() migrates) — the engine
+/// behind `ttra fsck`. The scan is
 /// read-only and classifies the damage; repair quarantines the damaged
 /// bytes (nothing is ever deleted, an operator can always reconstruct what
 /// was cut) and truncates each WAL to its last valid prefix so recovery
@@ -57,12 +59,13 @@ struct SalvageFinding {
 };
 
 struct SalvageOptions {
-  /// File names inside the directory (the DurableExecutor layout). A
+  /// File names inside the directory (the legacy single-writer layout). A
   /// legacy kLegacyCheckpointFile, when present, is validated too.
   std::string wal_file = "wal.log";
   /// Sharded (ShardedExecutor) layout: when `manifest_file` exists in the
   /// directory, the scan switches to it — shard count from the manifest,
-  /// one log report per shard WAL plus the coordinator log.
+  /// one log report per shard WAL plus the coordinator log, plus one for
+  /// a `wal_file` left by an interrupted migration.
   std::string manifest_file = "MANIFEST";
   std::string coordinator_file = "coordinator.log";
   /// Semantic validation of one intact WAL record payload; non-OK flags
@@ -93,7 +96,8 @@ struct SalvageOptions {
 };
 
 /// Per-log detail of a sharded scan (one entry per shard WAL, plus one for
-/// the coordinator log).
+/// the coordinator log and one for a legacy wal.log an interrupted
+/// migration left).
 struct SalvageLogReport {
   std::string file;  ///< path of the log
   bool present = false;

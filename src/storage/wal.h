@@ -24,8 +24,9 @@ namespace ttra {
 /// Appender. Typical lifecycle: Create() a fresh log (or OpenForAppend()
 /// after recovery), then AddRecord()/Sync() per the caller's policy.
 ///
-/// Not internally synchronized: callers serialize access (DurableExecutor
-/// holds its commit lock around every member, stats() included).
+/// Not internally synchronized: callers serialize access (ShardedExecutor
+/// holds the owning lock — a shard's WAL lock, or its order lock for the
+/// coordinator log — around every member, stats() included).
 class WalWriter {
  public:
   WalWriter(Env* env, std::string path) : env_(env), path_(std::move(path)) {}

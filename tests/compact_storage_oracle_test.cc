@@ -6,9 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "legacy_wal.h"
 #include "rollback/commands.h"
 #include "rollback/compact_store.h"
-#include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/serial_executor.h"
 #include "rollback/sharded_executor.h"
@@ -27,10 +27,10 @@ namespace {
 // probes, online compaction — is an implementation of that spec, so its
 // observable behavior must be indistinguishable from it. This suite makes
 // the claim a property: for each seed, one random command program is
-// executed through a plain SerialExecutor (the spec) and through every
-// durable engine (both write the compact layout), interleaved with random
-// checkpoints, reopens (recovery through CompactStore::Load), and online
-// CompactStorage() calls. The contracts:
+// executed through a plain SerialExecutor (the spec) and through the
+// durable executor (ShardedExecutor, one shard and three), interleaved
+// with random checkpoints, reopens (recovery through CompactStore::Load),
+// and online CompactStorage() calls. The contracts:
 //
 //  1. the final databases are byte-equal (EncodeDatabase) across all
 //     engines, storage layouts, and any interleaving of checkpoint /
@@ -38,10 +38,10 @@ namespace {
 //  2. ρ(I, N) answers are equal at EVERY epoch 0..final, both through the
 //     recovered in-memory database and through the on-disk probe path
 //     (ProbeSnapshot/ProbeHistorical), with the probe cache on or off;
-//  3. migrating a legacy directory (full-copy checkpoint.db plus a WAL of
-//     plain records, built by hand because nothing writes it any more)
-//     to the compact layout preserves byte-equality and removes the
-//     legacy image.
+//  3. migrating a legacy directory (full-copy checkpoint.db plus a
+//     single-writer wal.log of plain records, built by hand because
+//     nothing writes it any more) to the compact, sharded layout
+//     preserves byte-equality and removes the legacy image and log.
 //
 // Runs as 10 fixed ctest shards that together sweep TTRA_ORACLE_SEEDS
 // seeds (read at RUN time; default 100 — CI's quick lane lowers it to 25,
@@ -191,52 +191,48 @@ Database RunSerialOracle(const Program& program, std::vector<bool>& acks) {
 /// Writes the pre-compact single-writer layout by hand: SaveDatabase of the
 /// oracle after the first `split` sentences as checkpoint.db, and a
 /// wal.log of plain kind-0 (sequenced) / kind-1 (atomic) records
-/// [u8 kind][u64 pre_txn][u64 n][n commands]. The log starts two sentences
-/// before the split, as a crash between checkpoint publication and WAL
-/// truncation left it, so recovery must skip the covered records.
+/// (tests/legacy_wal.h). The log starts two sentences before the split,
+/// as a crash between checkpoint publication and WAL truncation left it,
+/// so the migration must skip the covered records.
 void WriteLegacyDir(Env* env, const std::string& dir, const Program& program,
                     size_t split) {
-  const auto put_u64 = [](uint64_t v, std::string& out) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-  };
   ASSERT_TRUE(env->CreateDir(dir).ok());
-  WalWriter wal(env, dir + "/wal.log");
+  WalWriter wal(env, dir + "/" + kLegacyWalFile);
   ASSERT_TRUE(wal.Create().ok());
   const size_t wal_from = split >= 2 ? split - 2 : 0;
-  SerialExecutor serial;
+  Database db;
   for (size_t i = 0; i <= program.sentences.size(); ++i) {
     if (i == split) {
-      ASSERT_TRUE(SaveDatabase(serial.Snapshot(),
-                               dir + "/" + kLegacyCheckpointFile, env)
-                      .ok());
+      ASSERT_TRUE(
+          SaveDatabase(db, dir + "/" + kLegacyCheckpointFile, env).ok());
     }
     if (i == program.sentences.size()) break;
     const Sentence& sentence = program.sentences[i];
+    const LoggedSentence entry =
+        LogLegacySentence(db, sentence.commands, sentence.atomic);
     if (i >= wal_from) {
-      std::string record(1, static_cast<char>(sentence.atomic ? 1 : 0));
-      put_u64(serial.transaction_number(), record);
-      put_u64(sentence.commands.size(), record);
-      for (const Command& command : sentence.commands) {
-        EncodeCommand(command, record);
-      }
-      ASSERT_TRUE(wal.AddRecord(record).ok());
+      ASSERT_TRUE(wal.AddRecord(EncodeLegacyRecord(entry)).ok());
     }
-    auto body = [&](Database& db) {
-      return ApplySentence(db, sentence.commands);
-    };
-    (void)(sentence.atomic ? serial.SubmitAtomic(body) : serial.Submit(body));
   }
   ASSERT_TRUE(wal.Sync().ok());
 }
 
-/// Runs the program through a DurableExecutor, honoring the interleave
-/// schedule.
-void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
-                const Program& program,
-                const std::vector<Interleave>& schedule,
-                std::vector<bool>& acks) {
-  auto exec = std::make_unique<DurableExecutor>(env, dir, options);
-  ASSERT_TRUE(exec->Open().ok());
+/// The durable executor with one shard: the single-writer pipeline.
+ShardedOptions OneShard(const DurableOptions& durable) {
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable = durable;
+  return options;
+}
+
+/// Runs the program through a one-shard ShardedExecutor, honoring the
+/// interleave schedule.
+void RunOneShard(Env* env, const std::string& dir,
+                 const DurableOptions& options, const Program& program,
+                 const std::vector<Interleave>& schedule,
+                 std::vector<bool>& acks) {
+  auto exec = std::make_unique<ShardedExecutor>(env, dir, OneShard(options));
+  ASSERT_TRUE(exec->Start().ok());
   for (size_t i = 0; i < program.sentences.size(); ++i) {
     const Sentence& sentence = program.sentences[i];
     const Result<TransactionNumber> txn =
@@ -250,8 +246,9 @@ void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
         ASSERT_TRUE(exec->Checkpoint().ok());
         break;
       case Interleave::kReopen:
-        exec = std::make_unique<DurableExecutor>(env, dir, options);
-        ASSERT_TRUE(exec->Open().ok()) << "reopen after sentence " << i;
+        exec.reset();
+        exec = std::make_unique<ShardedExecutor>(env, dir, OneShard(options));
+        ASSERT_TRUE(exec->Start().ok()) << "reopen after sentence " << i;
         break;
       case Interleave::kCompactStorage:
         ASSERT_TRUE(exec->CompactStorage().ok());
@@ -335,18 +332,18 @@ void RunCompactOracleSeed(uint64_t seed) {
   const Database oracle = RunSerialOracle(program, oracle_acks);
   const std::string oracle_bytes = EncodeDatabase(oracle);
 
-  // --- durable engine, compact layout --------------------------------------
+  // --- durable executor, one shard ----------------------------------------
   InMemoryEnv env;
   const std::string dir = "compact";
   DurableOptions compact_options;
   compact_options.compact.keyframe_interval = 3;  // short replay chains
   std::vector<bool> compact_acks;
-  RunDurable(&env, dir, compact_options, program, schedule, compact_acks);
+  RunOneShard(&env, dir, compact_options, program, schedule, compact_acks);
   ASSERT_EQ(oracle_acks, compact_acks);
 
   // Recover once more through CompactStore::Load and compare everything.
-  DurableExecutor reopened(&env, dir, compact_options);
-  ASSERT_TRUE(reopened.Open().ok());
+  ShardedExecutor reopened(&env, dir, OneShard(compact_options));
+  ASSERT_TRUE(reopened.Start().ok());
   const Database recovered = reopened.Snapshot();
   ASSERT_EQ(oracle_bytes, EncodeDatabase(recovered));
   VerifyRollbackEquality(oracle, recovered);
@@ -372,16 +369,19 @@ void RunCompactOracleSeed(uint64_t seed) {
   WriteLegacyDir(&env, legacy_dir, program,
                  seed % (program.sentences.size() + 1));
   if (::testing::Test::HasFatalFailure()) return;
-  DurableExecutor migrated(&env, legacy_dir, compact_options);
-  ASSERT_TRUE(migrated.Open().ok());
-  ASSERT_EQ(oracle_bytes, EncodeDatabase(migrated.Snapshot()));
+  {
+    ShardedExecutor migrated(&env, legacy_dir, OneShard(compact_options));
+    ASSERT_TRUE(migrated.Start().ok());
+    ASSERT_EQ(oracle_bytes, EncodeDatabase(migrated.Snapshot()));
+  }
   ASSERT_TRUE(env.Exists(legacy_dir + "/" + kCompactManifestFile));
   ASSERT_FALSE(env.Exists(legacy_dir + "/" + kLegacyCheckpointFile));
   ASSERT_FALSE(env.Exists(legacy_dir + "/" + kLegacyCheckpointFile + ".tmp"));
+  ASSERT_FALSE(env.Exists(legacy_dir + "/" + kLegacyWalFile));
 
   // Once migrated, a reopen recovers from the manifest.
-  DurableExecutor adopted(&env, legacy_dir, compact_options);
-  ASSERT_TRUE(adopted.Open().ok());
+  ShardedExecutor adopted(&env, legacy_dir, OneShard(compact_options));
+  ASSERT_TRUE(adopted.Start().ok());
   ASSERT_EQ(oracle_bytes, EncodeDatabase(adopted.Snapshot()));
 }
 
@@ -403,11 +403,10 @@ INSTANTIATE_TEST_SUITE_P(Shards, CompactStorageOracleTest,
 // The queued (group-commit) engine under compact storage
 // ---------------------------------------------------------------------------
 
-/// The sharded executor routes its checkpoint image through the same
-/// CompactStore as DurableExecutor, so one synchronous replay per seed
-/// pins byte-equality and recovery, on the single-writer pipeline (one
-/// shard) and on three shards; the concurrency-vs-serial contract itself
-/// is owned by concurrent_oracle_test.
+/// One synchronous replay per seed, with no reopen through a second
+/// executor object, pins byte-equality and recovery on the single-writer
+/// pipeline (one shard) and on three shards; the concurrency-vs-serial
+/// contract itself is owned by concurrent_oracle_test.
 void RunConcurrentCompactSeed(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Program program = RandomProgram(seed);

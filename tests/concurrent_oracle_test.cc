@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "rollback/persistence.h"
+#include "rollback/serial_executor.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 #include "storage/serialize.h"

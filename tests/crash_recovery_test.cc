@@ -5,7 +5,8 @@
 #include <map>
 #include <thread>
 
-#include "rollback/durable_executor.h"
+#include "legacy_wal.h"
+#include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
@@ -17,7 +18,17 @@ namespace {
 // command sequence (C⟦·⟧), so after a crash at ANY write point, the
 // recovered database must equal the oracle evaluation of some *prefix* of
 // the submitted sentence sequence — and that prefix must contain every
-// sentence whose submission was acknowledged before the crash.
+// sentence whose submission was acknowledged before the crash. The
+// executor is the single-writer pipeline: ShardedExecutor with one shard,
+// driven one synchronous Submit at a time.
+
+/// One shard around `durable`: the single-writer configuration.
+ShardedOptions OneShard(const DurableOptions& durable = {}) {
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable = durable;
+  return options;
+}
 
 struct Step {
   std::vector<Command> sentence;
@@ -117,15 +128,19 @@ std::vector<std::string> OraclePrefixStates(const std::vector<Step>& steps) {
   return states;
 }
 
+/// A storage failure (the fault itself) or the executor's refusal after
+/// it (read-only degraded mode), as opposed to a command-level error.
 bool IsIoFailure(const Status& status) {
   return status.code() == ErrorCode::kIoError ||
-         status.code() == ErrorCode::kUnavailable;
+         status.code() == ErrorCode::kUnavailable ||
+         status.code() == ErrorCode::kReadOnly;
 }
 
 /// Runs the workload against a fresh FaultInjectionEnv with a fault armed
 /// at op `fault_at` (0 = no fault), crashes at the first I/O failure (or
 /// at the end), recovers with a brand-new executor, and checks the
-/// recovered database against the oracle prefixes.
+/// recovered database against the oracle prefixes. `total_ops` counts
+/// every op after Start(), the writer's shutdown included.
 void RunCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
                    const DurableOptions& options,
                    const std::vector<Step>& steps,
@@ -135,9 +150,10 @@ void RunCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
                (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
                                                               : " (torn)"));
   FaultInjectionEnv env;
-  auto exec =
-      std::make_unique<DurableExecutor>(&env, "walled-garden", options);
-  ASSERT_TRUE(exec->Open().ok());
+  auto exec = std::make_unique<ShardedExecutor>(&env, "walled-garden",
+                                                OneShard(options));
+  ASSERT_TRUE(exec->Start().ok());
+  const uint64_t ops_at_start = env.op_count();
   if (fault_at != 0) env.InjectFault(fault_at, mode);
 
   // `acked` = number of leading workload steps whose submission returned a
@@ -153,13 +169,13 @@ void RunCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
     if (!result.ok() && IsIoFailure(result.status())) break;  // "crash"
     ++acked;
   }
-  if (total_ops != nullptr) *total_ops = env.op_count();
 
   // Power loss: unsynced bytes vanish; then a new process recovers.
   exec.reset();
+  if (total_ops != nullptr) *total_ops = env.op_count() - ops_at_start;
   env.Crash();
-  DurableExecutor recovered(&env, "walled-garden", options);
-  ASSERT_TRUE(recovered.Open().ok());
+  ShardedExecutor recovered(&env, "walled-garden", OneShard(options));
+  ASSERT_TRUE(recovered.Start().ok());
 
   // Largest matching prefix: sentences that fail (atomically or entirely)
   // leave the state unchanged, so consecutive prefixes can be identical
@@ -206,7 +222,7 @@ TEST_P(CrashRecoveryTest, EveryFaultPointRecoversToAnAckedPrefix) {
   DurableOptions options;  // kAlways
 
   // The fault-free run sizes the sweep. Faults are armed relative to the
-  // op counter after Open(), so high n values run the workload to
+  // op counter after Start(), so high n values run the workload to
   // completion and just re-verify clean recovery.
   uint64_t total_ops = 0;
   RunCrashPoint(0, GetParam(), options, steps, oracle, &total_ops);
@@ -237,12 +253,12 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
   const std::vector<std::string> oracle = OraclePrefixStates(steps);
 
   // Populate a directory, then sweep faults over recovery's own writes
-  // (checkpoint republication, WAL truncation): a failed Open must leave
-  // the on-disk state recoverable by a later, fault-free Open.
+  // (checkpoint republication, WAL truncation): a failed Start must leave
+  // the on-disk state recoverable by a later, fault-free Start.
   FaultInjectionEnv env;
   {
-    DurableExecutor exec(&env, "d", DurableOptions{});
-    ASSERT_TRUE(exec.Open().ok());
+    ShardedExecutor exec(&env, "d", OneShard());
+    ASSERT_TRUE(exec.Start().ok());
     for (const Step& step : steps) {
       auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
                            : exec.Submit(step.sentence);
@@ -254,8 +270,8 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
   const uint64_t ops_before = env.op_count();
   // Measure how many ops one recovery takes.
   {
-    DurableExecutor probe(&env, "d", DurableOptions{});
-    ASSERT_TRUE(probe.Open().ok());
+    ShardedExecutor probe(&env, "d", OneShard());
+    ASSERT_TRUE(probe.Start().ok());
   }
   const uint64_t recovery_ops = env.op_count() - ops_before;
   ASSERT_GT(recovery_ops, 0u);
@@ -263,11 +279,11 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
   for (uint64_t n = 1; n <= recovery_ops; ++n) {
     SCOPED_TRACE("recovery fault at op " + std::to_string(n));
     env.InjectFault(n, FaultInjectionEnv::FaultMode::kFailOp);
-    DurableExecutor exec(&env, "d", DurableOptions{});
-    Status first = exec.Open();
+    ShardedExecutor exec(&env, "d", OneShard());
+    Status first = exec.Start();
     if (!first.ok()) {
       env.Crash();
-      ASSERT_TRUE(exec.Open().ok()) << "retry after recovery fault failed";
+      ASSERT_TRUE(exec.Start().ok()) << "retry after recovery fault failed";
     }
     EXPECT_EQ(EncodeDatabase(exec.Snapshot()), oracle.back());
   }
@@ -275,9 +291,8 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
 
 TEST(CrashRecoveryTest, RecoveryIsIdempotent) {
   InMemoryEnv env;
-  DurableOptions options;
-  DurableExecutor exec(&env, "d", options);
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard());
+  ASSERT_TRUE(exec.Start().ok());
   const std::vector<Step> steps = Workload();
   for (const Step& step : steps) {
     auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
@@ -287,30 +302,32 @@ TEST(CrashRecoveryTest, RecoveryIsIdempotent) {
     }
   }
   const std::string want = EncodeDatabase(exec.Snapshot());
+  exec.Stop();
   // Recover twice in a row without any crash: state must be stable.
   for (int round = 0; round < 2; ++round) {
-    DurableExecutor again(&env, "d", options);
-    ASSERT_TRUE(again.Open().ok());
+    ShardedExecutor again(&env, "d", OneShard());
+    ASSERT_TRUE(again.Start().ok());
     EXPECT_EQ(EncodeDatabase(again.Snapshot()), want) << "round " << round;
   }
 }
 
 TEST(CrashRecoveryTest, FailedExecutorRejectsWorkUntilReopened) {
   FaultInjectionEnv env;
-  DurableExecutor exec(&env, "d", DurableOptions{});
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard());
+  ASSERT_TRUE(exec.Start().ok());
   env.InjectFault(1, FaultInjectionEnv::FaultMode::kFailOp);
   auto failed = exec.Submit(Command(DefineRelationCmd{
       "r", RelationType::kSnapshot, EmpSchema()}));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), ErrorCode::kIoError);
   EXPECT_FALSE(exec.healthy());
-  // Fail-stop: even though the env works again, the executor refuses.
+  // Read-only: even though the env works again, the executor refuses.
   auto rejected = exec.Submit(Command(DefineRelationCmd{
       "r", RelationType::kSnapshot, EmpSchema()}));
-  EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
-  // Reopen re-derives state from disk and resumes service.
-  ASSERT_TRUE(exec.Open().ok());
+  EXPECT_EQ(rejected.status().code(), ErrorCode::kReadOnly);
+  // Reopening re-derives state from disk and resumes service.
+  exec.Stop();
+  ASSERT_TRUE(exec.Start().ok());
   EXPECT_TRUE(exec.healthy());
   EXPECT_TRUE(exec.Submit(Command(DefineRelationCmd{
                        "r", RelationType::kSnapshot, EmpSchema()}))
@@ -324,23 +341,25 @@ TEST(RetryTest, RetryRidesOutAOneShotWriteFault) {
   DurableOptions options;
   options.retry.max_attempts = 3;
   options.retry.sleeper = [](std::chrono::microseconds) {};
-  DurableExecutor exec(&env, "d", options);
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard(options));
+  ASSERT_TRUE(exec.Start().ok());
   env.InjectFault(1, FaultInjectionEnv::FaultMode::kFailOp);
-  // Without retry this exact schedule fails stop (see
+  // Without retry this exact schedule degrades the executor (see
   // FailedExecutorRejectsWorkUntilReopened); with it the commit lands.
   auto result = exec.Submit(Command(DefineRelationCmd{
       "r", RelationType::kSnapshot, EmpSchema()}));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(exec.healthy());
-  const auto health = exec.health();
+  const ShardedExecutor::Stats health = exec.stats();
   EXPECT_EQ(health.transient_retries, 1u);
   EXPECT_EQ(health.retry_successes, 1u);
   EXPECT_TRUE(health.last_write_error.ok());
+  const std::string committed = EncodeDatabase(exec.Snapshot());
+  exec.Stop();
   // The log is intact: recovery replays the retried commit.
-  DurableExecutor recovered(&env, "d", DurableOptions{});
-  ASSERT_TRUE(recovered.Open().ok());
-  EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), EncodeDatabase(exec.Snapshot()));
+  ShardedExecutor recovered(&env, "d", OneShard());
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), committed);
 }
 
 TEST(RetryTest, TornAppendIsCutBackBeforeTheRetry) {
@@ -348,18 +367,19 @@ TEST(RetryTest, TornAppendIsCutBackBeforeTheRetry) {
   DurableOptions options;
   options.retry.max_attempts = 2;
   options.retry.sleeper = [](std::chrono::microseconds) {};
-  DurableExecutor exec(&env, "d", options);
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard(options));
+  ASSERT_TRUE(exec.Start().ok());
   env.InjectFault(1, FaultInjectionEnv::FaultMode::kTornAppend);
   auto result = exec.Submit(Command(DefineRelationCmd{
       "r", RelationType::kSnapshot, EmpSchema()}));
   ASSERT_TRUE(result.ok()) << result.status();
   // The torn frame must NOT be in the log: ResetTail cut it before the
-  // re-append, so the file parses cleanly end to end.
-  auto wal = ReadWal(env, "d/wal.log");
+  // re-append, so the file parses cleanly end to end — one prepare and
+  // one commit record.
+  auto wal = ReadWal(env, "d/" + ShardWalFile(0));
   ASSERT_TRUE(wal.ok());
   EXPECT_FALSE(wal->torn_tail);
-  EXPECT_EQ(wal->records.size(), 1u);
+  EXPECT_EQ(wal->records.size(), 2u);
 }
 
 TEST(RetryTest, BackoffDoublesUpToTheCapOnPersistentFailure) {
@@ -372,8 +392,8 @@ TEST(RetryTest, BackoffDoublesUpToTheCapOnPersistentFailure) {
   options.retry.sleeper = [&](std::chrono::microseconds d) {
     sleeps.push_back(d);
   };
-  DurableExecutor exec(&env, "d", options);
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard(options));
+  ASSERT_TRUE(exec.Start().ok());
   FaultPlanOptions plan;
   plan.transient_error_rate = 1.0;  // a "transient" fault that never heals
   env.ArmPlan(1, plan);
@@ -382,7 +402,7 @@ TEST(RetryTest, BackoffDoublesUpToTheCapOnPersistentFailure) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kIoError);
   EXPECT_FALSE(exec.healthy());
-  EXPECT_EQ(exec.health().last_write_error.code(), ErrorCode::kIoError);
+  EXPECT_EQ(exec.stats().last_write_error.code(), ErrorCode::kIoError);
   EXPECT_EQ(sleeps, (std::vector<std::chrono::microseconds>{
                         std::chrono::microseconds(100),
                         std::chrono::microseconds(200),
@@ -398,8 +418,8 @@ TEST(RetryTest, ResourceExhaustionIsNotRetried) {
   options.retry.sleeper = [](std::chrono::microseconds) {
     FAIL() << "kResourceExhausted must not be retried";
   };
-  DurableExecutor exec(&env, "d", options);
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard(options));
+  ASSERT_TRUE(exec.Start().ok());
   FaultPlanOptions plan;
   plan.capacity_bytes = 1;  // store already over quota: every append fails
   env.ArmPlan(1, plan);
@@ -408,7 +428,7 @@ TEST(RetryTest, ResourceExhaustionIsNotRetried) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_FALSE(exec.healthy());
-  EXPECT_EQ(exec.health().transient_retries, 0u);
+  EXPECT_EQ(exec.stats().transient_retries, 0u);
 }
 
 TEST(DegradedModeTest, ReadersKeepServingWhileWritesAreRefused) {
@@ -506,56 +526,19 @@ TEST(DegradedModeTest, QueuedSentencesAreDrainedWithReadOnly) {
 
 TEST(CrashRecoveryTest, TornTailIsReportedByRecovery) {
   InMemoryEnv env;
-  DurableExecutor exec(&env, "d", DurableOptions{});
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard());
+  ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command(DefineRelationCmd{
                        "emp", RelationType::kRollback, EmpSchema()}))
                   .ok());
+  exec.Stop();
   // Hand-tear the log: append garbage that a crash could have left.
-  ASSERT_TRUE(env.Append("d/wal.log", "torn-half-record").ok());
-  DurableExecutor recovered(&env, "d", DurableOptions{});
-  ASSERT_TRUE(recovered.Open().ok());
-  EXPECT_TRUE(recovered.last_recovery().torn_tail);
-  EXPECT_EQ(recovered.last_recovery().replayed_records, 1u);
+  ASSERT_TRUE(env.Append("d/" + ShardWalFile(0), "torn-half-record").ok());
+  ShardedExecutor recovered(&env, "d", OneShard());
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_EQ(recovered.last_recovery().torn_tails, 1u);
+  EXPECT_EQ(recovered.last_recovery().replayed_sentences, 1u);
   EXPECT_EQ(recovered.transaction_number(), 1u);
-}
-
-TEST(CrashRecoveryTest, CheckpointKeepsWalUntilCompactStorage) {
-  InMemoryEnv env;
-  DurableExecutor exec(&env, "d", DurableOptions{});
-  ASSERT_TRUE(exec.Open().ok());
-  const std::vector<Step> steps = Workload();
-  for (const Step& step : steps) {
-    auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                         : exec.Submit(step.sentence);
-    if (!r.ok()) {
-      ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
-    }
-  }
-  const std::string want = EncodeDatabase(exec.Snapshot());
-  ASSERT_TRUE(exec.Checkpoint().ok());
-  auto wal = ReadWal(env, "d/wal.log");
-  ASSERT_TRUE(wal.ok());
-  EXPECT_EQ(wal->records.size(), steps.size());  // retained: fsck's baseline
-
-  {
-    // Every record is covered by the checkpoint: none is applied again.
-    DurableExecutor recovered(&env, "d", DurableOptions{});
-    ASSERT_TRUE(recovered.Open().ok());
-    EXPECT_EQ(recovered.last_recovery().checkpoint_txn,
-              recovered.transaction_number());
-    EXPECT_EQ(recovered.last_recovery().replayed_records, 0u);
-    EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), want);
-    ASSERT_TRUE(recovered.CompactStorage().ok());
-  }
-  wal = ReadWal(env, "d/wal.log");
-  ASSERT_TRUE(wal.ok());
-  EXPECT_TRUE(wal->records.empty());  // only a compaction truncates it
-
-  DurableExecutor compacted(&env, "d", DurableOptions{});
-  ASSERT_TRUE(compacted.Open().ok());
-  EXPECT_EQ(compacted.last_recovery().replayed_records, 0u);
-  EXPECT_EQ(EncodeDatabase(compacted.Snapshot()), want);
 }
 
 TEST(CrashRecoveryTest, SyncPolicyBatchMayLoseOnlyUnsyncedSuffix) {
@@ -566,18 +549,20 @@ TEST(CrashRecoveryTest, SyncPolicyBatchMayLoseOnlyUnsyncedSuffix) {
   options.batch_size = 4;
 
   FaultInjectionEnv env;
-  DurableExecutor exec(&env, "d", options);
-  ASSERT_TRUE(exec.Open().ok());
-  for (const Step& step : steps) {
-    auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                         : exec.Submit(step.sentence);
-    if (!r.ok()) {
-      ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
+  {
+    ShardedExecutor exec(&env, "d", OneShard(options));
+    ASSERT_TRUE(exec.Start().ok());
+    for (const Step& step : steps) {
+      auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
+                           : exec.Submit(step.sentence);
+      if (!r.ok()) {
+        ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
+      }
     }
+    env.Crash();  // power loss with unsynced commits in flight
   }
-  env.Crash();  // power loss with unsynced commits in flight
-  DurableExecutor recovered(&env, "d", options);
-  ASSERT_TRUE(recovered.Open().ok());
+  ShardedExecutor recovered(&env, "d", OneShard(options));
+  ASSERT_TRUE(recovered.Start().ok());
   const std::string state = EncodeDatabase(recovered.Snapshot());
   // Still a consistent prefix — just not necessarily the full workload.
   bool is_prefix = false;
@@ -590,10 +575,9 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
   const std::string dir = ::testing::TempDir() + "/ttra_crash_posix";
   // Start from a clean directory: TempDir persists across test runs.
   ASSERT_TRUE(ResetWalDir(env, dir).ok());
-  DurableOptions options;
   {
-    DurableExecutor exec(env, dir, options);
-    ASSERT_TRUE(exec.Open().ok());
+    ShardedExecutor exec(env, dir, OneShard());
+    ASSERT_TRUE(exec.Start().ok());
     const std::vector<Step> steps = Workload();
     for (const Step& step : steps) {
       auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
@@ -602,53 +586,37 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
         ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
       }
     }
-  }  // executor destroyed without checkpoint: WAL is the only truth
-  DurableExecutor recovered(env, dir, options);
-  ASSERT_TRUE(recovered.Open().ok());
+  }  // executor stopped without checkpoint: the WAL is the only truth
+  ShardedExecutor recovered(env, dir, OneShard());
+  ASSERT_TRUE(recovered.Start().ok());
   const std::vector<std::string> oracle = OraclePrefixStates(Workload());
   EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), oracle.back());
-  EXPECT_GT(recovered.last_recovery().replayed_records, 0u);
+  EXPECT_GT(recovered.last_recovery().replayed_sentences, 0u);
 }
 
 // --- Legacy group records ------------------------------------------------
 //
-// Earlier builds' queued executor logged each batch as ONE kind-2 WAL
-// record: [u8 2][u64 count] then `count` entries of [u8 atomic]
-// [u64 pre_txn][u64 n][n commands]. Nothing writes that record any more,
-// but directories holding it must still recover through
-// DurableExecutor::Open — and since one checksummed record frames the
-// whole batch, recovery must land on a prefix of WHOLE batches.
+// Earlier builds' queued executor logged each batch as ONE kind-2 record
+// of the single-writer wal.log (tests/legacy_wal.h has the format).
+// Nothing writes that record any more, but ShardedExecutor::Start must
+// still migrate directories holding it — and since one checksummed record
+// frames the whole batch, the migration must land on a prefix of WHOLE
+// batches.
 
 /// Encodes `steps` as legacy kind-2 records of `batch_size` sentences,
 /// numbering each entry by replaying the steps on a scratch database.
 std::vector<std::string> LegacyGroupRecords(const std::vector<Step>& steps,
                                             size_t batch_size) {
-  const auto put_u64 = [](uint64_t v, std::string& out) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-  };
   Database db;
   std::vector<std::string> records;
   for (size_t i = 0; i < steps.size(); i += batch_size) {
     const size_t end = std::min(i + batch_size, steps.size());
-    std::string record(1, static_cast<char>(2));
-    put_u64(end - i, record);
+    std::vector<LoggedSentence> entries;
     for (size_t j = i; j < end; ++j) {
-      record.push_back(static_cast<char>(steps[j].atomic ? 1 : 0));
-      put_u64(db.transaction_number(), record);
-      put_u64(steps[j].sentence.size(), record);
-      for (const Command& command : steps[j].sentence) {
-        EncodeCommand(command, record);
-      }
-      if (steps[j].atomic) {
-        Database scratch = db;
-        if (ApplySentence(scratch, steps[j].sentence).ok()) {
-          db = std::move(scratch);
-        }
-      } else {
-        ApplySentence(db, steps[j].sentence).IgnoreError();
-      }
+      entries.push_back(
+          LogLegacySentence(db, steps[j].sentence, steps[j].atomic));
     }
-    records.push_back(std::move(record));
+    records.push_back(EncodeLegacyGroupRecord(entries));
   }
   return records;
 }
@@ -664,7 +632,7 @@ std::vector<size_t> BatchBoundaries(size_t total_steps, size_t batch_size) {
 
 /// Appends and syncs the legacy records one by one with a fault armed at
 /// op `fault_at` (0 = none), stopping at the first failure; then crashes
-/// and recovers through DurableExecutor::Open.
+/// and migrates the directory through ShardedExecutor::Start.
 void RunLegacyGroupCrashPoint(uint64_t fault_at,
                               FaultInjectionEnv::FaultMode mode,
                               const std::vector<std::string>& records,
@@ -676,7 +644,7 @@ void RunLegacyGroupCrashPoint(uint64_t fault_at,
                                                               : " (torn)"));
   FaultInjectionEnv env;
   ASSERT_TRUE(env.CreateDir("g").ok());
-  WalWriter wal(&env, "g/wal.log");
+  WalWriter wal(&env, std::string("g/") + kLegacyWalFile);
   ASSERT_TRUE(wal.Create().ok());
   if (fault_at != 0) env.InjectFault(fault_at, mode);
   size_t synced_batches = 0;
@@ -688,8 +656,9 @@ void RunLegacyGroupCrashPoint(uint64_t fault_at,
   env.InjectFault(0, mode);
   env.Crash();
 
-  DurableExecutor recovered(&env, "g", DurableOptions{});
-  ASSERT_TRUE(recovered.Open().ok());
+  ShardedExecutor recovered(&env, "g", OneShard());
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_FALSE(env.Exists(std::string("g/") + kLegacyWalFile));
   // The recovered state must sit on a batch boundary — matching a
   // mid-batch prefix whose state differs from every boundary state would
   // mean a torn batch was half-replayed.
@@ -729,19 +698,20 @@ TEST_P(CrashRecoveryTest, EveryGroupFaultPointRecoversWholeBatches) {
   }
 }
 
-/// Writes `records` as the whole, synced WAL of directory "g".
+/// Writes `records` as the whole, synced legacy wal.log of directory "g".
 void WriteLegacyLog(Env& env, const std::vector<std::string>& records) {
   ASSERT_TRUE(env.CreateDir("g").ok());
-  WalWriter wal(&env, "g/wal.log");
+  WalWriter wal(&env, std::string("g/") + kLegacyWalFile);
   ASSERT_TRUE(wal.Create().ok());
   ASSERT_TRUE(wal.AddRecords(records).ok());
   ASSERT_TRUE(wal.Sync().ok());
 }
 
-/// A clean legacy log, then a fault at op `fault_at` of its recovery —
-/// Open() replays the group records and checkpoints them — and of one
-/// auto-checkpointed commit after it. Crash; a fault-free
-/// reopen must hold every batch, plus the commit if it was acknowledged.
+/// A clean legacy log, then a fault at op `fault_at` of its migration —
+/// Start() replays the group records, writes the MANIFEST and the covering
+/// checkpoint, and removes wal.log — and of one auto-checkpointed commit
+/// after it. Crash; a fault-free reopen must hold every batch, plus the
+/// commit if it was acknowledged.
 void RunLegacyRecoveryFaultPoint(uint64_t fault_at,
                                  FaultInjectionEnv::FaultMode mode,
                                  const std::vector<std::string>& records,
@@ -759,18 +729,20 @@ void RunLegacyRecoveryFaultPoint(uint64_t fault_at,
   WriteLegacyLog(env, records);
   DurableOptions options;
   options.checkpoint_every = 1;
+  const uint64_t ops_before = env.op_count();
   if (fault_at != 0) env.InjectFault(fault_at, mode);
   bool post_acked = false;
   {
-    DurableExecutor exec(&env, "g", options);
-    if (exec.Open().ok()) post_acked = exec.Submit(post).ok();
+    ShardedExecutor exec(&env, "g", OneShard(options));
+    if (exec.Start().ok()) post_acked = exec.Submit(post).ok();
   }
-  if (total_ops != nullptr) *total_ops = env.op_count();
+  if (total_ops != nullptr) *total_ops = env.op_count() - ops_before;
   env.InjectFault(0, mode);
   env.Crash();
 
-  DurableExecutor recovered(&env, "g", options);
-  ASSERT_TRUE(recovered.Open().ok());
+  ShardedExecutor recovered(&env, "g", OneShard(options));
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_FALSE(env.Exists(std::string("g/") + kLegacyWalFile));
   const std::string state = EncodeDatabase(recovered.Snapshot());
   if (state != EncodeDatabase(with_post)) {
     ASSERT_EQ(state, EncodeDatabase(replayed))
@@ -784,8 +756,8 @@ TEST_P(CrashRecoveryTest, EveryGroupFaultPointWithAutoCheckpoint) {
   const auto records = LegacyGroupRecords(steps, /*batch_size=*/3);
   InMemoryEnv clean;
   WriteLegacyLog(clean, records);
-  DurableExecutor replay(&clean, "g", DurableOptions{});
-  ASSERT_TRUE(replay.Open().ok());
+  ShardedExecutor replay(&clean, "g", OneShard());
+  ASSERT_TRUE(replay.Start().ok());
   const Database replayed = replay.Snapshot();
   ASSERT_EQ(EncodeDatabase(replayed), OraclePrefixStates(steps).back());
 

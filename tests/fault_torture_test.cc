@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rollback/durable_executor.h"
+#include "legacy_wal.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
@@ -232,6 +232,11 @@ TEST(SalvageReportTest, VerdictNamesAreStable) {
 }
 
 // --- End to end with the executor ------------------------------------------
+//
+// The damaged directories are legacy single-writer ones (tests/
+// legacy_wal.h): fsck must still scan and repair a directory the first
+// open has not migrated yet, and the executor's migrating Start() is the
+// recovery that must refuse damage, then succeed on the repaired prefix.
 
 Schema OneIntSchema() {
   return *Schema::Make({{"n", ValueType::kInt}});
@@ -244,6 +249,14 @@ std::vector<Command> NthSentence(int i) {
   sentence.push_back(ModifySnapshotCmd{
       "r", *SnapshotState::Make(OneIntSchema(), std::move(rows))});
   return sentence;
+}
+
+/// The executor with one shard, as `ttra recover` opens a directory.
+ShardedOptions OneShard(const DurableOptions& durable = {}) {
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable = durable;
+  return options;
 }
 
 /// The CLI's configuration: semantic validation via the rollback decoders.
@@ -261,13 +274,13 @@ SalvageOptions ExecutorSalvageOptions() {
 TEST(SalvageEndToEndTest, RepairTurnsARefusedRecoveryIntoASuccessfulOne) {
   InMemoryEnv env;
   {
-    DurableExecutor exec(&env, "d", DurableOptions{});
-    ASSERT_TRUE(exec.Open().ok());
-    ASSERT_TRUE(exec.Submit(Command(DefineRelationCmd{
-                         "r", RelationType::kRollback, OneIntSchema()}))
+    LegacyDir legacy(&env, "d");
+    ASSERT_TRUE(legacy.Create().ok());
+    ASSERT_TRUE(legacy.Submit({Command(DefineRelationCmd{
+                        "r", RelationType::kRollback, OneIntSchema()})})
                     .ok());
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(exec.Submit(NthSentence(i)).ok());
+      ASSERT_TRUE(legacy.Submit(NthSentence(i)).ok());
     }
   }
   // Bit rot strikes the middle of the WAL (inside record #2's payload,
@@ -282,8 +295,8 @@ TEST(SalvageEndToEndTest, RepairTurnsARefusedRecoveryIntoASuccessfulOne) {
   // Recovery refuses: intact acked commits lie beyond the hole, and
   // silently truncating would drop them.
   {
-    DurableExecutor exec(&env, "d", DurableOptions{});
-    Status refused = exec.Open();
+    ShardedExecutor exec(&env, "d", OneShard());
+    Status refused = exec.Start();
     ASSERT_FALSE(refused.ok());
     EXPECT_EQ(refused.code(), ErrorCode::kCorruption);
     EXPECT_NE(refused.message().find("fsck"), std::string::npos)
@@ -298,8 +311,8 @@ TEST(SalvageEndToEndTest, RepairTurnsARefusedRecoveryIntoASuccessfulOne) {
 
   // After repair, recovery succeeds on the salvaged prefix: the records
   // before the hole.
-  DurableExecutor exec(&env, "d", DurableOptions{});
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", OneShard());
+  ASSERT_TRUE(exec.Start().ok());
   Database expected(DatabaseOptions{});
   ASSERT_TRUE(ApplySentence(expected,
                             {Command(DefineRelationCmd{
@@ -509,6 +522,58 @@ TEST(ShardedSalvageTest, MidLogDamageInOneShardRefusesThenRepairs) {
   exec.Stop();
 }
 
+TEST(ShardedSalvageTest, InterruptedMigrationScansTheLegacyLog) {
+  // A migration that stopped after writing the MANIFEST but before
+  // removing the legacy wal.log leaves both. The next Start() replays
+  // wal.log, so fsck must scan and repair it with the shard logs.
+  InMemoryEnv env;
+  {
+    LegacyDir legacy(&env, "d");
+    ASSERT_TRUE(legacy.Create().ok());
+    ASSERT_TRUE(legacy.Submit({Command(DefineRelationCmd{
+                        "r", RelationType::kRollback, OneIntSchema()})})
+                    .ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(legacy.Submit(NthSentence(i)).ok());
+    }
+  }
+  Overwrite(&env, std::string("d/") + kShardManifestFile,
+            "ttra-shards 1\nshards 1\n");
+  // Bit rot in the middle of wal.log, inside record #2's payload.
+  std::string image = *env.Read("d/wal.log");
+  auto intact = ReadWal(env, "d/wal.log");
+  ASSERT_TRUE(intact.ok());
+  image[intact->record_offsets[2] + 20] ^= 0x02;
+  Overwrite(&env, "d/wal.log", image);
+
+  SalvageOptions fsck = ExecutorSalvageOptions();
+  fsck.validate_shard_record = ShardedSalvageOptions().validate_shard_record;
+  auto scan = ScanStorage(&env, "d", fsck);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_TRUE(scan->sharded);
+  EXPECT_EQ(scan->verdict, SalvageVerdict::kNeedsRepair);
+  EXPECT_EQ(SalvageExitCode(*scan), 3);
+  {
+    ShardedExecutor exec(&env, "d", OneShard());
+    EXPECT_EQ(exec.Start().code(), ErrorCode::kCorruption);
+  }
+
+  auto repaired = RepairStorage(&env, "d", fsck);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_TRUE(repaired->repaired);
+  ShardedExecutor exec(&env, "d", OneShard());
+  ASSERT_TRUE(exec.Start().ok());
+  Database expected(DatabaseOptions{});
+  ASSERT_TRUE(ApplySentence(expected,
+                            {Command(DefineRelationCmd{
+                                "r", RelationType::kRollback, OneIntSchema()})})
+                  .ok());
+  ASSERT_TRUE(ApplySentence(expected, NthSentence(0)).ok());
+  EXPECT_EQ(EncodeDatabase(exec.Snapshot()), EncodeDatabase(expected));
+  EXPECT_FALSE(env.Exists("d/wal.log"));
+  exec.Stop();
+}
+
 // --- Compact layout ---------------------------------------------------------
 //
 // Segment-file torture for the compact checkpoint layout (DESIGN.md §16).
@@ -535,28 +600,35 @@ SalvageOptions CompactSalvageOptions() {
   return options;
 }
 
-DurableOptions CompactExecutorOptions() {
-  DurableOptions options;
-  options.compact.keyframe_interval = 3;
+CompactOptions CompactKeyframes() {
+  CompactOptions options;
+  options.keyframe_interval = 3;
   return options;
 }
 
-/// Runs the fixed workload with a checkpoint every three sentences;
-/// returns the expected final encoding. The directory ends with a
-/// multi-entry segment for "r" and a WAL retained back to transaction 0.
+ShardedOptions CompactExecutorOptions() {
+  DurableOptions options;
+  options.compact = CompactKeyframes();
+  return OneShard(options);
+}
+
+/// Writes the fixed workload as a legacy single-writer directory with a
+/// checkpoint every three sentences; returns the expected final encoding.
+/// The directory ends with a multi-entry segment for "r" and a WAL
+/// retained back to transaction 0.
 std::string BuildCompactDir(Env* env, const std::string& dir) {
-  DurableExecutor exec(env, dir, CompactExecutorOptions());
-  EXPECT_TRUE(exec.Open().ok());
-  EXPECT_TRUE(exec.Submit(Command(DefineRelationCmd{
-                      "r", RelationType::kRollback, OneIntSchema()}))
+  LegacyDir legacy(env, dir, CompactKeyframes());
+  EXPECT_TRUE(legacy.Create().ok());
+  EXPECT_TRUE(legacy.Submit({Command(DefineRelationCmd{
+                      "r", RelationType::kRollback, OneIntSchema()})})
                   .ok());
   for (int i = 0; i < 9; ++i) {
-    EXPECT_TRUE(exec.Submit(NthSentence(i)).ok());
+    EXPECT_TRUE(legacy.Submit(NthSentence(i)).ok());
     if (i % 3 == 2) {
-      EXPECT_TRUE(exec.Checkpoint().ok());
+      EXPECT_TRUE(legacy.Checkpoint().ok());
     }
   }
-  return EncodeDatabase(exec.Snapshot());
+  return EncodeDatabase(legacy.db());
 }
 
 /// The one segment file of "r" in `dir`.
@@ -609,8 +681,8 @@ TEST(CompactSalvageTest, TornSegmentTailIsCutNotQuarantined) {
   // Only the torn bytes were cut: the covered prefix is intact.
   EXPECT_EQ(*env.Read(seg), image);
 
-  DurableExecutor exec(&env, "d", CompactExecutorOptions());
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", CompactExecutorOptions());
+  ASSERT_TRUE(exec.Start().ok());
   EXPECT_EQ(EncodeDatabase(exec.Snapshot()), expected);
 }
 
@@ -632,8 +704,8 @@ TEST(CompactSalvageTest, BitFlippedCoveredDeltaQuarantinesTheCompactState) {
 
   // Recovery refuses until fsck has ruled.
   {
-    DurableExecutor exec(&env, "d", CompactExecutorOptions());
-    Status refused = exec.Open();
+    ShardedExecutor exec(&env, "d", CompactExecutorOptions());
+    Status refused = exec.Start();
     ASSERT_FALSE(refused.ok());
     EXPECT_EQ(refused.code(), ErrorCode::kCorruption);
   }
@@ -648,8 +720,8 @@ TEST(CompactSalvageTest, BitFlippedCoveredDeltaQuarantinesTheCompactState) {
   EXPECT_EQ(*env.Read(seg + ".quarantine"), image);
 
   // The retained WAL rebuilds the EXACT acked state, byte for byte.
-  DurableExecutor exec(&env, "d", CompactExecutorOptions());
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", CompactExecutorOptions());
+  ASSERT_TRUE(exec.Start().ok());
   EXPECT_EQ(EncodeDatabase(exec.Snapshot()), expected);
   EXPECT_TRUE(env.Exists("d/segments.manifest"))
       << "reopen must re-establish the compact layout";
@@ -673,24 +745,26 @@ TEST(CompactSalvageTest, MissingSegmentFileQuarantinesTheCompactState) {
   auto repaired = RepairStorage(&env, "d", CompactSalvageOptions());
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_TRUE(repaired->compact_state_quarantined);
-  DurableExecutor exec(&env, "d", CompactExecutorOptions());
-  ASSERT_TRUE(exec.Open().ok());
+  ShardedExecutor exec(&env, "d", CompactExecutorOptions());
+  ASSERT_TRUE(exec.Start().ok());
   EXPECT_EQ(EncodeDatabase(exec.Snapshot()), expected);
 }
 
 TEST(CompactSalvageTest, CoveredDamageAfterOnlineCompactionIsUnrecoverable) {
   InMemoryEnv env;
   {
-    DurableExecutor exec(&env, "d", CompactExecutorOptions());
-    ASSERT_TRUE(exec.Open().ok());
-    ASSERT_TRUE(exec.Submit(Command(DefineRelationCmd{
-                        "r", RelationType::kRollback, OneIntSchema()}))
+    LegacyDir legacy(&env, "d", CompactKeyframes());
+    ASSERT_TRUE(legacy.Create().ok());
+    ASSERT_TRUE(legacy.Submit({Command(DefineRelationCmd{
+                        "r", RelationType::kRollback, OneIntSchema()})})
                     .ok());
-    for (int i = 0; i < 4; ++i) ASSERT_TRUE(exec.Submit(NthSentence(i)).ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(legacy.Submit(NthSentence(i)).ok());
+    }
     // Online compaction truncates the WAL: the compact state is now the
     // ONLY copy of history before transaction 5.
-    ASSERT_TRUE(exec.CompactStorage().ok());
-    ASSERT_TRUE(exec.Submit(NthSentence(4)).ok());
+    ASSERT_TRUE(legacy.CompactStorage().ok());
+    ASSERT_TRUE(legacy.Submit(NthSentence(4)).ok());
   }
   const std::string seg = SegmentPathIn(&env, "d");
   std::string image = *env.Read(seg);

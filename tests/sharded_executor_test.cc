@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "legacy_wal.h"
 #include "rollback/persistence.h"
+#include "rollback/serial_executor.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
@@ -73,7 +75,7 @@ TEST(ShardLayoutTest, StartCreatesManifestWalsAndCoordinator) {
   ShardedExecutor exec(&env, "db", FastOptions(3));
   ASSERT_TRUE(exec.Start().ok());
   EXPECT_EQ(exec.shards(), 3u);
-  EXPECT_TRUE(IsShardedDir(env, "db"));
+  EXPECT_TRUE(env.Exists(std::string("db/") + kShardManifestFile));
   auto manifest = ReadShardManifest(env, "db");
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   EXPECT_EQ(*manifest, 3u);
@@ -105,54 +107,126 @@ TEST(ShardLayoutTest, ManifestShardCountIsAuthoritativeOnReopen) {
   exec.Stop();
 }
 
-TEST(ShardLayoutTest, RefusesSingleWriterDirectory) {
-  InMemoryEnv env;
-  {
-    // A single-writer (DurableExecutor-layout) directory with real data.
-    DurableExecutor single(&env, "db", DurableOptions{});
-    ASSERT_TRUE(single.Open().ok());
-    ASSERT_TRUE(single
-                    .Submit(Command{DefineRelationCmd{
-                        "emp", RelationType::kRollback, EmpSchema()}})
-                    .ok());
-  }
-  // Starting the sharded executor there must refuse loudly rather than
-  // silently ignoring wal.log (= dropping committed sentences).
-  ShardedExecutor exec(&env, "db", FastOptions(2));
-  const Status status = exec.Start();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("wal.log"), std::string::npos);
+/// Writes a legacy single-writer directory "db" (tests/legacy_wal.h):
+/// kind-0, kind-1 and kind-2 records before a checkpoint, so the migration
+/// must skip them, and more of each kind after it, so it must replay them
+/// — failing commands included. Returns the encoding of a SerialExecutor
+/// replay of every logged sentence.
+std::string WriteMixedLegacyDir(Env* env) {
+  const Command define{
+      DefineRelationCmd{"emp", RelationType::kRollback, EmpSchema()}};
+  const Command ed{ModifySnapshotCmd{"emp", EmpState({{"ed", 100}})}};
+  const Command amy{
+      ModifySnapshotCmd{"emp", EmpState({{"ed", 100}, {"amy", 200}})}};
+  const Command bob{ModifySnapshotCmd{"emp", EmpState({{"bob", 300}})}};
+  const Command missing{ModifySnapshotCmd{"missing", EmpState({})}};
+  const Command dept{
+      DefineRelationCmd{"dept", RelationType::kSnapshot, EmpSchema()}};
+  using Logged = std::pair<std::vector<Command>, bool>;
+
+  SerialExecutor serial;
+  LegacyDir legacy(env, "db");
+  EXPECT_TRUE(legacy.Create().ok());
+  const auto submit = [&](std::vector<Logged> sentences, bool group) {
+    for (const auto& [sentence, atomic] : sentences) {
+      const auto body = [&sentence](Database& db) {
+        return ApplySentence(db, sentence);
+      };
+      (void)(atomic ? serial.SubmitAtomic(body) : serial.Submit(body));
+    }
+    if (group) {
+      EXPECT_TRUE(legacy.SubmitGroup(std::move(sentences)).ok());
+    } else {
+      EXPECT_TRUE(legacy.Submit(sentences[0].first, sentences[0].second).ok());
+    }
+  };
+  // Covered by the checkpoint below.
+  submit({Logged{{define}, false}}, false);                  // kind 0
+  submit({Logged{{ed, missing}, true}}, false);              // kind 1, no-op
+  submit({Logged{{ed}, false}, Logged{{amy}, true}}, true);  // kind 2
+  EXPECT_TRUE(legacy.Checkpoint().ok());
+  // Not covered: the migration replays these.
+  submit({Logged{{bob, missing}, false}}, false);  // kind 0, partial effect
+  submit({Logged{{dept}, true}, Logged{{missing}, false},
+          Logged{{ed}, false}},
+         true);                                    // kind 2
+  submit({Logged{{amy, dept}, true}}, false);      // kind 1, refused whole
+  submit({Logged{{amy}, true}}, false);            // kind 1
+  const std::string want = EncodeDatabase(serial.Snapshot());
+  EXPECT_EQ(EncodeDatabase(legacy.db()), want);
+  return want;
 }
 
-TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
+TEST(ShardLayoutTest, MigratesSingleWriterDirectory) {
   InMemoryEnv env;
+  const std::string want = WriteMixedLegacyDir(&env);
+  ASSERT_TRUE(env.Exists(std::string("db/") + kLegacyWalFile));
+
+  // Starts as ONE shard whatever count is requested: the legacy log is a
+  // single writer's total order.
   {
-    ShardedExecutor exec(&env, "db", FastOptions(1));
+    ShardedExecutor exec(&env, "db", FastOptions(2));
     ASSERT_TRUE(exec.Start().ok());
-    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
-                        "emp", RelationType::kRollback, EmpSchema()}})
-                    .ok());
+    EXPECT_EQ(exec.shards(), 1u);
+    EXPECT_EQ(EncodeDatabase(exec.Snapshot()), want);
+    const ShardedExecutor::RecoveryInfo info = exec.last_recovery();
+    EXPECT_TRUE(info.migrated_legacy_wal);
+    EXPECT_EQ(info.checkpoint_txn, 3u);
+    EXPECT_EQ(info.replayed_sentences, 6u);  // the uncovered ones only
     exec.Stop();
   }
-  auto snapshot = [&env] {
-    std::vector<std::pair<std::string, std::string>> files;
-    const auto names = env.List("db");
-    for (const std::string& name : *names) {
-      files.emplace_back(name, *env.Read("db/" + name));
+  EXPECT_FALSE(env.Exists(std::string("db/") + kLegacyWalFile));
+  auto manifest = ReadShardManifest(env, "db");
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  EXPECT_EQ(*manifest, 1u);
+
+  // A reopen recovers the same bytes from the sharded layout alone.
+  ShardedExecutor reopened(&env, "db", FastOptions(2));
+  ASSERT_TRUE(reopened.Start().ok());
+  EXPECT_FALSE(reopened.last_recovery().migrated_legacy_wal);
+  EXPECT_EQ(reopened.last_recovery().replayed_sentences, 0u);
+  EXPECT_EQ(EncodeDatabase(reopened.Snapshot()), want);
+  EXPECT_TRUE(reopened.Submit(Command{ModifySnapshotCmd{
+                          "emp", EmpState({{"cy", 1}})}})
+                  .ok());
+  reopened.Stop();
+}
+
+TEST(ShardLayoutTest, MigrationCrashAtEveryFaultPointRecoversTheSameBytes) {
+  // Every counted op of a migrating Start() (replay, MANIFEST, covering
+  // checkpoint, wal.log removal, fresh shard logs) × {fail, torn write},
+  // then a crash and a clean Start(): the migrated state must be the
+  // legacy directory's, byte for byte, and wal.log must end up gone.
+  for (const auto mode : {FaultInjectionEnv::FaultMode::kFailOp,
+                          FaultInjectionEnv::FaultMode::kTornAppend}) {
+    uint64_t total_ops = 0;
+    for (uint64_t n = 0; n == 0 || n <= total_ops; ++n) {
+      SCOPED_TRACE(
+          "fault at op " + std::to_string(n) +
+          (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
+                                                         : " (torn)"));
+      FaultInjectionEnv env;
+      const std::string want = WriteMixedLegacyDir(&env);
+      const uint64_t ops_before = env.op_count();
+      if (n != 0) env.InjectFault(n, mode);
+      {
+        ShardedExecutor exec(&env, "db", FastOptions(1));
+        const Status started = exec.Start();
+        if (n == 0) {
+          ASSERT_TRUE(started.ok()) << started;
+        }
+      }
+      if (n == 0) total_ops = env.op_count() - ops_before;
+      env.Crash();
+
+      ShardedExecutor clean(&env, "db", FastOptions(1));
+      ASSERT_TRUE(clean.Start().ok());
+      EXPECT_EQ(EncodeDatabase(clean.Snapshot()), want);
+      EXPECT_FALSE(env.Exists(std::string("db/") + kLegacyWalFile));
+      clean.Stop();
     }
-    return files;
-  };
-  const auto before = snapshot();
-  // The reverse direction: opening the directory as a single-writer one
-  // would ignore the shard logs and checkpoint into the shared store.
-  DurableExecutor single(&env, "db", DurableOptions{});
-  const Status status = single.Open();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("MANIFEST"), std::string::npos);
-  EXPECT_EQ(snapshot(), before);
-  EXPECT_FALSE(env.Exists("db/wal.log"));
+    EXPECT_GT(total_ops, 0u);
+  }
 }
 
 TEST(ShardLayoutTest, ResetWalDirStartsEveryLayoutEmpty) {
@@ -160,9 +234,9 @@ TEST(ShardLayoutTest, ResetWalDirStartsEveryLayoutEmpty) {
   const Command define{
       DefineRelationCmd{"emp", RelationType::kRollback, EmpSchema()}};
   {
-    DurableExecutor single(&env, "single", DurableOptions{});
-    ASSERT_TRUE(single.Open().ok());
-    ASSERT_TRUE(single.Submit(define).ok());
+    LegacyDir single(&env, "single");
+    ASSERT_TRUE(single.Create().ok());
+    ASSERT_TRUE(single.Submit({define}).ok());
     ASSERT_TRUE(single.Checkpoint().ok());
   }
   {
@@ -188,11 +262,12 @@ TEST(ShardLayoutTest, ResetWalDirStartsEveryLayoutEmpty) {
   EXPECT_EQ(*env.List("sharded"), std::vector<std::string>{"notes.txt"});
 
   // Each starts as an empty database: the define succeeds again.
-  DurableExecutor single(&env, "single", DurableOptions{});
-  ASSERT_TRUE(single.Open().ok());
+  ShardedExecutor single(&env, "single", FastOptions(1));
+  ASSERT_TRUE(single.Start().ok());
   EXPECT_EQ(single.transaction_number(), 0u);
   EXPECT_TRUE(single.Snapshot().RelationNames().empty());
   EXPECT_TRUE(single.Submit(define).ok());
+  single.Stop();
   ShardedExecutor sharded(&env, "sharded", FastOptions(1));
   ASSERT_TRUE(sharded.Start().ok());
   EXPECT_EQ(sharded.shards(), 1u);  // no MANIFEST left to adopt

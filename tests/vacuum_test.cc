@@ -3,9 +3,9 @@
 #include <atomic>
 #include <thread>
 
+#include "legacy_wal.h"
 #include "lang/evaluator.h"
 #include "rollback/compact_store.h"
-#include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "rollback/vacuum.h"
@@ -147,10 +147,11 @@ TEST(VacuumTest, PreservesSchemeHistory) {
 }
 
 TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
-  // A WAL is damaged mid-log, `fsck --repair` cuts it back to the valid
-  // prefix, recovery succeeds — and vacuuming the recovered database must
-  // operate on EXACTLY the salvaged prefix: archive + online answers
-  // together reproduce it, with no trace of the quarantined commits.
+  // A legacy single-writer WAL (tests/legacy_wal.h) is damaged mid-log,
+  // `fsck --repair` cuts it back to the valid prefix, the migrating
+  // recovery succeeds — and vacuuming the recovered database must operate
+  // on EXACTLY the salvaged prefix: archive + online answers together
+  // reproduce it, with no trace of the quarantined commits.
   InMemoryEnv env;
   Schema schema = *Schema::Make({{"n", ValueType::kInt}});
   auto nth_state = [&](int i) {
@@ -159,14 +160,15 @@ TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
     return *SnapshotState::Make(schema, std::move(rows));
   };
   {
-    DurableExecutor exec(&env, "d", DurableOptions{});
-    ASSERT_TRUE(exec.Open().ok());
-    ASSERT_TRUE(exec.Submit(Command(DefineRelationCmd{
-                         "log", RelationType::kRollback, schema}))
+    LegacyDir legacy(&env, "d");
+    ASSERT_TRUE(legacy.Create().ok());
+    ASSERT_TRUE(legacy.Submit({Command(DefineRelationCmd{
+                         "log", RelationType::kRollback, schema})})
                     .ok());
     for (int i = 0; i < 6; ++i) {
       ASSERT_TRUE(
-          exec.Submit(Command(ModifySnapshotCmd{"log", nth_state(i)})).ok());
+          legacy.Submit({Command(ModifySnapshotCmd{"log", nth_state(i)})})
+              .ok());
     }
   }
 
@@ -192,9 +194,12 @@ TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   ASSERT_TRUE(repaired->repaired);
 
-  DurableExecutor recovered(&env, "d", DurableOptions{});
-  ASSERT_TRUE(recovered.Open().ok());
+  ShardedOptions one_shard;
+  one_shard.shards = 1;
+  ShardedExecutor recovered(&env, "d", one_shard);
+  ASSERT_TRUE(recovered.Start().ok());
   Database db = recovered.Snapshot();
+  recovered.Stop();
   ASSERT_EQ(db.transaction_number(), 4u);  // define + states 0..2
   Database salvaged = db;
 

@@ -139,7 +139,6 @@ if [ "$do_tidy" -eq 1 ]; then
     # shrinking the gate.
     for required in \
         src/rollback/sharded_executor.cc \
-        src/rollback/durable_executor.cc \
         src/rollback/serial_executor.cc \
         src/modelcheck/sched.cc; do
       echo "$tu_list" | grep -qx "$required" || {
@@ -198,8 +197,9 @@ if [ "$do_compact" -eq 1 ]; then
   # the delta-encoded segment engine, the only checkpoint format, equal to
   # the full-copy semantics — byte-equal databases after reopen, ρ(I, N)
   # probe equality at every epoch, FINDSTATE-cache-on/off agreement —
-  # across Serial, Durable and Sharded (one and three shards) executors,
-  # plus migration of a hand-built legacy checkpoint.db directory.
+  # between the Serial spec and the Sharded executor (one and three
+  # shards), plus migration of a hand-built legacy directory (checkpoint.db
+  # and a single-writer wal.log) into one shard.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-100}" \
   run_pass build compact
 fi

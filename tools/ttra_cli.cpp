@@ -28,46 +28,48 @@
 // algebraic optimizer before evaluation; --explain prints each statement's
 // operator tree (after optimization, if enabled) without special casing.
 //
-// With --wal-dir, `run` executes durably: state is recovered from the
-// directory's checkpoint + write-ahead log, and every update is logged and
-// fsync'ed before it is acknowledged, so a crash mid-script loses nothing
-// that was reported committed. The checkpoint is the compact layout
-// (DESIGN.md §16): per-relation delta-encoded segment files chained by
-// segments.manifest. The single-writer WAL is kept across checkpoints
-// until `vacuum --wal-dir`; a directory written by an earlier build, with
-// a full-copy checkpoint.db, is migrated on its first open. --fresh
+// With --wal-dir, `run` executes durably through the sharded executor,
+// with one shard unless --shards N says otherwise: state is recovered
+// from the directory's checkpoint + write-ahead logs, and every update is
+// logged and fsync'ed before it is acknowledged, so a crash mid-script
+// loses nothing that was reported committed. Each update is acknowledged
+// before the next statement is evaluated, and without --lax the first
+// failing statement stops the script with nothing after it committed. The
+// checkpoint is the compact layout (DESIGN.md §16): per-relation
+// delta-encoded segment files chained by segments.manifest; a checkpoint
+// truncates the shard WALs. A directory written by an earlier build's
+// single-writer executor (one wal.log, perhaps a full-copy checkpoint.db)
+// is a legacy layout: `fsck` scans it as it is, and the first open
+// (`run`, `recover` or `vacuum`) migrates it to one shard. --fresh
 // discards any previous state in the directory first; --recover prints a
 // recovery report before running.
 // `recover` just recovers, reports, and (with --save) exports a plain
 // database file. It refuses mid-log corruption (intact records stranded
 // beyond a damaged one) instead of silently replaying a hole; `fsck`
-// inspects the checkpoint + WAL, and with --repair quarantines damaged
+// inspects the checkpoint + WALs, and with --repair quarantines damaged
 // bytes to <wal>.quarantine and truncates to the last valid prefix so
 // recover succeeds. Both share a documented exit-code table (see
 // `ttra fsck --help`): 0 clean, 1 torn-tail/repaired, 3 needs-repair,
 // 4 unrecoverable, 2 usage.
 //
-// With --group-commit (or --sessions, --batch, --shards), `run` goes
-// through the queued sharded executor instead, with one shard unless
-// --shards N says otherwise: updates are enqueued to the writer thread and
+// With --group-commit (or --sessions, --batch, --shards), updates are
+// pipelined instead: they are enqueued to the writer threads and
 // group-committed — one fsync per batch of up to --batch statements —
 // while show statements drain the pipeline and are evaluated on
 // --sessions concurrent reader sessions pinned at the same epoch, which
-// must all agree. Requires --wal-dir, and writes the sharded layout
-// (MANIFEST + shard WALs): a directory written by plain `run --wal-dir`
-// is refused. With N > 1 shards, relations are routed to their home
-// shard by name hash and cross-shard sentences two-phase through durable
-// prepare markers, while one globally ordered transaction chain is kept.
-// The directory remembers its shard count (MANIFEST); `recover` and
-// `fsck` detect the sharded layout automatically.
+// must all agree. These flags require --wal-dir. With N > 1 shards,
+// relations are routed to their home shard by name hash and cross-shard
+// sentences two-phase through durable prepare markers, while one globally
+// ordered transaction chain is kept. The directory remembers its shard
+// count (MANIFEST).
 //
 // Flags are checked per command: an unknown flag, a missing value, or a
 // count that is not a whole decimal number is a usage error (exit 2).
 //
 // `vacuum --wal-dir` compacts a durable directory online: it rewrites
 // every segment chain to a single keyframe, collapses the manifest chain
-// to one full record, and truncates the WAL, all without blocking pinned
-// readers.
+// to one full record, and truncates the shard WALs, all without blocking
+// pinned readers.
 //
 // `modelcheck` runs the deterministic schedule explorer (src/modelcheck)
 // over the commit-protocol scenarios: every interleaving of the scaled-down
@@ -99,7 +101,6 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "optimizer/rewriter.h"
-#include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "rollback/vacuum.h"
@@ -292,18 +293,6 @@ Result<Command> StmtToCommand(const lang::Stmt& stmt, const Database& db) {
 }
 
 void ReportRecovery(TransactionNumber txn,
-                    const DurableExecutor::RecoveryInfo& info) {
-  std::cout << "recovered transaction " << txn << " (checkpoint at "
-            << info.checkpoint_txn << ", " << info.replayed_records
-            << " wal record(s) replayed"
-            << (info.torn_tail ? ", torn tail truncated" : "") << ")\n";
-}
-
-void ReportRecovery(const DurableExecutor& exec) {
-  ReportRecovery(exec.transaction_number(), exec.last_recovery());
-}
-
-void ReportRecovery(TransactionNumber txn,
                     const ShardedExecutor::RecoveryInfo& info) {
   std::cout << "recovered transaction " << txn << " (checkpoint at "
             << info.checkpoint_txn << ", " << info.shards << " shard(s), "
@@ -316,14 +305,24 @@ void ReportRecovery(TransactionNumber txn,
   if (info.torn_tails > 0) {
     std::cout << ", " << info.torn_tails << " torn tail(s) truncated";
   }
+  if (info.migrated_legacy_wal) {
+    std::cout << ", single-writer wal.log migrated";
+  }
   std::cout << ")\n";
 }
 
-/// The statement loop of `run --group-commit`/`run --shards`. Returns 0
-/// on success.
-int RunProgramConcurrently(ShardedExecutor& exec,
-                           const std::vector<lang::Stmt>& program,
-                           const Flags& flags, size_t sessions) {
+/// Options of every executor the CLI opens: one shard, unless the
+/// directory's MANIFEST (or --shards, on a fresh directory) says otherwise.
+ShardedOptions OneShardOptions() {
+  ShardedOptions options;
+  options.shards = 1;
+  return options;
+}
+
+/// The statement loop of `run --wal-dir`. Returns 0 on success. Unless
+/// `pipelined`, every update is settled before the next statement.
+int RunProgram(ShardedExecutor& exec, const std::vector<lang::Stmt>& program,
+               const Flags& flags, size_t sessions, bool pipelined) {
   // Statements in flight: resolved whenever the pipeline drains, so a
   // command error is reported near its statement, not at script end.
   std::vector<std::pair<std::string, std::future<Result<TransactionNumber>>>>
@@ -423,28 +422,35 @@ int RunProgramConcurrently(ShardedExecutor& exec,
     sentence.push_back(*std::move(command));
     inflight.emplace_back(lang::StmtToString(stmt),
                           exec.SubmitAsync(std::move(sentence)));
+    // Unpipelined, each update is acknowledged before the next statement
+    // is evaluated, so a failure stops the script with nothing after it
+    // committed.
+    if (!pipelined) {
+      if (int rc = settle(); rc != 0) return rc;
+    }
   }
   return settle();
 }
 
-/// `run --wal-dir --group-commit` / `run --wal-dir --shards N`: the script
-/// executes through the ShardedExecutor — one WAL + writer per shard,
-/// group-committed batches, order-preserving cross-shard group commit —
-/// with one shard unless --shards says otherwise. Update statements are
-/// enqueued asynchronously; only statements that must evaluate against
-/// current state — a show, or a modify_state whose expression is not a
-/// constant — drain the pipeline first. Show statements are evaluated on
-/// `--sessions` reader sessions concurrently; all sessions open at the
-/// drained epoch and must produce identical tables.
-int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
+/// `run --wal-dir`: the script executes through the ShardedExecutor — one
+/// WAL + writer per shard, order-preserving cross-shard group commit —
+/// with one shard unless --shards says otherwise. Unless `pipelined`,
+/// every update is acknowledged before the next statement. Pipelined,
+/// update statements are enqueued asynchronously; only statements that
+/// must evaluate against current state — a show, or a modify_state whose
+/// expression is not a constant — drain the pipeline first. Show
+/// statements are evaluated on `--sessions` reader sessions concurrently;
+/// all sessions open at the drained epoch and must produce identical
+/// tables.
+int CmdRunWalDir(const Flags& flags, const std::string& wal_dir,
+                 bool pipelined) {
   // One evaluator thread per session; a MANIFEST holds at most 1024
   // shards.
   size_t sessions = 1;
   if (!CountFlag(flags, "sessions", 1, 1024, sessions)) {
     return UsageError("--sessions expects a whole number in [1, 1024]");
   }
-  ShardedOptions options;
-  options.shards = 1;
+  ShardedOptions options = OneShardOptions();
   if (!CountFlag(flags, "batch", 1, UINT64_MAX,
                  options.group_commit.max_batch)) {
     return UsageError("--batch expects a positive whole number");
@@ -475,7 +481,7 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
   if (flags.recover) {
     ReportRecovery(exec.transaction_number(), exec.last_recovery());
   }
-  if (int rc = RunProgramConcurrently(exec, *program, flags, sessions);
+  if (int rc = RunProgram(exec, *program, flags, sessions, pipelined);
       rc != 0) {
     return rc;
   }
@@ -492,62 +498,6 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
   return SaveIfRequested(exec.Snapshot(), flags);
 }
 
-/// `run --wal-dir`: the script executes through a DurableExecutor, so
-/// every statement is logged and fsync'ed before it is acknowledged.
-int CmdRunDurable(const Flags& flags, const std::string& wal_dir) {
-  std::ifstream in(flags.positional[1]);
-  if (!in) return Fail("cannot open script: " + flags.positional[1]);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto program = lang::ParseProgram(buffer.str());
-  if (!program.ok()) return Fail(program.status().ToString());
-  if (flags.values.count("db")) {
-    return Fail("--db and --wal-dir are exclusive; durable state lives in "
-                "the wal directory (export it with --save)");
-  }
-
-  Env* env = Env::Default();
-  if (flags.fresh) {
-    Status reset = ResetWalDir(env, wal_dir);
-    if (!reset.ok()) return Fail("cannot reset state: " + reset.ToString());
-  }
-  DurableExecutor exec(env, wal_dir);
-  Status opened = exec.Open();
-  if (!opened.ok()) return Fail("recovery failed: " + opened.ToString());
-  if (flags.recover) ReportRecovery(exec);
-
-  for (const lang::Stmt& raw : *program) {
-    const Database db = exec.Snapshot();  // read-only view for evaluation
-    lang::Catalog catalog(db);
-    const lang::Stmt stmt =
-        flags.optimize ? OptimizeStmt(raw, catalog, db) : raw;
-    if (flags.explain) {
-      std::cout << "-- " << lang::StmtToString(stmt) << "\n";
-      if (const lang::Expr* expr = StmtExpr(stmt)) {
-        std::cout << lang::FormatExprTree(*expr);
-      }
-    }
-    Status status = Status::Ok();
-    if (const auto* show = std::get_if<lang::ShowStmt>(&stmt)) {
-      auto value = lang::EvalExpr(show->expr, db);
-      if (value.ok()) std::cout << lang::FormatTable(*value);
-      status = value.status();
-    } else {
-      auto command = StmtToCommand(stmt, db);
-      status = command.ok() ? exec.Submit(*command).status()
-                            : command.status();
-    }
-    if (!status.ok()) {
-      // An unhealthy executor means the log write itself failed; stopping
-      // is the only honest option even under --lax.
-      if (!flags.lax || !exec.healthy()) return Fail(status.ToString());
-      std::cerr << "ttra: " << status.ToString() << " (continuing)\n";
-    }
-  }
-  std::cout << "ok (transaction " << exec.transaction_number() << ")\n";
-  return SaveIfRequested(exec.Snapshot(), flags);
-}
-
 int CmdRun(const Flags& flags) {
   if (flags.positional.size() != 2) {
     return Fail("usage: ttra run <script> [--db f] [--save f] [--lax] "
@@ -556,16 +506,14 @@ int CmdRun(const Flags& flags) {
                 "[--shards n]");
   }
   auto wal_dir = flags.values.find("wal-dir");
-  if (flags.group_commit || flags.values.count("sessions") ||
-      flags.values.count("batch") || flags.values.count("shards")) {
-    if (wal_dir == flags.values.end()) {
-      return Fail(
-          "--group-commit/--sessions/--batch/--shards require --wal-dir");
-    }
-    return CmdRunConcurrent(flags, wal_dir->second);
+  const bool pipelined = flags.group_commit || flags.values.count("sessions") ||
+                         flags.values.count("batch") ||
+                         flags.values.count("shards");
+  if (pipelined && wal_dir == flags.values.end()) {
+    return Fail("--group-commit/--sessions/--batch/--shards require --wal-dir");
   }
   if (wal_dir != flags.values.end()) {
-    return CmdRunDurable(flags, wal_dir->second);
+    return CmdRunWalDir(flags, wal_dir->second, pipelined);
   }
   std::ifstream in(flags.positional[1]);
   if (!in) return Fail("cannot open script: " + flags.positional[1]);
@@ -658,8 +606,8 @@ int CmdDescribe(const Flags& flags) {
 /// `vacuum --wal-dir`: online storage compaction through the live
 /// executor. Rewrites every relation's segment chain to a single keyframe
 /// at the current tip, collapses the manifest chain to one full record,
-/// and truncates the WAL — readers pinned at older epochs keep their
-/// in-memory states (copy-then-swap; nothing blocks on them).
+/// and truncates the shard WALs — readers pinned at older epochs keep
+/// their in-memory states (copy-then-swap; nothing blocks on them).
 int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
   if (flags.values.count("db") || flags.values.count("relation") ||
       flags.values.count("before")) {
@@ -667,30 +615,17 @@ int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
                 "it takes no --db/--relation/--before (use the --db form "
                 "for per-relation state archival)");
   }
-  Env* env = Env::Default();
-  if (IsShardedDir(*env, wal_dir)) {
-    ShardedExecutor exec(env, wal_dir);
-    Status started = exec.Start();
-    if (!started.ok()) return Fail("recovery failed: " + started.ToString());
-    Status compacted = exec.CompactStorage();
-    if (!compacted.ok()) {
-      return Fail("compaction failed: " + compacted.ToString());
-    }
-    const uint64_t bytes = exec.compact_store()->ApproxBytes();
-    exec.Stop();
-    std::cout << "compacted storage (transaction "
-              << exec.transaction_number() << ", ~" << bytes << " bytes)\n";
-    return 0;
-  }
-  DurableExecutor exec(env, wal_dir);
-  Status opened = exec.Open();
-  if (!opened.ok()) return Fail("recovery failed: " + opened.ToString());
+  ShardedExecutor exec(Env::Default(), wal_dir, OneShardOptions());
+  Status started = exec.Start();
+  if (!started.ok()) return Fail("recovery failed: " + started.ToString());
   Status compacted = exec.CompactStorage();
   if (!compacted.ok()) {
     return Fail("compaction failed: " + compacted.ToString());
   }
+  const uint64_t bytes = exec.compact_store()->ApproxBytes();
+  exec.Stop();
   std::cout << "compacted storage (transaction " << exec.transaction_number()
-            << ", ~" << exec.compact_store()->ApproxBytes() << " bytes)\n";
+            << ", ~" << bytes << " bytes)\n";
   return 0;
 }
 
@@ -762,11 +697,14 @@ int CmdFsckHelp() {
   std::cout <<
       "usage: ttra fsck --wal-dir <dir> [--json] [--repair]\n"
       "\n"
-      "Scans the directory's checkpoint and write-ahead log: every frame\n"
+      "Scans the directory's checkpoint and write-ahead logs: every frame\n"
       "is checksum-verified and decoded, and each corrupt record is\n"
-      "reported with its byte offset and cause. Sharded directories (a\n"
-      "MANIFEST is present) are scanned log by log: every shard-<k>.wal\n"
-      "plus coordinator.log, with per-log findings. Without --repair\n"
+      "reported with its byte offset and cause. A sharded directory\n"
+      "(MANIFEST present) is scanned log by log: every shard-<k>.wal plus\n"
+      "coordinator.log, with per-log findings. A legacy single-writer\n"
+      "directory (one wal.log, written by an earlier build) is scanned as\n"
+      "it is; the first open (`run`, `recover`, `vacuum`) migrates it to\n"
+      "one shard and removes wal.log. Without --repair\n"
       "nothing is modified. With --repair the damaged bytes are moved to\n"
       "<wal>.quarantine and the log is truncated to its last valid prefix\n"
       "so `ttra recover` succeeds; nothing is ever deleted. Repairing one\n"
@@ -835,30 +773,15 @@ int CmdRecover(const Flags& flags) {
               << "`\n";
     return SalvageExitCode(*scanned);
   }
-  Env* env = Env::Default();
-  if (IsShardedDir(*env, dir->second)) {
-    ShardedExecutor exec(env, dir->second);
-    Status started = exec.Start();
-    if (!started.ok()) {
-      std::cerr << "ttra: recovery failed: " << started.ToString() << "\n";
-      return 4;
-    }
-    ReportRecovery(exec.transaction_number(), exec.last_recovery());
-    const Database db = exec.Snapshot();
-    exec.Stop();
-    std::cout << lang::DescribeDatabase(db);
-    const int saved = SaveIfRequested(db, flags);
-    if (saved != 0) return saved;
-    return SalvageExitCode(*scanned);  // 0 clean, 1 truncated tail
-  }
-  DurableExecutor exec(env, dir->second);
-  Status opened = exec.Open();
-  if (!opened.ok()) {
-    std::cerr << "ttra: recovery failed: " << opened.ToString() << "\n";
+  ShardedExecutor exec(Env::Default(), dir->second, OneShardOptions());
+  Status started = exec.Start();
+  if (!started.ok()) {
+    std::cerr << "ttra: recovery failed: " << started.ToString() << "\n";
     return 4;
   }
-  ReportRecovery(exec);
+  ReportRecovery(exec.transaction_number(), exec.last_recovery());
   const Database db = exec.Snapshot();
+  exec.Stop();
   std::cout << lang::DescribeDatabase(db);
   const int saved = SaveIfRequested(db, flags);
   if (saved != 0) return saved;
