@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 
@@ -38,13 +39,20 @@ const int kDebugBuildWarning = [] {
 }();
 #endif
 
-constexpr char kDir[] = "/tmp/ttra_bench_concurrent";
+/// The executor directory, under the system temporary directory (honours
+/// $TMPDIR).
+const std::string& BenchDir() {
+  static const std::string dir =
+      (std::filesystem::temp_directory_path() / "ttra_bench_concurrent")
+          .string();
+  return dir;
+}
 
 Schema BenchSchema() {
   return *Schema::Make({{"id", ValueType::kInt}, {"v", ValueType::kInt}});
 }
 
-void ResetDir(Env* env) { (void)ResetWalDir(env, kDir); }
+void ResetDir(Env* env) { (void)ResetWalDir(env, BenchDir()); }
 
 /// Commits/sec vs group-commit batch size, sync policy kAlways (every
 /// acknowledged batch is fsync'ed). The bench thread submits
@@ -58,7 +66,7 @@ void BM_GroupCommitThroughput(benchmark::State& state) {
   options.shards = 1;
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.group_commit.max_batch = static_cast<size_t>(state.range(0));
-  ShardedExecutor exec(env, kDir, options);
+  ShardedExecutor exec(env, BenchDir(), options);
   if (!exec.Start().ok()) {
     state.SkipWithError("cannot start executor");
     return;
@@ -130,7 +138,7 @@ void BM_ShardedCommitThroughput(benchmark::State& state) {
   options.durable.sync_policy = SyncPolicy::kAlways;
   options.group_commit.max_batch = 64;
   options.shards = static_cast<size_t>(state.range(0));
-  ShardedExecutor exec(env, kDir, options);
+  ShardedExecutor exec(env, BenchDir(), options);
   if (!exec.Start().ok()) {
     state.SkipWithError("cannot start executor");
     return;
@@ -207,7 +215,7 @@ void BM_CommitVsHistory(benchmark::State& state) {
   options.shards = 1;
   options.durable.sync_policy = SyncPolicy::kNever;
   options.group_commit.max_batch = 64;
-  ShardedExecutor exec(&env, kDir, options);
+  ShardedExecutor exec(&env, BenchDir(), options);
   if (!exec.Start().ok()) {
     state.SkipWithError("cannot start executor");
     return;
@@ -315,7 +323,7 @@ void BM_ReaderSessionScaling(benchmark::State& state) {
     ResetDir(env);
     ShardedOptions options;
     options.shards = 1;
-    g_read_exec = new ShardedExecutor(env, kDir, options);
+    g_read_exec = new ShardedExecutor(env, BenchDir(), options);
     if (!g_read_exec->Start().ok()) {
       state.SkipWithError("cannot start executor");
       return;
@@ -358,8 +366,8 @@ BENCHMARK(BM_ReaderSessionScaling)
 /// The ratio bounds what any group-commit policy can recover.
 void BM_WalBatchedAppendSync(benchmark::State& state) {
   Env* env = Env::Default();
-  (void)env->CreateDir(kDir);
-  const std::string path = std::string(kDir) + "/raw.log";
+  (void)env->CreateDir(BenchDir());
+  const std::string path = BenchDir() + "/raw.log";
   WalWriter writer(env, path);
   if (!writer.Create().ok()) {
     state.SkipWithError("cannot create wal");

@@ -96,15 +96,21 @@ Result<HistoricalState> Project(const HistoricalState& state,
 
 Result<HistoricalState> Select(const HistoricalState& state,
                                const Predicate& predicate) {
-  TTRA_RETURN_IF_ERROR(predicate.Validate(state.schema()));
-  std::vector<HistoricalTuple> selected;
-  for (const HistoricalTuple& ht : state.tuples()) {
-    TTRA_ASSIGN_OR_RETURN(bool keep, predicate.Eval(state.schema(), ht.tuple));
-    if (keep) selected.push_back(ht);
-  }
+  TTRA_ASSIGN_OR_RETURN(const BoundPredicate bound,
+                        BoundPredicate::Bind(predicate, state.schema()));
+  // Count first, so the result is one exact allocation (as in the
+  // snapshot kernel).
+  const size_t kept = static_cast<size_t>(std::count_if(
+      state.tuples().begin(), state.tuples().end(),
+      [&bound](const HistoricalTuple& ht) { return bound.Eval(ht.tuple); }));
   // A predicate that kept everything returns the input unchanged (states
   // are copy-on-write); a kept subsequence is still canonical.
-  if (selected.size() == state.size()) return state;
+  if (kept == state.size()) return state;
+  std::vector<HistoricalTuple> selected;
+  selected.reserve(kept);
+  for (const HistoricalTuple& ht : state.tuples()) {
+    if (bound.Eval(ht.tuple)) selected.push_back(ht);
+  }
   return HistoricalState::FromCanonical(state.schema(), std::move(selected));
 }
 
@@ -145,27 +151,25 @@ Result<HistoricalState> ThetaJoin(const HistoricalState& lhs,
         concat.status().message());
   }
   Schema schema = *std::move(concat);
-  TTRA_RETURN_IF_ERROR(predicate.Validate(schema));
+  TTRA_ASSIGN_OR_RETURN(const BoundPredicate bound,
+                        BoundPredicate::Bind(predicate, schema));
 
+  // As in the snapshot kernel, both predicates read a candidate pair in
+  // place; a pair is concatenated only once it is kept.
   const EquiJoinSplit split =
       SplitEquiJoin(predicate, lhs.schema(), rhs.schema());
   const std::vector<size_t>& lhs_keys = split.lhs_keys;
   const std::vector<size_t>& rhs_keys = split.rhs_keys;
-  const Predicate& residual = split.residual;
   const bool check_residual = split.has_residual();
+  TTRA_ASSIGN_OR_RETURN(const BoundPredicate residual,
+                        BoundPredicate::Bind(split.residual, schema));
 
   std::vector<HistoricalTuple> joined;
-  auto emit = [&](const HistoricalTuple& a,
-                  const HistoricalTuple& b) -> Status {
+  auto emit = [&joined](const HistoricalTuple& a, const HistoricalTuple& b) {
     TemporalElement both = a.valid.Intersect(b.valid);
-    if (both.empty()) return Status::Ok();
-    Tuple combined = ConcatTuples(a.tuple, b.tuple);
-    if (check_residual) {
-      TTRA_ASSIGN_OR_RETURN(bool keep, residual.Eval(schema, combined));
-      if (!keep) return Status::Ok();
-    }
-    joined.push_back(HistoricalTuple{std::move(combined), std::move(both)});
-    return Status::Ok();
+    if (both.empty()) return;
+    joined.push_back(
+        HistoricalTuple{ConcatTuples(a.tuple, b.tuple), std::move(both)});
   };
 
   if (!split.has_keys()) {
@@ -173,13 +177,7 @@ Result<HistoricalState> ThetaJoin(const HistoricalState& lhs,
     // materializing the product state.
     for (const HistoricalTuple& a : lhs.tuples()) {
       for (const HistoricalTuple& b : rhs.tuples()) {
-        TemporalElement both = a.valid.Intersect(b.valid);
-        if (both.empty()) continue;
-        Tuple combined = ConcatTuples(a.tuple, b.tuple);
-        TTRA_ASSIGN_OR_RETURN(bool keep, predicate.Eval(schema, combined));
-        if (!keep) continue;
-        joined.push_back(
-            HistoricalTuple{std::move(combined), std::move(both)});
+        if (bound.Eval(a.tuple, b.tuple)) emit(a, b);
       }
     }
     return HistoricalState::FromCanonical(std::move(schema),
@@ -197,7 +195,9 @@ Result<HistoricalState> ThetaJoin(const HistoricalState& lhs,
     auto it = buckets.find(JoinKeyOf(a.tuple, lhs_keys));
     if (it == buckets.end()) continue;
     for (size_t j : it->second) {
-      TTRA_RETURN_IF_ERROR(emit(a, rhs.tuples()[j]));
+      const HistoricalTuple& b = rhs.tuples()[j];
+      if (check_residual && !residual.Eval(a.tuple, b.tuple)) continue;
+      emit(a, b);
     }
   }
   return HistoricalState::FromCanonical(std::move(schema), std::move(joined));

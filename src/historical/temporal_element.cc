@@ -78,21 +78,35 @@ TemporalElement TemporalElement::Union(const TemporalElement& other) const {
 
 TemporalElement TemporalElement::Intersect(
     const TemporalElement& other) const {
-  std::vector<Interval> result;
-  size_t i = 0, j = 0;
-  while (i < intervals_.size() && j < other.intervals_.size()) {
-    const Interval& a = intervals_[i];
-    const Interval& b = other.intervals_[j];
-    const Chronon lo = std::max(a.begin, b.begin);
-    const Chronon hi = std::min(a.end, b.end);
-    if (lo < hi) result.push_back(Interval::Make(lo, hi));
-    if (a.end <= b.end) {
-      ++i;
-    } else {
-      ++j;
+  // The pieces of two canonical elements' intersection come out sorted
+  // and never touch: a piece ends where an operand interval ends, and the
+  // next piece starts no earlier than that interval's successor, which
+  // canonical form keeps strictly later. So the result is canonical as
+  // swept; count the pieces, then write them into one exact payload.
+  auto sweep = [this, &other](auto&& emit) {
+    size_t i = 0, j = 0;
+    while (i < intervals_.size() && j < other.intervals_.size()) {
+      const Interval& a = intervals_[i];
+      const Interval& b = other.intervals_[j];
+      const Chronon lo = std::max(a.begin, b.begin);
+      const Chronon hi = std::min(a.end, b.end);
+      if (lo < hi) emit(lo, hi);
+      if (a.end <= b.end) {
+        ++i;
+      } else {
+        ++j;
+      }
     }
-  }
-  return Of(std::move(result));
+  };
+  size_t pieces = 0;
+  sweep([&pieces](Chronon, Chronon) { ++pieces; });
+  SharedArray<Interval>::Builder builder(pieces);
+  sweep([&builder](Chronon lo, Chronon hi) {
+    builder.Emplace(Interval::Make(lo, hi));
+  });
+  TemporalElement element;
+  element.intervals_ = std::move(builder).Build();
+  return element;
 }
 
 TemporalElement TemporalElement::Difference(

@@ -16,10 +16,16 @@ TemporalExpr::TemporalExpr(std::shared_ptr<const Node> node)
 
 TemporalExpr::TemporalExpr() : TemporalExpr(Valid()) {}
 
+// `valid` is one shared immutable node: every default expression, and
+// every node that holds one (a TemporalPred's operands, an AST node's δ
+// slots), shares it instead of allocating its own.
 TemporalExpr TemporalExpr::Valid() {
-  auto node = std::make_shared<Node>();
-  node->kind = Kind::kValid;
-  return TemporalExpr(std::move(node));
+  static const std::shared_ptr<const Node> kValid = [] {
+    auto node = std::make_shared<Node>();
+    node->kind = Kind::kValid;
+    return node;
+  }();
+  return TemporalExpr(kValid);
 }
 
 TemporalExpr TemporalExpr::Const(TemporalElement element) {
@@ -54,25 +60,34 @@ TemporalExpr TemporalExpr::Difference(TemporalExpr lhs, TemporalExpr rhs) {
 }
 
 TemporalElement TemporalExpr::Eval(const TemporalElement& valid) const {
-  switch (node_->kind) {
+  TemporalElement scratch;
+  const TemporalElement& result = EvalRef(*node_, valid, scratch);
+  if (&result == &scratch) return scratch;
+  return result;
+}
+
+const TemporalElement& TemporalExpr::EvalRef(const Node& node,
+                                             const TemporalElement& valid,
+                                             TemporalElement& scratch) {
+  switch (node.kind) {
     case Kind::kValid:
       return valid;
     case Kind::kConst:
-      return node_->constant;
+      return node.constant;
     case Kind::kUnion:
-      return TemporalExpr(node_->left)
-          .Eval(valid)
-          .Union(TemporalExpr(node_->right).Eval(valid));
     case Kind::kIntersect:
-      return TemporalExpr(node_->left)
-          .Eval(valid)
-          .Intersect(TemporalExpr(node_->right).Eval(valid));
-    case Kind::kDifference:
-      return TemporalExpr(node_->left)
-          .Eval(valid)
-          .Difference(TemporalExpr(node_->right).Eval(valid));
+    case Kind::kDifference: {
+      TemporalElement left_scratch;
+      TemporalElement right_scratch;
+      const TemporalElement& a = EvalRef(*node.left, valid, left_scratch);
+      const TemporalElement& b = EvalRef(*node.right, valid, right_scratch);
+      scratch = node.kind == Kind::kUnion       ? a.Union(b)
+                : node.kind == Kind::kIntersect ? a.Intersect(b)
+                                                : a.Difference(b);
+      return scratch;
+    }
   }
-  return TemporalElement();
+  return scratch;
 }
 
 bool TemporalExpr::IsIdentity() const { return node_->kind == Kind::kValid; }
@@ -143,18 +158,25 @@ TemporalPred::TemporalPred(std::shared_ptr<const Node> node)
 
 TemporalPred::TemporalPred() : TemporalPred(True()) {}
 
+// Shared immutable literal nodes, as for TemporalExpr::Valid().
 TemporalPred TemporalPred::True() {
-  auto node = std::make_shared<Node>();
-  node->kind = Kind::kConst;
-  node->const_value = true;
-  return TemporalPred(std::move(node));
+  static const std::shared_ptr<const Node> kTrue = [] {
+    auto node = std::make_shared<Node>();
+    node->kind = Kind::kConst;
+    node->const_value = true;
+    return node;
+  }();
+  return TemporalPred(kTrue);
 }
 
 TemporalPred TemporalPred::False() {
-  auto node = std::make_shared<Node>();
-  node->kind = Kind::kConst;
-  node->const_value = false;
-  return TemporalPred(std::move(node));
+  static const std::shared_ptr<const Node> kFalse = [] {
+    auto node = std::make_shared<Node>();
+    node->kind = Kind::kConst;
+    node->const_value = false;
+    return node;
+  }();
+  return TemporalPred(kFalse);
 }
 
 TemporalPred TemporalPred::Overlaps(TemporalExpr lhs, TemporalExpr rhs) {
@@ -216,30 +238,42 @@ TemporalPred TemporalPred::Not(TemporalPred operand) {
 }
 
 bool TemporalPred::Eval(const TemporalElement& valid) const {
-  switch (node_->kind) {
+  return EvalNode(*node_, valid);
+}
+
+bool TemporalPred::EvalNode(const Node& node, const TemporalElement& valid) {
+  // Operands are evaluated in place: a `valid` or constant leaf is read by
+  // reference, so only composite temporal expressions build an element.
+  TemporalElement lhs_scratch;
+  TemporalElement rhs_scratch;
+  auto lhs = [&]() -> const TemporalElement& {
+    return TemporalExpr::EvalRef(*node.lhs.node_, valid, lhs_scratch);
+  };
+  auto rhs = [&]() -> const TemporalElement& {
+    return TemporalExpr::EvalRef(*node.rhs.node_, valid, rhs_scratch);
+  };
+  switch (node.kind) {
     case Kind::kConst:
-      return node_->const_value;
+      return node.const_value;
     case Kind::kOverlaps:
-      return node_->lhs.Eval(valid).Overlaps(node_->rhs.Eval(valid));
+      return lhs().Overlaps(rhs());
     case Kind::kContains:
-      return node_->lhs.Eval(valid).Covers(node_->rhs.Eval(valid));
+      return lhs().Covers(rhs());
     case Kind::kBefore: {
-      const TemporalElement a = node_->lhs.Eval(valid);
-      const TemporalElement b = node_->rhs.Eval(valid);
+      const TemporalElement& a = lhs();
+      const TemporalElement& b = rhs();
       return !a.empty() && !b.empty() && a.Max() <= b.Min();
     }
     case Kind::kEquals:
-      return node_->lhs.Eval(valid) == node_->rhs.Eval(valid);
+      return lhs() == rhs();
     case Kind::kEmpty:
-      return node_->lhs.Eval(valid).empty();
+      return lhs().empty();
     case Kind::kAnd:
-      return TemporalPred(node_->left).Eval(valid) &&
-             TemporalPred(node_->right).Eval(valid);
+      return EvalNode(*node.left, valid) && EvalNode(*node.right, valid);
     case Kind::kOr:
-      return TemporalPred(node_->left).Eval(valid) ||
-             TemporalPred(node_->right).Eval(valid);
+      return EvalNode(*node.left, valid) || EvalNode(*node.right, valid);
     case Kind::kNot:
-      return !TemporalPred(node_->left).Eval(valid);
+      return !EvalNode(*node.left, valid);
   }
   return false;
 }

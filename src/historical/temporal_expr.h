@@ -15,7 +15,8 @@ namespace ttra {
 /// domain 𝒢. Immutable and cheap to copy.
 class TemporalExpr {
  public:
-  /// Defaults to Valid() — the identity projection.
+  /// Defaults to Valid() — the identity projection. `valid` is one shared
+  /// immutable node, so a default expression allocates nothing.
   TemporalExpr();
 
   /// The tuple's own valid-time element ("valid").
@@ -45,8 +46,17 @@ class TemporalExpr {
   TemporalExpr right() const;
 
  private:
+  friend class TemporalPred;  // evaluates its operands in place
+
   struct Node;
   explicit TemporalExpr(std::shared_ptr<const Node> node);
+
+  // Evaluates `node` with `valid` bound, without copying: returns `valid`
+  // or the constant for a leaf, else writes the element into `scratch`
+  // and returns it.
+  static const TemporalElement& EvalRef(const Node& node,
+                                        const TemporalElement& valid,
+                                        TemporalElement& scratch);
 
   std::shared_ptr<const Node> node_;
 };
@@ -58,7 +68,8 @@ std::ostream& operator<<(std::ostream& os, const TemporalExpr& expr);
 /// δ_{G,V} (valid-time selection).
 class TemporalPred {
  public:
-  /// Defaults to True (δ with G=true filters nothing).
+  /// Defaults to True (δ with G=true filters nothing). The literals are
+  /// shared immutable nodes, so a default predicate allocates nothing.
   TemporalPred();
 
   static TemporalPred True();
@@ -109,6 +120,8 @@ class TemporalPred {
  private:
   struct Node;
   explicit TemporalPred(std::shared_ptr<const Node> node);
+
+  static bool EvalNode(const Node& node, const TemporalElement& valid);
 
   std::shared_ptr<const Node> node_;
 };

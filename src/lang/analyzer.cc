@@ -12,9 +12,10 @@ std::string_view StateKindName(StateKind kind) {
 }
 
 Catalog::Catalog(const Database& db) {
-  for (const std::string& name : db.RelationNames()) {
-    const Relation* relation = db.Find(name);
-    entries_.emplace(name, Entry{relation->type(), relation->schema()});
+  // Both maps are in name order, so each entry goes in at the end.
+  for (const auto& [name, relation] : db.relations()) {
+    entries_.emplace_hint(entries_.end(), name,
+                          Entry{relation->type(), relation->schema()});
   }
 }
 

@@ -1,6 +1,7 @@
 #include "lang/ast.h"
 
 #include <cassert>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -113,30 +114,6 @@ Result<Value> ApplyScalarOp(ScalarExpr::Op op, const Value& a,
 
 }  // namespace
 
-Result<Value> ScalarExpr::Eval(const Schema& schema,
-                               const Tuple& tuple) const {
-  switch (node_->kind) {
-    case Kind::kAttr: {
-      auto index = schema.IndexOf(node_->attr);
-      if (!index.has_value()) {
-        return SchemaMismatchError("extend references unknown attribute: " +
-                                   node_->attr);
-      }
-      return tuple.at(*index);
-    }
-    case Kind::kConst:
-      return node_->constant;
-    case Kind::kBinary: {
-      TTRA_ASSIGN_OR_RETURN(Value a,
-                            ScalarExpr(node_->left).Eval(schema, tuple));
-      TTRA_ASSIGN_OR_RETURN(Value b,
-                            ScalarExpr(node_->right).Eval(schema, tuple));
-      return ApplyScalarOp(node_->op, a, b);
-    }
-  }
-  return InternalError("unhandled scalar kind");
-}
-
 Result<ValueType> ScalarExpr::TypeIn(const Schema& schema) const {
   switch (node_->kind) {
     case Kind::kAttr: {
@@ -242,6 +219,65 @@ std::ostream& operator<<(std::ostream& os, const ScalarExpr& expr) {
   return os << expr.ToString();
 }
 
+Status BoundScalar::BindInto(const ScalarExpr& expr, const Schema& schema,
+                             std::vector<Node>& out) {
+  const size_t at = out.size();
+  out.push_back(Node{.kind = expr.kind()});
+  switch (expr.kind()) {
+    case ScalarExpr::Kind::kAttr: {
+      auto index = schema.IndexOf(expr.attr_name());
+      if (!index.has_value()) {
+        return SchemaMismatchError("extend references unknown attribute: " +
+                                   expr.attr_name());
+      }
+      out[at].index = *index;
+      return Status::Ok();
+    }
+    case ScalarExpr::Kind::kConst:
+      out[at].constant = &expr.constant();
+      return Status::Ok();
+    case ScalarExpr::Kind::kBinary:
+      out[at].op = expr.op();
+      TTRA_RETURN_IF_ERROR(BindInto(expr.left(), schema, out));
+      out[at].right = static_cast<uint32_t>(out.size());
+      return BindInto(expr.right(), schema, out);
+  }
+  return InternalError("unhandled scalar kind");
+}
+
+Result<BoundScalar> BoundScalar::Bind(const ScalarExpr& expr,
+                                      const Schema& schema) {
+  std::vector<Node> nodes;
+  TTRA_RETURN_IF_ERROR(BindInto(expr, schema, nodes));
+  return BoundScalar(expr, std::move(nodes));
+}
+
+Result<Value> BoundScalar::EvalAt(uint32_t i, const Tuple& tuple) const {
+  const Node& node = nodes_[i];
+  switch (node.kind) {
+    case ScalarExpr::Kind::kAttr:
+      return tuple.at(node.index);
+    case ScalarExpr::Kind::kConst:
+      return *node.constant;
+    case ScalarExpr::Kind::kBinary: {
+      // A leaf operand is read in place; only a nested operation builds a
+      // value of its own.
+      auto operand = [&](uint32_t child, Value& scratch) -> Result<const Value*> {
+        const Node& leaf = nodes_[child];
+        if (leaf.kind == ScalarExpr::Kind::kAttr) return &tuple.at(leaf.index);
+        if (leaf.kind == ScalarExpr::Kind::kConst) return leaf.constant;
+        TTRA_ASSIGN_OR_RETURN(scratch, EvalAt(child, tuple));
+        return &scratch;
+      };
+      Value left_scratch, right_scratch;
+      TTRA_ASSIGN_OR_RETURN(const Value* a, operand(i + 1, left_scratch));
+      TTRA_ASSIGN_OR_RETURN(const Value* b, operand(node.right, right_scratch));
+      return ApplyScalarOp(node.op, *a, *b);
+    }
+  }
+  return InternalError("unhandled scalar kind");
+}
+
 // --- Expr -------------------------------------------------------------------
 
 std::string_view BinaryOpName(BinaryOp op) {
@@ -293,7 +329,13 @@ struct Expr::Node {
 
 Expr::Expr(std::shared_ptr<const Node> node) : node_(std::move(node)) {}
 
-Expr::Expr() : Expr(Const(SnapshotState())) {}
+// The default (empty snapshot constant) is one shared immutable node, like
+// the Predicate and TemporalExpr defaults its slots hold.
+Expr::Expr() {
+  static const std::shared_ptr<const Node> kEmpty =
+      Const(SnapshotState()).node_;
+  node_ = kEmpty;
+}
 
 Expr Expr::Const(SnapshotState state) {
   auto node = std::make_shared<Node>();
@@ -439,10 +481,18 @@ std::string Expr::ToString() const {
 
 const SourceSpan& Expr::span() const { return node_->span; }
 
-Expr Expr::WithSpan(SourceSpan span) const {
+Expr Expr::WithSpan(SourceSpan span) const& {
   auto node = std::make_shared<Node>(*node_);
   node->span = span;
   return Expr(std::move(node));
+}
+
+Expr Expr::WithSpan(SourceSpan span) && {
+  if (node_.use_count() != 1) return std::as_const(*this).WithSpan(span);
+  // Every node is created non-const by a factory, and no other expression
+  // can observe this one, so the annotation is made in place.
+  const_cast<Node&>(*node_).span = span;
+  return std::move(*this);
 }
 
 std::set<std::string> Expr::RelationNames() const {

@@ -36,11 +36,6 @@ class ScalarExpr {
   static ScalarExpr Const(Value value);
   static ScalarExpr Binary(Op op, ScalarExpr lhs, ScalarExpr rhs);
 
-  /// Evaluates on one tuple. `+` concatenates strings; all four operators
-  /// work on numeric operands (int op int → int except /, which divides as
-  /// int and errors on zero; any double operand → double).
-  Result<Value> Eval(const Schema& schema, const Tuple& tuple) const;
-
   /// Static result type under `schema`.
   Result<ValueType> TypeIn(const Schema& schema) const;
 
@@ -65,6 +60,43 @@ class ScalarExpr {
 };
 
 std::ostream& operator<<(std::ostream& os, const ScalarExpr& expr);
+
+/// A scalar expression resolved once against one schema (extend's
+/// per-statement step): attribute operands are positions and constants
+/// are read in place. Keeps its expression alive.
+class BoundScalar {
+ public:
+  /// Fails if an attribute operand is missing from `schema`.
+  static Result<BoundScalar> Bind(const ScalarExpr& expr,
+                                  const Schema& schema);
+
+  /// Evaluates on one tuple over the bound schema. `+` concatenates
+  /// strings; all four operators work on numeric operands (int op int →
+  /// int except /, which divides as int and errors on zero; any double
+  /// operand → double).
+  Result<Value> Eval(const Tuple& tuple) const { return EvalAt(0, tuple); }
+
+ private:
+  // Nodes in prefix order: a binary node's left operand follows it, and
+  // `right` indexes its right operand.
+  struct Node {
+    ScalarExpr::Kind kind = ScalarExpr::Kind::kConst;
+    ScalarExpr::Op op = ScalarExpr::Op::kAdd;
+    const Value* constant = nullptr;  // kConst
+    size_t index = 0;                 // kAttr
+    uint32_t right = 0;               // kBinary
+  };
+
+  BoundScalar(ScalarExpr expr, std::vector<Node> nodes)
+      : expr_(std::move(expr)), nodes_(std::move(nodes)) {}
+
+  static Status BindInto(const ScalarExpr& expr, const Schema& schema,
+                         std::vector<Node>& out);
+  Result<Value> EvalAt(uint32_t i, const Tuple& tuple) const;
+
+  ScalarExpr expr_;
+  std::vector<Node> nodes_;
+};
 
 /// Binary algebraic operators. In the concrete syntax these are
 /// polymorphic: the analyzer resolves each use to the snapshot operator or
@@ -92,7 +124,8 @@ class Expr {
     kRollback,
   };
 
-  /// Defaults to the empty snapshot-state constant.
+  /// Defaults to the empty snapshot-state constant, one shared immutable
+  /// node: a default expression allocates nothing.
   Expr();
 
   static Expr Const(SnapshotState state);
@@ -123,9 +156,16 @@ class Expr {
 
   /// Copy of this expression annotated with a source span (children keep
   /// their own spans). Used by the parser; cheap — one node is cloned.
-  Expr WithSpan(SourceSpan span) const;
+  Expr WithSpan(SourceSpan span) const&;
+  /// As above, but a node no other expression shares (one a factory or
+  /// the parser just built) is annotated in place instead of cloned.
+  Expr WithSpan(SourceSpan span) &&;
 
   friend bool operator==(const Expr& a, const Expr& b);
+
+  /// True when both are the same node, not merely equal trees: a rewrite
+  /// that changed nothing below a node can keep the node.
+  bool IsSameNode(const Expr& other) const { return node_ == other.node_; }
 
   Kind kind() const;
   // kConst:

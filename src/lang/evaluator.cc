@@ -65,10 +65,12 @@ Result<StateValue> EvalBinary(const Expr& expr, const Database& db) {
 }
 
 /// Applies the extend definitions to one schema, returning the result
-/// schema and, for each result attribute, where its value comes from
-/// (original position or definition index).
+/// schema, each definition bound to the child schema, and, for each result
+/// attribute, where its value comes from (original position or definition
+/// index).
 struct ExtendPlan {
   Schema schema;
+  std::vector<BoundScalar> definitions;
   // For each output attribute: if >= 0, index into definitions; if < 0,
   // ~value is the index into the child tuple.
   std::vector<int> sources;
@@ -81,9 +83,14 @@ Result<ExtendPlan> PlanExtend(
                                child.attributes().end());
   std::vector<int> sources(attrs.size());
   for (size_t i = 0; i < attrs.size(); ++i) sources[i] = ~static_cast<int>(i);
+  std::vector<BoundScalar> bound;
+  bound.reserve(definitions.size());
   for (size_t d = 0; d < definitions.size(); ++d) {
     const auto& [name, scalar] = definitions[d];
     TTRA_ASSIGN_OR_RETURN(ValueType type, scalar.TypeIn(child));
+    TTRA_ASSIGN_OR_RETURN(BoundScalar definition,
+                          BoundScalar::Bind(scalar, child));
+    bound.push_back(std::move(definition));
     auto i = child.IndexOf(name);
     if (i.has_value()) {
       attrs[*i].type = type;
@@ -94,17 +101,14 @@ Result<ExtendPlan> PlanExtend(
     }
   }
   TTRA_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
-  return ExtendPlan{std::move(schema), std::move(sources)};
+  return ExtendPlan{std::move(schema), std::move(bound), std::move(sources)};
 }
 
-Result<Tuple> ApplyExtend(
-    const ExtendPlan& plan, const Schema& child_schema, const Tuple& tuple,
-    const std::vector<std::pair<std::string, ScalarExpr>>& definitions) {
+Result<Tuple> ApplyExtend(const ExtendPlan& plan, const Tuple& tuple) {
   Tuple::Builder builder(plan.sources.size());
   for (int source : plan.sources) {
     if (source >= 0) {
-      TTRA_ASSIGN_OR_RETURN(
-          Value v, definitions[source].second.Eval(child_schema, tuple));
+      TTRA_ASSIGN_OR_RETURN(Value v, plan.definitions[source].Eval(tuple));
       builder.Add(std::move(v));
     } else {
       builder.Add(tuple.at(static_cast<size_t>(~source)));
@@ -113,38 +117,37 @@ Result<Tuple> ApplyExtend(
   return std::move(builder).Build();
 }
 
-Result<StateValue> EvalExtend(const Expr& expr, const Database& db) {
-  TTRA_ASSIGN_OR_RETURN(StateValue child, EvalExpr(expr.left(), db));
-  if (std::holds_alternative<SnapshotState>(child)) {
-    const SnapshotState& state = std::get<SnapshotState>(child);
-    TTRA_ASSIGN_OR_RETURN(ExtendPlan plan,
-                          PlanExtend(state.schema(), expr.definitions()));
-    std::vector<Tuple> tuples;
-    tuples.reserve(state.size());
-    for (const Tuple& t : state.tuples()) {
-      TTRA_ASSIGN_OR_RETURN(
-          Tuple mapped,
-          ApplyExtend(plan, state.schema(), t, expr.definitions()));
-      tuples.push_back(std::move(mapped));
-    }
-    auto result = SnapshotState::Make(plan.schema, std::move(tuples));
-    if (!result.ok()) return result.status();
-    return StateValue(std::move(result).value());
-  }
-  const HistoricalState& state = std::get<HistoricalState>(child);
+Result<HistoricalTuple> ApplyExtend(const ExtendPlan& plan,
+                                    const HistoricalTuple& ht) {
+  TTRA_ASSIGN_OR_RETURN(Tuple mapped, ApplyExtend(plan, ht.tuple));
+  return HistoricalTuple{std::move(mapped), ht.valid};
+}
+
+// Extend over either state kind: a historical tuple keeps its element.
+template <typename State>
+Result<StateValue> ExtendState(
+    const State& state,
+    const std::vector<std::pair<std::string, ScalarExpr>>& definitions) {
   TTRA_ASSIGN_OR_RETURN(ExtendPlan plan,
-                        PlanExtend(state.schema(), expr.definitions()));
-  std::vector<HistoricalTuple> tuples;
+                        PlanExtend(state.schema(), definitions));
+  std::vector<typename std::decay_t<decltype(state.tuples())>::value_type>
+      tuples;
   tuples.reserve(state.size());
-  for (const HistoricalTuple& ht : state.tuples()) {
-    TTRA_ASSIGN_OR_RETURN(
-        Tuple mapped,
-        ApplyExtend(plan, state.schema(), ht.tuple, expr.definitions()));
-    tuples.push_back(HistoricalTuple{std::move(mapped), ht.valid});
+  for (const auto& t : state.tuples()) {
+    TTRA_ASSIGN_OR_RETURN(auto mapped, ApplyExtend(plan, t));
+    tuples.push_back(std::move(mapped));
   }
-  auto result = HistoricalState::Make(plan.schema, std::move(tuples));
+  auto result = State::Make(plan.schema, std::move(tuples));
   if (!result.ok()) return result.status();
   return StateValue(std::move(result).value());
+}
+
+Result<StateValue> EvalExtend(const Expr& expr, const Database& db) {
+  TTRA_ASSIGN_OR_RETURN(StateValue child, EvalExpr(expr.left(), db));
+  if (const auto* state = std::get_if<SnapshotState>(&child)) {
+    return ExtendState(*state, expr.definitions());
+  }
+  return ExtendState(std::get<HistoricalState>(child), expr.definitions());
 }
 
 Result<StateValue> EvalExprImpl(const Expr& expr, const Database& db) {

@@ -6,11 +6,13 @@ namespace ttra::lang {
 
 namespace {
 
-/// Recursive-descent parser over a pre-lexed token stream.
+/// Recursive-descent parser over a pre-lexed token stream, which the
+/// caller keeps alive (a Quel statement parses its fragments from its own
+/// stream in place).
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens, size_t pos = 0)
-      : tokens_(std::move(tokens)), pos_(pos) {}
+  explicit Parser(const std::vector<Token>& tokens, size_t pos = 0)
+      : tokens_(tokens), pos_(pos) {}
 
   size_t position() const { return pos_; }
 
@@ -289,7 +291,7 @@ class Parser {
   Result<Expr> ParsePrimaryExpr() {
     const size_t start = pos_;
     TTRA_ASSIGN_OR_RETURN(Expr expr, ParsePrimaryExprInner());
-    return expr.WithSpan(SpanFrom(start));
+    return std::move(expr).WithSpan(SpanFrom(start));
   }
 
   Result<Expr> ParsePrimaryExprInner() {
@@ -870,7 +872,7 @@ class Parser {
     return ErrorAt(Peek(), "expected a temporal predicate");
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   // ErrorAt is const (callable from const helpers), so the structured copy
   // of the last error is recorded through mutable state.
@@ -881,8 +883,8 @@ class Parser {
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view source) {
-  TTRA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(std::move(tokens)).ParseProgram();
+  TTRA_ASSIGN_OR_RETURN(const std::vector<Token> tokens, Tokenize(source));
+  return Parser(tokens).ParseProgram();
 }
 
 namespace {
@@ -916,7 +918,7 @@ Result<Program> ParseProgramDiag(std::string_view source, Diagnostic* diag) {
     }
     return tokens.status();
   }
-  Parser parser(std::move(tokens).value());
+  Parser parser(*tokens);
   auto program = parser.ParseProgram();
   if (!program.ok() && diag != nullptr) {
     if (parser.has_error()) {
@@ -932,18 +934,18 @@ Result<Program> ParseProgramDiag(std::string_view source, Diagnostic* diag) {
 }
 
 Result<Stmt> ParseStmt(std::string_view source) {
-  TTRA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(std::move(tokens)).ParseSingleStmt();
+  TTRA_ASSIGN_OR_RETURN(const std::vector<Token> tokens, Tokenize(source));
+  return Parser(tokens).ParseSingleStmt();
 }
 
 Result<Expr> ParseExpr(std::string_view source) {
-  TTRA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(std::move(tokens)).ParseSingleExpr();
+  TTRA_ASSIGN_OR_RETURN(const std::vector<Token> tokens, Tokenize(source));
+  return Parser(tokens).ParseSingleExpr();
 }
 
 Result<Predicate> ParsePredicate(std::string_view source) {
-  TTRA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(std::move(tokens)).ParseSinglePredicate();
+  TTRA_ASSIGN_OR_RETURN(const std::vector<Token> tokens, Tokenize(source));
+  return Parser(tokens).ParseSinglePredicate();
 }
 
 Result<Predicate> ParsePredicateTokens(const std::vector<Token>& tokens,

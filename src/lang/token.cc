@@ -1,7 +1,9 @@
 #include "lang/token.h"
 
-#include <array>
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <iterator>
 
 #include "util/string_util.h"
 
@@ -9,26 +11,29 @@ namespace ttra::lang {
 
 namespace {
 
-constexpr std::array kKeywords = {
-    // Commands.
-    "define_relation", "modify_state", "delete_relation", "modify_schema",
-    "show",
-    // Relation types.
-    "snapshot", "rollback", "historical", "temporal",
-    // Algebraic operators (polymorphic: resolved to the snapshot or
-    // historical variant during analysis).
-    "union", "minus", "times", "intersect", "join", "project", "select",
-    "rename", "extend", "delta", "rho", "hrho", "summarize",
-    // Aggregate functions.
-    "count", "sum", "min", "max", "avg",
-    // Predicate / temporal-expression vocabulary.
-    "and", "or", "not", "true", "false", "valid", "overlaps", "contains",
-    "before", "equals", "isempty", "u",
-    // Numerals.
-    "inf",
-    // Attribute types.
-    "int", "double", "string", "bool", "usertime",
+// The reserved words, in sorted order so that classifying a word is one
+// binary search over length-carrying views:
+//   commands — define_relation modify_state delete_relation modify_schema
+//     show;
+//   relation types — snapshot rollback historical temporal;
+//   algebraic operators (polymorphic: resolved to the snapshot or
+//     historical variant during analysis) — union minus times intersect
+//     join project select rename extend delta rho hrho summarize;
+//   aggregate functions — count sum min max avg;
+//   predicate / temporal-expression vocabulary — and or not true false
+//     valid overlaps contains before equals isempty u;
+//   numerals — inf;
+//   attribute types — int double string bool usertime.
+constexpr std::string_view kKeywords[] = {
+    "and", "avg", "before", "bool", "contains", "count", "define_relation",
+    "delete_relation", "delta", "double", "equals", "extend", "false",
+    "historical", "hrho", "inf", "int", "intersect", "isempty", "join", "max",
+    "min", "minus", "modify_schema", "modify_state", "not", "or", "overlaps",
+    "project", "rename", "rho", "rollback", "select", "show", "snapshot",
+    "string", "sum", "summarize", "temporal", "times", "true", "u", "union",
+    "usertime", "valid",
 };
+static_assert(std::is_sorted(std::begin(kKeywords), std::end(kKeywords)));
 
 }  // namespace
 
@@ -139,10 +144,7 @@ size_t Token::Width() const {
 }
 
 bool IsKeyword(std::string_view word) {
-  for (std::string_view keyword : kKeywords) {
-    if (word == keyword) return true;
-  }
-  return false;
+  return std::binary_search(std::begin(kKeywords), std::end(kKeywords), word);
 }
 
 namespace {
@@ -317,29 +319,43 @@ class Lexer {
   }
 
   Status LexWord(Token& token) {
-    std::string word;
+    // A word never spans a newline, so it is one slice of the source.
+    const size_t start = pos_;
     while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
                         Peek() == '_')) {
-      word.push_back(Advance());
+      ++pos_;
     }
+    const std::string_view word = source_.substr(start, pos_ - start);
+    column_ += word.size();
     token.kind = IsKeyword(word) ? TokenKind::kKeyword
                                  : TokenKind::kIdentifier;
-    token.text = std::move(word);
+    token.text.assign(word);
     return Status::Ok();
   }
 
-  Status LexNumber(Token& token) {
-    std::string digits;
+  void SkipDigits() {
     while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-      digits.push_back(Advance());
+      Advance();
     }
+  }
+
+  // Parses `text` (an optional '-' and digits) into `out`; false when the
+  // value does not fit an int64.
+  static bool ParseInt(std::string_view text, int64_t& out) {
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), out);
+    return error == std::errc() && end == text.data() + text.size();
+  }
+
+  Status LexNumber(Token& token) {
+    // A numeral never spans a newline, so it is one slice of the source.
+    const size_t start = pos_;
+    SkipDigits();
     bool is_double = false;
     if (Peek() == '.' && std::isdigit(static_cast<unsigned char>(Peek(1)))) {
       is_double = true;
-      digits.push_back(Advance());
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        digits.push_back(Advance());
-      }
+      Advance();
+      SkipDigits();
     }
     if (Peek() == 'e' || Peek() == 'E') {
       const char next = Peek(1);
@@ -348,23 +364,22 @@ class Lexer {
           ((next == '+' || next == '-') &&
            std::isdigit(static_cast<unsigned char>(next2)))) {
         is_double = true;
-        digits.push_back(Advance());  // e
-        if (Peek() == '+' || Peek() == '-') digits.push_back(Advance());
-        while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-          digits.push_back(Advance());
-        }
+        Advance();  // e
+        if (Peek() == '+' || Peek() == '-') Advance();
+        SkipDigits();
       }
     }
+    const std::string_view digits = source_.substr(start, pos_ - start);
+    if (!is_double) {
+      token.kind = TokenKind::kIntLiteral;
+      if (ParseInt(digits, token.int_value)) return Status::Ok();
+      return ErrorHere("numeric literal out of range: " + std::string(digits));
+    }
     try {
-      if (is_double) {
-        token.kind = TokenKind::kDoubleLiteral;
-        token.double_value = std::stod(digits);
-      } else {
-        token.kind = TokenKind::kIntLiteral;
-        token.int_value = std::stoll(digits);
-      }
+      token.kind = TokenKind::kDoubleLiteral;
+      token.double_value = std::stod(std::string(digits));
     } catch (const std::exception&) {
-      return ErrorHere("numeric literal out of range: " + digits);
+      return ErrorHere("numeric literal out of range: " + std::string(digits));
     }
     return Status::Ok();
   }
@@ -400,25 +415,17 @@ class Lexer {
       return Status::Ok();
     }
     Advance();  // '@'
-    bool negative = false;
-    if (Peek() == '-') {
-      negative = true;
-      Advance();
-    }
+    const size_t start = pos_;
+    if (Peek() == '-') Advance();
     if (!std::isdigit(static_cast<unsigned char>(Peek()))) {
       return ErrorHere("expected digits after '@'");
     }
-    std::string digits;
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-      digits.push_back(Advance());
-    }
-    try {
-      token.kind = TokenKind::kTimeLiteral;
-      token.int_value = std::stoll((negative ? "-" : "") + digits);
-    } catch (const std::exception&) {
-      return ErrorHere("time literal out of range: @" + digits);
-    }
-    return Status::Ok();
+    SkipDigits();
+    const std::string_view text = source_.substr(start, pos_ - start);
+    token.kind = TokenKind::kTimeLiteral;
+    if (ParseInt(text, token.int_value)) return Status::Ok();
+    const std::string_view digits = text.substr(text[0] == '-' ? 1 : 0);
+    return ErrorHere("time literal out of range: @" + std::string(digits));
   }
 
   std::string_view source_;

@@ -1,6 +1,7 @@
 #include "optimizer/rewriter.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "lang/evaluator.h"
 
@@ -17,6 +18,21 @@ using lang::Catalog;
 using lang::Expr;
 using lang::ExprType;
 using lang::StateKind;
+
+// True when `e` contains a ρ/ρ̂ (Expr::RelationNames() is non-empty),
+// without collecting the names.
+bool ReadsRelation(const Expr& e) {
+  switch (e.kind()) {
+    case Expr::Kind::kConst:
+      return false;
+    case Expr::Kind::kRollback:
+      return true;
+    case Expr::Kind::kBinary:
+      return ReadsRelation(e.left()) || ReadsRelation(e.right());
+    default:
+      return ReadsRelation(e.left());
+  }
+}
 
 bool Covers(const Schema& schema, const std::set<std::string>& names) {
   return std::all_of(names.begin(), names.end(), [&schema](const auto& n) {
@@ -101,28 +117,42 @@ class Rewriter {
 
  private:
   Expr RewriteChildren(const Expr& expr) {
+    if (expr.kind() == Expr::Kind::kConst ||
+        expr.kind() == Expr::Kind::kRollback) {
+      return expr;
+    }
+    Expr left = Rewrite(expr.left());
+    std::optional<Expr> right;
+    if (expr.kind() == Expr::Kind::kBinary) right = Rewrite(expr.right());
+    // Nothing changed below: keep the node itself — unless it has a source
+    // span. A rewritten tree's interior nodes carry none, so run-time
+    // errors are positioned the same whether or not a rule fired.
+    if (left.IsSameNode(expr.left()) &&
+        (!right.has_value() || right->IsSameNode(expr.right())) &&
+        !expr.span().valid()) {
+      return expr;
+    }
     switch (expr.kind()) {
       case Expr::Kind::kConst:
       case Expr::Kind::kRollback:
         return expr;
       case Expr::Kind::kBinary:
-        return Expr::Binary(expr.op(), Rewrite(expr.left()),
-                            Rewrite(expr.right()));
+        return Expr::Binary(expr.op(), std::move(left), *std::move(right));
       case Expr::Kind::kProject:
-        return Expr::Project(expr.attributes(), Rewrite(expr.left()));
+        return Expr::Project(expr.attributes(), std::move(left));
       case Expr::Kind::kSelect:
-        return Expr::Select(expr.predicate(), Rewrite(expr.left()));
+        return Expr::Select(expr.predicate(), std::move(left));
       case Expr::Kind::kRename:
         return Expr::Rename(expr.rename_from(), expr.rename_to(),
-                            Rewrite(expr.left()));
+                            std::move(left));
       case Expr::Kind::kExtend:
-        return Expr::Extend(expr.definitions(), Rewrite(expr.left()));
+        return Expr::Extend(expr.definitions(), std::move(left));
       case Expr::Kind::kDelta:
         return Expr::Delta(expr.temporal_pred(), expr.temporal_projection(),
-                           Rewrite(expr.left()));
+                           std::move(left));
       case Expr::Kind::kSummarize:
         return Expr::Summarize(expr.group_attrs(), expr.aggregates(),
-                               Rewrite(expr.left()));
+                               std::move(left));
     }
     return expr;
   }
@@ -160,7 +190,7 @@ class Rewriter {
   /// error surfaces exactly where it did before.
   std::optional<Expr> TryConstFold(const Expr& expr) {
     if (expr.kind() == Expr::Kind::kConst) return std::nullopt;
-    if (!expr.RelationNames().empty()) return std::nullopt;
+    if (ReadsRelation(expr)) return std::nullopt;
     if (!Analyze(expr, catalog_).ok()) return std::nullopt;
     auto value = lang::EvalExpr(expr, empty_db_);
     if (!value.ok()) return std::nullopt;

@@ -312,7 +312,9 @@ Result<lang::Stmt> CompileAppend(const AppendStmt& stmt,
       return InvalidArgumentError(
           "append values must be constant expressions");
     }
-    TTRA_ASSIGN_OR_RETURN(Value value, scalar.Eval(empty_schema, empty_tuple));
+    TTRA_ASSIGN_OR_RETURN(const lang::BoundScalar constant,
+                          lang::BoundScalar::Bind(scalar, empty_schema));
+    TTRA_ASSIGN_OR_RETURN(Value value, constant.Eval(empty_tuple));
     values[*index] = std::move(value);
     assigned[*index] = true;
   }

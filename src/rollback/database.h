@@ -93,6 +93,13 @@ class Database {
   /// Bound identifiers in sorted order.
   std::vector<std::string> RelationNames() const;
 
+  /// Every binding, in name order: for readers of the whole database that
+  /// would otherwise look each name up again.
+  const std::map<std::string, std::shared_ptr<const Relation>>& relations()
+      const {
+    return relations_;
+  }
+
   size_t ApproxBytes() const;
 
   // --- Restore API (persistence layer only) -------------------------------

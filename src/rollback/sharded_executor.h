@@ -257,7 +257,7 @@ struct ShardedOptions {
   /// Writer shards. A directory remembers the count it was created with
   /// (MANIFEST) and Start() adopts it; this value seeds a fresh directory.
   /// A legacy single-writer directory always migrates to one shard.
-  size_t shards = 2;
+  size_t shards = 1;
   /// Coordinator records between opportunistic coordinator syncs (the log
   /// is advisory, so it is never synced on the ack path). Stop() and
   /// Checkpoint() always sync it.

@@ -98,15 +98,21 @@ Result<SnapshotState> Project(const SnapshotState& state,
 
 Result<SnapshotState> Select(const SnapshotState& state,
                              const Predicate& predicate) {
-  TTRA_RETURN_IF_ERROR(predicate.Validate(state.schema()));
-  std::vector<Tuple> selected;
-  for (const Tuple& tuple : state.tuples()) {
-    TTRA_ASSIGN_OR_RETURN(bool keep, predicate.Eval(state.schema(), tuple));
-    if (keep) selected.push_back(tuple);
-  }
+  TTRA_ASSIGN_OR_RETURN(const BoundPredicate bound,
+                        BoundPredicate::Bind(predicate, state.schema()));
+  // Count first, so the result is one exact allocation: evaluating a
+  // bound predicate twice costs less than regrowing the vector.
+  const size_t kept = static_cast<size_t>(
+      std::count_if(state.tuples().begin(), state.tuples().end(),
+                    [&bound](const Tuple& t) { return bound.Eval(t); }));
   // A predicate that kept everything returns the input unchanged — states
   // are copy-on-write, so this shares the representation.
-  if (selected.size() == state.size()) return state;
+  if (kept == state.size()) return state;
+  std::vector<Tuple> selected;
+  selected.reserve(kept);
+  for (const Tuple& tuple : state.tuples()) {
+    if (bound.Eval(tuple)) selected.push_back(tuple);
+  }
   // A subsequence of a canonical tuple vector is canonical.
   return SnapshotState::FromCanonical(state.schema(), std::move(selected));
 }
@@ -132,16 +138,20 @@ Result<SnapshotState> ThetaJoin(const SnapshotState& lhs,
         concat.status().message());
   }
   Schema schema = *std::move(concat);
-  TTRA_RETURN_IF_ERROR(predicate.Validate(schema));
+  TTRA_ASSIGN_OR_RETURN(const BoundPredicate bound,
+                        BoundPredicate::Bind(predicate, schema));
 
   // Split the predicate into hash-join keys (top-level attr = attr
   // conjuncts across the operands) and a residual applied per candidate.
+  // Both predicates are bound to the product scheme and read a candidate
+  // pair in place, so a rejected pair is never concatenated.
   const EquiJoinSplit split =
       SplitEquiJoin(predicate, lhs.schema(), rhs.schema());
   const std::vector<size_t>& lhs_keys = split.lhs_keys;
   const std::vector<size_t>& rhs_keys = split.rhs_keys;
-  const Predicate& residual = split.residual;
   const bool check_residual = split.has_residual();
+  TTRA_ASSIGN_OR_RETURN(const BoundPredicate residual,
+                        BoundPredicate::Bind(split.residual, schema));
 
   std::vector<Tuple> joined;
   if (!split.has_keys()) {
@@ -149,9 +159,7 @@ Result<SnapshotState> ThetaJoin(const SnapshotState& lhs,
     // the predicate per pair without materializing the product state.
     for (const Tuple& a : lhs.tuples()) {
       for (const Tuple& b : rhs.tuples()) {
-        Tuple combined = ConcatTuples(a, b);
-        TTRA_ASSIGN_OR_RETURN(bool keep, predicate.Eval(schema, combined));
-        if (keep) joined.push_back(std::move(combined));
+        if (bound.Eval(a, b)) joined.push_back(ConcatTuples(a, b));
       }
     }
     return SnapshotState::FromCanonical(std::move(schema), std::move(joined));
@@ -169,12 +177,9 @@ Result<SnapshotState> ThetaJoin(const SnapshotState& lhs,
       auto it = buckets.find(JoinKeyOf(a, lhs_keys));
       if (it == buckets.end()) continue;
       for (size_t j : it->second) {
-        Tuple combined = ConcatTuples(a, rhs.tuples()[j]);
-        if (check_residual) {
-          TTRA_ASSIGN_OR_RETURN(bool keep, residual.Eval(schema, combined));
-          if (!keep) continue;
-        }
-        joined.push_back(std::move(combined));
+        const Tuple& b = rhs.tuples()[j];
+        if (check_residual && !residual.Eval(a, b)) continue;
+        joined.push_back(ConcatTuples(a, b));
       }
     }
     return SnapshotState::FromCanonical(std::move(schema), std::move(joined));
@@ -192,12 +197,9 @@ Result<SnapshotState> ThetaJoin(const SnapshotState& lhs,
     auto it = buckets.find(JoinKeyOf(b, rhs_keys));
     if (it == buckets.end()) continue;
     for (size_t i : it->second) {
-      Tuple combined = ConcatTuples(lhs.tuples()[i], b);
-      if (check_residual) {
-        TTRA_ASSIGN_OR_RETURN(bool keep, residual.Eval(schema, combined));
-        if (!keep) continue;
-      }
-      joined.push_back(std::move(combined));
+      const Tuple& a = lhs.tuples()[i];
+      if (check_residual && !residual.Eval(a, b)) continue;
+      joined.push_back(ConcatTuples(a, b));
     }
   }
   std::sort(joined.begin(), joined.end());

@@ -36,17 +36,6 @@ Operand Operand::Const(Value value) {
   return o;
 }
 
-Result<Value> Operand::Resolve(const Schema& schema,
-                               const Tuple& tuple) const {
-  if (!is_attr_) return value_;
-  auto index = schema.IndexOf(name_);
-  if (!index.has_value()) {
-    return SchemaMismatchError("predicate references unknown attribute: " +
-                               name_);
-  }
-  return tuple.at(*index);
-}
-
 Result<ValueType> Operand::TypeIn(const Schema& schema) const {
   if (!is_attr_) return value_.type();
   auto index = schema.IndexOf(name_);
@@ -79,18 +68,27 @@ Predicate::Predicate(std::shared_ptr<const Node> node)
 
 Predicate::Predicate() : Predicate(True()) {}
 
+// The literals are shared immutable nodes, like SnapshotState's empty
+// representation: every default predicate, and every node that holds one
+// (an AST node's σ slot), shares them instead of allocating its own.
 Predicate Predicate::True() {
-  auto node = std::make_shared<Node>();
-  node->kind = Kind::kConst;
-  node->const_value = true;
-  return Predicate(std::move(node));
+  static const std::shared_ptr<const Node> kTrue = [] {
+    auto node = std::make_shared<Node>();
+    node->kind = Kind::kConst;
+    node->const_value = true;
+    return node;
+  }();
+  return Predicate(kTrue);
 }
 
 Predicate Predicate::False() {
-  auto node = std::make_shared<Node>();
-  node->kind = Kind::kConst;
-  node->const_value = false;
-  return Predicate(std::move(node));
+  static const std::shared_ptr<const Node> kFalse = [] {
+    auto node = std::make_shared<Node>();
+    node->kind = Kind::kConst;
+    node->const_value = false;
+    return node;
+  }();
+  return Predicate(kFalse);
 }
 
 Predicate Predicate::Comparison(Operand lhs, CompareOp op, Operand rhs) {
@@ -131,86 +129,8 @@ Predicate Predicate::AttrCompare(std::string attr, CompareOp op,
                     Operand::Const(std::move(constant)));
 }
 
-namespace {
-
-bool ApplyCompare(CompareOp op, int cmp, bool equal) {
-  switch (op) {
-    case CompareOp::kEq:
-      return equal;
-    case CompareOp::kNe:
-      return !equal;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<bool> Predicate::Eval(const Schema& schema, const Tuple& tuple) const {
-  switch (node_->kind) {
-    case Kind::kConst:
-      return node_->const_value;
-    case Kind::kComparison: {
-      TTRA_ASSIGN_OR_RETURN(Value a, node_->lhs.Resolve(schema, tuple));
-      TTRA_ASSIGN_OR_RETURN(Value b, node_->rhs.Resolve(schema, tuple));
-      TTRA_ASSIGN_OR_RETURN(int cmp, Value::Compare(a, b));
-      return ApplyCompare(node_->op, cmp, cmp == 0);
-    }
-    case Kind::kAnd: {
-      TTRA_ASSIGN_OR_RETURN(bool a, Predicate(node_->left).Eval(schema, tuple));
-      if (!a) return false;
-      return Predicate(node_->right).Eval(schema, tuple);
-    }
-    case Kind::kOr: {
-      TTRA_ASSIGN_OR_RETURN(bool a, Predicate(node_->left).Eval(schema, tuple));
-      if (a) return true;
-      return Predicate(node_->right).Eval(schema, tuple);
-    }
-    case Kind::kNot: {
-      TTRA_ASSIGN_OR_RETURN(bool a, Predicate(node_->left).Eval(schema, tuple));
-      return !a;
-    }
-  }
-  return InternalError("unhandled predicate kind");
-}
-
 Status Predicate::Validate(const Schema& schema) const {
-  switch (node_->kind) {
-    case Kind::kConst:
-      return Status::Ok();
-    case Kind::kComparison: {
-      auto lhs_type = node_->lhs.TypeIn(schema);
-      if (!lhs_type.ok()) return lhs_type.status();
-      auto rhs_type = node_->rhs.TypeIn(schema);
-      if (!rhs_type.ok()) return rhs_type.status();
-      const bool lhs_num = *lhs_type == ValueType::kInt ||
-                           *lhs_type == ValueType::kDouble;
-      const bool rhs_num = *rhs_type == ValueType::kInt ||
-                           *rhs_type == ValueType::kDouble;
-      if (*lhs_type != *rhs_type && !(lhs_num && rhs_num)) {
-        return TypeMismatchError(
-            "comparison between " + std::string(ValueTypeName(*lhs_type)) +
-            " and " + std::string(ValueTypeName(*rhs_type)) + " in " +
-            ToString());
-      }
-      return Status::Ok();
-    }
-    case Kind::kAnd:
-    case Kind::kOr: {
-      TTRA_RETURN_IF_ERROR(Predicate(node_->left).Validate(schema));
-      return Predicate(node_->right).Validate(schema);
-    }
-    case Kind::kNot:
-      return Predicate(node_->left).Validate(schema);
-  }
-  return InternalError("unhandled predicate kind");
+  return BoundPredicate::BindInto(*this, schema, nullptr);
 }
 
 std::set<std::string> Predicate::AttributeNames() const {
@@ -335,6 +255,148 @@ Predicate Predicate::right() const {
 
 std::ostream& operator<<(std::ostream& os, const Predicate& predicate) {
   return os << predicate.ToString();
+}
+
+// --- BoundPredicate ---------------------------------------------------------
+
+namespace {
+
+bool IsNumeric(ValueType type) {
+  return type == ValueType::kInt || type == ValueType::kDouble;
+}
+
+// Which outcomes of a three-way comparison satisfy each operator, as a
+// bit set over Outcome(x, y): bit 0 equal, bit 1 greater, bit 2 less.
+uint8_t OutcomeMask(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq:
+      return 0b001;
+    case CompareOp::kNe:
+      return 0b110;
+    case CompareOp::kLt:
+      return 0b100;
+    case CompareOp::kLe:
+      return 0b101;
+    case CompareOp::kGt:
+      return 0b010;
+    case CompareOp::kGe:
+      return 0b011;
+  }
+  return 0;
+}
+
+// The outcome of sign(x, y) = x < y ? -1 : y < x ? 1 : 0, the order
+// Value::Compare applies: 2 for less, 1 for greater, 0 for neither — so
+// unordered values (NaN) compare equal, as they always have.
+template <typename T>
+unsigned Outcome(const T& x, const T& y) {
+  return (x < y ? 2u : 0u) | (y < x ? 1u : 0u);
+}
+
+}  // namespace
+
+Status BoundPredicate::BindInto(const Predicate& predicate,
+                                const Schema& schema, std::vector<Node>* out) {
+  const size_t at = out != nullptr ? out->size() : 0;
+  if (out != nullptr) {
+    out->emplace_back();
+    out->back().kind = predicate.kind();
+  }
+  switch (predicate.kind()) {
+    case Predicate::Kind::kConst:
+      if (out != nullptr) (*out)[at].const_value = predicate.const_value();
+      return Status::Ok();
+    case Predicate::Kind::kComparison: {
+      auto lhs_type = predicate.lhs().TypeIn(schema);
+      if (!lhs_type.ok()) return lhs_type.status();
+      auto rhs_type = predicate.rhs().TypeIn(schema);
+      if (!rhs_type.ok()) return rhs_type.status();
+      const bool numeric = IsNumeric(*lhs_type) && IsNumeric(*rhs_type);
+      if (*lhs_type != *rhs_type && !numeric) {
+        return TypeMismatchError(
+            "comparison between " + std::string(ValueTypeName(*lhs_type)) +
+            " and " + std::string(ValueTypeName(*rhs_type)) + " in " +
+            predicate.ToString());
+      }
+      if (out == nullptr) return Status::Ok();
+      auto bind = [&schema](const Operand& operand) {
+        return operand.is_attr()
+                   ? BoundOperand{.index = *schema.IndexOf(operand.attr_name())}
+                   : BoundOperand{.constant = &operand.constant()};
+      };
+      Node& node = (*out)[at];
+      node.outcomes = OutcomeMask(predicate.op());
+      node.lhs = bind(predicate.lhs());
+      node.rhs = bind(predicate.rhs());
+      if (*lhs_type == ValueType::kInt && *rhs_type == ValueType::kInt) {
+        node.domain = Domain::kInt;
+      } else if (numeric) {
+        node.domain = Domain::kNumeric;
+        node.lhs_int = *lhs_type == ValueType::kInt;
+        node.rhs_int = *rhs_type == ValueType::kInt;
+      } else if (*lhs_type == ValueType::kString) {
+        node.domain = Domain::kString;
+      } else if (*lhs_type == ValueType::kUserTime) {
+        node.domain = Domain::kTime;
+      } else {
+        node.domain = Domain::kBool;
+      }
+      return Status::Ok();
+    }
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr: {
+      TTRA_RETURN_IF_ERROR(BindInto(predicate.left(), schema, out));
+      if (out != nullptr) (*out)[at].right = static_cast<uint32_t>(out->size());
+      return BindInto(predicate.right(), schema, out);
+    }
+    case Predicate::Kind::kNot:
+      return BindInto(predicate.left(), schema, out);
+  }
+  return InternalError("unhandled predicate kind");
+}
+
+Result<BoundPredicate> BoundPredicate::Bind(const Predicate& predicate,
+                                            const Schema& schema) {
+  std::vector<Node> nodes;
+  TTRA_RETURN_IF_ERROR(BindInto(predicate, schema, &nodes));
+  return BoundPredicate(predicate, std::move(nodes));
+}
+
+bool BoundPredicate::EvalAt(uint32_t i, const Row& row) const {
+  // Tested in order of frequency with plain branches: the node kinds of
+  // one predicate repeat for every tuple, so each branch predicts well.
+  const Node& node = nodes_[i];
+  if (node.kind == Predicate::Kind::kComparison) return Compare(node, row);
+  if (node.kind == Predicate::Kind::kAnd) {
+    return EvalAt(i + 1, row) && EvalAt(node.right, row);
+  }
+  if (node.kind == Predicate::Kind::kOr) {
+    return EvalAt(i + 1, row) || EvalAt(node.right, row);
+  }
+  if (node.kind == Predicate::Kind::kNot) return !EvalAt(i + 1, row);
+  return node.const_value;
+}
+
+bool BoundPredicate::Compare(const Node& node, const Row& row) {
+  const Value& a =
+      node.lhs.constant != nullptr ? *node.lhs.constant : row[node.lhs.index];
+  const Value& b =
+      node.rhs.constant != nullptr ? *node.rhs.constant : row[node.rhs.index];
+  unsigned outcome = 0;
+  if (node.domain == Domain::kInt) {
+    outcome = Outcome(a.AsInt(), b.AsInt());
+  } else if (node.domain == Domain::kNumeric) {
+    outcome = Outcome(
+        node.lhs_int ? static_cast<double>(a.AsInt()) : a.AsDouble(),
+        node.rhs_int ? static_cast<double>(b.AsInt()) : b.AsDouble());
+  } else if (node.domain == Domain::kString) {
+    outcome = Outcome(a.AsString().compare(b.AsString()), 0);
+  } else if (node.domain == Domain::kTime) {
+    outcome = Outcome(a.AsTime().ticks, b.AsTime().ticks);
+  } else {
+    outcome = Outcome(a.AsBool(), b.AsBool());
+  }
+  return (node.outcomes >> outcome) & 1u;
 }
 
 }  // namespace ttra

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,10 +31,6 @@ class Operand {
   const std::string& attr_name() const { return name_; }
   const Value& constant() const { return value_; }
 
-  /// Resolves the operand against a tuple: the attribute's value, or the
-  /// constant itself. Fails if the attribute is missing from the schema.
-  Result<Value> Resolve(const Schema& schema, const Tuple& tuple) const;
-
   /// The operand's type under `schema`; fails on a missing attribute.
   Result<ValueType> TypeIn(const Schema& schema) const;
 
@@ -51,7 +48,9 @@ class Operand {
 /// the selection condition F of σ_F. Cheap to copy (shared tree).
 class Predicate {
  public:
-  /// Defaults to the constant `true` (σ_true is the identity).
+  /// Defaults to the constant `true` (σ_true is the identity). The true
+  /// and false literals are each one shared immutable node, so a default
+  /// predicate allocates nothing.
   Predicate();
 
   static Predicate True();
@@ -64,11 +63,10 @@ class Predicate {
   /// Convenience: attr <op> constant.
   static Predicate AttrCompare(std::string attr, CompareOp op, Value constant);
 
-  /// Evaluates the predicate on one tuple. Errors on unknown attributes or
-  /// uncomparable types (the "invalid expression" cases the paper defers).
-  Result<bool> Eval(const Schema& schema, const Tuple& tuple) const;
-
-  /// Static validation against a schema; OK iff Eval can never fail.
+  /// Static validation against a schema: OK iff every attribute operand
+  /// exists and every comparison's operand types are comparable (equal,
+  /// or both numeric) — the "invalid expression" cases the paper defers.
+  /// BoundPredicate::Bind fails with exactly this status.
   Status Validate(const Schema& schema) const;
 
   /// Names of all attributes referenced (used by the optimizer's pushdown
@@ -108,6 +106,79 @@ class Predicate {
 };
 
 std::ostream& operator<<(std::ostream& os, const Predicate& predicate);
+
+/// A predicate resolved once against one schema, for σ and the θ-join
+/// kernels: each attribute operand is a position, each constant is read
+/// in place, and each comparison's numeric promotion is fixed up front
+/// (int with int compares exactly, int with double as doubles, and NaN
+/// compares equal to everything). Evaluating a tuple therefore cannot
+/// fail and copies no value. Keeps its predicate alive; bound to the
+/// schema it was bound against, and meaningful only on its tuples.
+class BoundPredicate {
+ public:
+  /// Binds `predicate` to `schema`; fails with exactly the status
+  /// `predicate.Validate(schema)` returns.
+  static Result<BoundPredicate> Bind(const Predicate& predicate,
+                                     const Schema& schema);
+
+  /// F(t) for a tuple over the bound schema.
+  bool Eval(const Tuple& tuple) const { return EvalAt(0, {tuple.values()}); }
+
+  /// F(lhs ++ rhs) without building the concatenation: positions past
+  /// lhs's arity read from rhs (a θ-join candidate pair over the product
+  /// scheme).
+  bool Eval(const Tuple& lhs, const Tuple& rhs) const {
+    return EvalAt(0, {lhs.values(), rhs.values()});
+  }
+
+ private:
+  friend class Predicate;  // Validate shares the binding walk
+
+  // How a comparison reads its operands, decided from their types.
+  enum class Domain : uint8_t { kInt, kNumeric, kString, kBool, kTime };
+
+  struct BoundOperand {
+    const Value* constant = nullptr;  // null: read position `index`
+    size_t index = 0;
+  };
+
+  // Nodes in prefix order: an and/or/not node's left child follows it,
+  // and `right` indexes an and/or node's right child.
+  struct Node {
+    Predicate::Kind kind = Predicate::Kind::kConst;
+    bool const_value = false;
+    uint8_t outcomes = 0;  // the comparison operator as a set of outcomes
+    Domain domain = Domain::kInt;
+    bool lhs_int = false;  // kNumeric: promote this side from int
+    bool rhs_int = false;
+    uint32_t right = 0;
+    BoundOperand lhs = {};
+    BoundOperand rhs = {};
+  };
+
+  // The values of one tuple, or of a pair read as its concatenation.
+  struct Row {
+    std::span<const Value> head;
+    std::span<const Value> tail = {};
+    const Value& operator[](size_t i) const {
+      return i < head.size() ? head[i] : tail[i - head.size()];
+    }
+  };
+
+  BoundPredicate(Predicate predicate, std::vector<Node> nodes)
+      : predicate_(std::move(predicate)), nodes_(std::move(nodes)) {}
+
+  // Validates `predicate` against `schema`; with `out`, also appends its
+  // bound nodes.
+  static Status BindInto(const Predicate& predicate, const Schema& schema,
+                         std::vector<Node>* out);
+
+  bool EvalAt(uint32_t i, const Row& row) const;
+  static bool Compare(const Node& node, const Row& row);
+
+  Predicate predicate_;
+  std::vector<Node> nodes_;
+};
 
 }  // namespace ttra
 

@@ -240,7 +240,9 @@ void RunSeed(uint64_t seed, bool checkpoints) {
   }
 
   // After (at most) one repair, recovery must succeed...
-  ShardedExecutor recovered(&env, "t", ShardedOptions{});
+  ShardedOptions recovery_options;
+  recovery_options.shards = 2;  // seeds a directory left without a MANIFEST
+  ShardedExecutor recovered(&env, "t", recovery_options);
   ASSERT_TRUE(recovered.Start().ok());
 
   // ...to an exact prefix of the committed sentence sequence.

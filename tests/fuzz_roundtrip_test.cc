@@ -131,9 +131,9 @@ TEST(DeepNestingTest, DeepPredicateNesting) {
   auto parsed = ParsePredicate(pred);
   ASSERT_TRUE(parsed.ok());
   Schema schema = *Schema::Make({{"n", ValueType::kInt}});
-  auto value = parsed->Eval(schema, Tuple{Value::Int(1)});
-  ASSERT_TRUE(value.ok());
-  EXPECT_TRUE(*value);  // 200 negations cancel out
+  auto bound = BoundPredicate::Bind(*parsed, schema);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_TRUE(bound->Eval(Tuple{Value::Int(1)}));  // 200 negations cancel out
 }
 
 // --- Evaluator under randomized programs --------------------------------------------

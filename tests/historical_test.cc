@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "historical/hoperators.h"
 #include "historical/hstate.h"
 #include "historical/interval.h"
 #include "historical/temporal_element.h"
 #include "historical/temporal_expr.h"
 #include "snapshot/operators.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace ttra {
@@ -169,6 +171,20 @@ TEST_P(ElementPropertyTest, SetAlgebraLaws) {
   EXPECT_EQ(a.Difference(TemporalElement()), a);
   EXPECT_EQ(a.Difference(b).Intersect(b), TemporalElement());
   EXPECT_EQ(a.Difference(b).Union(a.Intersect(b)), a);
+}
+
+TEST_P(ElementPropertyTest, IntersectIsCanonicalAsSwept) {
+  // Intersect writes its pieces without re-canonicalizing: they must
+  // already be sorted, non-empty and non-touching.
+  workload::Generator gen(GetParam() + 900);
+  for (int round = 0; round < 20; ++round) {
+    const TemporalElement a = gen.RandomElement();
+    const TemporalElement b = gen.RandomElement();
+    const TemporalElement both = a.Intersect(b);
+    EXPECT_EQ(both, TemporalElement::Of(std::vector<Interval>(
+                        both.intervals().begin(), both.intervals().end())))
+        << a << " ∩ " << b;
+  }
 }
 
 TEST_P(ElementPropertyTest, MembershipMatchesOperations) {
@@ -410,6 +426,157 @@ TEST(TemporalExprTest, EvalAndToString) {
             TemporalElement::Of({Interval::Make(5, 10),
                                  Interval::Make(20, 25)}));
   EXPECT_EQ(e.ToString(), "((valid minus [0, 5)) union [20, 25))");
+}
+
+TEST(TemporalExprTest, DefaultsShareOneNode) {
+  // `valid` and the true/false literals are shared immutable nodes, made
+  // once per process: after that, a default expression or predicate, and
+  // each literal, allocates nothing.
+  (void)TemporalExpr::Valid();
+  (void)TemporalPred::True();
+  (void)TemporalPred::False();
+  EXPECT_EQ(testutil::AllocationsDuring([] {
+              TemporalExpr projection;
+              TemporalExpr valid = TemporalExpr::Valid();
+              TemporalPred selection;
+              TemporalPred yes = TemporalPred::True();
+              TemporalPred no = TemporalPred::False();
+              (void)projection;
+              (void)valid;
+              (void)selection;
+              (void)yes;
+              (void)no;
+            }),
+            0u);
+  EXPECT_TRUE(TemporalExpr().IsIdentity());
+  EXPECT_TRUE(TemporalPred().IsTrueLiteral());
+}
+
+// --- δ against by-value evaluation -------------------------------------------
+
+// The by-value evaluators of 𝒱 and 𝒢: every operand, leaves included, is
+// evaluated into a fresh element. TemporalExpr::Eval and TemporalPred::Eval
+// read leaves in place instead; δ must not tell the difference.
+TemporalElement ByValue(const TemporalExpr& e, const TemporalElement& valid) {
+  switch (e.kind()) {
+    case TemporalExpr::Kind::kValid:
+      return valid;
+    case TemporalExpr::Kind::kConst:
+      return e.constant();
+    case TemporalExpr::Kind::kUnion:
+      return ByValue(e.left(), valid).Union(ByValue(e.right(), valid));
+    case TemporalExpr::Kind::kIntersect:
+      return ByValue(e.left(), valid).Intersect(ByValue(e.right(), valid));
+    case TemporalExpr::Kind::kDifference:
+      return ByValue(e.left(), valid).Difference(ByValue(e.right(), valid));
+  }
+  return TemporalElement();
+}
+
+bool ByValue(const TemporalPred& p, const TemporalElement& valid) {
+  switch (p.kind()) {
+    case TemporalPred::Kind::kConst:
+      return p.const_value();
+    case TemporalPred::Kind::kOverlaps:
+      return ByValue(p.lhs(), valid).Overlaps(ByValue(p.rhs(), valid));
+    case TemporalPred::Kind::kContains:
+      return ByValue(p.lhs(), valid).Covers(ByValue(p.rhs(), valid));
+    case TemporalPred::Kind::kBefore: {
+      const TemporalElement a = ByValue(p.lhs(), valid);
+      const TemporalElement b = ByValue(p.rhs(), valid);
+      return !a.empty() && !b.empty() && a.Max() <= b.Min();
+    }
+    case TemporalPred::Kind::kEquals:
+      return ByValue(p.lhs(), valid) == ByValue(p.rhs(), valid);
+    case TemporalPred::Kind::kEmpty:
+      return ByValue(p.lhs(), valid).empty();
+    case TemporalPred::Kind::kAnd:
+      return ByValue(p.left(), valid) && ByValue(p.right(), valid);
+    case TemporalPred::Kind::kOr:
+      return ByValue(p.left(), valid) || ByValue(p.right(), valid);
+    case TemporalPred::Kind::kNot:
+      return !ByValue(p.left(), valid);
+  }
+  return false;
+}
+
+TemporalElement RandomElement(Rng& rng) {
+  std::vector<Interval> intervals;
+  for (uint64_t n = rng.Uniform(4); n > 0; --n) {
+    const Chronon a = rng.UniformInt(0, 40);
+    intervals.push_back(Interval::Make(a, a + rng.UniformInt(1, 12)));
+  }
+  return TemporalElement::Of(std::move(intervals));
+}
+
+TemporalExpr RandomTemporalExpr(Rng& rng, int depth) {
+  switch (depth <= 0 ? rng.Uniform(2) : rng.Uniform(5)) {
+    case 0:
+      return TemporalExpr::Valid();
+    case 1:
+      return TemporalExpr::Const(RandomElement(rng));
+    case 2:
+      return TemporalExpr::Union(RandomTemporalExpr(rng, depth - 1),
+                                 RandomTemporalExpr(rng, depth - 1));
+    case 3:
+      return TemporalExpr::Intersect(RandomTemporalExpr(rng, depth - 1),
+                                     RandomTemporalExpr(rng, depth - 1));
+    default:
+      return TemporalExpr::Difference(RandomTemporalExpr(rng, depth - 1),
+                                      RandomTemporalExpr(rng, depth - 1));
+  }
+}
+
+TemporalPred RandomTemporalPred(Rng& rng, int depth) {
+  auto operand = [&] { return RandomTemporalExpr(rng, 2); };
+  switch (depth <= 0 ? rng.Uniform(6) : rng.Uniform(9)) {
+    case 0:
+      return rng.Bernoulli(0.5) ? TemporalPred::True() : TemporalPred::False();
+    case 1:
+      return TemporalPred::Overlaps(operand(), operand());
+    case 2:
+      return TemporalPred::Contains(operand(), operand());
+    case 3:
+      return TemporalPred::Before(operand(), operand());
+    case 4:
+      return TemporalPred::Equals(operand(), operand());
+    case 5:
+      return TemporalPred::Empty(operand());
+    case 6:
+      return TemporalPred::And(RandomTemporalPred(rng, depth - 1),
+                               RandomTemporalPred(rng, depth - 1));
+    case 7:
+      return TemporalPred::Or(RandomTemporalPred(rng, depth - 1),
+                              RandomTemporalPred(rng, depth - 1));
+    default:
+      return TemporalPred::Not(RandomTemporalPred(rng, depth - 1));
+  }
+}
+
+TEST(TemporalExprTest, DeltaMatchesByValueEvaluation) {
+  Rng rng(2020);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<HistoricalTuple> tuples;
+    for (int64_t n = 0; n < 12; ++n) {
+      TemporalElement valid = RandomElement(rng);
+      if (!valid.empty()) tuples.push_back({Tuple{Value::Int(n)}, valid});
+    }
+    const HistoricalState state = HState(tuples);
+    const TemporalPred pred = RandomTemporalPred(rng, 2);
+    const TemporalExpr projection = RandomTemporalExpr(rng, 2);
+    std::vector<HistoricalTuple> expected;
+    for (const HistoricalTuple& ht : state.tuples()) {
+      ASSERT_EQ(pred.Eval(ht.valid), ByValue(pred, ht.valid)) << pred;
+      ASSERT_EQ(projection.Eval(ht.valid), ByValue(projection, ht.valid))
+          << projection;
+      if (!ByValue(pred, ht.valid)) continue;
+      TemporalElement projected = ByValue(projection, ht.valid);
+      if (!projected.empty()) expected.push_back({ht.tuple, projected});
+    }
+    auto delta = hops::Delta(state, pred, projection);
+    ASSERT_TRUE(delta.ok());
+    EXPECT_EQ(*delta, HState(expected)) << pred << "; " << projection;
+  }
 }
 
 // --- Randomized law checks for the historical operators (E1/E6) ------------------

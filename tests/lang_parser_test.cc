@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
+#include <string>
+
 #include "lang/ast.h"
 #include "lang/parser.h"
 #include "lang/token.h"
@@ -25,6 +29,49 @@ TEST(LexerTest, IdentifiersAndKeywords) {
   // Keywords are case-sensitive; "Select" is an identifier.
   EXPECT_EQ(tokens[2].kind, TokenKind::kIdentifier);
   EXPECT_EQ(tokens[3].kind, TokenKind::kEnd);
+}
+
+TEST(TokenTest, KeywordTableMatchesReference) {
+  // The language's reserved words, listed independently of the lexer.
+  const std::set<std::string> reference = {
+      "define_relation", "modify_state", "delete_relation", "modify_schema",
+      "show", "snapshot", "rollback", "historical", "temporal", "union",
+      "minus", "times", "intersect", "join", "project", "select", "rename",
+      "extend", "delta", "rho", "hrho", "summarize", "count", "sum", "min",
+      "max", "avg", "and", "or", "not", "true", "false", "valid", "overlaps",
+      "contains", "before", "equals", "isempty", "u", "inf", "int", "double",
+      "string", "bool", "usertime"};
+  auto lexes_as = [](const std::string& word) {
+    auto tokens = Tokenize(word);
+    EXPECT_TRUE(tokens.ok()) << word;
+    EXPECT_EQ(tokens->size(), 2u) << word;
+    EXPECT_EQ((*tokens)[0].text, word);
+    return (*tokens)[0].kind;
+  };
+  for (const std::string& keyword : reference) {
+    EXPECT_TRUE(IsKeyword(keyword)) << keyword;
+    EXPECT_EQ(lexes_as(keyword), TokenKind::kKeyword) << keyword;
+    // Every proper prefix that is not itself a keyword, every extension
+    // and every case variant is an identifier.
+    for (size_t n = 1; n < keyword.size(); ++n) {
+      const std::string prefix = keyword.substr(0, n);
+      if (reference.contains(prefix)) continue;
+      EXPECT_EQ(lexes_as(prefix), TokenKind::kIdentifier) << prefix;
+    }
+    for (const std::string& longer :
+         {keyword + "s", keyword + "_", keyword + "1", "_" + keyword}) {
+      EXPECT_EQ(lexes_as(longer), TokenKind::kIdentifier) << longer;
+    }
+    std::string upper = keyword;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    std::string capitalized = keyword;
+    capitalized[0] = upper[0];
+    for (const std::string& variant : {upper, capitalized}) {
+      EXPECT_FALSE(IsKeyword(variant)) << variant;
+      EXPECT_EQ(lexes_as(variant), TokenKind::kIdentifier) << variant;
+    }
+  }
+  EXPECT_FALSE(IsKeyword(""));
 }
 
 TEST(LexerTest, NumericLiterals) {
@@ -320,6 +367,17 @@ TEST(RoundTripTest, StatementsRoundTrip) {
 }
 
 // --- Source spans -------------------------------------------------------------
+
+TEST(SpanTest, DefaultExprSharesOneNode) {
+  // The default expression (the empty snapshot constant) is one shared
+  // immutable node, so every default Expr — and every AST node slot that
+  // holds one — points at the same span.
+  const Expr a;
+  const Expr b;
+  EXPECT_EQ(&a.span(), &b.span());
+  EXPECT_FALSE(a.span().valid());
+  EXPECT_EQ(a, Expr::Const(SnapshotState()));
+}
 
 TEST(SpanTest, StatementsCoverTheirSource) {
   auto program = ParseProgram(

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
+#include "alloc_counter.h"
+#include "predicate_oracle.h"
 #include "snapshot/operators.h"
 #include "snapshot/predicate.h"
 #include "snapshot/schema.h"
@@ -326,17 +329,26 @@ TEST(StateTest, ToStringLiteralForm) {
 
 // --- Predicates ---------------------------------------------------------------
 
+// F(t) by the bound form, the evaluator σ and the θ-joins run.
+bool BoundEval(const Predicate& p, const Schema& schema, const Tuple& t) {
+  return BoundPredicate::Bind(p, schema)->Eval(t);
+}
+
 TEST(PredicateTest, ComparisonEval) {
   Predicate p = Predicate::AttrCompare("id", CompareOp::kGt, Value::Int(1));
-  EXPECT_FALSE(*p.Eval(TwoCol(), Row(1, "a")));
-  EXPECT_TRUE(*p.Eval(TwoCol(), Row(2, "b")));
+  EXPECT_FALSE(BoundEval(p, TwoCol(), Row(1, "a")));
+  EXPECT_TRUE(BoundEval(p, TwoCol(), Row(2, "b")));
+  EXPECT_FALSE(*testutil::ReferenceEval(p, TwoCol(), Row(1, "a")));
+  EXPECT_TRUE(*testutil::ReferenceEval(p, TwoCol(), Row(2, "b")));
 }
 
 TEST(PredicateTest, AllComparisonOps) {
   auto eval = [](CompareOp op, int64_t lhs, int64_t rhs) {
     Predicate p = Predicate::Comparison(Operand::Const(Value::Int(lhs)), op,
                                         Operand::Const(Value::Int(rhs)));
-    return *p.Eval(Schema(), Tuple{});
+    const bool bound = BoundEval(p, Schema(), Tuple{});
+    EXPECT_EQ(bound, *testutil::ReferenceEval(p, Schema(), Tuple{}));
+    return bound;
   };
   EXPECT_TRUE(eval(CompareOp::kEq, 1, 1));
   EXPECT_FALSE(eval(CompareOp::kEq, 1, 2));
@@ -351,21 +363,47 @@ TEST(PredicateTest, AllComparisonOps) {
 TEST(PredicateTest, LogicalConnectivesShortCircuit) {
   Predicate id_pos = Predicate::AttrCompare("id", CompareOp::kGt,
                                             Value::Int(0));
-  // The right operand would error (unknown attribute), but short-circuit
-  // evaluation never reaches it.
+  // The right operand would error (unknown attribute), but the by-tuple
+  // reference evaluation never reaches it. Binding checks the whole
+  // predicate up front, so it refuses both, as Validate does.
   Predicate bad = Predicate::AttrCompare("zzz", CompareOp::kEq,
                                          Value::Int(0));
   Predicate or_pred = Predicate::Or(id_pos, bad);
-  EXPECT_TRUE(*or_pred.Eval(TwoCol(), Row(5, "x")));
+  EXPECT_TRUE(*testutil::ReferenceEval(or_pred, TwoCol(), Row(5, "x")));
   Predicate and_pred = Predicate::And(Predicate::Not(id_pos), bad);
-  EXPECT_FALSE(*and_pred.Eval(TwoCol(), Row(5, "x")));
+  EXPECT_FALSE(*testutil::ReferenceEval(and_pred, TwoCol(), Row(5, "x")));
+  EXPECT_EQ(BoundPredicate::Bind(or_pred, TwoCol()).status(),
+            or_pred.Validate(TwoCol()));
+  EXPECT_FALSE(BoundPredicate::Bind(and_pred, TwoCol()).ok());
 }
 
 TEST(PredicateTest, EvalErrorsOnUnknownAttribute) {
   Predicate p = Predicate::AttrCompare("zzz", CompareOp::kEq, Value::Int(0));
-  auto r = p.Eval(TwoCol(), Row(1, "a"));
+  auto r = testutil::ReferenceEval(p, TwoCol(), Row(1, "a"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kSchemaMismatch);
+  auto bound = BoundPredicate::Bind(p, TwoCol());
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), ErrorCode::kSchemaMismatch);
+}
+
+TEST(PredicateTest, DefaultsShareOneNode) {
+  // The true/false literals are shared immutable nodes, made once per
+  // process: after that, a default predicate or either literal allocates
+  // nothing.
+  (void)Predicate::True();
+  (void)Predicate::False();
+  EXPECT_EQ(testutil::AllocationsDuring([] {
+              Predicate defaulted;
+              Predicate yes = Predicate::True();
+              Predicate no = Predicate::False();
+              (void)defaulted;
+              (void)yes;
+              (void)no;
+            }),
+            0u);
+  EXPECT_TRUE(Predicate().IsTrueLiteral());
+  EXPECT_TRUE(Predicate::False().IsFalseLiteral());
 }
 
 TEST(PredicateTest, ValidateCatchesTypeMismatch) {
@@ -600,6 +638,168 @@ TEST_P(AlgebraLawTest, SelectionSplitsStateIntoPartition) {
   SnapshotState dropped = *ops::Select(a, Predicate::Not(f));
   EXPECT_EQ(*ops::Union(kept, dropped), a);
   EXPECT_TRUE(ops::Intersect(kept, dropped)->empty());
+}
+
+// --- Bound predicates against the reference evaluator ----------------------
+
+// One attribute per type, two of each numeric type, so comparisons mix
+// attribute and constant operands of every domain.
+const Schema& AllTypes() {
+  static const Schema* schema = new Schema(MakeSchema({
+      {"i", ValueType::kInt},
+      {"j", ValueType::kInt},
+      {"d", ValueType::kDouble},
+      {"e", ValueType::kDouble},
+      {"s", ValueType::kString},
+      {"b", ValueType::kBool},
+      {"t", ValueType::kUserTime},
+  }));
+  return *schema;
+}
+
+// Small domains, so comparisons tie often; NaN and signed zeros included.
+Value RandomValue(Rng& rng, ValueType type) {
+  switch (type) {
+    case ValueType::kInt:
+      return Value::Int(rng.UniformInt(-3, 3));
+    case ValueType::kDouble: {
+      static const double kDoubles[] = {
+          -2.5, -1.0, -0.0, 0.0, 1.0, 2.0, 2.5,
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()};
+      return Value::Double(kDoubles[rng.Uniform(std::size(kDoubles))]);
+    }
+    case ValueType::kString: {
+      static const char* kStrings[] = {"", "a", "ab", "b", "B"};
+      return Value::String(kStrings[rng.Uniform(std::size(kStrings))]);
+    }
+    case ValueType::kBool:
+      return Value::Bool(rng.Bernoulli(0.5));
+    case ValueType::kUserTime:
+      return Value::Time(rng.UniformInt(-2, 2));
+  }
+  return Value();
+}
+
+Tuple RandomRow(Rng& rng, const Schema& schema) {
+  std::vector<Value> values;
+  for (const Attribute& attr : schema.attributes()) {
+    values.push_back(RandomValue(rng, attr.type));
+  }
+  return Tuple(std::move(values));
+}
+
+// An operand of `type`: an attribute of that type or a constant.
+Operand RandomOperand(Rng& rng, ValueType type) {
+  if (rng.Bernoulli(0.5)) return Operand::Const(RandomValue(rng, type));
+  std::vector<std::string> names;
+  for (const Attribute& attr : AllTypes().attributes()) {
+    if (attr.type == type) names.push_back(attr.name);
+  }
+  return Operand::Attr(names[rng.Uniform(names.size())]);
+}
+
+// A random and/or/not predicate. With `invalid_rate` > 0 some comparisons
+// mix uncomparable types or name a missing attribute.
+Predicate RandomPredicate(Rng& rng, int depth, double invalid_rate) {
+  const uint64_t pick = depth <= 0 ? 0 : rng.Uniform(6);
+  if (pick == 3) {
+    return Predicate::And(RandomPredicate(rng, depth - 1, invalid_rate),
+                          RandomPredicate(rng, depth - 1, invalid_rate));
+  }
+  if (pick == 4) {
+    return Predicate::Or(RandomPredicate(rng, depth - 1, invalid_rate),
+                         RandomPredicate(rng, depth - 1, invalid_rate));
+  }
+  if (pick == 5) {
+    return Predicate::Not(RandomPredicate(rng, depth - 1, invalid_rate));
+  }
+  if (rng.Bernoulli(0.05)) {
+    return rng.Bernoulli(0.5) ? Predicate::True() : Predicate::False();
+  }
+  const auto type = static_cast<ValueType>(rng.Uniform(5));
+  Operand lhs = RandomOperand(rng, type);
+  ValueType rhs_type = type;
+  if (type == ValueType::kInt || type == ValueType::kDouble) {
+    rhs_type = rng.Bernoulli(0.5) ? ValueType::kInt : ValueType::kDouble;
+  }
+  if (rng.Bernoulli(invalid_rate)) {
+    rhs_type = static_cast<ValueType>(rng.Uniform(5));
+  }
+  Operand rhs = RandomOperand(rng, rhs_type);
+  if (rng.Bernoulli(invalid_rate / 4)) rhs = Operand::Attr("missing");
+  if (rng.Bernoulli(0.5)) std::swap(lhs, rhs);
+  const auto op = static_cast<CompareOp>(rng.Uniform(6));
+  return Predicate::Comparison(std::move(lhs), op, std::move(rhs));
+}
+
+TEST(PredicateBindTest, BoundFormAgreesWithReferenceEvaluator) {
+  Rng rng(4242);
+  const Schema& schema = AllTypes();
+  for (int round = 0; round < 400; ++round) {
+    const Predicate p = RandomPredicate(rng, 3, 0.0);
+    auto bound = BoundPredicate::Bind(p, schema);
+    ASSERT_TRUE(bound.ok()) << p << ": " << bound.status().message();
+    for (int row = 0; row < 40; ++row) {
+      const Tuple t = RandomRow(rng, schema);
+      auto expected = testutil::ReferenceEval(p, schema, t);
+      ASSERT_TRUE(expected.ok()) << p;
+      ASSERT_EQ(bound->Eval(t), *expected) << p << " on " << t;
+      // Read as a pair split anywhere, the tuple evaluates the same.
+      const size_t split = rng.Uniform(t.size() + 1);
+      const Tuple head(std::vector<Value>(t.values().begin(),
+                                          t.values().begin() + split));
+      const Tuple tail(std::vector<Value>(t.values().begin() + split,
+                                          t.values().end()));
+      ASSERT_EQ(bound->Eval(head, tail), *expected) << p << " split " << split;
+    }
+  }
+}
+
+TEST(PredicateBindTest, BindingAnInvalidPredicateReturnsValidateStatus) {
+  Rng rng(977);
+  const Schema& schema = AllTypes();
+  int refused = 0;
+  for (int round = 0; round < 600; ++round) {
+    const Predicate p = RandomPredicate(rng, 3, 0.3);
+    const Status validated = p.Validate(schema);
+    auto bound = BoundPredicate::Bind(p, schema);
+    ASSERT_EQ(bound.status(), validated) << p;
+    if (!validated.ok()) {
+      ++refused;
+      continue;
+    }
+    const Tuple t = RandomRow(rng, schema);
+    ASSERT_EQ(bound->Eval(t), *testutil::ReferenceEval(p, schema, t)) << p;
+  }
+  EXPECT_GT(refused, 100);  // both outcomes are exercised
+}
+
+TEST(PredicateBindTest, NaNComparesEqualAndNumericPromotion) {
+  const Schema& schema = AllTypes();
+  auto eval = [&](const std::string& source_attr, CompareOp op, Value c,
+                  const Tuple& t) {
+    const Predicate p = Predicate::AttrCompare(source_attr, op, std::move(c));
+    const bool bound = BoundPredicate::Bind(p, schema)->Eval(t);
+    EXPECT_EQ(bound, *testutil::ReferenceEval(p, schema, t)) << p;
+    return bound;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Tuple t{Value::Int(1),         Value::Int(int64_t{1} << 53),
+                Value::Double(nan),    Value::Double(2.5),
+                Value::String("a"),    Value::Bool(true),
+                Value::Time(3)};
+  EXPECT_TRUE(eval("d", CompareOp::kEq, Value::Double(1.0), t));
+  EXPECT_TRUE(eval("d", CompareOp::kLe, Value::Int(7), t));
+  EXPECT_FALSE(eval("d", CompareOp::kLt, Value::Int(7), t));
+  EXPECT_TRUE(eval("e", CompareOp::kGt, Value::Int(2), t));
+  EXPECT_TRUE(eval("i", CompareOp::kLt, Value::Double(1.5), t));
+  // int with int compares exactly, even where doubles would tie.
+  EXPECT_TRUE(eval("j", CompareOp::kLt,
+                   Value::Int((int64_t{1} << 53) + 1), t));
+  EXPECT_FALSE(eval("j", CompareOp::kLt,
+                    Value::Double(static_cast<double>((int64_t{1} << 53) + 1)),
+                    t));
 }
 
 }  // namespace

@@ -290,8 +290,8 @@ if [ "$do_bench" -eq 1 ]; then
   echo "== configure build-release (bench smoke)"
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "== build build-release benches"
-  cmake --build build-release -j "$jobs" --target bench_operators bench_rollback bench_concurrent bench_storage
-  echo "== bench smoke (BENCH_operators.json, BENCH_rollback.json, BENCH_concurrent.json, BENCH_storage.json)"
+  cmake --build build-release -j "$jobs" --target bench_operators bench_rollback bench_concurrent bench_storage bench_quel
+  echo "== bench smoke (BENCH_operators.json, BENCH_rollback.json, BENCH_concurrent.json, BENCH_storage.json, BENCH_quel.json)"
   ./build-release/bench/bench_operators \
     --benchmark_filter='BM_EquiJoin' \
     --benchmark_min_time=0.05 \
@@ -311,6 +311,13 @@ if [ "$do_bench" -eq 1 ]; then
     --benchmark_filter='BM_BytesPerTxn|BM_FindStateProbe' \
     --benchmark_min_time=0.05 \
     --benchmark_out=BENCH_storage.json --benchmark_out_format=json
+  # Experiment E19: the read script path stage by stage (parse or Quel
+  # compile, analyze, optimize, evaluate) over 20k-state rollback and
+  # temporal histories.
+  ./build-release/bench/bench_quel \
+    --benchmark_filter='BM_AsofScriptPath' \
+    --benchmark_min_time=0.05 \
+    --benchmark_out=BENCH_quel.json --benchmark_out_format=json
 fi
 
 echo "== all requested checks passed"

@@ -311,14 +311,6 @@ void ReportRecovery(TransactionNumber txn,
   std::cout << ")\n";
 }
 
-/// Options of every executor the CLI opens: one shard, unless the
-/// directory's MANIFEST (or --shards, on a fresh directory) says otherwise.
-ShardedOptions OneShardOptions() {
-  ShardedOptions options;
-  options.shards = 1;
-  return options;
-}
-
 /// The statement loop of `run --wal-dir`. Returns 0 on success. Unless
 /// `pipelined`, every update is settled before the next statement.
 int RunProgram(ShardedExecutor& exec, const std::vector<lang::Stmt>& program,
@@ -450,7 +442,9 @@ int CmdRunWalDir(const Flags& flags, const std::string& wal_dir,
   if (!CountFlag(flags, "sessions", 1, 1024, sessions)) {
     return UsageError("--sessions expects a whole number in [1, 1024]");
   }
-  ShardedOptions options = OneShardOptions();
+  // One shard, unless the directory's MANIFEST (or --shards, on a fresh
+  // directory) says otherwise.
+  ShardedOptions options;
   if (!CountFlag(flags, "batch", 1, UINT64_MAX,
                  options.group_commit.max_batch)) {
     return UsageError("--batch expects a positive whole number");
@@ -615,7 +609,7 @@ int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
                 "it takes no --db/--relation/--before (use the --db form "
                 "for per-relation state archival)");
   }
-  ShardedExecutor exec(Env::Default(), wal_dir, OneShardOptions());
+  ShardedExecutor exec(Env::Default(), wal_dir);
   Status started = exec.Start();
   if (!started.ok()) return Fail("recovery failed: " + started.ToString());
   Status compacted = exec.CompactStorage();
@@ -773,7 +767,7 @@ int CmdRecover(const Flags& flags) {
               << "`\n";
     return SalvageExitCode(*scanned);
   }
-  ShardedExecutor exec(Env::Default(), dir->second, OneShardOptions());
+  ShardedExecutor exec(Env::Default(), dir->second);
   Status started = exec.Start();
   if (!started.ok()) {
     std::cerr << "ttra: recovery failed: " << started.ToString() << "\n";
