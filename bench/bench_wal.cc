@@ -56,6 +56,36 @@ BENCHMARK(BM_WalAppendSync)
     ->ArgsProduct({{256, 4096}, {0, 1}})
     ->ArgNames({"bytes", "sync"});
 
+// The sync a commit waits for, by log file kind (E20): PosixEnv appends
+// an ordinary file with O_APPEND and fsyncs it, so each sync also commits
+// the file's new size and blocks; a `*.wal` file is kept zero-written
+// ahead of its records, so a record is a pwrite into blocks already on
+// disk and the sync an fdatasync. One 2.1 KB record (a txn_long_history
+// commit's bytes) per iteration, appended and synced.
+void BM_LogRecordSync(benchmark::State& state) {
+  PosixEnv env;
+  const std::string path = TempPath(state.range(1) != 0
+                                        ? "ttra_bench_record_sync.wal"
+                                        : "ttra_bench_record_sync.log");
+  WalWriter writer(&env, path);
+  if (!writer.Create().ok()) {
+    state.SkipWithError("cannot create log");
+    return;
+  }
+  const std::string payload(static_cast<size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    if (!writer.AddRecord(payload).ok() || !writer.Sync().ok()) {
+      state.SkipWithError("log write failed");
+      return;
+    }
+  }
+  (void)env.Remove(path);
+}
+BENCHMARK(BM_LogRecordSync)
+    ->ArgsProduct({{2100}, {0, 1}})
+    ->ArgNames({"bytes", "prezeroed"})
+    ->UseRealTime();
+
 void RunCommitThroughput(benchmark::State& state, SyncPolicy policy,
                          size_t batch_size) {
   Env* env = Env::Default();

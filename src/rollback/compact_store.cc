@@ -218,13 +218,13 @@ Result<Database> CompactStore::Load(const DatabaseOptions& options) {
   db.RestoreTransactionNumber(layout.db_txn);
 
   // Re-arm the appender at the valid watermark (a torn manifest tail is a
-  // checkpoint that never committed — cut it).
-  if (manifest_log.torn_tail) {
+  // checkpoint that never committed — cut it, and any zero tail with it).
+  if (manifest_log.torn_tail || manifest_log.zero_tail > 0) {
     TTRA_RETURN_IF_ERROR(
         env_->TruncateTo(manifest_path(), manifest_log.valid_size));
     TTRA_RETURN_IF_ERROR(env_->Sync(manifest_path()));
   }
-  TTRA_RETURN_IF_ERROR(manifest_.OpenForAppend());
+  TTRA_RETURN_IF_ERROR(manifest_.OpenForAppend(manifest_log.valid_size));
   // A crash after the migrating manifest commit can leave the legacy
   // image behind; the manifest already supersedes it.
   RemoveLegacyCheckpoint();
@@ -252,21 +252,30 @@ void CompactStore::RemoveLegacyCheckpoint() {
 
 Status CompactStore::SwapInManifest(const ManifestRecord& record) {
   const std::string tmp = manifest_path() + ".tmp";
-  {
-    WalWriter tmp_writer(env_, tmp);
-    TTRA_RETURN_IF_ERROR(tmp_writer.Create());
-    TTRA_RETURN_IF_ERROR(
-        tmp_writer.AddRecord(EncodeManifestRecord(record)));
-    TTRA_RETURN_IF_ERROR(tmp_writer.Sync());
-  }
+  WalWriter tmp_writer(env_, tmp);
+  TTRA_RETURN_IF_ERROR(tmp_writer.Create());
+  TTRA_RETURN_IF_ERROR(tmp_writer.AddRecord(EncodeManifestRecord(record)));
+  TTRA_RETURN_IF_ERROR(tmp_writer.Sync());
   TTRA_RETURN_IF_ERROR(env_->Rename(tmp, manifest_path()));
-  return manifest_.OpenForAppend();
+  return manifest_.OpenForAppend(tmp_writer.good_size());
 }
 
 template <typename StateT>
 Status CompactStore::PersistStates(const std::string& name,
                                    const Relation& rel, RelationEntry& entry,
                                    bool fresh_file, uint64_t* appended) {
+  // A covered segment with nothing new to append is already this
+  // relation's checkpoint: leave it unopened and unread. (A retaining
+  // relation appends its states past the covered prefix; any other one
+  // appends its single state when that changed.)
+  const size_t length = rel.history_length();
+  const ManifestRelation& covered = entry.meta;
+  const bool unchanged =
+      RetainsHistory(rel.type())
+          ? covered.entry_count >= length
+          : length == 0 || (covered.entry_count > 0 &&
+                            rel.TxnAt(length - 1) == covered.last_txn);
+  if (!fresh_file && unchanged) return Status::Ok();
   SegmentWriter<StateT> writer(env_,
                                segment_path(name, entry.meta.generation),
                                options_.keyframe_interval);

@@ -1,6 +1,7 @@
 #include "rollback/persistence.h"
 
 #include "storage/serialize.h"
+#include "util/hash.h"
 
 namespace ttra {
 
@@ -16,15 +17,6 @@ void PutU64(uint64_t v, std::string& out) {
 void PutString(std::string_view s, std::string& out) {
   PutU64(s.size(), out);
   out.append(s);
-}
-
-uint64_t Fnv1a(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 void EncodeRelation(const std::string& name, const Relation& relation,

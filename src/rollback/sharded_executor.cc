@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -669,12 +670,12 @@ Status ShardedExecutor::Recover(Database& db) {
 
   // Prepares that never committed are the in-doubt crash window between
   // shard prepare and commit: never acknowledged, atomically dropped.
+  std::set<std::pair<uint64_t, uint64_t>> committed_keys;
+  for (const Commit& commit : commits) {
+    committed_keys.emplace(commit.shard, commit.seq);
+  }
   for (const auto& [key, record] : prepares) {
-    const bool has_commit =
-        std::any_of(commits.begin(), commits.end(), [&](const Commit& c) {
-          return c.shard == key.first && c.seq == key.second;
-        });
-    if (!has_commit) ++last_recovery_.dropped_in_doubt;
+    if (committed_keys.count(key) == 0) ++last_recovery_.dropped_in_doubt;
   }
   return Status::Ok();
 }
@@ -686,6 +687,13 @@ void ShardedExecutor::Stop() {
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->writer.joinable()) shard->writer.join();
+  }
+  // Cut the zero tail PosixEnv keeps ahead of each shard log's records, so
+  // a cleanly stopped directory holds exactly its records. Best effort: a
+  // log that keeps its zeros still reads to the same clean end.
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    MutexLock lock(shard->wal_mutex);
+    shard->wal->TrimTail().IgnoreError();
   }
   // Final opportunistic coordinator sync: the log is advisory, but a
   // clean shutdown should leave it complete. The fsync itself runs with

@@ -3,10 +3,12 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 namespace ttra {
@@ -38,78 +40,201 @@ Status FsyncPath(const std::string& path, int flags) {
 
 // --- PosixEnv --------------------------------------------------------------
 
-PosixEnv::~PosixEnv() {
-  for (auto& [path, fd] : fds_) ::close(fd);
+namespace {
+
+/// Zero bytes a pre-zeroed log keeps written ahead of its end.
+constexpr uint64_t kZeroExtent = 1 << 20;
+constexpr size_t kZeroPageSize = 4096;
+alignas(kZeroPageSize) const char kZeroPage[kZeroPageSize] = {};
+
+bool IsPrezeroed(const std::string& path) {
+  constexpr std::string_view kSuffix = ".wal";
+  return path.size() >= kSuffix.size() &&
+         path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) ==
+             0;
 }
 
-Result<int> PosixEnv::OpenForAppendLocked(const std::string& path) {
-  auto it = fds_.find(path);
-  if (it != fds_.end()) return it->second;
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd < 0) return Errno("open", path);
-  fds_[path] = fd;
-  return fd;
+/// Writes zeros over [from, to) of `fd`, every iovec pointing at the one
+/// static zero page.
+Status PwriteZeros(int fd, uint64_t from, uint64_t to,
+                   const std::string& path) {
+  constexpr int kMaxIov = 256;
+  iovec iov[kMaxIov];
+  while (from < to) {
+    int count = 0;
+    for (uint64_t at = from; at < to && count < kMaxIov; ++count) {
+      const uint64_t len =
+          std::min<uint64_t>(kZeroPageSize - at % kZeroPageSize, to - at);
+      iov[count].iov_base = const_cast<char*>(kZeroPage);
+      iov[count].iov_len = static_cast<size_t>(len);
+      at += len;
+    }
+    const ssize_t n = ::pwritev(fd, iov, count, static_cast<off_t>(from));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("pwritev", path);
+    }
+    from += static_cast<uint64_t>(n);
+  }
+  return Status::Ok();
+}
+
+/// Flushes `fd` (a dup the caller owns and closes here): data only for a
+/// pre-zeroed log, data and metadata otherwise.
+Status FlushAndClose(int fd, bool data_only, const std::string& path) {
+  const int rc = data_only ? ::fdatasync(fd) : ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    errno = err;
+    return Errno(data_only ? "fdatasync" : "fsync", path);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+PosixEnv::~PosixEnv() {
+  for (auto& [path, file] : files_) ::close(file.fd);
+}
+
+Result<PosixEnv::OpenFile*> PosixEnv::OpenLocked(const std::string& path) {
+  auto it = files_.find(path);
+  if (it != files_.end()) return &it->second;
+  OpenFile file;
+  file.prezeroed = IsPrezeroed(path);
+  file.fd = ::open(path.c_str(),
+                   O_CREAT | O_WRONLY | (file.prezeroed ? 0 : O_APPEND), 0644);
+  if (file.fd < 0) return Errno("open", path);
+  if (file.prezeroed) {
+    // An existing log is taken at its physical size: a caller reopening a
+    // log cut short by a crash cuts it to its valid size first.
+    struct stat st;
+    if (::fstat(file.fd, &st) != 0) {
+      const Status status = Errno("fstat", path);
+      ::close(file.fd);
+      return status;
+    }
+    file.end = file.zeroed = static_cast<uint64_t>(st.st_size);
+  }
+  return &files_.emplace(path, file).first->second;
 }
 
 void PosixEnv::DropFdLocked(const std::string& path) {
-  auto it = fds_.find(path);
-  if (it != fds_.end()) {
-    ::close(it->second);
-    fds_.erase(it);
+  auto it = files_.find(path);
+  if (it != files_.end()) {
+    ::close(it->second.fd);
+    files_.erase(it);
   }
 }
 
 Status PosixEnv::Truncate(const std::string& path) {
   MutexLock lock(mutex_);
   DropFdLocked(path);
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) return Errno("truncate", path);
-  fds_[path] = fd;  // O_WRONLY fd still appends correctly: offset is at 0
+  OpenFile file;
+  file.prezeroed = IsPrezeroed(path);
+  // An O_WRONLY fd still appends correctly: its offset is at 0.
+  file.fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (file.fd < 0) return Errno("truncate", path);
+  files_.emplace(path, file);
   return Status::Ok();
 }
 
 Status PosixEnv::TruncateTo(const std::string& path, uint64_t size) {
   {
     MutexLock lock(mutex_);
-    // The cached descriptor is O_APPEND, so later appends land after the
-    // cut regardless, but drop it anyway: its idea of the file is stale.
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
+    uint64_t end = static_cast<uint64_t>(st.st_size);
+    auto it = files_.find(path);
+    if (it != files_.end() && it->second.prezeroed) {
+      end = std::min(end, it->second.end);
+    }
+    if (end < size) {
+      return InvalidArgumentError("truncate-to beyond end of " + path);
+    }
+    // Cut under the lock, so no append slips in between, and drop the
+    // descriptor: the next open takes the size again, and a pre-zeroed
+    // log ends at the cut.
     DropFdLocked(path);
-  }
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
-  if (static_cast<uint64_t>(st.st_size) < size) {
-    return InvalidArgumentError("truncate-to beyond end of " + path);
-  }
-  if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
-    return Errno("truncate", path);
+    if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
+      return Errno("truncate", path);
+    }
   }
   // Make the new length durable before anyone appends after the cut.
   return FsyncPath(path, O_WRONLY);
 }
 
 Status PosixEnv::Append(const std::string& path, std::string_view data) {
-  MutexLock lock(mutex_);
-  TTRA_ASSIGN_OR_RETURN(int fd, OpenForAppendLocked(path));
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write", path);
+  int fill_fd = -1;
+  {
+    MutexLock lock(mutex_);
+    TTRA_ASSIGN_OR_RETURN(OpenFile * file, OpenLocked(path));
+    size_t written = 0;
+    while (written < data.size()) {
+      const ssize_t n =
+          file->prezeroed
+              ? ::pwrite(file->fd, data.data() + written,
+                         data.size() - written,
+                         static_cast<off_t>(file->end + written))
+              : ::write(file->fd, data.data() + written,
+                        data.size() - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const Status status = Errno("write", path);
+        file->end += written;  // what landed stays, as with O_APPEND
+        return status;
+      }
+      written += static_cast<size_t>(n);
     }
-    written += static_cast<size_t>(n);
+    if (!file->prezeroed) return Status::Ok();
+    // A log's first append, its header, is never followed by zeros, so
+    // creating a log writes none.
+    const bool header = file->end == 0;
+    file->end += written;
+    if (header || file->end <= file->zeroed) {
+      file->zeroed = std::max(file->zeroed, file->end);
+      return Status::Ok();
+    }
+    // The record ran past the zeroed region: zero-write the next extent
+    // and make the new size and blocks durable now, so the commits that
+    // land in it sync data only.
+    const uint64_t target =
+        (file->end + kZeroPageSize - 1) / kZeroPageSize * kZeroPageSize +
+        kZeroExtent;
+    TTRA_RETURN_IF_ERROR(PwriteZeros(file->fd, file->end, target, path));
+    file->zeroed = target;
+    fill_fd = ::dup(file->fd);
+    if (fill_fd < 0) return Errno("dup", path);
   }
-  return Status::Ok();
+  return FlushAndClose(fill_fd, /*data_only=*/true, path);
 }
 
 Status PosixEnv::Sync(const std::string& path) {
-  MutexLock lock(mutex_);
-  TTRA_ASSIGN_OR_RETURN(int fd, OpenForAppendLocked(path));
-  if (::fsync(fd) != 0) return Errno("fsync", path);
-  return Status::Ok();
+  // Flush a dup outside the lock: one file's fsync must not hold up the
+  // appends and syncs of every other file, and a concurrent Truncate or
+  // Remove may close the cached descriptor meanwhile.
+  int fd = -1;
+  bool data_only = false;
+  {
+    MutexLock lock(mutex_);
+    TTRA_ASSIGN_OR_RETURN(OpenFile * file, OpenLocked(path));
+    fd = ::dup(file->fd);
+    if (fd < 0) return Errno("dup", path);
+    data_only = file->prezeroed;
+  }
+  return FlushAndClose(fd, data_only, path);
 }
 
 Result<std::string> PosixEnv::Read(const std::string& path) const {
+  uint64_t logical_end = UINT64_MAX;
+  {
+    MutexLock lock(mutex_);
+    auto it = files_.find(path);
+    if (it != files_.end() && it->second.prezeroed) {
+      logical_end = it->second.end;
+    }
+  }
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Errno("open for read", path);
   std::string out;
@@ -125,6 +250,8 @@ Result<std::string> PosixEnv::Read(const std::string& path) const {
     out.append(buffer, static_cast<size_t>(n));
   }
   ::close(fd);
+  // A pre-zeroed log this Env writes ends where its records end.
+  if (out.size() > logical_end) out.resize(logical_end);
   return out;
 }
 

@@ -26,7 +26,11 @@ namespace ttra {
 ///  * Rename(from, to) atomically replaces `to` and durably records the
 ///    rename itself (POSIX: fsync the containing directory).
 ///  * After a crash, a file may hold any prefix of its appended bytes that
-///    is at least its content as of the last successful Sync.
+///    is at least its content as of the last successful Sync. A `*.wal`
+///    file may instead hold its synced content, then a prefix of the
+///    later writes, then zero bytes: PosixEnv keeps such a log
+///    zero-written ahead of its end (see PosixEnv), and ReadWal reads an
+///    all-zero remainder at a record boundary as the log's clean end.
 class Env {
  public:
   virtual ~Env() = default;
@@ -70,6 +74,17 @@ class Env {
 
 /// Real filesystem backend. Append/Sync keep an open-descriptor cache so a
 /// WAL append does not pay an open(2) per record.
+///
+/// A `*.wal` file (a shard log) is kept zero-written ahead of its logical
+/// end, so a commit's fsync has no file size or block allocation to
+/// journal. The append that runs past the zeroed region writes its record
+/// in place, zero-writes the next 1 MiB from one static page and
+/// fdatasyncs; every other record is a pwrite into blocks already on disk,
+/// and Sync of such a file is fdatasync. The file's first append (a log
+/// header) is never followed by zeros. Read and TruncateTo see the logical
+/// size this Env wrote; after a crash, or in another Env, the file keeps
+/// its zero tail until the log is cut or re-created (ShardedExecutor::Stop
+/// cuts it). Other files are O_APPEND and synced with fsync.
 class PosixEnv : public Env {
  public:
   PosixEnv() = default;
@@ -87,14 +102,23 @@ class PosixEnv : public Env {
   bool Exists(const std::string& path) const override;
 
  private:
-  /// Returns a cached O_APPEND descriptor for `path`, opening (and creating
-  /// the file) on first use. Caller holds mutex_.
-  Result<int> OpenForAppendLocked(const std::string& path)
-      TTRA_REQUIRES(mutex_);
+  /// One cached descriptor. A pre-zeroed file (`*.wal`) is written in
+  /// place at `end`, its logical size; [end, zeroed) is already zero on
+  /// disk. Any other file's descriptor is O_APPEND.
+  struct OpenFile {
+    int fd = -1;
+    bool prezeroed = false;
+    uint64_t end = 0;
+    uint64_t zeroed = 0;
+  };
+
+  /// Returns the cached descriptor for `path`, opening (and creating the
+  /// file) on first use. Caller holds mutex_.
+  Result<OpenFile*> OpenLocked(const std::string& path) TTRA_REQUIRES(mutex_);
   void DropFdLocked(const std::string& path) TTRA_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  std::map<std::string, int> fds_ TTRA_GUARDED_BY(mutex_);
+  std::map<std::string, OpenFile> files_ TTRA_GUARDED_BY(mutex_);
 };
 
 /// Deterministic in-memory backend. Tracks, per file, how much of the

@@ -45,6 +45,12 @@ std::string EscapeJson(std::string_view text) {
   return out;
 }
 
+/// True if `log` holds bytes past its salvageable prefix other than a
+/// clean zero tail: the bytes repair quarantines.
+bool HasDamage(const SalvageLogReport& log) {
+  return log.valid_size + log.zero_tail < log.size;
+}
+
 /// Minimal parser of the sharded MANIFEST ("ttra-shards 1\nshards <N>\n").
 /// Deliberately local: salvage sits in the storage layer and must not pull
 /// in the executor above it, and the format is two fixed lines.
@@ -103,6 +109,7 @@ void ScanOneLog(Env* env, const std::string& path,
 
   const WalReadResult& r = *read;
   log.valid_size = r.valid_size;
+  log.zero_tail = r.zero_tail;
   log.valid_records = r.records.size();
   log.records_after_hole = r.records_after_hole;
 
@@ -117,6 +124,7 @@ void ScanOneLog(Env* env, const std::string& path,
           path, r.record_offsets[i], "invalid-record",
           "record #" + std::to_string(i) + ": " + valid.message()});
       log.valid_size = r.record_offsets[i];
+      log.zero_tail = 0;
       log.valid_records = i;
       // Frame-intact records beyond this one are stranded behind the cut.
       log.records_after_hole += r.records.size() - i - 1;
@@ -151,7 +159,7 @@ Status RepairOneLog(Env* env, SalvageLogReport& log) {
   if (!log.present) return Status::Ok();
   const std::string quarantine = log.file + ".quarantine";
   TTRA_ASSIGN_OR_RETURN(std::string data, env->Read(log.file));
-  if (log.valid_size >= data.size() && log.valid_size > 0) {
+  if (log.valid_size + log.zero_tail >= data.size() && log.valid_size > 0) {
     // The damage healed between scan and repair (or the scan raced a
     // writer); nothing to cut.
     return Status::Ok();
@@ -230,6 +238,7 @@ void ScanSegment(Env* env, const std::string& path,
   log.valid_records = r.records.size();
   log.records_after_hole = r.records_after_hole;
   log.valid_size = r.valid_size;
+  log.zero_tail = r.zero_tail;
 
   if (r.valid_size < meta.valid_bytes || r.records.size() < meta.entry_count) {
     report.findings.push_back(SalvageFinding{
@@ -546,7 +555,7 @@ Result<SalvageReport> RepairStorage(Env* env, const std::string& dir,
       // Cuttable damage only: quarantine the manifest suffix behind the
       // validated prefix and each segment's torn uncovered tail.
       for (SalvageLogReport& log : report.segment_logs) {
-        if (!log.present || log.valid_size >= log.size) continue;
+        if (!log.present || !HasDamage(log)) continue;
         TTRA_RETURN_IF_ERROR(RepairOneLog(env, log));
         if (log.repaired) {
           report.repaired = true;
@@ -570,7 +579,7 @@ Result<SalvageReport> RepairStorage(Env* env, const std::string& dir,
         report.repaired = true;
         continue;
       }
-      if (log.valid_size >= log.size) continue;  // this log is clean
+      if (!HasDamage(log)) continue;  // this log is clean
       TTRA_RETURN_IF_ERROR(RepairOneLog(env, log));
       if (log.repaired) {
         report.repaired = true;
@@ -614,6 +623,10 @@ std::string FormatSalvageReport(const SalvageReport& report) {
              std::to_string(log.valid_records) +
              " valid record(s), valid prefix " +
              std::to_string(log.valid_size) + " byte(s)";
+      if (log.zero_tail > 0) {
+        out += ", then " + std::to_string(log.zero_tail) +
+               " zero byte(s) (clean end)";
+      }
       if (log.records_after_hole > 0) {
         out += ", " + std::to_string(log.records_after_hole) +
                " record(s) stranded after the damage";

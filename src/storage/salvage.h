@@ -103,6 +103,9 @@ struct SalvageLogReport {
   bool present = false;
   uint64_t size = 0;
   uint64_t valid_size = 0;      ///< end of the salvageable prefix
+  /// All-zero bytes after the last record: a pre-zeroed log's clean end
+  /// (storage/env.h), reported but never repaired.
+  uint64_t zero_tail = 0;
   uint64_t valid_records = 0;
   uint64_t records_after_hole = 0;
   /// Set by RepairStorage only.

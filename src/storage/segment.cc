@@ -408,7 +408,7 @@ Status SegmentWriter<StateT>::OpenAtWatermark(
     TTRA_RETURN_IF_ERROR(env_->TruncateTo(path_, meta.valid_bytes));
     TTRA_RETURN_IF_ERROR(env_->Sync(path_));
   }
-  TTRA_RETURN_IF_ERROR(wal_.OpenForAppend());
+  TTRA_RETURN_IF_ERROR(wal_.OpenForAppend(meta.valid_bytes));
   entries_ = meta.entry_count;
   last_txn_ = meta.last_txn;
   last_ = std::move(last);

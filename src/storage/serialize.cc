@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/hash.h"
+
 namespace ttra {
 
 namespace {
@@ -26,15 +28,6 @@ void PutDouble(double v, std::string& out) {
 void PutString(std::string_view s, std::string& out) {
   PutU64(s.size(), out);
   out.append(s);
-}
-
-uint64_t Fnv1a(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 }  // namespace

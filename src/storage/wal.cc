@@ -1,5 +1,7 @@
 #include "storage/wal.h"
 
+#include "util/hash.h"
+
 namespace ttra {
 
 namespace {
@@ -22,15 +24,6 @@ uint64_t GetU64(std::string_view data, size_t pos) {
   return v;
 }
 
-uint64_t Fnv1a(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::string Header() {
   std::string out;
   PutU64(kWalMagic, out);
@@ -45,22 +38,29 @@ Status WalWriter::Create() {
   TTRA_RETURN_IF_ERROR(env_->Append(path_, Header()));
   TTRA_RETURN_IF_ERROR(env_->Sync(path_));
   good_size_ = kHeaderSize;
+  appended_ = false;
   return Status::Ok();
 }
 
-Status WalWriter::OpenForAppend() {
+Status WalWriter::OpenForAppend(uint64_t size) {
   if (!env_->Exists(path_)) {
     return IoError("wal does not exist: " + path_);
   }
-  // The caller has validated the file with ReadWal, so its current size IS
-  // a record boundary — the initial known-good boundary for ResetTail().
-  TTRA_ASSIGN_OR_RETURN(std::string data, env_->Read(path_));
-  good_size_ = data.size();
+  // The caller has validated the file with ReadWal, so `size` IS a record
+  // boundary — the initial known-good boundary for ResetTail().
+  good_size_ = size;
+  appended_ = false;
   return Status::Ok();
 }
 
 Status WalWriter::ResetTail() {
-  return env_->TruncateTo(path_, good_size_);
+  TTRA_RETURN_IF_ERROR(env_->TruncateTo(path_, good_size_));
+  appended_ = false;
+  return Status::Ok();
+}
+
+Status WalWriter::TrimTail() {
+  return appended_ ? ResetTail() : Status::Ok();
 }
 
 namespace {
@@ -82,6 +82,7 @@ Status WalWriter::AddRecord(std::string_view payload) {
   stats_.appends += 1;
   stats_.bytes_appended += frame.size();
   good_size_ += frame.size();
+  appended_ = true;
   return Status::Ok();
 }
 
@@ -99,6 +100,7 @@ Status WalWriter::AddRecords(const std::vector<std::string>& payloads) {
   stats_.appends += 1;
   stats_.bytes_appended += frames.size();
   good_size_ += frames.size();
+  appended_ = true;
   return Status::Ok();
 }
 
@@ -180,8 +182,13 @@ Result<WalReadResult> ReadWal(const Env& env, const std::string& path) {
     pos += kRecordHeaderSize + length;
     result.valid_size = pos;
   }
-  result.torn_tail = result.valid_size != data.size();
-  if (!result.torn_tail) return result;
+  if (data.find_first_not_of('\0', result.valid_size) == std::string::npos) {
+    // Nothing but zeros after the last record: the clean end.
+    result.cause = WalCorruptionCause::kNone;
+    result.zero_tail = data.size() - result.valid_size;
+    return result;
+  }
+  result.torn_tail = true;
 
   result.invalid_offset = result.valid_size;
   result.invalid_record_index = result.records.size();

@@ -17,9 +17,11 @@ namespace ttra {
 ///
 /// A crash may leave any suffix of appended-but-unsynced bytes missing, so
 /// the reader treats an incomplete or checksum-failing trailing record as
-/// a *torn tail*: it stops there and reports the records before it. A bad
-/// header on a non-empty file, by contrast, is real corruption — the file
-/// is not a WAL — and fails loudly.
+/// a *torn tail*: it stops there and reports the records before it. Zero
+/// bytes from a record boundary to the end of the file are the log's clean
+/// end, not a tear: PosixEnv keeps a `*.wal` zero-written ahead of its
+/// records (env.h). A bad header on a non-empty file, by contrast, is real
+/// corruption — the file is not a WAL — and fails loudly.
 
 /// Appender. Typical lifecycle: Create() a fresh log (or OpenForAppend()
 /// after recovery), then AddRecord()/Sync() per the caller's policy.
@@ -35,8 +37,9 @@ class WalWriter {
   [[nodiscard]] Status Create();
 
   /// Positions for appending to an existing log previously validated by
-  /// ReadWal (the file must end at a record boundary).
-  [[nodiscard]] Status OpenForAppend();
+  /// ReadWal and cut to `size` bytes, a record boundary. The size comes
+  /// from the caller, so the log is not read again.
+  [[nodiscard]] Status OpenForAppend(uint64_t size);
 
   /// Appends one framed record. NOT durable until Sync().
   [[nodiscard]] Status AddRecord(std::string_view payload);
@@ -60,6 +63,12 @@ class WalWriter {
   /// unreachable to the reader, which stops at the first bad frame.
   [[nodiscard]] Status ResetTail();
 
+  /// Cuts the zero tail a pre-zeroing Env (PosixEnv, for `*.wal` files)
+  /// keeps past the last record, so the file holds exactly its records —
+  /// a clean shutdown's last step. A no-op, and no I/O, unless a record
+  /// was appended since Create(), OpenForAppend() or the last cut.
+  [[nodiscard]] Status TrimTail();
+
   /// Group-commit accounting: how the record stream maps onto physical
   /// I/O. `appends` counts Env::Append calls (batching collapses these
   /// below `records`); `syncs` counts fsyncs. syncs/records is the
@@ -79,6 +88,7 @@ class WalWriter {
   std::string path_;
   Stats stats_;
   uint64_t good_size_ = 0;
+  bool appended_ = false;  ///< a record landed since the file was last cut
 };
 
 /// Why the reader stopped before the end of the file.
@@ -103,6 +113,10 @@ struct WalReadResult {
   bool torn_tail = false;
   /// File size covered by the header plus the intact records.
   size_t valid_size = 0;
+  /// All-zero bytes after valid_size: a pre-zeroed log's clean end, not
+  /// damage (torn_tail stays false). A caller that appends to the file
+  /// cuts it to valid_size first.
+  size_t zero_tail = 0;
 
   /// Why the first invalid record is invalid (kNone if the whole file
   /// parsed). The fields below are meaningful only when this is not kNone.
@@ -125,8 +139,8 @@ struct WalReadResult {
 };
 
 /// Reads every intact record of the log. Missing file → kIoError; header
-/// that is present-but-wrong → kCorruption; torn tail → reported, not an
-/// error (recovery truncates there, in line with the durability contract
+/// that is present-but-wrong → kCorruption; all-zero remainder → the clean
+/// end (zero_tail); torn tail → reported, not an error (recovery truncates there, in line with the durability contract
 /// that unsynced bytes may vanish). When the reader stops early it scans
 /// the remainder for re-synchronizing valid frames (records_after_hole),
 /// letting callers tell a torn tail from a mid-log hole.

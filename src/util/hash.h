@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 
 namespace ttra {
 
@@ -16,6 +17,17 @@ inline size_t HashCombine(size_t seed, size_t value) {
 template <typename T>
 size_t HashValue(const T& value) {
   return std::hash<T>{}(value);
+}
+
+/// 64-bit FNV-1a: the checksum of every framed record on disk (WAL frames,
+/// checkpoint images, encoded databases).
+inline uint64_t Fnv1a(std::string_view data) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : data) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 }  // namespace ttra

@@ -479,6 +479,63 @@ TEST(ShardedSalvageTest, RepairingOneShardsTornTailRecoversAConsistentPrefix) {
   exec.Stop();
 }
 
+TEST(ShardedSalvageTest, ZeroTailScansCleanAndRepairQuarantinesNothing) {
+  // The shape a crash leaves on a PosixEnv shard log: every record, then
+  // the zeros written ahead of them (storage/env.h). That is a clean end:
+  // fsck reports it, repair leaves it alone, and recovery loses nothing.
+  InMemoryEnv env;
+  const auto sentences = BuildShardedStore(&env, "d");
+  const std::string shard1 = "d/" + ShardWalFile(1);
+  const std::string records = *env.Read(shard1);
+  ASSERT_TRUE(env.Append(shard1, std::string(1 << 16, '\0')).ok());
+
+  auto scan = ScanStorage(&env, "d", ShardedSalvageOptions());
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(scan->verdict, SalvageVerdict::kClean);
+  EXPECT_TRUE(scan->findings.empty());
+  EXPECT_EQ(SalvageExitCode(*scan), 0);
+  ASSERT_EQ(scan->logs.size(), 3u);
+  EXPECT_EQ(scan->logs[1].valid_size, records.size());
+  EXPECT_EQ(scan->logs[1].zero_tail, 1u << 16);
+  EXPECT_EQ(scan->logs[1].size, records.size() + (1u << 16));
+  EXPECT_NE(FormatSalvageReport(*scan).find("65536 zero byte(s) (clean end)"),
+            std::string::npos);
+
+  auto repair = RepairStorage(&env, "d", ShardedSalvageOptions());
+  ASSERT_TRUE(repair.ok()) << repair.status();
+  EXPECT_FALSE(repair->repaired);
+  EXPECT_EQ(repair->quarantined_bytes, 0u);
+  EXPECT_FALSE(env.Exists(shard1 + ".quarantine"));
+  EXPECT_EQ(env.Read(shard1)->size(), records.size() + (1u << 16));
+
+  ShardedOptions options;
+  options.durable.sync_policy = SyncPolicy::kAlways;
+  options.shards = 2;
+  ShardedExecutor exec(&env, "d", options);
+  ASSERT_TRUE(exec.Start().ok());
+  EXPECT_EQ(EncodeDatabase(exec.Snapshot()),
+            PrefixEncoding(sentences, sentences.size()));
+  EXPECT_EQ(exec.last_recovery().torn_tails, 0u);
+  EXPECT_EQ(exec.last_recovery().dropped_in_doubt, 0u);
+  exec.Stop();
+
+  // Next to a torn log, repair cuts the tear and still spares the zeros.
+  InMemoryEnv mixed;
+  BuildShardedStore(&mixed, "m");
+  const std::string torn = "m/" + ShardWalFile(0);
+  const std::string zeroed = "m/" + ShardWalFile(1);
+  ASSERT_TRUE(mixed.Append(torn, "torn-half-record").ok());
+  ASSERT_TRUE(mixed.Append(zeroed, std::string(4096, '\0')).ok());
+  const std::string zeroed_image = *mixed.Read(zeroed);
+  auto mixed_repair = RepairStorage(&mixed, "m", ShardedSalvageOptions());
+  ASSERT_TRUE(mixed_repair.ok()) << mixed_repair.status();
+  EXPECT_TRUE(mixed_repair->repaired);
+  EXPECT_EQ(mixed_repair->quarantined_bytes, std::string("torn-half-record").size());
+  EXPECT_TRUE(mixed.Exists(torn + ".quarantine"));
+  EXPECT_FALSE(mixed.Exists(zeroed + ".quarantine"));
+  EXPECT_EQ(*mixed.Read(zeroed), zeroed_image);
+}
+
 TEST(ShardedSalvageTest, MidLogDamageInOneShardRefusesThenRepairs) {
   // Bit rot INSIDE one shard's WAL (intact records behind the hole):
   // recovery refuses with the fsck hint; repair cuts at the hole; the

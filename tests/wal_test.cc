@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "storage/env.h"
 
 namespace ttra {
@@ -407,8 +409,10 @@ TEST(WalTest, AppendAfterReopenContinuesTheLog) {
     ASSERT_TRUE(writer.Sync().ok());
   }
   {
+    auto validated = ReadWal(env, "wal");
+    ASSERT_TRUE(validated.ok());
     WalWriter writer(&env, "wal");
-    ASSERT_TRUE(writer.OpenForAppend().ok());
+    ASSERT_TRUE(writer.OpenForAppend(validated->valid_size).ok());
     ASSERT_TRUE(writer.AddRecord("after").ok());
     ASSERT_TRUE(writer.Sync().ok());
   }
@@ -535,6 +539,149 @@ TEST(WalAdversarialTest, CleanLogHasNoCorruptionDetail) {
             kWalHeaderSize + kFrameHeaderSize + 1);
 }
 
+// --- Zero tails ------------------------------------------------------------
+//
+// PosixEnv keeps a `*.wal` zero-written ahead of its records, so after a
+// crash a log may end in zeros (storage/env.h).
+
+TEST(WalAdversarialTest, AllZeroTailIsTheCleanEnd) {
+  const std::string records = WalImage({"a", "b"});
+  for (const size_t zeros : {1u, 15u, 16u, 4096u}) {
+    auto read = ReadImage(records + std::string(zeros, '\0'));
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->records, (std::vector<std::string>{"a", "b"}));
+    EXPECT_FALSE(read->torn_tail) << zeros;
+    EXPECT_EQ(read->cause, WalCorruptionCause::kNone);
+    EXPECT_EQ(read->valid_size, records.size());
+    EXPECT_EQ(read->zero_tail, zeros);
+    EXPECT_EQ(read->records_after_hole, 0u);
+  }
+  // A log holding only its header ends cleanly in zeros too.
+  auto empty = ReadImage(WalImage({}) + std::string(64, '\0'));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->records.empty());
+  EXPECT_FALSE(empty->torn_tail);
+  EXPECT_EQ(empty->zero_tail, 64u);
+}
+
+TEST(WalAdversarialTest, ZerosBeforeAValidFrameAreMidLogCorruption) {
+  std::string image = WalImage({"before"});
+  const size_t hole = image.size();
+  image += std::string(40, '\0');
+  const size_t resync = image.size();
+  image += Frame("after");
+  auto read = ReadImage(image);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->records, std::vector<std::string>{"before"});
+  EXPECT_TRUE(read->torn_tail);
+  EXPECT_EQ(read->zero_tail, 0u);
+  EXPECT_EQ(read->invalid_offset, hole);
+  EXPECT_EQ(read->records_after_hole, 1u);
+  EXPECT_EQ(read->resync_offset, resync);
+}
+
+TEST(WalAdversarialTest, TornFrameBeforeZerosIsATornTail) {
+  const std::string intact = WalImage({"first"});
+  const std::string frame = Frame("the-torn-one");
+  for (size_t cut = 1; cut < frame.size(); ++cut) {
+    auto read = ReadImage(intact + frame.substr(0, cut) +
+                          std::string(4096, '\0'));
+    ASSERT_TRUE(read.ok()) << "cut at " << cut;
+    EXPECT_EQ(read->records, std::vector<std::string>{"first"});
+    EXPECT_TRUE(read->torn_tail) << "cut at " << cut;
+    EXPECT_NE(read->cause, WalCorruptionCause::kNone);
+    EXPECT_EQ(read->invalid_offset, intact.size());
+    EXPECT_EQ(read->zero_tail, 0u);
+    EXPECT_EQ(read->records_after_hole, 0u) << "cut at " << cut;
+  }
+}
+
+/// A fresh directory under the test temp dir.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(PosixEnvTest, WalFileIsZeroWrittenAheadOfItsRecords) {
+  const std::string path = FreshDir("ttra_prezeroed") + "/shard-0.wal";
+  PosixEnv env;
+  WalWriter writer(&env, path);
+  ASSERT_TRUE(writer.Create().ok());
+  // The header alone is never followed by zeros.
+  EXPECT_EQ(std::filesystem::file_size(path), writer.good_size());
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 600; ++i) {
+    payloads.push_back(std::string(2000, static_cast<char>('a' + i % 26)));
+    ASSERT_TRUE(writer.AddRecord(payloads.back()).ok());
+    ASSERT_TRUE(writer.Sync().ok());
+  }
+  // 1.2 MB of records: the zeroed region was extended more than once, and
+  // always runs ahead of the last record.
+  const uint64_t physical = std::filesystem::file_size(path);
+  EXPECT_GT(physical, writer.good_size());
+  EXPECT_LE(physical, writer.good_size() + (1u << 20) + 4096);
+  // This Env reads its logical size; a fresh one (the process after a
+  // crash) reads the zeros, which are the log's clean end.
+  EXPECT_EQ(env.Read(path)->size(), writer.good_size());
+  PosixEnv after_crash;
+  auto read = ReadWal(after_crash, path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->records, payloads);
+  EXPECT_FALSE(read->torn_tail);
+  EXPECT_EQ(read->valid_size, writer.good_size());
+  EXPECT_EQ(read->zero_tail, physical - writer.good_size());
+  // A clean shutdown cuts the zeros: the file holds exactly its records.
+  ASSERT_TRUE(writer.TrimTail().ok());
+  EXPECT_EQ(std::filesystem::file_size(path), writer.good_size());
+}
+
+TEST(PosixEnvTest, CutsThenAppendsOnAZeroWrittenLogReadBack) {
+  const std::string path = FreshDir("ttra_prezeroed_cut") + "/shard-0.wal";
+  PosixEnv env;
+  WalWriter writer(&env, path);
+  ASSERT_TRUE(writer.Create().ok());
+  ASSERT_TRUE(writer.AddRecord("one").ok());
+  const uint64_t after_one = writer.good_size();
+  ASSERT_TRUE(writer.AddRecord("two").ok());
+  ASSERT_TRUE(writer.Sync().ok());
+  // ResetTail cuts the zeros; the next append zero-writes again.
+  ASSERT_TRUE(writer.ResetTail().ok());
+  EXPECT_EQ(std::filesystem::file_size(path), writer.good_size());
+  ASSERT_TRUE(writer.AddRecord("three").ok());
+  ASSERT_TRUE(writer.Sync().ok());
+  EXPECT_GT(std::filesystem::file_size(path), writer.good_size());
+  // TruncateTo an earlier record boundary, then append from there.
+  EXPECT_EQ(env.TruncateTo(path, writer.good_size() + 1).code(),
+            ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(env.TruncateTo(path, after_one).ok());
+  WalWriter reopened(&env, path);
+  ASSERT_TRUE(reopened.OpenForAppend(after_one).ok());
+  ASSERT_TRUE(reopened.AddRecord("four").ok());
+  ASSERT_TRUE(reopened.AddRecord("five").ok());
+  ASSERT_TRUE(reopened.Sync().ok());
+  for (const Env* reader : {static_cast<const Env*>(&env),
+                            static_cast<const Env*>(Env::Default())}) {
+    auto read = ReadWal(*reader, path);
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(read->records,
+              (std::vector<std::string>{"one", "four", "five"}));
+    EXPECT_FALSE(read->torn_tail);
+  }
+}
+
+TEST(PosixEnvTest, OtherFilesAreNotZeroWritten) {
+  const std::string path = FreshDir("ttra_not_prezeroed") + "/coordinator.log";
+  PosixEnv env;
+  WalWriter writer(&env, path);
+  ASSERT_TRUE(writer.Create().ok());
+  ASSERT_TRUE(writer.AddRecord("one").ok());
+  ASSERT_TRUE(writer.AddRecord("two").ok());
+  ASSERT_TRUE(writer.Sync().ok());
+  EXPECT_EQ(std::filesystem::file_size(path), writer.good_size());
+}
+
 // --- ResetTail -------------------------------------------------------------
 
 TEST(WalTest, GoodSizeTracksEveryAppend) {
@@ -546,9 +693,11 @@ TEST(WalTest, GoodSizeTracksEveryAppend) {
   EXPECT_EQ(writer.good_size(), env.Read("wal")->size());
   ASSERT_TRUE(writer.AddRecords({"two", "three"}).ok());
   EXPECT_EQ(writer.good_size(), env.Read("wal")->size());
-  // OpenForAppend picks the boundary up from the file.
+  // OpenForAppend takes the boundary ReadWal validated.
+  auto validated = ReadWal(env, "wal");
+  ASSERT_TRUE(validated.ok());
   WalWriter reopened(&env, "wal");
-  ASSERT_TRUE(reopened.OpenForAppend().ok());
+  ASSERT_TRUE(reopened.OpenForAppend(validated->valid_size).ok());
   EXPECT_EQ(reopened.good_size(), writer.good_size());
 }
 

@@ -285,24 +285,27 @@ fi
 if [ "$do_bench" -eq 1 ]; then
   # Release bench smoke: exercises the hash-join fast path (experiment
   # E12) and ρ against history length and probe position on the full-copy
-  # log (E2) under optimization, and records the results next to the
-  # sources for EXPERIMENTS.md.
+  # log (E2) under optimization. The short, filtered runs go to
+  # build-release/bench-smoke/, never over the committed BENCH_*.json
+  # files, which are full recordings with host context.
+  smoke=build-release/bench-smoke
   echo "== configure build-release (bench smoke)"
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "== build build-release benches"
   cmake --build build-release -j "$jobs" --target bench_operators bench_rollback bench_concurrent bench_storage bench_quel
-  echo "== bench smoke (BENCH_operators.json, BENCH_rollback.json, BENCH_concurrent.json, BENCH_storage.json, BENCH_quel.json)"
+  mkdir -p "$smoke"
+  echo "== bench smoke (operators, rollback, concurrent, storage, quel -> $smoke/)"
   ./build-release/bench/bench_operators \
     --benchmark_filter='BM_EquiJoin' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_operators.json --benchmark_out_format=json
+    --benchmark_out="$smoke/BENCH_operators.json" --benchmark_out_format=json
   ./build-release/bench/bench_rollback \
     --benchmark_filter='BM_Rollback/' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_rollback.json --benchmark_out_format=json
+    --benchmark_out="$smoke/BENCH_rollback.json" --benchmark_out_format=json
   ./build-release/bench/bench_concurrent \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_concurrent.json --benchmark_out_format=json
+    --benchmark_out="$smoke/BENCH_concurrent.json" --benchmark_out_format=json
   # Experiment E17: compact segment engine — bytes appended per
   # transaction, and FINDSTATE probe latency against loading a full-copy
   # export image. (The deleted full-copy write path's bytes per
@@ -310,14 +313,14 @@ if [ "$do_bench" -eq 1 ]; then
   ./build-release/bench/bench_storage \
     --benchmark_filter='BM_BytesPerTxn|BM_FindStateProbe' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_storage.json --benchmark_out_format=json
+    --benchmark_out="$smoke/BENCH_storage.json" --benchmark_out_format=json
   # Experiment E19: the read script path stage by stage (parse or Quel
   # compile, analyze, optimize, evaluate) over 20k-state rollback and
   # temporal histories.
   ./build-release/bench/bench_quel \
     --benchmark_filter='BM_AsofScriptPath' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_quel.json --benchmark_out_format=json
+    --benchmark_out="$smoke/BENCH_quel.json" --benchmark_out_format=json
 fi
 
 echo "== all requested checks passed"

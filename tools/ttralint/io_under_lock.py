@@ -31,7 +31,7 @@ ENV_SINKS = {
 # holding exactly the lock this pass is watching.
 WAL_SINKS = {
     "AddRecord", "AddRecords", "Create", "OpenForAppend", "ResetTail",
-    "Sync",
+    "TrimTail", "Sync",
 }
 # Whole-file helpers that loop Env IO internally.
 FREE_SINKS = {
