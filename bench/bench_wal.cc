@@ -2,7 +2,8 @@
 // committed command sequence the database (C⟦·⟧), so crash safety reduces
 // to making that sequence durable before acknowledging each commit. This
 // measures single-client commit throughput — one synchronous Submit at a
-// time through ShardedExecutor with one shard — under the three sync
+// time through ShardedExecutor with one shard, which the client commits
+// on its own thread because the log is idle (E21) — under the three sync
 // policies — always (sync per commit), batch (bounded loss window), never
 // (checkpoint-only durability) — plus the raw WAL append/sync floor.
 //
@@ -136,8 +137,9 @@ void BM_CommitSyncBatch(benchmark::State& state) {
 void BM_CommitSyncNever(benchmark::State& state) {
   RunCommitThroughput(state, SyncPolicy::kNever, 0);
 }
-// Wall-clock time: the commit runs on the executor's writer thread, so
-// the client thread's CPU time would undercount it.
+// Wall-clock time: the client waits out the fsync, and under contention
+// a batch may run on the executor's writer thread, so CPU time would
+// undercount a commit.
 BENCHMARK(BM_CommitSyncAlways)->UseRealTime();
 BENCHMARK(BM_CommitSyncBatch)
     ->Arg(8)

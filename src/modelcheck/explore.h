@@ -1,10 +1,8 @@
 #ifndef TTRA_MODELCHECK_EXPLORE_H_
 #define TTRA_MODELCHECK_EXPLORE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -13,9 +11,10 @@
 namespace ttra {
 namespace modelcheck {
 
-/// Per-run context handed to a scenario: invariant checks (recorded, not
-/// throwing — the run always finishes cleanly so its threads can retire)
-/// and cooperative waiting helpers for use on managed tasks.
+/// Per-run context handed to a scenario: invariant checks, recorded, not
+/// throwing — the run always finishes cleanly so its threads can retire.
+/// Scenario threads wait only through the instrumented primitives (the
+/// executor's futures are deferred, so get() waits on them too).
 class ModelContext {
  public:
   /// Records the first failed check; later ones are ignored. The scenario
@@ -29,25 +28,6 @@ class ModelContext {
 
   bool failed() const { return failed_; }
   const std::string& failure() const { return failure_; }
-
-  /// Voluntary schedule point (no-op off the model scheduler).
-  static void Yield() {
-    SchedHooks* hooks = ActiveSchedHooks();
-    if (hooks != nullptr && hooks->OnManagedThread()) hooks->Yield();
-  }
-
-  /// Cooperative future wait: polls + yields so the scheduler stays in
-  /// control. NEVER call future.get() on an unresolved future from a
-  /// managed task — that blocks the OS thread on an unintercepted
-  /// primitive, invisible to the scheduler.
-  template <typename T>
-  T Await(std::future<T>& future) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      Yield();
-    }
-    return future.get();
-  }
 
  private:
   bool failed_ = false;

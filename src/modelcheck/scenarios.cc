@@ -1,7 +1,6 @@
 #include "modelcheck/scenarios.h"
 
 #include <algorithm>
-#include <chrono>
 #include <future>
 #include <string>
 #include <utility>
@@ -38,8 +37,9 @@ Scenario ConcurrentCommitScenario() {
   Scenario scenario;
   scenario.name = "concurrent";
   scenario.description =
-      "ShardedExecutor(shards=1): 2 clients + group-commit writer; "
-      "gap-free chaining, read-your-writes, epoch pinning, monotone publish";
+      "ShardedExecutor(shards=1): 2 clients that lead their own batches "
+      "when the log is idle + the writer as fallback leader; gap-free "
+      "chaining, read-your-writes, epoch pinning, monotone publish";
   scenario.run = [](ModelContext& t) {
     InMemoryEnv env;
     ShardedOptions options;
@@ -49,9 +49,8 @@ Scenario ConcurrentCommitScenario() {
     ShardedExecutor exec(&env, "db", options);
     t.Check(exec.Start().ok(), "Start() succeeds");
     {
-      auto setup = exec.SubmitAsync({Command{DefineRelationCmd{
-          "acct", RelationType::kRollback, TinySchema()}}});
-      Result<TransactionNumber> defined = t.Await(setup);
+      Result<TransactionNumber> defined = exec.Submit({Command{
+          DefineRelationCmd{"acct", RelationType::kRollback, TinySchema()}}});
       t.Check(defined.ok() && *defined == 1, "define commits at txn 1");
     }
     Session pinned = exec.OpenSession();
@@ -61,24 +60,29 @@ Scenario ConcurrentCommitScenario() {
     // waiting client (shared watermark: the published epoch is global).
     TransactionNumber acked[2] = {0, 0};
     TransactionNumber watermark = 1;
-    auto watch_await = [&t, &exec, &watermark](
-                           std::future<Result<TransactionNumber>>& future) {
-      while (future.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        const TransactionNumber now = exec.transaction_number();
-        t.Check(now >= watermark, "published epoch never regresses");
-        watermark = std::max(watermark, now);
-        ModelContext::Yield();
-      }
-      return future.get();
+    auto sample = [&t, &exec, &watermark] {
+      const TransactionNumber now = exec.transaction_number();
+      t.Check(now >= watermark, "published epoch never regresses");
+      watermark = std::max(watermark, now);
+    };
+    // Client 0 submits asynchronously, which wakes the writer, then
+    // waits on the deferred future; client 1 submits synchronously, which
+    // does not. Either client leads its own batch when it finds the log
+    // idle, so caller-led batches race each other and the writer.
+    auto commit = [&sample, &exec](int client, std::vector<Command> sentence) {
+      sample();
+      Result<TransactionNumber> result =
+          client == 0 ? exec.SubmitAsync(std::move(sentence)).get()
+                      : exec.Submit(std::move(sentence));
+      sample();
+      return result;
     };
 
     ttra::Thread clients[2];
     for (int i = 0; i < 2; ++i) {
-      clients[i] = ttra::Thread([&t, &exec, &acked, &watch_await, i] {
-        auto future = exec.SubmitAsync(
-            {Command{ModifySnapshotCmd{"acct", RowState(100 + i)}}});
-        Result<TransactionNumber> r = watch_await(future);
+      clients[i] = ttra::Thread([&t, &exec, &acked, &commit, i] {
+        Result<TransactionNumber> r = commit(
+            i, {Command{ModifySnapshotCmd{"acct", RowState(100 + i)}}});
         t.Check(r.ok(), "client commit acknowledged ok");
         if (!r.ok()) return;
         acked[i] = *r;
@@ -125,8 +129,9 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
   Scenario scenario;
   scenario.name = "sharded-cross";
   scenario.description =
-      "ShardedExecutor: 2 shards, 2 opposite-homed cross-shard sentences; "
-      "two-phase prepare + durability watermark invariants";
+      "ShardedExecutor: 2 shards, 2 opposite-homed cross-shard sentences "
+      "whose waiting clients may lead; two-phase prepare + durability "
+      "watermark invariants";
   scenario.run = [seeded_bug](ModelContext& t) {
     InMemoryEnv env;
     ShardedOptions options;
@@ -139,13 +144,11 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
     const std::string r0 = NameOnShard(0, 2);
     const std::string r1 = NameOnShard(1, 2);
     {
-      auto define0 = exec.SubmitAsync({Command{DefineRelationCmd{
-          r0, RelationType::kRollback, TinySchema()}}});
-      auto d0 = t.Await(define0);
+      auto d0 = exec.Submit({Command{
+          DefineRelationCmd{r0, RelationType::kRollback, TinySchema()}}});
       t.Check(d0.ok() && *d0 == 1, "define r0 at txn 1");
-      auto define1 = exec.SubmitAsync({Command{DefineRelationCmd{
-          r1, RelationType::kRollback, TinySchema()}}});
-      auto d1 = t.Await(define1);
+      auto d1 = exec.Submit({Command{
+          DefineRelationCmd{r1, RelationType::kRollback, TinySchema()}}});
       t.Check(d1.ok() && *d1 == 2, "define r1 at txn 2");
     }
     Session pinned = exec.OpenSession();
@@ -153,17 +156,21 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
 
     TransactionNumber acked[2] = {0, 0};
     TransactionNumber watermark = 2;
-    auto watch_await = [&t, &exec, &watermark](
-                           std::future<Result<TransactionNumber>>& future) {
-      while (future.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        const TransactionNumber now = exec.transaction_number();
-        t.Check(now >= watermark,
-                "published epoch never regresses (watermark order)");
-        watermark = std::max(watermark, now);
-        ModelContext::Yield();
-      }
-      return future.get();
+    auto sample = [&t, &exec, &watermark] {
+      const TransactionNumber now = exec.transaction_number();
+      t.Check(now >= watermark,
+              "published epoch never regresses (watermark order)");
+      watermark = std::max(watermark, now);
+    };
+    // Both clients submit synchronously, so each leads its own shard's
+    // batch and the two batches race through ordering and the watermark
+    // on the clients' own threads; the writers are fallback leaders
+    // only. ("concurrent" covers the deferred SubmitAsync path.)
+    auto commit = [&sample, &exec](std::vector<Command> sentence) {
+      sample();
+      Result<TransactionNumber> result = exec.Submit(std::move(sentence));
+      sample();
+      return result;
     };
 
     // Two cross-shard sentences homed on OPPOSITE shards: each prepares in
@@ -171,14 +178,12 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
     // the global ordering + watermark. Client i writes 10*(i+1) + relation.
     ttra::Thread clients[2];
     for (int i = 0; i < 2; ++i) {
-      clients[i] = ttra::Thread([&t, &exec, &acked, &watch_await, &r0, &r1,
-                                 i] {
+      clients[i] = ttra::Thread([&t, &exec, &acked, &commit, &r0, &r1, i] {
         const std::string& home = i == 0 ? r0 : r1;
         const std::string& other = i == 0 ? r1 : r0;
-        auto future = exec.SubmitAsync(
+        Result<TransactionNumber> r = commit(
             {Command{ModifySnapshotCmd{home, RowState(10 * (i + 1))}},
              Command{ModifySnapshotCmd{other, RowState(10 * (i + 1) + 1)}}});
-        Result<TransactionNumber> r = watch_await(future);
         t.Check(r.ok(), "cross-shard commit acknowledged ok");
         if (!r.ok()) return;
         acked[i] = *r;

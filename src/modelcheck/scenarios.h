@@ -20,8 +20,11 @@ struct Scenario {
 };
 
 /// `ShardedExecutor` with one shard, 1 writer + 2 client tasks (max_batch
-/// 4, so both clients can share a batch): gap-free transaction
-/// chaining, read-your-writes after ack, published-epoch monotonicity,
+/// 4, so both clients can share a batch). A client waiting on its own
+/// sentence leads the batch when the log is idle, so the explored
+/// schedules race caller-led batches against the writer. Checks gap-free
+/// transaction chaining, read-your-writes after ack, published-epoch
+/// monotonicity,
 /// epoch-pinned sessions ≡ ρ(·, epoch), clean Stop() quiescence.
 Scenario ConcurrentCommitScenario();
 

@@ -25,8 +25,7 @@ namespace modelcheck {
 //
 // ModelScheduler installs itself as the process SchedHooks and serializes a
 // set of managed OS threads ("tasks"): exactly one runs at a time, and every
-// synchronization operation (util/mutex.h, util/bounded_queue.h via CondVar,
-// util/vthread.h) is a schedule point where the scheduler decides who runs
+// synchronization operation (util/mutex.h, util/vthread.h) is a schedule point where the scheduler decides who runs
 // next. Because execution is serialized, the scheduler's own bookkeeping IS
 // the lock/condvar state — the std:: primitives underneath are never touched
 // by managed threads.

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
 
 #include "rollback/persistence.h"
+#include "storage/state_log.h"
 
 namespace ttra {
 
@@ -108,18 +110,56 @@ std::string EncodeCoordCommit(uint64_t shard, uint64_t seq,
   return out;
 }
 
+/// Before a modify_state decoded from a log applies: its state shares
+/// every row the relation's current state holds identically (ShareRows),
+/// so a replayed history holds what the live one and a checkpoint load of
+/// the same history hold, not a fresh payload per row and version.
+void ShareCurrentRows(const Database& db, Command& command) {
+  std::visit(
+      [&db](auto& cmd) {
+        using T = std::decay_t<decltype(cmd)>;
+        if constexpr (std::is_same_v<T, ModifySnapshotCmd> ||
+                      std::is_same_v<T, ModifyHistoricalCmd>) {
+          const Relation* relation = db.Find(cmd.name);
+          if (relation == nullptr) return;
+          const TransactionNumber now = db.transaction_number();
+          auto current = [&] {
+            if constexpr (std::is_same_v<T, ModifySnapshotCmd>) {
+              return relation->SnapshotAt(now);
+            } else {
+              return relation->HistoricalAt(now);
+            }
+          }();
+          if (current.ok()) cmd.state = ShareRows(*current, cmd.state);
+        }
+      },
+      command);
+}
+
 /// Deterministic re-execution of one batch entry, mirroring the live
 /// apply (paper sequencing vs all-or-nothing) — shared by the commit path,
-/// recovery and the legacy migration so they cannot diverge.
-void ApplyEntry(Database& db, const std::vector<Command>& sentence,
-                bool atomic, Result<TransactionNumber>* result) {
+/// recovery and the legacy migration so they cannot diverge. A `replayed`
+/// sentence was decoded from a log: each command shares its relation's
+/// current rows just before it applies (ShareCurrentRows).
+void ApplyEntry(Database& db, std::vector<Command>& sentence, bool atomic,
+                bool replayed, Result<TransactionNumber>* result) {
+  auto apply = [&sentence, replayed](Database& target) {
+    if (!replayed) return ApplySentence(target, sentence);
+    Status first_error;
+    for (Command& command : sentence) {
+      ShareCurrentRows(target, command);
+      Status status = ApplyCommand(target, command);
+      if (!status.ok() && first_error.ok()) first_error = status;
+    }
+    return first_error;
+  };
   Status applied;
   if (atomic) {
     Database scratch = db;
-    applied = ApplySentence(scratch, sentence);
+    applied = apply(scratch);
     if (applied.ok()) db = std::move(scratch);
   } else {
-    applied = ApplySentence(db, sentence);
+    applied = apply(db);
   }
   if (result != nullptr) {
     if (applied.ok()) {
@@ -187,7 +227,7 @@ Result<LegacyReplay> ReplayLegacyWal(const Env& env, const std::string& path,
   for (const std::string& record : wal.records) {
     TTRA_ASSIGN_OR_RETURN(std::vector<LoggedSentence> entries,
                           DecodeWalRecord(record));
-    for (const LoggedSentence& entry : entries) {
+    for (LoggedSentence& entry : entries) {
       if (entry.pre_txn < db.transaction_number()) continue;
       if (entry.pre_txn > db.transaction_number()) {
         return CorruptionError("gap in " + path + ": record expects txn " +
@@ -195,7 +235,8 @@ Result<LegacyReplay> ReplayLegacyWal(const Env& env, const std::string& path,
                                ", database is at " +
                                std::to_string(db.transaction_number()));
       }
-      ApplyEntry(db, entry.sentence, entry.atomic, nullptr);
+      ApplyEntry(db, entry.sentence, entry.atomic, /*replayed=*/true,
+                 nullptr);
       ++replay.applied;
     }
   }
@@ -410,6 +451,103 @@ Result<HistoricalState> Session::RollbackHistorical(
   return snapshot_->RollbackHistorical(name, txn);
 }
 
+struct ShardedExecutor::Lane {
+  Lane(ShardedExecutor* owner, size_t shard, const GroupCommitOptions& options)
+      : owner(owner),
+        shard(shard),
+        capacity(std::max<size_t>(1, options.queue_capacity)),
+        max_batch(std::max<size_t>(1, options.max_batch)) {}
+
+  /// Valid whenever a ticket is queued or a batch is running here: Stop()
+  /// returns only once neither is true, and a lane outlives its executor
+  /// only through the tickets of answered sentences.
+  ShardedExecutor* const owner;
+  const size_t shard;
+  const size_t capacity;
+  const size_t max_batch;
+
+  Mutex mutex;
+  CondVar work;      ///< writer: a sentence to commit, or closed
+  CondVar done;      ///< waiters: a ticket was answered or the lane idles
+  CondVar not_full;  ///< producers: space in the queue
+  std::deque<Pending> items TTRA_GUARDED_BY(mutex);
+  bool leading TTRA_GUARDED_BY(mutex) = false;  ///< a batch is running
+  /// The writer thread is waiting for work (or not started yet). While it
+  /// is between batches instead, it is about to take what is queued, and
+  /// a caller lets it: a pipelining client keeps submitting meanwhile.
+  bool writer_idle TTRA_GUARDED_BY(mutex) = true;
+  bool closed TTRA_GUARDED_BY(mutex) = false;
+  uint64_t pushed TTRA_GUARDED_BY(mutex) = 0;  ///< sentences ever queued
+  uint64_t taken TTRA_GUARDED_BY(mutex) = 0;   ///< ...and taken into batches
+
+  /// A waiting caller may lead: no batch runs and the writer is waiting
+  /// for work, not about to take the queue itself.
+  bool Idle() const TTRA_REQUIRES(mutex) { return !leading && writer_idle; }
+  /// Starts a batch on the idle lane: takes up to max_batch sentences
+  /// from the front and marks the lane busy. The caller commits them with
+  /// the mutex released, then calls Finish().
+  std::vector<Pending> Take() TTRA_REQUIRES(mutex);
+  /// Marks the lane idle again and wakes whoever may lead next.
+  void Finish() TTRA_EXCLUDES(mutex);
+  /// Answers `tickets` (all of this lane) with `results`, in order.
+  void Resolve(const std::vector<std::shared_ptr<Ticket>>& tickets,
+               std::vector<Result<TransactionNumber>> results);
+};
+
+struct ShardedExecutor::Ticket {
+  explicit Ticket(std::shared_ptr<Lane> lane) : lane(std::move(lane)) {}
+
+  const std::shared_ptr<Lane> lane;
+  /// The lane's `pushed` count once this sentence was queued.
+  uint64_t position TTRA_GUARDED_BY(lane->mutex) = 0;
+  bool taken TTRA_GUARDED_BY(lane->mutex) = false;
+  std::optional<Result<TransactionNumber>> answer TTRA_GUARDED_BY(
+      lane->mutex);
+};
+
+std::vector<ShardedExecutor::Pending> ShardedExecutor::Lane::Take() {
+  const size_t take = std::min(max_batch, items.size());
+  std::vector<Pending> batch;
+  batch.reserve(take);
+  for (size_t i = 0; i < take; ++i) {
+    items.front().ticket->taken = true;
+    batch.push_back(std::move(items.front()));
+    items.pop_front();
+  }
+  taken += take;
+  leading = true;
+  not_full.SignalAll();
+  return batch;
+}
+
+void ShardedExecutor::Lane::Finish() {
+  MutexLock lock(mutex);
+  leading = false;
+  // The writer takes what is left unless a waiter gets there first; a
+  // closing lane's writer is waiting for exactly this.
+  if (!items.empty() || closed) work.Signal();
+  done.SignalAll();
+}
+
+void ShardedExecutor::Lane::Resolve(
+    const std::vector<std::shared_ptr<Ticket>>& tickets,
+    std::vector<Result<TransactionNumber>> results) {
+  MutexLock lock(mutex);
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    tickets[i]->answer = std::move(results[i]);
+  }
+  done.SignalAll();
+}
+
+namespace {
+
+/// `n` copies of one answer, for a batch refused or lost as a whole.
+std::vector<Result<TransactionNumber>> Answers(size_t n, const Status& status) {
+  return std::vector<Result<TransactionNumber>>(n, status);
+}
+
+}  // namespace
+
 ShardedExecutor::ShardedExecutor(Env* env, std::string dir,
                                  ShardedOptions options)
     : env_(env),
@@ -513,8 +651,8 @@ Status ShardedExecutor::Start() {
   }
 
   for (size_t k = 0; k < shard_count_; ++k) {
-    shards_[k]->queue = std::make_unique<BoundedQueue<Pending>>(
-        options_.group_commit.queue_capacity);
+    shards_[k]->lane =
+        std::make_shared<Lane>(this, k, options_.group_commit);
   }
   for (size_t k = 0; k < shard_count_; ++k) {
     shards_[k]->writer = ttra::Thread(&ShardedExecutor::WriterLoop, this, k);
@@ -623,7 +761,7 @@ Status ShardedExecutor::Recover(Database& db) {
   for (size_t i = 0; i < commits.size(); ++i) {
     const Commit& commit = commits[i];
     const auto prepared = prepares.find({commit.shard, commit.seq});
-    const std::vector<GroupEntry>& entries = prepared->second.entries;
+    std::vector<GroupEntry>& entries = prepared->second.entries;
     const auto cross_check = coord.find({commit.shard, commit.seq});
     if (cross_check != coord.end()) {
       const ShardRecord& c = cross_check->second;
@@ -655,8 +793,9 @@ Status ShardedExecutor::Recover(Database& db) {
       return CorruptionError("committed batch straddles transaction " +
                              std::to_string(current));
     }
-    for (const GroupEntry& entry : entries) {
-      ApplyEntry(db, entry.sentence, entry.atomic, nullptr);
+    for (GroupEntry& entry : entries) {
+      ApplyEntry(db, entry.sentence, entry.atomic, /*replayed=*/true,
+                 nullptr);
       ++last_recovery_.replayed_sentences;
     }
     if (db.transaction_number() != commit.post) {
@@ -682,8 +821,15 @@ Status ShardedExecutor::Recover(Database& db) {
 
 void ShardedExecutor::Stop() {
   if (!started_) return;
+  // Closing refuses new sentences; each writer commits what is still
+  // queued and returns only once no batch runs on its lane, so after the
+  // joins every queued sentence is answered and no caller is leading.
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->queue->Close();
+    Lane& lane = *shard->lane;
+    MutexLock lock(lane.mutex);
+    lane.closed = true;
+    lane.work.SignalAll();
+    lane.not_full.SignalAll();
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->writer.joinable()) shard->writer.join();
@@ -711,43 +857,112 @@ void ShardedExecutor::Stop() {
   started_ = false;
 }
 
-std::future<Result<TransactionNumber>> ShardedExecutor::SubmitAsync(
-    std::vector<Command> sentence, bool atomic) {
+Result<std::shared_ptr<ShardedExecutor::Ticket>> ShardedExecutor::Enqueue(
+    std::vector<Command> sentence, bool atomic, bool waiting) {
   {
     MutexLock lock(commit_mutex_);
     if (degraded_) {
       ++stat_rejected_;
-      std::promise<Result<TransactionNumber>> refused;
-      refused.set_value(ReadOnlyError(
-          "executor is in read-only degraded mode (" +
-          degraded_reason_.ToString() + "); repair storage and reopen"));
-      return refused.get_future();
+      return ReadOnlyError("executor is in read-only degraded mode (" +
+                           degraded_reason_.ToString() +
+                           "); repair storage and reopen");
     }
+    // Counted before it is queued (the lane mutex nests inside
+    // commit_mutex_, never around it), so Drain() may wait for a sentence
+    // still on its way in; a refused push takes the count back.
+    ++submitted_;
   }
-  const size_t home =
-      sentence.empty() ? 0 : ShardOfName(CommandName(sentence.front()),
-                                         shard_count_);
-  Pending pending;
-  pending.sentence = std::move(sentence);
-  pending.atomic = atomic;
-  std::future<Result<TransactionNumber>> future =
-      pending.promise.get_future();
-  BoundedQueue<Pending>* queue =
-      started_ ? shards_[home]->queue.get() : nullptr;
-  if (queue == nullptr || !queue->Push(std::move(pending))) {
+  bool queued = false;
+  std::shared_ptr<Ticket> ticket;
+  if (started_) {
+    const size_t home =
+        sentence.empty() ? 0 : ShardOfName(CommandName(sentence.front()),
+                                           shard_count_);
+    Lane& lane = *shards_[home]->lane;
+    ticket = std::make_shared<Ticket>(shards_[home]->lane);
+    std::vector<Pending> batch;
+    {
+      MutexLock lock(lane.mutex);
+      lane.not_full.Wait(lane.mutex, [&lane]() TTRA_REQUIRES(lane.mutex) {
+        return lane.closed || lane.items.size() < lane.capacity;
+      });
+      if (!lane.closed) {
+        lane.items.push_back(Pending{std::move(sentence), atomic, ticket});
+        ticket->position = ++lane.pushed;
+        queued = true;
+        if (!waiting) {
+          lane.work.Signal();
+        } else if (lane.Idle()) {
+          // Queue and take in one critical section: nobody else can take
+          // the sentence first, so an idle shard commits it on this
+          // thread.
+          batch = lane.Take();
+        }
+      }
+    }
+    if (!batch.empty()) Lead(lane, batch, /*caller_led=*/true);
+  }
+  if (!queued) {
+    MutexLock lock(commit_mutex_);
+    --submitted_;
+    drained_.SignalAll();
+    return UnavailableError("sharded executor is not running");
+  }
+  return ticket;
+}
+
+Result<TransactionNumber> ShardedExecutor::Await(Ticket& ticket) {
+  Lane& lane = *ticket.lane;
+  for (;;) {
+    std::vector<Pending> batch;
+    {
+      MutexLock lock(lane.mutex);
+      lane.done.Wait(lane.mutex, [&ticket, &lane]() TTRA_REQUIRES(
+                                     lane.mutex) {
+        return ticket.answer.has_value() ||
+               (!ticket.taken && ticket.position == lane.pushed &&
+                lane.Idle());
+      });
+      if (ticket.answer.has_value()) return *std::move(ticket.answer);
+      // Still queued on an idle lane, and nothing was queued after it:
+      // commit it here rather than hand it to the writer thread and wait
+      // for that thread to wake. Had something been queued after it, its
+      // submitter would still be submitting (a pipelining client), and
+      // the writer takes the batch while it does.
+      batch = lane.Take();
+    }
+    lane.owner->Lead(lane, batch, /*caller_led=*/true);
+  }
+}
+
+void ShardedExecutor::Lead(Lane& lane, std::vector<Pending>& batch,
+                           bool caller_led) {
+  RunBatch(lane.shard, batch, caller_led);
+  lane.Finish();
+}
+
+std::future<Result<TransactionNumber>> ShardedExecutor::SubmitAsync(
+    std::vector<Command> sentence, bool atomic) {
+  Result<std::shared_ptr<Ticket>> ticket =
+      Enqueue(std::move(sentence), atomic, /*waiting=*/false);
+  if (!ticket.ok()) {
     std::promise<Result<TransactionNumber>> refused;
-    future = refused.get_future();
-    refused.set_value(UnavailableError("sharded executor is not running"));
-    return future;
+    refused.set_value(ticket.status());
+    return refused.get_future();
   }
-  MutexLock lock(commit_mutex_);
-  ++submitted_;
-  return future;
+  // Deferred: the wait (and, on an idle shard, the commit) happens on
+  // the thread that calls get(). A caller that never waits leaves the
+  // sentence to the writer, which Enqueue woke.
+  return std::async(std::launch::deferred,
+                    [ticket = *std::move(ticket)] { return Await(*ticket); });
 }
 
 Result<TransactionNumber> ShardedExecutor::Submit(
     std::vector<Command> sentence) {
-  return SubmitAsync(std::move(sentence), /*atomic=*/false).get();
+  TTRA_ASSIGN_OR_RETURN(
+      std::shared_ptr<Ticket> ticket,
+      Enqueue(std::move(sentence), /*atomic=*/false, /*waiting=*/true));
+  return Await(*ticket);
 }
 
 Result<TransactionNumber> ShardedExecutor::Submit(Command command) {
@@ -758,12 +973,44 @@ Result<TransactionNumber> ShardedExecutor::Submit(Command command) {
 
 Result<TransactionNumber> ShardedExecutor::SubmitAtomic(
     std::vector<Command> sentence) {
-  return SubmitAsync(std::move(sentence), /*atomic=*/true).get();
+  TTRA_ASSIGN_OR_RETURN(
+      std::shared_ptr<Ticket> ticket,
+      Enqueue(std::move(sentence), /*atomic=*/true, /*waiting=*/true));
+  return Await(*ticket);
 }
 
 Status ShardedExecutor::Drain() {
+  uint64_t target = 0;
+  {
+    MutexLock lock(commit_mutex_);
+    target = submitted_;
+  }
+  if (started_) {
+    // Lead what was queued before the call on every idle lane; sentences
+    // queued later are their own submitters' (or the writer's) business.
+    std::vector<uint64_t> queued(shards_.size());
+    for (size_t k = 0; k < shards_.size(); ++k) {
+      Lane& lane = *shards_[k]->lane;
+      MutexLock lock(lane.mutex);
+      queued[k] = lane.pushed;
+    }
+    for (size_t k = 0; k < shards_.size(); ++k) {
+      Lane& lane = *shards_[k]->lane;
+      for (;;) {
+        std::vector<Pending> batch;
+        {
+          MutexLock lock(lane.mutex);
+          lane.done.Wait(lane.mutex, [&]() TTRA_REQUIRES(lane.mutex) {
+            return lane.taken >= queued[k] || lane.Idle();
+          });
+          if (lane.taken >= queued[k]) break;
+          batch = lane.Take();
+        }
+        Lead(lane, batch, /*caller_led=*/true);
+      }
+    }
+  }
   MutexLock lock(commit_mutex_);
-  const uint64_t target = submitted_;
   drained_.Wait(commit_mutex_, [this, target]() TTRA_REQUIRES(
                                    commit_mutex_) {
     return completed_ >= target;
@@ -965,12 +1212,26 @@ void ShardedExecutor::RefuseBatch(std::vector<Pending>& batch,
     MutexLock lock(commit_mutex_);
     stat_rejected_ += batch.size();
   }
-  for (Pending& pending : batch) {
-    pending.promise.set_value(reason);
-  }
+  AnswerBatch(batch, reason);
   MutexLock lock(commit_mutex_);
   completed_ += batch.size();
   drained_.SignalAll();
+}
+
+void ShardedExecutor::AnswerBatch(const std::vector<Pending>& batch,
+                                  const Status& status) {
+  if (batch.empty()) return;
+  std::vector<std::shared_ptr<Ticket>> tickets;
+  tickets.reserve(batch.size());
+  for (const Pending& pending : batch) tickets.push_back(pending.ticket);
+  batch.front().ticket->lane->Resolve(tickets,
+                                      Answers(batch.size(), status));
+}
+
+void ShardedExecutor::ResolveInflight(
+    const Inflight& batch, std::vector<Result<TransactionNumber>> results) {
+  if (batch.tickets.empty()) return;
+  batch.tickets.front()->lane->Resolve(batch.tickets, std::move(results));
 }
 
 Status ShardedExecutor::WriteCrossPrepares(size_t home, uint64_t home_seq,
@@ -1031,15 +1292,11 @@ void ShardedExecutor::MarkBatch(uint64_t commit_index, Status io) {
           MutexLock publish(publish_mutex_);
           published_ = batch.snapshot;
         }
-        for (size_t i = 0; i < batch.promises.size(); ++i) {
-          batch.promises[i].set_value(std::move(batch.results[i]));
-        }
+        ResolveInflight(batch, std::move(batch.results));
       } else {
-        for (auto& promise : batch.promises) {
-          promise.set_value(batch.io);
-        }
+        ResolveInflight(batch, Answers(batch.tickets.size(), batch.io));
       }
-      completed_ += batch.promises.size();
+      completed_ += batch.tickets.size();
       break;
     }
     drained_.SignalAll();
@@ -1060,25 +1317,22 @@ void ShardedExecutor::MarkBatch(uint64_t commit_index, Status io) {
                     "commit lost: an earlier batch failed to become "
                     "durable; the executor is read-only until reopened")
               : batch.io;
-      for (auto& promise : batch.promises) {
-        promise.set_value(lost);
-      }
+      ResolveInflight(batch, Answers(batch.tickets.size(), lost));
     } else {
       {
         MutexLock publish(publish_mutex_);
         published_ = batch.snapshot;
       }
-      for (size_t i = 0; i < batch.promises.size(); ++i) {
-        batch.promises[i].set_value(std::move(batch.results[i]));
-      }
+      ResolveInflight(batch, std::move(batch.results));
     }
-    completed_ += batch.promises.size();
+    completed_ += batch.tickets.size();
   }
   drained_.SignalAll();
 }
 
 void ShardedExecutor::ProcessBatch(size_t shard_index,
-                                   std::vector<Pending>& batch) {
+                                   std::vector<Pending>& batch,
+                                   bool caller_led) {
   Shard& shard = *shards_[shard_index];
 
   // Entries + the set of shards any sentence touches. The whole batch is
@@ -1146,9 +1400,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
           degraded_reason_.ToString() + "); repair storage and reopen");
       stat_rejected_ += batch.size();
       completed_ += batch.size();
-      for (Pending& pending : batch) {
-        pending.promise.set_value(refusal);
-      }
+      AnswerBatch(batch, refusal);
       drained_.SignalAll();
       return;
     }
@@ -1156,9 +1408,10 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
     auto next = std::make_shared<Database>(*tip_);
     std::vector<Result<TransactionNumber>> results;
     results.reserve(entries.size());
-    for (const GroupEntry& entry : entries) {
+    for (GroupEntry& entry : entries) {
       Result<TransactionNumber> result(0);
-      ApplyEntry(*next, entry.sentence, entry.atomic, &result);
+      ApplyEntry(*next, entry.sentence, entry.atomic, /*replayed=*/false,
+                 &result);
       results.push_back(std::move(result));
     }
     post = next->transaction_number();
@@ -1192,9 +1445,9 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
     inflight.post = post;
     inflight.snapshot = next;
     inflight.results = std::move(results);
-    inflight.promises.reserve(batch.size());
+    inflight.tickets.reserve(batch.size());
     for (Pending& pending : batch) {
-      inflight.promises.push_back(std::move(pending.promise));
+      inflight.tickets.push_back(std::move(pending.ticket));
     }
     inflight_.push_back(std::move(inflight));
     tip_ = std::move(next);
@@ -1234,6 +1487,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
       }
     }
     shard.stats.batches += 1;
+    if (caller_led) shard.stats.caller_led_batches += 1;
     shard.stats.commits += batch.size();
   }
   if (!io.ok()) EnterDegraded(io);
@@ -1247,38 +1501,51 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   if (sync_coordinator) SyncCoordinatorUnlocked();
 }
 
-void ShardedExecutor::WriterLoop(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  for (;;) {
-    std::vector<Pending> batch =
-        shard.queue->PopBatch(options_.group_commit.max_batch);
-    if (batch.empty()) return;  // closed and fully drained
+void ShardedExecutor::RunBatch(size_t shard_index, std::vector<Pending>& batch,
+                               bool caller_led) {
+  if (degraded()) {
+    RefuseBatch(batch, ReadOnlyError(
+        "executor is in read-only degraded mode (" +
+        degraded_reason().ToString() + "); repair storage and reopen"));
+    return;
+  }
 
-    if (degraded()) {
-      RefuseBatch(batch, ReadOnlyError(
-          "executor is in read-only degraded mode (" +
-          degraded_reason().ToString() + "); repair storage and reopen"));
-      continue;
-    }
+  {
+    // Leaders ride the gate shared for the whole prepare → commit → mark
+    // protocol; Checkpoint() takes it exclusively to quiesce.
+    ReaderMutexLock gate(checkpoint_gate_);
+    ProcessBatch(shard_index, batch, caller_led);
+  }
 
+  if (options_.durable.checkpoint_every != 0) {
+    bool checkpoint_now = false;
     {
-      // Writers ride the gate shared for the whole prepare → commit →
-      // mark protocol; Checkpoint() takes it exclusively to quiesce.
-      ReaderMutexLock gate(checkpoint_gate_);
-      ProcessBatch(shard_index, batch);
+      MutexLock lock(commit_mutex_);
+      checkpoint_now = !degraded_ && commits_since_checkpoint_ >=
+                                         options_.durable.checkpoint_every;
     }
+    // Outside the gate (Checkpoint takes it exclusively), but while the
+    // lane still counts this batch as running, so Stop() waits for it.
+    // Best effort: failures flip degraded mode inside.
+    if (checkpoint_now) Checkpoint().IgnoreError();
+  }
+}
 
-    if (options_.durable.checkpoint_every != 0) {
-      bool checkpoint_now = false;
-      {
-        MutexLock lock(commit_mutex_);
-        checkpoint_now = !degraded_ && commits_since_checkpoint_ >=
-                                           options_.durable.checkpoint_every;
-      }
-      // Outside the gate (Checkpoint takes it exclusively). Best effort:
-      // failures flip degraded mode inside.
-      if (checkpoint_now) Checkpoint().IgnoreError();
+void ShardedExecutor::WriterLoop(size_t shard_index) {
+  Lane& lane = *shards_[shard_index]->lane;
+  for (;;) {
+    std::vector<Pending> batch;
+    {
+      MutexLock lock(lane.mutex);
+      lane.writer_idle = true;
+      lane.work.Wait(lane.mutex, [&lane]() TTRA_REQUIRES(lane.mutex) {
+        return (lane.closed || !lane.items.empty()) && !lane.leading;
+      });
+      lane.writer_idle = false;
+      if (lane.items.empty()) return;  // closed, drained and idle
+      batch = lane.Take();
     }
+    Lead(lane, batch, /*caller_led=*/false);
   }
 }
 

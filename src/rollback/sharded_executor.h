@@ -14,7 +14,6 @@
 #include "rollback/commands.h"
 #include "rollback/compact_store.h"
 #include "storage/wal.h"
-#include "util/bounded_queue.h"
 #include "util/mutex.h"
 #include "util/vthread.h"
 
@@ -185,13 +184,15 @@ struct ShardRecord {
 /// (including the single-writer kinds 0/1/2, which do not belong here).
 Result<ShardRecord> DecodeShardRecord(std::string_view payload);
 
-/// Group-commit accumulation knobs. A writer takes whatever queued while
-/// its previous batch was being made durable, up to `max_batch`; it never
-/// waits for a batch to fill.
+/// Group-commit accumulation knobs. A batch's leader (a caller waiting on
+/// its own sentence, or the shard's writer thread) takes whatever queued
+/// while the previous batch was being made durable, up to `max_batch`; it
+/// never waits for a batch to fill.
 struct GroupCommitOptions {
   /// Most sentences committed per WAL record/sync.
   size_t max_batch = 64;
-  /// Bounded MPSC queue depth; producers block (backpressure) beyond it.
+  /// Bounded per-shard queue depth; producers block (backpressure) beyond
+  /// it.
   size_t queue_capacity = 1024;
 };
 
@@ -288,7 +289,19 @@ struct ShardedOptions {
 ///    (read-your-writes: the post-batch snapshot is published before
 ///    futures resolve).
 ///
-/// Commit protocol (per batch, on its home shard's writer thread):
+/// Who commits a batch: one batch at a time runs per shard, led by a
+/// thread that takes up to `max_batch` queued sentences. A caller blocked
+/// on its own sentence (Submit, SubmitAtomic, Drain, get() on a
+/// SubmitAsync future) leads when it finds that sentence still queued
+/// with nothing queued after it, no batch running on the shard and the
+/// shard's writer waiting for work, so an idle log commits on the
+/// caller's thread with no handoff. Other callers wait as followers;
+/// sentences nobody waits for are committed by the shard's
+/// writer thread, which stays as the fallback leader. SubmitAsync itself
+/// never leads: a pipelining client must let batches form while it keeps
+/// submitting.
+///
+/// Commit protocol (per batch, on its leader's thread):
 ///  1. prepare: append the payload to the shard's own WAL under a
 ///     shard-local sequence number (parallel across shards);
 ///  1b. cross-shard batches append a durable kCrossPrepare marker to every
@@ -340,26 +353,37 @@ class ShardedExecutor {
   /// nothing: every record the checkpoint covers is skipped.
   Status Start();
 
-  /// Closes every queue, commits everything enqueued, joins the writers
-  /// and syncs the coordinator log. Safe to call twice.
+  /// Closes every queue, commits everything enqueued, waits for any batch
+  /// a caller is leading, joins the writers and syncs the coordinator
+  /// log. Safe to call twice.
   void Stop();
 
-  /// Routes the sentence to its home shard's queue. The future resolves
-  /// with the committed transaction number once the batch is durable per
-  /// the sync policy AND the durability watermark has passed it; with the
-  /// command-level error (paper sequencing: partial effects stand,
-  /// atomic: no effect); with kReadOnly in degraded mode; or with
+  /// Routes the sentence to its home shard's queue and wakes the shard's
+  /// writer. The answer is the committed transaction number once the
+  /// batch is durable per the sync policy AND the durability watermark has
+  /// passed it; the command-level error (paper sequencing: partial effects
+  /// stand, atomic: no effect); kReadOnly in degraded mode; or
   /// kUnavailable when stopped or failed-stop. Blocks only on a full
   /// home-shard queue (backpressure).
+  ///
+  /// A queued sentence's future is deferred (std::launch::deferred): its
+  /// wait_for/wait_until report future_status::deferred, and get() (or
+  /// wait()) waits for the answer on the calling thread — leading the
+  /// batch itself if the sentence is still queued and the shard is idle.
+  /// The future stays valid after Stop() and after the executor is
+  /// destroyed: Stop() answers every queued sentence first.
   std::future<Result<TransactionNumber>> SubmitAsync(
       std::vector<Command> sentence, bool atomic = false);
 
+  /// Submit and wait. The sentence is queued without waking the writer:
+  /// on an idle shard the calling thread commits it at once.
   Result<TransactionNumber> Submit(std::vector<Command> sentence);
   Result<TransactionNumber> Submit(Command command);
   Result<TransactionNumber> SubmitAtomic(std::vector<Command> sentence);
 
   /// Blocks until every sentence enqueued before the call has been
-  /// committed (or refused) across all shards.
+  /// committed (or refused) across all shards, leading batches of those
+  /// sentences on the calling thread where a shard is idle.
   Status Drain();
 
   /// Opens a reader session pinned at the current published epoch. O(1):
@@ -421,6 +445,9 @@ class ShardedExecutor {
 
   struct ShardStats {
     uint64_t batches = 0;         ///< group commits homed on this shard
+    /// Of those, batches a waiting caller committed on its own thread (the
+    /// rest were led by the shard's writer thread).
+    uint64_t caller_led_batches = 0;
     uint64_t commits = 0;         ///< sentences committed (or refused)
     uint64_t cross_prepares = 0;  ///< kCrossPrepare markers written here
     WalWriter::Stats wal;         ///< physical I/O (syncs!)
@@ -443,15 +470,23 @@ class ShardedExecutor {
   Stats stats() const;
 
  private:
+  /// One shard's commit queue and leader flag (defined in the .cc). Its
+  /// tickets share it, so a future outlives the executor.
+  struct Lane;
+  /// The answer to one queued sentence, shared by its queue entry and its
+  /// future: queued, then taken into a batch, then resolved — all under
+  /// its lane's mutex.
+  struct Ticket;
+
   struct Pending {
     std::vector<Command> sentence;
     bool atomic = false;
-    std::promise<Result<TransactionNumber>> promise;
+    std::shared_ptr<Ticket> ticket;
   };
 
   /// One writer shard: queue, WAL, thread, shard-local sequence space.
   struct Shard {
-    std::unique_ptr<BoundedQueue<Pending>> queue;
+    std::shared_ptr<Lane> lane;
     ttra::Thread writer;
     Mutex wal_mutex;
     std::unique_ptr<WalWriter> wal TTRA_GUARDED_BY(wal_mutex);
@@ -468,14 +503,30 @@ class ShardedExecutor {
     TransactionNumber post = 0;
     std::shared_ptr<const Database> snapshot;
     std::vector<Result<TransactionNumber>> results;
-    std::vector<std::promise<Result<TransactionNumber>>> promises;
+    std::vector<std::shared_ptr<Ticket>> tickets;
     bool marked = false;   ///< durability outcome known
     Status io;             ///< OK = durable; error = commit write failed
   };
 
   void WriterLoop(size_t shard_index);
-  void ProcessBatch(size_t shard_index, std::vector<Pending>& batch)
-      TTRA_EXCLUDES(commit_mutex_);
+  /// Queues the sentence on its home lane. A `waiting` caller is about to
+  /// block on the answer, so the writer is not woken and, if the lane is
+  /// idle, the caller leads a batch right away. Refusals (degraded, not
+  /// running) come back as errors.
+  Result<std::shared_ptr<Ticket>> Enqueue(std::vector<Command> sentence,
+                                          bool atomic, bool waiting);
+  /// Waits for the ticket's answer, leading a batch whenever the ticket is
+  /// still queued and its lane is idle.
+  static Result<TransactionNumber> Await(Ticket& ticket);
+  /// Commits a batch Lane::Take() started, on the calling thread, then
+  /// marks the lane idle.
+  void Lead(Lane& lane, std::vector<Pending>& batch, bool caller_led);
+  /// One batch: refused when degraded, else ProcessBatch under the shared
+  /// checkpoint gate, then the `checkpoint_every` check.
+  void RunBatch(size_t shard_index, std::vector<Pending>& batch,
+                bool caller_led) TTRA_EXCLUDES(commit_mutex_);
+  void ProcessBatch(size_t shard_index, std::vector<Pending>& batch,
+                    bool caller_led) TTRA_EXCLUDES(commit_mutex_);
   /// Appends (with retry) + syncs the kCrossPrepare markers for a
   /// cross-shard batch; returns the first failure.
   Status WriteCrossPrepares(size_t home, uint64_t home_seq,
@@ -488,6 +539,12 @@ class ShardedExecutor {
       TTRA_EXCLUDES(commit_mutex_);
   void RefuseBatch(std::vector<Pending>& batch, const Status& reason)
       TTRA_EXCLUDES(commit_mutex_);
+  /// Answers every sentence of `batch` with `status`.
+  static void AnswerBatch(const std::vector<Pending>& batch,
+                          const Status& status);
+  /// Answers the sentences of a batch leaving the in-flight deque.
+  static void ResolveInflight(const Inflight& batch,
+                              std::vector<Result<TransactionNumber>> results);
   void EnterDegraded(const Status& reason) TTRA_EXCLUDES(commit_mutex_);
   void EnterDegradedLocked(const Status& reason) TTRA_REQUIRES(commit_mutex_);
   /// Fsyncs the advisory coordinator log with no executor mutex held and
@@ -514,9 +571,9 @@ class ShardedExecutor {
   std::vector<std::unique_ptr<Shard>> shards_;
   bool started_ = false;
 
-  /// Writers hold this shared across prepare → commit → mark, so holding
-  /// it exclusively (Checkpoint) means no batch is in flight anywhere and
-  /// the watermark equals the chain tip.
+  /// Batch leaders hold this shared across prepare → commit → mark, so
+  /// holding it exclusively (Checkpoint) means no batch is in flight
+  /// anywhere and the watermark equals the chain tip.
   SharedMutex checkpoint_gate_;
 
   /// The global order lock: transaction-number assignment, the chain tip,

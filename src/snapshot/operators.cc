@@ -31,24 +31,61 @@ Status RequireUnionCompatible(const SnapshotState& lhs,
 
 }  // namespace
 
+// The set kernels below walk both canonical operands once, deciding each
+// step with one three-way Tuple::CanonicalOrder where std::merge/
+// std::set_difference/std::set_intersection would evaluate `a < b` and
+// then `b < a`. Each reproduces its std:: counterpart's output exactly,
+// ties between unequal tuples (NaN) included.
+
 Result<SnapshotState> Union(const SnapshotState& lhs,
                             const SnapshotState& rhs) {
   TTRA_RETURN_IF_ERROR(RequireUnionCompatible(lhs, rhs, "union"));
+  const std::vector<Tuple>& a = lhs.tuples();
+  const std::vector<Tuple>& b = rhs.tuples();
   std::vector<Tuple> merged;
-  merged.reserve(lhs.size() + rhs.size());
-  std::merge(lhs.tuples().begin(), lhs.tuples().end(), rhs.tuples().begin(),
-             rhs.tuples().end(), std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  merged.reserve(a.size() + b.size());
+  auto out = std::back_inserter(merged);
+  // std::merge followed by std::unique: a tie emits the left tuple first,
+  // and the right one is dropped if it directly follows an equal tuple.
+  // Within one canonical operand neighbours differ, so only a right tuple
+  // emitted right after the left tuple it tied with can be a duplicate.
+  size_t i = 0, j = 0;
+  bool after_tie = false;
+  while (i < a.size() && j < b.size()) {
+    const int order = Tuple::CanonicalOrder(a[i], b[j]);
+    if (order > 0) {
+      if (!after_tie || !(merged.back() == b[j])) *out++ = b[j];
+      ++j;
+    } else {
+      *out++ = a[i++];
+    }
+    after_tie = order == 0;
+  }
+  if (j < b.size() && after_tie && merged.back() == b[j]) ++j;
+  out = std::copy(a.begin() + i, a.end(), out);
+  std::copy(b.begin() + j, b.end(), out);
   return SnapshotState::FromCanonical(lhs.schema(), std::move(merged));
 }
 
 Result<SnapshotState> Difference(const SnapshotState& lhs,
                                  const SnapshotState& rhs) {
   TTRA_RETURN_IF_ERROR(RequireUnionCompatible(lhs, rhs, "difference"));
+  const std::vector<Tuple>& a = lhs.tuples();
+  const std::vector<Tuple>& b = rhs.tuples();
   std::vector<Tuple> remaining;
-  std::set_difference(lhs.tuples().begin(), lhs.tuples().end(),
-                      rhs.tuples().begin(), rhs.tuples().end(),
-                      std::back_inserter(remaining));
+  remaining.reserve(a.size());
+  auto out = std::back_inserter(remaining);
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const int order = Tuple::CanonicalOrder(a[i], b[j]);
+    if (order < 0) {
+      *out++ = a[i++];
+    } else {
+      if (order == 0) ++i;
+      ++j;
+    }
+  }
+  std::copy(a.begin() + i, a.end(), out);
   return SnapshotState::FromCanonical(lhs.schema(), std::move(remaining));
 }
 
@@ -120,10 +157,21 @@ Result<SnapshotState> Select(const SnapshotState& state,
 Result<SnapshotState> Intersect(const SnapshotState& lhs,
                                 const SnapshotState& rhs) {
   TTRA_RETURN_IF_ERROR(RequireUnionCompatible(lhs, rhs, "intersect"));
+  const std::vector<Tuple>& a = lhs.tuples();
+  const std::vector<Tuple>& b = rhs.tuples();
   std::vector<Tuple> shared;
-  std::set_intersection(lhs.tuples().begin(), lhs.tuples().end(),
-                        rhs.tuples().begin(), rhs.tuples().end(),
-                        std::back_inserter(shared));
+  shared.reserve(std::min(a.size(), b.size()));
+  auto out = std::back_inserter(shared);
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const int order = Tuple::CanonicalOrder(a[i], b[j]);
+    if (order < 0) {
+      ++i;
+    } else {
+      if (order == 0) *out++ = a[i++];
+      ++j;
+    }
+  }
   return SnapshotState::FromCanonical(lhs.schema(), std::move(shared));
 }
 

@@ -58,16 +58,22 @@ class Tuple {
   size_t Hash() const;
 
   friend bool operator==(const Tuple&, const Tuple&) = default;
-  /// Canonical lexicographic order (by Value's canonical order), one
-  /// three-way test per value.
-  friend bool operator<(const Tuple& a, const Tuple& b) {
+  /// Canonical lexicographic order (by Value's canonical order) as one
+  /// three-way test: negative, zero or positive exactly when a < b,
+  /// neither, or b < a. One three-way test per value; tuples sharing a
+  /// payload tie at once. Merge kernels use it to decide each step with
+  /// one walk.
+  static int CanonicalOrder(const Tuple& a, const Tuple& b) {
     const std::span<const Value> x = a.values();
     const std::span<const Value> y = b.values();
-    if (x.data() == y.data()) return false;
+    if (x.data() == y.data()) return 0;
     for (size_t i = 0, n = std::min(x.size(), y.size()); i < n; ++i) {
-      if (const int order = Value::CanonicalOrder(x[i], y[i])) return order < 0;
+      if (const int order = Value::CanonicalOrder(x[i], y[i])) return order;
     }
-    return x.size() < y.size();
+    return x.size() < y.size() ? -1 : (y.size() < x.size() ? 1 : 0);
+  }
+  friend bool operator<(const Tuple& a, const Tuple& b) {
+    return CanonicalOrder(a, b) < 0;
   }
 
  private:

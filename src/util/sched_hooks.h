@@ -7,8 +7,8 @@ namespace ttra {
 
 /// Interception seam for the deterministic model checker (src/modelcheck).
 ///
-/// The synchronization primitives in util/mutex.h, util/bounded_queue.h
-/// and util/vthread.h consult the installed hooks with one relaxed atomic
+/// The synchronization primitives in util/mutex.h and util/vthread.h
+/// consult the installed hooks with one relaxed atomic
 /// load per operation and fall through to the real std:: primitives when
 /// no hooks are installed (always true in production — nothing outside
 /// the model checker ever installs them) or when the calling thread is

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <map>
 #include <set>
 #include <string>
@@ -683,6 +686,214 @@ TEST(ShardRecoveryTest, MatchingPreparesIsLinearInUncoveredBatches) {
   const double large = RecoverSeconds(40'000, 1'000);
   EXPECT_LT(large, 8 * small + 0.05)
       << "10k batches: " << small << " s, 40k batches: " << large << " s";
+}
+
+// --- Caller-led commits ---------------------------------------------------
+
+TEST(CallerLedTest, SynchronousSubmitOnIdleShardIsCommittedByTheCaller) {
+  InMemoryEnv env;
+  ShardedExecutor exec(&env, "db", FastOptions(1));
+  ASSERT_TRUE(exec.Start().ok());
+  ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                      "emp", RelationType::kRollback, EmpSchema()}})
+                  .ok());
+  for (int i = 0; i < 5; ++i) {
+    Result<TransactionNumber> txn = exec.Submit(
+        Command{ModifySnapshotCmd{"emp", EmpState({{"ed", 100 + i}})}});
+    ASSERT_TRUE(txn.ok()) << txn.status();
+    EXPECT_EQ(*txn, static_cast<TransactionNumber>(2 + i));
+  }
+  ASSERT_TRUE(
+      exec.SubmitAtomic({Command{ModifySnapshotCmd{"emp", EmpState({})}}})
+          .ok());
+  // Submit queues without waking the writer and leads at once on an idle
+  // shard, so every batch ran on this thread — no race with the writer.
+  const ShardedExecutor::Stats stats = exec.stats();
+  ASSERT_EQ(stats.per_shard.size(), 1u);
+  EXPECT_EQ(stats.per_shard[0].batches, 7u);
+  EXPECT_EQ(stats.per_shard[0].caller_led_batches, 7u);
+  EXPECT_EQ(stats.commits, 7u);
+  exec.Stop();
+}
+
+/// InMemoryEnv whose syncs block while the gate is closed: a test holds a
+/// batch in its fsync for as long as it needs, with no sleeps.
+class GatedSyncEnv : public InMemoryEnv {
+ public:
+  void Close() {
+    std::lock_guard<std::mutex> lock(gate_mutex_);
+    open_ = false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+  Status Sync(const std::string& path) override {
+    {
+      std::unique_lock<std::mutex> lock(gate_mutex_);
+      opened_.wait(lock, [this] { return open_; });
+    }
+    return InMemoryEnv::Sync(path);
+  }
+
+ private:
+  std::mutex gate_mutex_;
+  std::condition_variable opened_;
+  bool open_ = true;
+};
+
+TEST(CallerLedTest, AsyncWindowFromOneThreadStillFormsBatches) {
+  GatedSyncEnv env;
+  ShardedOptions options = FastOptions(1);
+  options.group_commit.max_batch = 64;
+  ShardedExecutor exec(&env, "db", options);
+  ASSERT_TRUE(exec.Start().ok());
+  ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                      "emp", RelationType::kRollback, EmpSchema()}})
+                  .ok());
+  // SubmitAsync never leads, even on an idle shard: it wakes the writer
+  // and returns. With every sync held shut, at most one batch can start
+  // before the whole window is queued; whatever it took, the rest is
+  // queued together and leaves as one batch (led by the writer or by the
+  // first get() that finds its sentence still queued).
+  env.Close();
+  std::vector<std::future<Result<TransactionNumber>>> window;
+  for (int i = 0; i < 64; ++i) {
+    window.push_back(exec.SubmitAsync(
+        {Command{ModifySnapshotCmd{"emp", EmpState({{"ed", i}})}}}));
+  }
+  env.Open();
+  for (int i = 0; i < 64; ++i) {
+    Result<TransactionNumber> txn = window[i].get();
+    ASSERT_TRUE(txn.ok()) << txn.status();
+    EXPECT_EQ(*txn, static_cast<TransactionNumber>(2 + i));
+  }
+  const ShardedExecutor::Stats stats = exec.stats();
+  EXPECT_EQ(stats.commits, 65u);
+  EXPECT_LE(stats.batches, 3u);  // the define, then at most two
+  EXPECT_GE(stats.max_batch, 32u);
+  exec.Stop();
+}
+
+TEST(CallerLedTest, DeferredFutureOutlivesStopAndTheExecutor) {
+  InMemoryEnv env;
+  std::vector<std::future<Result<TransactionNumber>>> futures;
+  {
+    ShardedExecutor exec(&env, "db", FastOptions(2));
+    ASSERT_TRUE(exec.Start().ok());
+    auto define = exec.SubmitAsync({Command{
+        DefineRelationCmd{"emp", RelationType::kRollback, EmpSchema()}}});
+    // A queued sentence's future is deferred: polling never blocks, and
+    // get() does the waiting.
+    EXPECT_EQ(define.wait_for(std::chrono::seconds(0)),
+              std::future_status::deferred);
+    futures.push_back(std::move(define));
+    for (int i = 0; i < 3; ++i) {
+      futures.push_back(exec.SubmitAsync(
+          {Command{ModifySnapshotCmd{"emp", EmpState({{"ed", i}})}}}));
+    }
+    exec.Stop();
+    // Stop() answered everything queued; a refused submission's future is
+    // ready at once.
+    auto refused = exec.SubmitAsync(
+        {Command{ModifySnapshotCmd{"emp", EmpState({})}}});
+    ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(refused.get().status().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(exec.Submit(Command{ModifySnapshotCmd{"emp", EmpState({})}})
+                  .status()
+                  .code(),
+              ErrorCode::kUnavailable);
+  }
+  // The executor is gone; the answers are not.
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Result<TransactionNumber> txn = futures[i].get();
+    ASSERT_TRUE(txn.ok()) << txn.status();
+    EXPECT_EQ(*txn, static_cast<TransactionNumber>(i + 1));
+  }
+}
+
+TEST(CallerLedTest, CallerLedBatchesCheckpointAndRecover) {
+  InMemoryEnv env;
+  ShardedOptions options = FastOptions(1);
+  options.durable.checkpoint_every = 3;
+  std::string want;
+  {
+    ShardedExecutor exec(&env, "db", options);
+    ASSERT_TRUE(exec.Start().ok());
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        "emp", RelationType::kRollback, EmpSchema()}})
+                    .ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(exec.Submit(Command{ModifySnapshotCmd{
+                          "emp", EmpState({{"ed", i}})}})
+                      .ok());
+    }
+    // The auto-checkpoints ran on this thread after its own batches and
+    // truncated the log: the last one covers txn 9, so two batches remain.
+    EXPECT_EQ(exec.stats().per_shard[0].caller_led_batches, 11u);
+    want = EncodeDatabase(exec.Snapshot());
+    exec.Stop();
+  }
+  ShardedExecutor reopened(&env, "db", options);
+  ASSERT_TRUE(reopened.Start().ok());
+  EXPECT_EQ(reopened.last_recovery().checkpoint_txn, 9u);
+  EXPECT_EQ(reopened.last_recovery().replayed_batches, 2u);
+  EXPECT_EQ(EncodeDatabase(reopened.Snapshot()), want);
+  reopened.Stop();
+}
+
+// --- Replayed histories share rows --------------------------------------
+
+/// ApproxBytes of the database one Start() of "db" recovers.
+size_t RecoveredBytes(Env* env, std::string* encoded) {
+  ShardedExecutor exec(env, "db", FastOptions(1));
+  EXPECT_TRUE(exec.Start().ok());
+  const Database db = exec.Snapshot();
+  *encoded = EncodeDatabase(db);
+  exec.Stop();
+  return db.ApproxBytes();
+}
+
+TEST(ShardRecoveryTest, ReplayedHistorySharesRowsLikeACheckpointLoad) {
+  // Each commit repeats most rows of the one before it, in fresh payloads
+  // (the client built every state from scratch).
+  InMemoryEnv env;
+  {
+    ShardedExecutor exec(&env, "db", FastOptions(1));
+    ASSERT_TRUE(exec.Start().ok());
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        "emp", RelationType::kRollback, EmpSchema()}})
+                    .ok());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(exec.Submit(Command{ModifySnapshotCmd{
+                          "emp", EmpState({{"ann", 1}, {"bob", 2},
+                                           {"cy", 3}, {"dee", 10 + i}})}})
+                      .ok());
+    }
+    exec.Stop();
+  }
+  // The first open replays the shard log; the second loads the checkpoint
+  // the first one wrote. Same bytes, and now the same payload sharing.
+  std::string replayed, loaded;
+  const size_t replayed_bytes = RecoveredBytes(&env, &replayed);
+  const size_t loaded_bytes = RecoveredBytes(&env, &loaded);
+  EXPECT_EQ(replayed, loaded);
+  EXPECT_EQ(replayed_bytes, loaded_bytes);
+}
+
+TEST(ShardRecoveryTest, MigratedHistorySharesRowsLikeACheckpointLoad) {
+  InMemoryEnv env;
+  const std::string want = WriteMixedLegacyDir(&env);
+  std::string migrated, loaded;
+  const size_t migrated_bytes = RecoveredBytes(&env, &migrated);
+  const size_t loaded_bytes = RecoveredBytes(&env, &loaded);
+  EXPECT_EQ(migrated, want);
+  EXPECT_EQ(loaded, want);
+  EXPECT_EQ(migrated_bytes, loaded_bytes);
 }
 
 }  // namespace

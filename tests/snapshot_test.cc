@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -752,6 +753,58 @@ TEST(PredicateBindTest, BoundFormAgreesWithReferenceEvaluator) {
       const Tuple tail(std::vector<Value>(t.values().begin() + split,
                                           t.values().end()));
       ASSERT_EQ(bound->Eval(head, tail), *expected) << p << " split " << split;
+    }
+  }
+}
+
+// The merge kernels decide each step with one three-way comparison; their
+// output must be exactly what std::merge + std::unique,
+// std::set_difference and std::set_intersection give, down to which
+// operand's tuple is kept. Small double domains make ties common,
+// including NaN (ties with every double but equals nothing) and signed
+// zeros.
+TEST(OperatorsTest, SetKernelsMatchStdAlgorithmsTupleForTuple) {
+  Rng rng(2718);
+  for (const Schema& schema : {MakeSchema({{"d", ValueType::kDouble}}),
+                               MakeSchema({{"i", ValueType::kInt},
+                                           {"d", ValueType::kDouble}})}) {
+    for (int round = 0; round < 300; ++round) {
+      auto random_state = [&] {
+        std::vector<Tuple> rows;
+        const size_t n = rng.Uniform(12);
+        for (size_t k = 0; k < n; ++k) rows.push_back(RandomRow(rng, schema));
+        return *SnapshotState::Make(schema, std::move(rows));
+      };
+      const SnapshotState a = random_state();
+      const SnapshotState b = random_state();
+      // Every output tuple is a copy of an input tuple, so payload
+      // identity says which one was kept.
+      auto same = [](const std::vector<Tuple>& want,
+                     const std::vector<Tuple>& got) {
+        if (want.size() != got.size()) return false;
+        for (size_t k = 0; k < want.size(); ++k) {
+          if (want[k].values().data() != got[k].values().data()) return false;
+        }
+        return true;
+      };
+      const std::vector<Tuple>& x = a.tuples();
+      const std::vector<Tuple>& y = b.tuples();
+      std::vector<Tuple> merged;
+      std::merge(x.begin(), x.end(), y.begin(), y.end(),
+                 std::back_inserter(merged));
+      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+      std::vector<Tuple> difference;
+      std::set_difference(x.begin(), x.end(), y.begin(), y.end(),
+                          std::back_inserter(difference));
+      std::vector<Tuple> intersection;
+      std::set_intersection(x.begin(), x.end(), y.begin(), y.end(),
+                            std::back_inserter(intersection));
+      EXPECT_TRUE(same(merged, ops::Union(a, b)->tuples()))
+          << a << " u " << b;
+      EXPECT_TRUE(same(difference, ops::Difference(a, b)->tuples()))
+          << a << " - " << b;
+      EXPECT_TRUE(same(intersection, ops::Intersect(a, b)->tuples()))
+          << a << " n " << b;
     }
   }
 }

@@ -23,6 +23,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -328,12 +330,12 @@ TEST(TsanStressTest, LanguageEvalOnSharedSnapshots) {
 }
 
 /// The single-writer queued pipeline (ShardedExecutor, one shard) under
-/// TSan: producer threads race the group-commit writer thread through the
-/// bounded queue, readers open pinned sessions while snapshots are
-/// republished, and a checkpointer competes for the checkpoint gate. All
-/// waiting is condvar/future-based (BoundedQueue, Drain, promise futures)
-/// — no sleeps, fixed iteration counts — so the test is deterministic in
-/// coverage and cheap unsanitized.
+/// TSan: producer threads race each other and the group-commit writer
+/// thread for the lead of the shard's batches, readers open pinned
+/// sessions while snapshots are republished, and a checkpointer competes
+/// for the checkpoint gate. All waiting is condvar-based (the shard's
+/// queue, Drain, deferred futures) — no sleeps, fixed iteration counts —
+/// so the test is deterministic in coverage and cheap unsanitized.
 TEST(TsanStressTest, SingleShardProducersReadersCheckpointer) {
   constexpr int kProducerThreads = 2;
   constexpr int kCommitsPerProducer = 32;
@@ -406,6 +408,94 @@ TEST(TsanStressTest, SingleShardProducersReadersCheckpointer) {
   EXPECT_LE(stats.per_shard[0].wal.syncs, stats.per_shard[0].wal.records);
   exec.Stop();
 }
+
+/// Caller-led commits under TSan on `shards` shards: synchronous
+/// submitters lead their own batches, an async window waits on deferred
+/// futures (leading whenever it finds its sentence queued on an idle
+/// shard) while the writers take what nobody waits for, a checkpointer
+/// takes the gate exclusively, and Stop() runs while the last window's
+/// futures are still being waited on by another thread.
+void CallerLedStress(size_t shards) {
+  constexpr int kSyncCommits = 32;
+  constexpr int kWindows = 4;
+  constexpr int kWindow = 8;
+
+  InMemoryEnv env;
+  ShardedOptions options;
+  options.shards = shards;
+  options.group_commit.max_batch = 4;
+  ShardedExecutor exec(&env, "db", options);
+  ASSERT_TRUE(exec.Start().ok());
+  // One relation homed on each shard.
+  std::vector<std::string> names;
+  for (size_t k = 0; k < shards; ++k) {
+    for (int i = 0;; ++i) {
+      std::string name = "r" + std::to_string(i);
+      if (ShardOfName(name, shards) != k) continue;
+      names.push_back(name);
+      break;
+    }
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        names.back(), RelationType::kRollback,
+                        StressSchema()}})
+                    .ok());
+  }
+  auto modify = [&names](int i) {
+    std::vector<Command> sentence;
+    sentence.push_back(ModifySnapshotCmd{
+        names[static_cast<size_t>(i) % names.size()],
+        StateOfSize(static_cast<size_t>(i) % 5)});
+    return sentence;
+  };
+
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int i = 0; i < kSyncCommits; ++i) {
+      const bool ok = i % 4 == 3 ? exec.SubmitAtomic(modify(i)).ok()
+                                 : exec.Submit(modify(i)).ok();
+      if (!ok) errors.fetch_add(1);
+    }
+  });
+  threads.emplace_back([&] {
+    for (int w = 0; w < kWindows; ++w) {
+      std::vector<std::future<Result<TransactionNumber>>> window;
+      for (int i = 0; i < kWindow; ++i) {
+        window.push_back(exec.SubmitAsync(modify(w * kWindow + i + 1)));
+      }
+      for (auto& future : window) {
+        if (!future.get().ok()) errors.fetch_add(1);
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    for (int i = 0; i < 4; ++i) {
+      if (!exec.Checkpoint().ok()) errors.fetch_add(1);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  // The last window: a waiter thread gets its answers while this thread
+  // stops the executor, so Stop() must wait for a caller-led batch.
+  std::vector<std::future<Result<TransactionNumber>>> last;
+  for (int i = 0; i < kWindow; ++i) last.push_back(exec.SubmitAsync(modify(i)));
+  std::thread waiter([&] {
+    for (auto& future : last) {
+      if (!future.get().ok()) errors.fetch_add(1);
+    }
+  });
+  exec.Stop();
+  waiter.join();
+  EXPECT_EQ(errors.load(), 0);
+  // Every modify_state succeeds and advances the transaction number once.
+  EXPECT_EQ(exec.transaction_number(),
+            static_cast<TransactionNumber>(shards + kSyncCommits +
+                                           kWindows * kWindow + kWindow));
+}
+
+TEST(TsanStressTest, CallerLedCommitsOneShard) { CallerLedStress(1); }
+
+TEST(TsanStressTest, CallerLedCommitsTwoShards) { CallerLedStress(2); }
 
 // PosixEnv under concurrent use of the same and of different files: each
 // appender appends and syncs its own file while another thread syncs every

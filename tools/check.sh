@@ -292,9 +292,9 @@ if [ "$do_bench" -eq 1 ]; then
   echo "== configure build-release (bench smoke)"
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "== build build-release benches"
-  cmake --build build-release -j "$jobs" --target bench_operators bench_rollback bench_concurrent bench_storage bench_quel
+  cmake --build build-release -j "$jobs" --target bench_operators bench_rollback bench_concurrent bench_storage bench_quel bench_wal
   mkdir -p "$smoke"
-  echo "== bench smoke (operators, rollback, concurrent, storage, quel -> $smoke/)"
+  echo "== bench smoke (operators, rollback, concurrent, storage, quel, wal -> $smoke/)"
   ./build-release/bench/bench_operators \
     --benchmark_filter='BM_EquiJoin' \
     --benchmark_min_time=0.05 \
@@ -321,6 +321,13 @@ if [ "$do_bench" -eq 1 ]; then
     --benchmark_filter='BM_AsofScriptPath' \
     --benchmark_min_time=0.05 \
     --benchmark_out="$smoke/BENCH_quel.json" --benchmark_out_format=json
+  # Experiments E11, E20, E21: one synchronous client's commit under each
+  # sync policy (committed on the client's own thread when the log is
+  # idle), and the record sync a commit waits for, by log file kind.
+  ./build-release/bench/bench_wal \
+    --benchmark_filter='BM_CommitSync|BM_LogRecordSync' \
+    --benchmark_min_time=0.05 \
+    --benchmark_out="$smoke/BENCH_wal.json" --benchmark_out_format=json
 fi
 
 echo "== all requested checks passed"
