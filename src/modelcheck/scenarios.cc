@@ -130,8 +130,8 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
   scenario.name = "sharded-cross";
   scenario.description =
       "ShardedExecutor: 2 shards, 2 opposite-homed cross-shard sentences "
-      "whose waiting clients may lead; two-phase prepare + durability "
-      "watermark invariants";
+      "whose waiting clients may lead; home-shard prepare/commit + "
+      "durability watermark invariants";
   scenario.run = [seeded_bug](ModelContext& t) {
     InMemoryEnv env;
     ShardedOptions options;
@@ -173,9 +173,9 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
       return result;
     };
 
-    // Two cross-shard sentences homed on OPPOSITE shards: each prepares in
-    // its own WAL, cross-prepares into the other, and both race through
-    // the global ordering + watermark. Client i writes 10*(i+1) + relation.
+    // Two cross-shard sentences homed on OPPOSITE shards: each prepares and
+    // commits in its own home WAL, and both race through the global
+    // ordering + watermark. Client i writes 10*(i+1) + relation.
     ttra::Thread clients[2];
     for (int i = 0; i < 2; ++i) {
       clients[i] = ttra::Thread([&t, &exec, &acked, &commit, &r0, &r1, i] {

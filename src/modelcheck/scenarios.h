@@ -29,8 +29,8 @@ struct Scenario {
 Scenario ConcurrentCommitScenario();
 
 /// `ShardedExecutor`, 2 shards × 2 cross-shard client sentences (opposite
-/// home shards): the two-phase prepare/commit protocol plus the durability
-/// watermark, under the same invariant set. With `seeded_bug` the executor
+/// home shards): the home-shard prepare/commit protocol plus the
+/// durability watermark, under the same invariant set. With `seeded_bug` the executor
 /// runs with ProtocolFaultsForTests::ack_out_of_order — the watermark skip
 /// the explorer must catch on some schedule.
 Scenario ShardedCrossShardScenario(bool seeded_bug = false);

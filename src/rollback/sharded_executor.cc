@@ -14,9 +14,6 @@ namespace ttra {
 
 namespace {
 
-constexpr char kManifestMagic[] = "ttra-shards";
-constexpr int kManifestVersion = 1;
-
 void PutU64(uint64_t v, std::string& out) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -50,15 +47,8 @@ Result<GroupEntry> DecodeShardEntry(ByteReader& reader) {
   return entry;
 }
 
-/// [u64 count][count × entry] — the payload shared by prepare and
-/// cross-prepare records.
-std::string EncodeEntriesBlob(const std::vector<GroupEntry>& entries) {
-  std::string out;
-  PutU64(entries.size(), out);
-  for (const GroupEntry& entry : entries) EncodeShardEntry(entry, out);
-  return out;
-}
-
+/// [u64 count][count × entry] — the payload of a prepare record (and of
+/// the cross-prepare copies earlier builds wrote).
 Status DecodeEntriesBlob(ByteReader& reader, ShardRecord& record) {
   TTRA_ASSIGN_OR_RETURN(record.count, reader.ReadCount());
   record.entries.reserve(record.count);
@@ -69,11 +59,13 @@ Status DecodeEntriesBlob(ByteReader& reader, ShardRecord& record) {
   return Status::Ok();
 }
 
-std::string EncodePrepare(uint64_t seq, const std::string& entries_blob) {
+std::string EncodePrepare(uint64_t seq,
+                          const std::vector<GroupEntry>& entries) {
   std::string out;
   out.push_back(static_cast<char>(ShardRecordKind::kPrepare));
   PutU64(seq, out);
-  out += entries_blob;
+  PutU64(entries.size(), out);
+  for (const GroupEntry& entry : entries) EncodeShardEntry(entry, out);
   return out;
 }
 
@@ -84,29 +76,6 @@ std::string EncodeCommit(uint64_t seq, TransactionNumber base,
   PutU64(seq, out);
   PutU64(base, out);
   PutU64(post, out);
-  return out;
-}
-
-std::string EncodeCrossPrepare(uint64_t home_shard, uint64_t home_seq,
-                               const std::string& entries_blob) {
-  std::string out;
-  out.push_back(static_cast<char>(ShardRecordKind::kCrossPrepare));
-  PutU64(home_shard, out);
-  PutU64(home_seq, out);
-  out += entries_blob;
-  return out;
-}
-
-std::string EncodeCoordCommit(uint64_t shard, uint64_t seq,
-                              TransactionNumber base, TransactionNumber post,
-                              uint64_t count) {
-  std::string out;
-  out.push_back(static_cast<char>(ShardRecordKind::kCoordCommit));
-  PutU64(shard, out);
-  PutU64(seq, out);
-  PutU64(base, out);
-  PutU64(post, out);
-  PutU64(count, out);
   return out;
 }
 
@@ -243,11 +212,6 @@ Result<LegacyReplay> ReplayLegacyWal(const Env& env, const std::string& path,
   return replay;
 }
 
-std::string ShardManifestText(size_t shards) {
-  return std::string(kManifestMagic) + " " + std::to_string(kManifestVersion) +
-         "\nshards " + std::to_string(shards) + "\n";
-}
-
 }  // namespace
 
 Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record) {
@@ -292,30 +256,6 @@ std::string_view SyncPolicyName(SyncPolicy policy) {
 
 std::string ShardWalFile(size_t shard) {
   return "shard-" + std::to_string(shard) + ".wal";
-}
-
-Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir) {
-  TTRA_ASSIGN_OR_RETURN(std::string text,
-                        env.Read(dir + "/" + kShardManifestFile));
-  // Expected exactly: "ttra-shards <version>\nshards <N>\n".
-  const std::string header =
-      std::string(kManifestMagic) + " " + std::to_string(kManifestVersion) +
-      "\nshards ";
-  if (text.rfind(header, 0) != 0 || text.empty() || text.back() != '\n') {
-    return CorruptionError("malformed shard MANIFEST in " + dir);
-  }
-  const std::string number = text.substr(header.size(),
-                                         text.size() - header.size() - 1);
-  if (number.empty() ||
-      number.find_first_not_of("0123456789") != std::string::npos) {
-    return CorruptionError("malformed shard count in " + dir + "/MANIFEST");
-  }
-  const unsigned long shards = std::stoul(number);
-  if (shards == 0 || shards > 1024) {
-    return CorruptionError("implausible shard count " + number + " in " +
-                           dir + "/MANIFEST");
-  }
-  return static_cast<uint32_t>(shards);
 }
 
 namespace {
@@ -381,8 +321,6 @@ std::string_view ShardRecordKindName(ShardRecordKind kind) {
       return "commit";
     case ShardRecordKind::kCrossPrepare:
       return "cross-prepare";
-    case ShardRecordKind::kCoordCommit:
-      return "coordinator-commit";
   }
   return "unknown";
 }
@@ -407,18 +345,9 @@ Result<ShardRecord> DecodeShardRecord(std::string_view payload) {
     }
     case static_cast<uint8_t>(ShardRecordKind::kCrossPrepare): {
       record.kind = ShardRecordKind::kCrossPrepare;
-      TTRA_ASSIGN_OR_RETURN(record.home_shard, reader.ReadU64());
-      TTRA_ASSIGN_OR_RETURN(record.home_seq, reader.ReadU64());
+      TTRA_RETURN_IF_ERROR(reader.ReadU64().status());  // home shard
+      TTRA_RETURN_IF_ERROR(reader.ReadU64().status());  // home seq
       TTRA_RETURN_IF_ERROR(DecodeEntriesBlob(reader, record));
-      break;
-    }
-    case static_cast<uint8_t>(ShardRecordKind::kCoordCommit): {
-      record.kind = ShardRecordKind::kCoordCommit;
-      TTRA_ASSIGN_OR_RETURN(record.shard, reader.ReadU64());
-      TTRA_ASSIGN_OR_RETURN(record.seq, reader.ReadU64());
-      TTRA_ASSIGN_OR_RETURN(record.base_txn, reader.ReadU64());
-      TTRA_ASSIGN_OR_RETURN(record.post_txn, reader.ReadU64());
-      TTRA_ASSIGN_OR_RETURN(record.count, reader.ReadU64());
       break;
     }
     default:
@@ -455,15 +384,17 @@ struct ShardedExecutor::Lane {
   Lane(ShardedExecutor* owner, size_t shard, const GroupCommitOptions& options)
       : owner(owner),
         shard(shard),
-        capacity(std::max<size_t>(1, options.queue_capacity)),
         max_batch(std::max<size_t>(1, options.max_batch)) {}
+
+  /// Queue depth bound: a producer blocks (backpressure) while this many
+  /// sentences are queued on the lane.
+  static constexpr size_t kCapacity = 1024;
 
   /// Valid whenever a ticket is queued or a batch is running here: Stop()
   /// returns only once neither is true, and a lane outlives its executor
   /// only through the tickets of answered sentences.
   ShardedExecutor* const owner;
   const size_t shard;
-  const size_t capacity;
   const size_t max_batch;
 
   Mutex mutex;
@@ -578,6 +509,10 @@ Status ShardedExecutor::Start() {
     TTRA_ASSIGN_OR_RETURN(uint32_t manifest_shards,
                           ReadShardManifest(*env_, dir_));
     shards = manifest_shards;
+  } else if (shards > kMaxShards) {
+    // Its MANIFEST would be refused by every later open.
+    return InvalidArgumentError("at most " + std::to_string(kMaxShards) +
+                                " shards");
   }
   shard_count_ = shards;
 
@@ -591,8 +526,8 @@ Status ShardedExecutor::Start() {
   }
 
   // Merged recovery: checkpoint, the legacy wal.log if any (it predates
-  // every shard record), then every shard WAL + the coordinator log
-  // re-establish one total order.
+  // every shard record), then every shard WAL re-establish one total
+  // order.
   TTRA_ASSIGN_OR_RETURN(Database db, compact_.Load(options_.durable.db));
   const TransactionNumber checkpoint_txn = db.transaction_number();
   LegacyReplay legacy;
@@ -619,10 +554,15 @@ Status ShardedExecutor::Start() {
   }
 
   // Re-establish the on-disk invariant: one checkpoint covering the
-  // merged replay, fresh logs, sequence spaces reset. The legacy log goes
-  // only once that checkpoint is durable.
+  // merged replay, fresh logs, sequence spaces reset. The legacy log, and
+  // the coordinator log an earlier build kept, go only once that
+  // checkpoint is durable.
   TTRA_RETURN_IF_ERROR(compact_.WriteCheckpoint(db));
   if (migrate) TTRA_RETURN_IF_ERROR(env_->Remove(legacy_wal));
+  const std::string coordinator_log = dir_ + "/" + kCoordinatorLogFile;
+  if (env_->Exists(coordinator_log)) {
+    TTRA_RETURN_IF_ERROR(env_->Remove(coordinator_log));
+  }
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock lock(shards_[k]->wal_mutex);
     TTRA_RETURN_IF_ERROR(shards_[k]->wal->Create());
@@ -631,11 +571,6 @@ Status ShardedExecutor::Start() {
   }
   {
     MutexLock lock(commit_mutex_);
-    coordinator_ = std::make_unique<WalWriter>(
-        env_, dir_ + "/" + kCoordinatorLogFile);
-    TTRA_RETURN_IF_ERROR(coordinator_->Create());
-    coordinator_unsynced_ = 0;
-    coordinator_good_ = true;
     next_commit_index_ = 0;
     inflight_.clear();
     poisoned_ = false;
@@ -666,29 +601,6 @@ Status ShardedExecutor::Recover(Database& db) {
   // is only for the annotations' benefit.
   MutexLock lock(commit_mutex_);
   last_recovery_ = RecoveryInfo{};
-
-  // Coordinator log first: advisory cross-check material. A torn tail is
-  // the expected crash shape (it is synced lazily); mid-log corruption is
-  // real damage and recovery refuses, like any other log here.
-  std::map<std::pair<uint64_t, uint64_t>, ShardRecord> coord;
-  const std::string coord_path = dir_ + "/" + kCoordinatorLogFile;
-  if (env_->Exists(coord_path)) {
-    TTRA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWal(*env_, coord_path));
-    if (wal.records_after_hole > 0) return MidLogCorruption(coord_path, wal);
-    if (wal.torn_tail) ++last_recovery_.torn_tails;
-    for (const std::string& payload : wal.records) {
-      TTRA_ASSIGN_OR_RETURN(ShardRecord record, DecodeShardRecord(payload));
-      if (record.kind != ShardRecordKind::kCoordCommit) {
-        return CorruptionError("non-coordinator record in " + coord_path);
-      }
-      if (!coord.emplace(std::make_pair(record.shard, record.seq), record)
-               .second) {
-        return CorruptionError("duplicate coordinator record for shard " +
-                               std::to_string(record.shard) + " seq " +
-                               std::to_string(record.seq));
-      }
-    }
-  }
 
   // Shard WALs: prepares carry the payloads, commits carry the positions.
   std::map<std::pair<uint64_t, uint64_t>, ShardRecord> prepares;
@@ -730,10 +642,9 @@ Status ShardedExecutor::Recover(Database& db) {
           break;
         }
         case ShardRecordKind::kCrossPrepare:
-          // Forensic marker; the home shard's prepare is authoritative.
+          // An earlier build's copy of a payload homed on another shard;
+          // that shard's prepare is authoritative.
           break;
-        case ShardRecordKind::kCoordCommit:
-          return CorruptionError("coordinator record in shard wal " + path);
       }
     }
   }
@@ -762,17 +673,6 @@ Status ShardedExecutor::Recover(Database& db) {
     const Commit& commit = commits[i];
     const auto prepared = prepares.find({commit.shard, commit.seq});
     std::vector<GroupEntry>& entries = prepared->second.entries;
-    const auto cross_check = coord.find({commit.shard, commit.seq});
-    if (cross_check != coord.end()) {
-      const ShardRecord& c = cross_check->second;
-      if (c.base_txn != commit.base || c.post_txn != commit.post ||
-          c.count != entries.size()) {
-        return CorruptionError(
-            "coordinator record disagrees with shard " +
-            std::to_string(commit.shard) + " seq " +
-            std::to_string(commit.seq));
-      }
-    }
     const TransactionNumber current = db.transaction_number();
     if (commit.post <= current) {
       // Covered by the checkpoint (crash between checkpoint publication
@@ -841,19 +741,6 @@ void ShardedExecutor::Stop() {
     MutexLock lock(shard->wal_mutex);
     shard->wal->TrimTail().IgnoreError();
   }
-  // Final opportunistic coordinator sync: the log is advisory, but a
-  // clean shutdown should leave it complete. The fsync itself runs with
-  // no executor mutex held (the writers are already joined).
-  bool sync_coordinator = false;
-  {
-    MutexLock lock(commit_mutex_);
-    if (coordinator_ != nullptr && coordinator_good_ &&
-        coordinator_unsynced_ > 0) {
-      coordinator_unsynced_ = 0;
-      sync_coordinator = true;
-    }
-  }
-  if (sync_coordinator) SyncCoordinatorUnlocked();
   started_ = false;
 }
 
@@ -884,7 +771,7 @@ Result<std::shared_ptr<ShardedExecutor::Ticket>> ShardedExecutor::Enqueue(
     {
       MutexLock lock(lane.mutex);
       lane.not_full.Wait(lane.mutex, [&lane]() TTRA_REQUIRES(lane.mutex) {
-        return lane.closed || lane.items.size() < lane.capacity;
+        return lane.closed || lane.items.size() < Lane::kCapacity;
       });
       if (!lane.closed) {
         lane.items.push_back(Pending{std::move(sentence), atomic, ticket});
@@ -1070,33 +957,23 @@ Status ShardedExecutor::CheckpointAll(bool compact) {
   // I/O in the system — stats()/healthy() probes must not stall behind it.
   Status status =
       compact ? compact_.Compact(*tip) : compact_.WriteCheckpoint(*tip);
-  MutexLock lock(commit_mutex_);
-  if (!status.ok()) {
-    // The manifest writer may hold a torn tail; only a re-Start() re-arms
-    // it from the validated prefix.
-    EnterDegradedLocked(status);
-    return status;
-  }
   // The manifest sync is the commit point and the checkpoint covers every
   // commit: the logs may restart (a crash in between replays records the
-  // manifest skips).
-  for (size_t k = 0; k < shard_count_; ++k) {
+  // manifest skips). Each under its own WAL lock only — the gate keeps
+  // every batch out.
+  for (size_t k = 0; status.ok() && k < shard_count_; ++k) {
     MutexLock wal_lock(shards_[k]->wal_mutex);
     status = shards_[k]->wal->Create();
-    if (!status.ok()) {
-      EnterDegradedLocked(status);
-      return status;
-    }
     shards_[k]->next_seq = 1;
     shards_[k]->commits_since_sync = 0;
   }
-  status = coordinator_->Create();
+  MutexLock lock(commit_mutex_);
   if (!status.ok()) {
+    // A torn manifest or a half-created log: only a re-Start() re-arms
+    // them from the validated prefix.
     EnterDegradedLocked(status);
     return status;
   }
-  coordinator_unsynced_ = 0;
-  coordinator_good_ = true;
   commits_since_checkpoint_ = 0;
   return Status::Ok();
 }
@@ -1128,22 +1005,6 @@ void ShardedExecutor::EnterDegradedLocked(const Status& reason) {
   last_write_error_ = reason;
 }
 
-void ShardedExecutor::SyncCoordinatorUnlocked() {
-  // Env is internally synchronized, so the fsync runs lock-free here and
-  // committers on other shards keep appending meanwhile. WalWriter::Sync
-  // is NOT used: it mutates its stats under no lock of its own, and the
-  // appender owns it under commit_mutex_ — the executor books syncs in
-  // coordinator_syncs_ instead.
-  const Status status = env_->Sync(dir_ + "/" + kCoordinatorLogFile);
-  MutexLock lock(commit_mutex_);
-  if (status.ok()) {
-    ++coordinator_syncs_;
-  } else {
-    // Advisory log only: stop writing it, durability is untouched.
-    coordinator_good_ = false;
-  }
-}
-
 ShardedExecutor::RecoveryInfo ShardedExecutor::last_recovery() const {
   MutexLock lock(commit_mutex_);
   return last_recovery_;
@@ -1159,9 +1020,6 @@ ShardedExecutor::Stats ShardedExecutor::stats() const {
     stats.cross_shard_batches = stat_cross_shard_;
     stats.rejected_read_only = stat_rejected_;
     stats.degraded = degraded_;
-    stats.coordinator_records =
-        coordinator_ == nullptr ? 0 : coordinator_->stats().records;
-    stats.coordinator_syncs = coordinator_syncs_;
     stats.last_write_error = last_write_error_;
   }
   stats.transient_retries = transient_retries_.load();
@@ -1234,40 +1092,6 @@ void ShardedExecutor::ResolveInflight(
   batch.tickets.front()->lane->Resolve(batch.tickets, std::move(results));
 }
 
-Status ShardedExecutor::WriteCrossPrepares(size_t home, uint64_t home_seq,
-                                           const std::string& entries_blob,
-                                           const std::vector<bool>& touched) {
-  const std::string payload =
-      EncodeCrossPrepare(home, home_seq, entries_blob);
-  for (size_t t = 0; t < shard_count_; ++t) {
-    if (t == home || !touched[t]) continue;
-    Shard& other = *shards_[t];
-    // One participant WAL lock at a time — two home shards cross-preparing
-    // into each other can never hold-and-wait.
-    MutexLock lock(other.wal_mutex);
-    Status status = RetryShardWalOp(
-        other,
-        [&other, &payload]() TTRA_REQUIRES(other.wal_mutex) {
-          return other.wal->AddRecord(payload);
-        },
-        /*reset_tail=*/true);
-    if (status.ok() && options_.durable.sync_policy == SyncPolicy::kAlways) {
-      // Two-phase: under kAlways every participant durably holds the
-      // payload before any commit record can exist. The weaker policies
-      // keep their bounded-loss contract instead.
-      status = RetryShardWalOp(
-          other,
-          [&other]() TTRA_REQUIRES(other.wal_mutex) {
-            return other.wal->Sync();
-          },
-          /*reset_tail=*/false);
-    }
-    if (!status.ok()) return status;
-    ++other.stats.cross_prepares;
-  }
-  return Status::Ok();
-}
-
 void ShardedExecutor::MarkBatch(uint64_t commit_index, Status io) {
   MutexLock lock(commit_mutex_);
   for (Inflight& batch : inflight_) {
@@ -1335,22 +1159,18 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
                                    bool caller_led) {
   Shard& shard = *shards_[shard_index];
 
-  // Entries + the set of shards any sentence touches. The whole batch is
-  // the commit unit, so the touched set is computed across all of it.
+  // Entries, and whether any sentence touches a relation homed on another
+  // shard (counted only: every write of the batch goes to this shard).
   std::vector<GroupEntry> entries;
   entries.reserve(batch.size());
-  std::vector<bool> touched(shard_count_, false);
+  bool cross = false;
   for (Pending& pending : batch) {
     for (const Command& command : pending.sentence) {
-      touched[ShardOfName(CommandName(command), shard_count_)] = true;
+      cross = cross ||
+              ShardOfName(CommandName(command), shard_count_) != shard_index;
     }
     entries.push_back(GroupEntry{std::move(pending.sentence), pending.atomic});
   }
-  bool cross = false;
-  for (size_t t = 0; t < shard_count_; ++t) {
-    if (touched[t] && t != shard_index) cross = true;
-  }
-  const std::string entries_blob = EncodeEntriesBlob(entries);
 
   // Phase 1 — prepare: the payload lands in this shard's own WAL under a
   // shard-local sequence number. Parallel across shards; no global lock.
@@ -1359,7 +1179,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   {
     MutexLock lock(shard.wal_mutex);
     seq = shard.next_seq++;
-    const std::string payload = EncodePrepare(seq, entries_blob);
+    const std::string payload = EncodePrepare(seq, entries);
     io = RetryShardWalOp(
         shard,
         [&shard, &payload]() TTRA_REQUIRES(shard.wal_mutex) {
@@ -1372,26 +1192,15 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
     RefuseBatch(batch, io);
     return;
   }
-  if (cross) {
-    io = WriteCrossPrepares(shard_index, seq, entries_blob, touched);
-    if (!io.ok()) {
-      // The orphaned prepare is in-doubt; recovery drops it. The batch
-      // fails cleanly here, before any transaction number existed.
-      EnterDegraded(io);
-      RefuseBatch(batch, io);
-      return;
-    }
-  }
 
   // Phase 2 — order: transaction numbers are data-dependent (a failed
   // command consumes none), so positions cannot be pre-reserved; the
-  // global section is exactly the apply + coordinator append, nothing
-  // else. The batch applies to a copy of the tip, which shares every
-  // relation until a command writes it.
+  // global section is exactly the apply, with no I/O. The batch applies to
+  // a copy of the tip, which shares every relation until a command writes
+  // it.
   uint64_t commit_index = 0;
   TransactionNumber base = 0;
   TransactionNumber post = 0;
-  bool sync_coordinator = false;
   {
     MutexLock lock(commit_mutex_);
     if (degraded_) {
@@ -1415,28 +1224,6 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
       results.push_back(std::move(result));
     }
     post = next->transaction_number();
-
-    // Coordinator record: the global order as it happens. Advisory —
-    // appended under the order lock (its order IS the commit order) but
-    // synced lazily, so the ack path pays exactly one fsync (the shard's).
-    if (coordinator_good_) {
-      const std::string coord =
-          EncodeCoordCommit(shard_index, seq, base, post, entries.size());
-      if (!coordinator_->AddRecord(coord).ok()) {
-        // Best effort: cut any torn frame and stop writing the advisory
-        // log. Durability is untouched; recovery works without it, and
-        // tolerates the torn frame if even the cut fails.
-        coordinator_->ResetTail().IgnoreError();
-        coordinator_good_ = false;
-      } else if (++coordinator_unsynced_ >=
-                 options_.coordinator_sync_every) {
-        // The fsync itself happens after the batch is acked (end of this
-        // function, still under the shared checkpoint gate): a disk flush
-        // of the advisory log must not sit inside the global order lock.
-        coordinator_unsynced_ = 0;
-        sync_coordinator = true;
-      }
-    }
 
     commit_index = next_commit_index_++;
     Inflight inflight;
@@ -1494,11 +1281,6 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
 
   // Phase 4 — ack behind the durability watermark.
   MarkBatch(commit_index, io);
-
-  // Lazy coordinator flush, after the ack so it adds no commit latency.
-  // Still under the caller's shared checkpoint gate, so Checkpoint()
-  // cannot rotate the log out from under the fsync.
-  if (sync_coordinator) SyncCoordinatorUnlocked();
 }
 
 void ShardedExecutor::RunBatch(size_t shard_index, std::vector<Pending>& batch,

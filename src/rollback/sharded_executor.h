@@ -99,32 +99,33 @@ Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record);
 //   dir/segments.manifest  one global checkpoint (CompactStore), plus
 //   dir/seg-*.seg          one segment file per relation
 //   dir/shard-<k>.wal      per-shard write-ahead log, k in [0, shards)
-//   dir/coordinator.log    advisory cross-shard commit order (WAL format)
 //
-// Every log file uses the standard WAL framing (storage/wal.h); the record
-// payloads use the kinds below, disjoint from the legacy single-writer
-// kinds 0/1/2 so a sharded record fed to DecodeWalRecord fails loudly and
-// vice versa.
+// The shard WALs are the whole log: each uses the standard WAL framing
+// (storage/wal.h), and its record payloads use the kinds below, disjoint
+// from the legacy single-writer kinds 0/1/2 so a sharded record fed to
+// DecodeWalRecord fails loudly and vice versa. The MANIFEST format and
+// its parser live in storage/wal.h, shared with `ttra fsck`.
+//
+// Earlier builds also kept an advisory "coordinator.log" that recovery
+// never needed; Start() removes one it finds once the covering checkpoint
+// is durable, without reading it.
 //
 // A directory written by an earlier build's single-writer executor holds
 // the same checkpoint plus one "wal.log" of legacy records (and perhaps a
 // full-copy "checkpoint.db", which CompactStore::Load migrates). Start()
 // migrates it once: see there.
 
-inline constexpr char kShardManifestFile[] = "MANIFEST";
+/// Written by earlier builds only (see above).
 inline constexpr char kCoordinatorLogFile[] = "coordinator.log";
 inline constexpr char kLegacyWalFile[] = "wal.log";
 
 /// "shard-<k>.wal".
 std::string ShardWalFile(size_t shard);
 
-/// Parses dir/MANIFEST; kCorruption on malformed content.
-Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir);
-
-/// Removes every file the executor, an earlier build's single-writer
-/// executor or `ttra fsck --repair` writes in `dir`, whatever its layout:
-/// a legacy wal.log, the shard WALs, the
-/// coordinator log and MANIFEST, the segment manifest and segment files,
+/// Removes every file the executor, an earlier build's executor or
+/// `ttra fsck --repair` writes in `dir`, whatever its layout: a legacy
+/// wal.log, the shard WALs, an old coordinator log and MANIFEST, the
+/// segment manifest and segment files,
 /// a legacy checkpoint image, and their `.tmp`/`.quarantine` remains. The
 /// next open of `dir` starts from the empty database. Other files and a
 /// missing `dir` are left alone.
@@ -134,27 +135,26 @@ Status ResetWalDir(Env* env, const std::string& dir);
 /// tests and benches can predict (or deliberately spread) placement.
 size_t ShardOfName(const std::string& name, size_t shards);
 
-/// Record kinds of the sharded commit protocol.
+/// Record kinds of the sharded commit protocol. Kind 6 is reserved and
+/// must never be reused: earlier builds wrote it (a coordinator record)
+/// to coordinator.log, which recovery no longer reads.
 enum class ShardRecordKind : uint8_t {
-  /// Home shard, phase 1: the batch payload under a shard-local sequence
-  /// number. Carries no transaction numbers — those are assigned at
+  /// The batch payload under a shard-local sequence number, on its home
+  /// shard. Carries no transaction numbers — those are assigned at
   /// commit. [u64 seq][u64 count][count × entry], entry =
   /// [u8 atomic][u64 n][n commands].
   kPrepare = 3,
-  /// Home shard, phase 2: fixes the batch's global position.
+  /// Fixes the batch's global position, on its home shard.
   /// [u64 seq][u64 base_txn][u64 post_txn]. A batch is committed iff its
   /// commit record is durable; prepare without commit is in-doubt and is
   /// dropped by recovery (it was never acknowledged).
   kCommit = 4,
-  /// Non-home shard touched by a cross-shard batch: a durable marker (with
-  /// the full payload, for forensics) written before the home shard's
-  /// commit record. Replay ignores it — the home prepare is authoritative.
-  /// [u64 home_shard][u64 home_seq][u64 count][count × entry].
+  /// Written by earlier builds only, to every other shard a batch
+  /// touched: a copy of the home prepare's payload.
+  /// [u64 home_shard][u64 home_seq][u64 count][count × entry]. Still
+  /// decoded, because an uncovered log tail may hold one; recovery skips
+  /// it — the home prepare is authoritative.
   kCrossPrepare = 5,
-  /// Coordinator log: the global commit order as it happened.
-  /// [u64 shard][u64 seq][u64 base_txn][u64 post_txn][u64 count].
-  /// Advisory: synced lazily, cross-checked (never required) by recovery.
-  kCoordCommit = 6,
 };
 
 std::string_view ShardRecordKindName(ShardRecordKind kind);
@@ -166,17 +166,14 @@ struct GroupEntry {
   bool atomic = false;
 };
 
-/// One decoded record of a shard WAL or the coordinator log. Which fields
-/// are meaningful depends on `kind` (see the enum docs).
+/// One decoded record of a shard WAL. Which fields are meaningful depends
+/// on `kind` (see the enum docs).
 struct ShardRecord {
   ShardRecordKind kind = ShardRecordKind::kPrepare;
-  uint64_t seq = 0;         ///< kPrepare/kCommit: shard-local sequence
-  uint64_t shard = 0;       ///< kCoordCommit: home shard
-  uint64_t home_shard = 0;  ///< kCrossPrepare: home shard
-  uint64_t home_seq = 0;    ///< kCrossPrepare: home sequence
-  TransactionNumber base_txn = 0;  ///< kCommit/kCoordCommit
-  TransactionNumber post_txn = 0;  ///< kCommit/kCoordCommit
-  uint64_t count = 0;              ///< entries in the batch
+  uint64_t seq = 0;                 ///< kPrepare/kCommit: shard-local
+  TransactionNumber base_txn = 0;   ///< kCommit
+  TransactionNumber post_txn = 0;   ///< kCommit
+  uint64_t count = 0;               ///< entries in the batch
   std::vector<GroupEntry> entries;  ///< kPrepare/kCrossPrepare payload
 };
 
@@ -191,9 +188,6 @@ Result<ShardRecord> DecodeShardRecord(std::string_view payload);
 struct GroupCommitOptions {
   /// Most sentences committed per WAL record/sync.
   size_t max_batch = 64;
-  /// Bounded per-shard queue depth; producers block (backpressure) beyond
-  /// it.
-  size_t queue_capacity = 1024;
 };
 
 /// A reader session pinned at its opening epoch N (the transaction number
@@ -259,10 +253,6 @@ struct ShardedOptions {
   /// (MANIFEST) and Start() adopts it; this value seeds a fresh directory.
   /// A legacy single-writer directory always migrates to one shard.
   size_t shards = 1;
-  /// Coordinator records between opportunistic coordinator syncs (the log
-  /// is advisory, so it is never synced on the ack path). Stop() and
-  /// Checkpoint() always sync it.
-  size_t coordinator_sync_every = 256;
   ProtocolFaultsForTests test_faults;
 };
 
@@ -301,19 +291,16 @@ struct ShardedOptions {
 /// never leads: a pipelining client must let batches form while it keeps
 /// submitting.
 ///
-/// Commit protocol (per batch, on its leader's thread):
-///  1. prepare: append the payload to the shard's own WAL under a
+/// Commit protocol (per batch, on its leader's thread; every write goes to
+/// the batch's home shard, whatever other shards its sentences touch):
+///  1. prepare: append the payload to the home shard's WAL under a
 ///     shard-local sequence number (parallel across shards);
-///  1b. cross-shard batches append a durable kCrossPrepare marker to every
-///     other touched shard first (two-phase: all participants hold the
-///     payload before any commit record exists);
-///  2. order: under the global commit lock, apply the batch onto a copy
-///     of the chain tip (O(#relations): copies share history) — this
-///     assigns the paper's strictly-increasing transaction numbers (they
-///     are data-dependent: a failed command consumes none, so positions
-///     cannot be pre-reserved) — and append the coordinator record (no
-///     sync);
-///  3. commit: append [seq, base, post] to the shard's own WAL and sync
+///  2. order: under the global commit lock, and with no I/O under it,
+///     apply the batch onto a copy of the chain tip (O(#relations): copies
+///     share history) — this assigns the paper's strictly-increasing
+///     transaction numbers (they are data-dependent: a failed command
+///     consumes none, so positions cannot be pre-reserved);
+///  3. commit: append [seq, base, post] to the home shard's WAL and sync
 ///     once — one fsync covers prepare + commit, so a batch costs one
 ///     fsync on its home shard;
 ///  4. ack: resolve futures only once every batch with an earlier base is
@@ -326,8 +313,7 @@ struct ShardedOptions {
 /// durable) are sorted by base transaction number and replayed through one
 /// database, re-establishing a total order byte-equal to serial execution;
 /// in-doubt batches (prepare without commit, or beyond the first gap) are
-/// provably unacknowledged and are dropped. The coordinator log is
-/// cross-checked where present but never required.
+/// provably unacknowledged and are dropped.
 ///
 /// Lifecycle — Start(), submit/read from any threads, Stop() — must be
 /// driven from one owning thread; everything between is thread-safe.
@@ -354,8 +340,7 @@ class ShardedExecutor {
   Status Start();
 
   /// Closes every queue, commits everything enqueued, waits for any batch
-  /// a caller is leading, joins the writers and syncs the coordinator
-  /// log. Safe to call twice.
+  /// a caller is leading and joins the writers. Safe to call twice.
   void Stop();
 
   /// Routes the sentence to its home shard's queue and wakes the shard's
@@ -398,7 +383,7 @@ class ShardedExecutor {
 
   /// Quiesces in-flight batches (checkpoint gate), appends one global
   /// incremental manifest record covering every shard, then truncates all
-  /// shard WALs and the coordinator log and resets the sequence spaces.
+  /// shard WALs and resets the sequence spaces.
   /// The manifest sync is the commit point, so truncation strictly
   /// follows a durable covering checkpoint.
   Status Checkpoint();
@@ -449,7 +434,6 @@ class ShardedExecutor {
     /// rest were led by the shard's writer thread).
     uint64_t caller_led_batches = 0;
     uint64_t commits = 0;         ///< sentences committed (or refused)
-    uint64_t cross_prepares = 0;  ///< kCrossPrepare markers written here
     WalWriter::Stats wal;         ///< physical I/O (syncs!)
   };
 
@@ -460,8 +444,6 @@ class ShardedExecutor {
     uint64_t cross_shard_batches = 0;  ///< batches touching >1 shard
     uint64_t rejected_read_only = 0;
     bool degraded = false;
-    uint64_t coordinator_records = 0;
-    uint64_t coordinator_syncs = 0;
     uint64_t transient_retries = 0;
     uint64_t retry_successes = 0;
     Status last_write_error;
@@ -527,11 +509,6 @@ class ShardedExecutor {
                 bool caller_led) TTRA_EXCLUDES(commit_mutex_);
   void ProcessBatch(size_t shard_index, std::vector<Pending>& batch,
                     bool caller_led) TTRA_EXCLUDES(commit_mutex_);
-  /// Appends (with retry) + syncs the kCrossPrepare markers for a
-  /// cross-shard batch; returns the first failure.
-  Status WriteCrossPrepares(size_t home, uint64_t home_seq,
-                            const std::string& entries_blob,
-                            const std::vector<bool>& touched);
   /// Records the durability outcome of `commit_index` and advances the
   /// watermark: publishes snapshots and resolves promises, in commit
   /// order, for every leading marked batch.
@@ -547,20 +524,14 @@ class ShardedExecutor {
                               std::vector<Result<TransactionNumber>> results);
   void EnterDegraded(const Status& reason) TTRA_EXCLUDES(commit_mutex_);
   void EnterDegradedLocked(const Status& reason) TTRA_REQUIRES(commit_mutex_);
-  /// Fsyncs the advisory coordinator log with no executor mutex held and
-  /// books the outcome under commit_mutex_. Callers must either hold the
-  /// checkpoint gate (shared) or have quiesced the writers, so the log
-  /// cannot be rotated underneath; concurrent appends are fine — fsync
-  /// then covers a prefix, which is all lazy sync ever promised.
-  void SyncCoordinatorUnlocked() TTRA_EXCLUDES(commit_mutex_);
   Status RetryShardWalOp(Shard& shard, const std::function<Status()>& op,
                          bool reset_tail) TTRA_REQUIRES(shard.wal_mutex);
 
-  /// Recovery: merge shard WALs + coordinator into one database.
+  /// Recovery: merge the shard WALs into one database.
   Status Recover(Database& db) TTRA_EXCLUDES(commit_mutex_);
 
   /// Checkpoint (`compact` false) or CompactStorage (true): quiesce, write
-  /// the store, then restart every shard log and the coordinator log.
+  /// the store, then restart every shard log.
   Status CheckpointAll(bool compact) TTRA_EXCLUDES(commit_mutex_);
 
   Env* env_;
@@ -576,17 +547,13 @@ class ShardedExecutor {
   /// anywhere and the watermark equals the chain tip.
   SharedMutex checkpoint_gate_;
 
-  /// The global order lock: transaction-number assignment, the chain tip,
-  /// the in-flight deque and the coordinator log live under it. Shard WAL
-  /// I/O deliberately does not — that is the parallel part.
+  /// The global order lock: transaction-number assignment, the chain tip
+  /// and the in-flight deque live under it. No write to any file happens
+  /// under it: shard WAL I/O is the parallel part.
   mutable Mutex commit_mutex_;
   std::shared_ptr<const Database> tip_ TTRA_GUARDED_BY(commit_mutex_);
   uint64_t next_commit_index_ TTRA_GUARDED_BY(commit_mutex_) = 0;
   std::deque<Inflight> inflight_ TTRA_GUARDED_BY(commit_mutex_);
-  std::unique_ptr<WalWriter> coordinator_ TTRA_GUARDED_BY(commit_mutex_);
-  uint64_t coordinator_unsynced_ TTRA_GUARDED_BY(commit_mutex_) = 0;
-  uint64_t coordinator_syncs_ TTRA_GUARDED_BY(commit_mutex_) = 0;
-  bool coordinator_good_ TTRA_GUARDED_BY(commit_mutex_) = true;
   /// Set once a committed batch failed to become durable: every later
   /// batch builds on unreplayable state, so all of them resolve with an
   /// error (the executor is degraded by then).

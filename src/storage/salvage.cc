@@ -51,30 +51,10 @@ bool HasDamage(const SalvageLogReport& log) {
   return log.valid_size + log.zero_tail < log.size;
 }
 
-/// Minimal parser of the sharded MANIFEST ("ttra-shards 1\nshards <N>\n").
-/// Deliberately local: salvage sits in the storage layer and must not pull
-/// in the executor above it, and the format is two fixed lines.
-Result<uint32_t> ParseShardManifest(std::string_view data) {
-  constexpr std::string_view kMagic = "ttra-shards 1\nshards ";
-  if (data.substr(0, kMagic.size()) != kMagic) {
-    return CorruptionError("malformed shard manifest");
-  }
-  uint32_t shards = 0;
-  size_t i = kMagic.size();
-  for (; i < data.size() && data[i] >= '0' && data[i] <= '9'; ++i) {
-    shards = shards * 10 + static_cast<uint32_t>(data[i] - '0');
-    if (shards > 4096) return CorruptionError("implausible shard count");
-  }
-  if (shards == 0 || i == kMagic.size() || data.substr(i) != "\n") {
-    return CorruptionError("malformed shard manifest");
-  }
-  return shards;
-}
-
 /// Scans one WAL-framed log file; findings and the severity roll-up go to
 /// `report`, per-file numbers to `log`. Shared by the single-writer path
 /// (which then copies `log` into the report's flat wal_* fields) and the
-/// sharded path (one call per shard WAL + coordinator).
+/// sharded path (one call per shard WAL).
 void ScanOneLog(Env* env, const std::string& path,
                 const std::function<Status(std::string_view)>& validate,
                 SalvageReport& report, SalvageLogReport& log) {
@@ -342,7 +322,7 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
 
   if (env->Exists(manifest)) {
     // Sharded layout: shard count from the manifest, then one log report
-    // per shard WAL plus the coordinator.
+    // per shard WAL.
     report.sharded = true;
     Result<std::string> data = env->Read(manifest);
     Result<uint32_t> shards =
@@ -371,13 +351,6 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
             "lost and recovery will cut back to the last gap-free prefix"});
         Worsen(report.verdict, SalvageVerdict::kTruncatedTail);
       }
-      Aggregate(report, log);
-      report.logs.push_back(std::move(log));
-    }
-    {
-      SalvageLogReport log;
-      ScanOneLog(env, dir + "/" + options.coordinator_file,
-                 options.validate_shard_record, report, log);
       Aggregate(report, log);
       report.logs.push_back(std::move(log));
     }

@@ -19,7 +19,7 @@ namespace ttra {
 /// bytes (nothing is ever deleted, an operator can always reconstruct what
 /// was cut) and truncates each WAL to its last valid prefix so recovery
 /// succeeds. Sharded directories (MANIFEST present) are scanned log by
-/// log: every shard WAL plus the coordinator log, with per-log findings —
+/// log: every shard WAL, with per-log findings —
 /// cutting one shard's torn tail is safe because recovery drops every
 /// batch beyond the first global gap (all provably unacknowledged),
 /// leaving a consistent global prefix.
@@ -63,17 +63,17 @@ struct SalvageOptions {
   /// legacy kLegacyCheckpointFile, when present, is validated too.
   std::string wal_file = "wal.log";
   /// Sharded (ShardedExecutor) layout: when `manifest_file` exists in the
-  /// directory, the scan switches to it — shard count from the manifest,
-  /// one log report per shard WAL plus the coordinator log, plus one for
-  /// a `wal_file` left by an interrupted migration.
-  std::string manifest_file = "MANIFEST";
-  std::string coordinator_file = "coordinator.log";
+  /// directory, the scan switches to it — shard count from the manifest
+  /// (ParseShardManifest, the parser the executor opens it with), one log
+  /// report per shard WAL, plus one for a `wal_file` left by an
+  /// interrupted migration.
+  std::string manifest_file = kShardManifestFile;
   /// Semantic validation of one intact WAL record payload; non-OK flags
   /// the record as corrupt even though its checksum matches. Unset =
   /// framing/checksum validation only.
   std::function<Status(std::string_view payload)> validate_record;
-  /// Same, for sharded WAL / coordinator record payloads (the sharded
-  /// commit protocol uses different record kinds).
+  /// Same, for shard WAL record payloads (the sharded commit protocol uses
+  /// different record kinds).
   std::function<Status(std::string_view payload)> validate_shard_record;
   /// Semantic validation of a legacy checkpoint image's bytes. Unset =
   /// presence only.
@@ -96,8 +96,7 @@ struct SalvageOptions {
 };
 
 /// Per-log detail of a sharded scan (one entry per shard WAL, plus one for
-/// the coordinator log and one for a legacy wal.log an interrupted
-/// migration left).
+/// a legacy wal.log an interrupted migration left).
 struct SalvageLogReport {
   std::string file;  ///< path of the log
   bool present = false;
@@ -122,8 +121,7 @@ struct SalvageReport {
   bool checkpoint_valid = false;
   bool wal_present = false;
   /// Aggregates. Single-writer layout: the one wal.log. Sharded layout:
-  /// summed over every shard WAL and the coordinator log (per-log detail
-  /// in `logs`).
+  /// summed over every shard WAL (per-log detail in `logs`).
   uint64_t wal_size = 0;
   /// End of the salvageable prefix: header + every record that is both
   /// frame-intact and semantically valid. Repair truncates here.

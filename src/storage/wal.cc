@@ -213,4 +213,44 @@ Result<WalReadResult> ReadWal(const Env& env, const std::string& path) {
   return result;
 }
 
+namespace {
+
+constexpr std::string_view kShardManifestHeader = "ttra-shards 1\nshards ";
+
+}  // namespace
+
+std::string ShardManifestText(size_t shards) {
+  return std::string(kShardManifestHeader) + std::to_string(shards) + "\n";
+}
+
+Result<uint32_t> ParseShardManifest(std::string_view text) {
+  if (text.substr(0, kShardManifestHeader.size()) != kShardManifestHeader) {
+    return CorruptionError("malformed shard manifest");
+  }
+  uint64_t shards = 0;
+  size_t i = kShardManifestHeader.size();
+  for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+    shards = shards * 10 + static_cast<uint64_t>(text[i] - '0');
+    if (shards > kMaxShards) {
+      return CorruptionError("shard count above the limit of " +
+                             std::to_string(kMaxShards));
+    }
+  }
+  if (shards == 0 || i == kShardManifestHeader.size() ||
+      text.substr(i) != "\n") {
+    return CorruptionError("malformed shard count");
+  }
+  return static_cast<uint32_t>(shards);
+}
+
+Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir) {
+  const std::string path = dir + "/" + kShardManifestFile;
+  TTRA_ASSIGN_OR_RETURN(std::string text, env.Read(path));
+  Result<uint32_t> shards = ParseShardManifest(text);
+  if (!shards.ok()) {
+    return CorruptionError(path + ": " + shards.status().message());
+  }
+  return shards;
+}
+
 }  // namespace ttra

@@ -27,8 +27,7 @@ namespace ttra {
 /// after recovery), then AddRecord()/Sync() per the caller's policy.
 ///
 /// Not internally synchronized: callers serialize access (ShardedExecutor
-/// holds the owning lock — a shard's WAL lock, or its order lock for the
-/// coordinator log — around every member, stats() included).
+/// holds the shard's WAL lock around every member, stats() included).
 class WalWriter {
  public:
   WalWriter(Env* env, std::string path) : env_(env), path_(std::move(path)) {}
@@ -145,6 +144,24 @@ struct WalReadResult {
 /// the remainder for re-synchronizing valid frames (records_after_hole),
 /// letting callers tell a torn tail from a mid-log hole.
 Result<WalReadResult> ReadWal(const Env& env, const std::string& path);
+
+/// The MANIFEST of a sharded log directory (one `shard-<k>.wal` per shard),
+/// written once by the directory's first open: exactly
+/// "ttra-shards 1\nshards <N>\n". Its shard count is authoritative on every
+/// later open, and `ttra fsck` reads the same file with the same parser.
+inline constexpr char kShardManifestFile[] = "MANIFEST";
+/// Largest shard count a MANIFEST may hold.
+inline constexpr uint32_t kMaxShards = 1024;
+
+/// The MANIFEST text for `shards` shards.
+std::string ShardManifestText(size_t shards);
+
+/// Parses MANIFEST bytes; kCorruption on malformed text or a shard count
+/// outside [1, kMaxShards].
+Result<uint32_t> ParseShardManifest(std::string_view text);
+
+/// Reads and parses dir/MANIFEST.
+Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir);
 
 }  // namespace ttra
 

@@ -234,8 +234,6 @@ void RunSeed(uint64_t seed, bool checkpoints) {
     // The damage was either in the WAL (quarantined alongside it) or
     // inside the covered compact state (quarantined wholesale).
     EXPECT_TRUE(env.Exists(wal_path + ".quarantine") ||
-                env.Exists(std::string("t/") + kCoordinatorLogFile +
-                           ".quarantine") ||
                 repaired->compact_state_quarantined);
   }
 
@@ -296,10 +294,9 @@ TEST(FaultTortureTest, CompactStorageSeededScheduleSweep) {
 //
 // Exhaustively crashes the sharded executor at EVERY counted mutating op
 // of a fixed workload — which walks the one-shot fault straight through
-// the cross-shard two-phase window: after the home-shard prepare, after a
-// kCrossPrepare marker on the other shard, between the coordinator append
-// and the home-shard commit record, and during the covering fsync. The
-// invariant on every crash point: recovery re-establishes EXACTLY the
+// every batch's window: after the home-shard prepare, between the apply and
+// the home-shard commit record, and during the covering fsync, for
+// single-shard and cross-shard sentences alike. The invariant on every crash point: recovery re-establishes EXACTLY the
 // acknowledged prefix of the sentence sequence. An in-doubt batch (any
 // write of its protocol failed, so it was never acknowledged) is dropped
 // atomically — never half a cross-shard sentence — and no acknowledged

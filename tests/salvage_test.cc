@@ -404,7 +404,7 @@ TEST(ShardedSalvageTest, CleanShardedDirectoryScansCleanPerLog) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->sharded);
   EXPECT_EQ(report->shards, 2u);
-  ASSERT_EQ(report->logs.size(), 3u);  // two shard WALs + coordinator
+  ASSERT_EQ(report->logs.size(), 2u);  // the two shard WALs
   EXPECT_EQ(report->verdict, SalvageVerdict::kClean);
   EXPECT_TRUE(report->findings.empty());
   EXPECT_EQ(SalvageExitCode(*report), 0);
@@ -494,7 +494,7 @@ TEST(ShardedSalvageTest, ZeroTailScansCleanAndRepairQuarantinesNothing) {
   EXPECT_EQ(scan->verdict, SalvageVerdict::kClean);
   EXPECT_TRUE(scan->findings.empty());
   EXPECT_EQ(SalvageExitCode(*scan), 0);
-  ASSERT_EQ(scan->logs.size(), 3u);
+  ASSERT_EQ(scan->logs.size(), 2u);
   EXPECT_EQ(scan->logs[1].valid_size, records.size());
   EXPECT_EQ(scan->logs[1].zero_tail, 1u << 16);
   EXPECT_EQ(scan->logs[1].size, records.size() + (1u << 16));
@@ -629,6 +629,41 @@ TEST(ShardedSalvageTest, InterruptedMigrationScansTheLegacyLog) {
   EXPECT_EQ(EncodeDatabase(exec.Snapshot()), EncodeDatabase(expected));
   EXPECT_FALSE(env.Exists("d/wal.log"));
   exec.Stop();
+}
+
+TEST(ShardedSalvageTest, FsckAndStartAgreeOnTheShardCountLimit) {
+  // fsck and Start() parse MANIFEST with one parser, so fsck never calls a
+  // directory clean that Start() then refuses to open.
+  InMemoryEnv env;
+  BuildShardedStore(&env, "d");
+  Overwrite(&env, std::string("d/") + kShardManifestFile,
+            ShardManifestText(kMaxShards));
+  auto at_limit = ScanStorage(&env, "d", ShardedSalvageOptions());
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(at_limit->shards, kMaxShards);
+  EXPECT_NE(at_limit->verdict, SalvageVerdict::kUnrecoverable);
+
+  ShardedOptions options;
+  options.shards = 2;
+  // Above the limit, and a count no integer type holds.
+  for (const std::string count : {"2000", "123456789012345678901234567"}) {
+    SCOPED_TRACE(count);
+    Overwrite(&env, std::string("d/") + kShardManifestFile,
+              "ttra-shards 1\nshards " + count + "\n");
+    auto scan = ScanStorage(&env, "d", ShardedSalvageOptions());
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(scan->verdict, SalvageVerdict::kUnrecoverable);
+    ASSERT_EQ(scan->findings.size(), 1u);
+    EXPECT_EQ(scan->findings[0].cause, "manifest-invalid");
+    ShardedExecutor exec(&env, "d", options);
+    EXPECT_EQ(exec.Start().code(), ErrorCode::kCorruption);
+  }
+
+  // A fresh directory is refused a count its MANIFEST could not hold.
+  options.shards = kMaxShards + 1;
+  ShardedExecutor fresh(&env, "fresh", options);
+  EXPECT_EQ(fresh.Start().code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(env.Exists(std::string("fresh/") + kShardManifestFile));
 }
 
 // --- Compact layout ---------------------------------------------------------

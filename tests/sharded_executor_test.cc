@@ -77,7 +77,7 @@ TEST(ShardRoutingTest, ShardOfNameIsDeterministicAndInRange) {
   EXPECT_EQ(hit.size(), 4u);
 }
 
-TEST(ShardLayoutTest, StartCreatesManifestWalsAndCoordinator) {
+TEST(ShardLayoutTest, StartCreatesManifestAndShardWalsOnly) {
   InMemoryEnv env;
   ShardedExecutor exec(&env, "db", FastOptions(3));
   ASSERT_TRUE(exec.Start().ok());
@@ -89,8 +89,9 @@ TEST(ShardLayoutTest, StartCreatesManifestWalsAndCoordinator) {
   for (size_t k = 0; k < 3; ++k) {
     EXPECT_TRUE(env.Exists("db/" + ShardWalFile(k))) << k;
   }
-  EXPECT_TRUE(env.Exists(std::string("db/") + kCoordinatorLogFile));
+  EXPECT_FALSE(env.Exists(std::string("db/") + kCoordinatorLogFile));
   exec.Stop();
+  EXPECT_FALSE(env.Exists(std::string("db/") + kCoordinatorLogFile));
 }
 
 TEST(ShardLayoutTest, ManifestShardCountIsAuthoritativeOnReopen) {
@@ -355,74 +356,6 @@ TEST(ShardedExecutorTest, RestartRecoversTheMergedOrder) {
   exec.Stop();
 }
 
-// Regression test for the coordinator-flush restructuring: the advisory
-// log's fsync was moved OUT of commit_mutex_ (it ran inside the global
-// order lock, stalling every committer behind a disk flush — the
-// io-under-lock lint pass pins the fix; its waiver file deliberately
-// does not excuse commit_mutex_ -> Sync). The observable contract must
-// hold: scheduled flushes still happen and are counted, the final
-// opportunistic flush still runs at Stop(), and the coordinator log
-// still recovers the merged order after restart.
-TEST(ShardedExecutorTest, CoordinatorSyncsStillRunAndRecoverAfterMove) {
-  InMemoryEnv env;
-  const std::string on0 = NameOnShard(0, 2);
-  const std::string on1 = NameOnShard(1, 2);
-
-  // Aggressive policy: every batch schedules a lazy flush (post-ack).
-  ShardedOptions eager = FastOptions(2);
-  eager.coordinator_sync_every = 1;
-  std::string before;
-  {
-    ShardedExecutor exec(&env, "db", eager);
-    ASSERT_TRUE(exec.Start().ok());
-    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
-                        on0, RelationType::kRollback, EmpSchema()}})
-                    .ok());
-    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
-                        on1, RelationType::kRollback, EmpSchema()}})
-                    .ok());
-    for (int i = 0; i < 4; ++i) {
-      const std::string& target = (i % 2 == 0) ? on0 : on1;
-      ASSERT_TRUE(exec.Submit(Command{ModifySnapshotCmd{
-                          target, EmpState({{"x", i}})}})
-                      .ok());
-    }
-    before = EncodeDatabase(exec.Snapshot());
-    exec.Stop();
-    // Synchronous submits → one batch each → one booked flush each
-    // (writers are joined by Stop, so every flush is accounted for).
-    const ShardedExecutor::Stats stats = exec.stats();
-    EXPECT_GE(stats.coordinator_syncs, 6u);
-    EXPECT_FALSE(stats.degraded);
-  }
-  {
-    // The coordinator log fsynced outside the lock is still a valid,
-    // recoverable prefix: restart reproduces the merged order exactly.
-    ShardedExecutor exec(&env, "db", eager);
-    ASSERT_TRUE(exec.Start().ok());
-    EXPECT_EQ(EncodeDatabase(exec.Snapshot()), before);
-    EXPECT_EQ(exec.transaction_number(), 6u);
-    exec.Stop();
-  }
-
-  // Lazy policy: nothing reaches the threshold, so the only flush is the
-  // final opportunistic one in Stop() — also outside the lock now.
-  ShardedOptions lazy = FastOptions(2);
-  lazy.coordinator_sync_every = 1000;
-  InMemoryEnv env2;
-  ShardedExecutor exec(&env2, "db", lazy);
-  ASSERT_TRUE(exec.Start().ok());
-  ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
-                      on0, RelationType::kRollback, EmpSchema()}})
-                  .ok());
-  ASSERT_TRUE(exec.Submit(Command{ModifySnapshotCmd{
-                      on0, EmpState({{"y", 1}})}})
-                  .ok());
-  EXPECT_EQ(exec.stats().coordinator_syncs, 0u);
-  exec.Stop();
-  EXPECT_EQ(exec.stats().coordinator_syncs, 1u);
-}
-
 TEST(ShardedExecutorTest, CrossShardAtomicSentenceIsAllOrNothing) {
   InMemoryEnv env;
   ShardedExecutor exec(&env, "db", FastOptions(2));
@@ -460,7 +393,8 @@ TEST(ShardedExecutorTest, CrossShardAtomicSentenceIsAllOrNothing) {
   EXPECT_EQ(*committed, 4u);
   EXPECT_GE(exec.stats().cross_shard_batches, 1u);
 
-  // The cross-shard batch survives restart (two-phase markers + commit).
+  // The cross-shard batch survives restart: its home shard's prepare and
+  // commit records hold all of it.
   const std::string before = EncodeDatabase(exec.Snapshot());
   exec.Stop();
   ShardedExecutor reopened(&env, "db", FastOptions(2));
@@ -492,9 +426,6 @@ TEST(ShardedExecutorTest, CheckpointTruncatesAllShardLogs) {
     ASSERT_TRUE(wal.ok());
     EXPECT_TRUE(wal->records.empty()) << "shard " << k;
   }
-  auto coordinator = ReadWal(env, std::string("db/") + kCoordinatorLogFile);
-  ASSERT_TRUE(coordinator.ok());
-  EXPECT_TRUE(coordinator->records.empty());
 
   // Post-checkpoint commits (fresh sequence space) chain correctly across
   // a restart.
@@ -686,6 +617,132 @@ TEST(ShardRecoveryTest, MatchingPreparesIsLinearInUncoveredBatches) {
   const double large = RecoverSeconds(40'000, 1'000);
   EXPECT_LT(large, 8 * small + 0.05)
       << "10k batches: " << small << " s, 40k batches: " << large << " s";
+}
+
+// --- Directories written by earlier builds ---------------------------------
+
+/// A batch payload record: `kind`, its header words, then the sentences as
+/// paper-sequenced entries.
+std::string BatchRecord(ShardRecordKind kind,
+                        const std::vector<uint64_t>& header,
+                        const std::vector<Command>& sentence) {
+  std::string out(1, static_cast<char>(kind));
+  for (const uint64_t word : header) PutU64(word, out);
+  PutU64(1, out);    // one entry
+  out.push_back(0);  // not atomic
+  PutU64(sentence.size(), out);
+  for (const Command& command : sentence) EncodeCommand(command, out);
+  return out;
+}
+
+/// A 2-shard directory whose uncovered shard-log tails hold four committed
+/// batches and one in-doubt prepare. With `earlier_build`, it also holds
+/// what earlier builds wrote besides: a kCrossPrepare copy of the
+/// cross-shard batch on the other shard, and a coordinator.log with
+/// damage in the middle. Returns the database the batches commit.
+std::string WriteTwoShardDir(Env* env, const std::string& dir,
+                             bool earlier_build) {
+  const std::string on0 = NameOnShard(0, 2);
+  const std::string on1 = NameOnShard(1, 2);
+  // Each sentence is homed on the shard of its first relation.
+  const size_t homes[] = {0, 1, 0, 1};
+  const std::vector<std::vector<Command>> sentences = {
+      {DefineRelationCmd{on0, RelationType::kRollback, EmpSchema()}},
+      {DefineRelationCmd{on1, RelationType::kRollback, EmpSchema()}},
+      {ModifySnapshotCmd{on0, EmpState({{"a", 1}})},
+       ModifySnapshotCmd{on1, EmpState({{"b", 2}})}},
+      {ModifySnapshotCmd{on1, EmpState({{"c", 3}})}},
+  };
+  EXPECT_TRUE(env->CreateDir(dir).ok());
+  EXPECT_TRUE(env->Append(dir + "/" + kShardManifestFile,
+                          ShardManifestText(2))
+                  .ok());
+  Database db{DatabaseOptions{}};
+  std::vector<std::string> logs[2];
+  std::vector<std::string> coordinator;
+  uint64_t next_seq[2] = {1, 1};
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    const std::vector<Command>& sentence = sentences[i];
+    const uint64_t home = homes[i];
+    const uint64_t seq = next_seq[home]++;
+    const TransactionNumber base = db.transaction_number();
+    EXPECT_TRUE(ApplySentence(db, sentence).ok());
+    const TransactionNumber post = db.transaction_number();
+    logs[home].push_back(BatchRecord(ShardRecordKind::kPrepare, {seq},
+                                     sentence));
+    if (earlier_build && sentence.size() > 1) {
+      logs[1 - home].push_back(BatchRecord(ShardRecordKind::kCrossPrepare,
+                                           {home, seq}, sentence));
+    }
+    std::string commit(1, static_cast<char>(ShardRecordKind::kCommit));
+    for (const uint64_t word : {seq, base, post}) PutU64(word, commit);
+    logs[home].push_back(std::move(commit));
+    std::string coord(1, 6);  // the reserved coordinator-record kind
+    for (const uint64_t word : {home, seq, base, post, uint64_t{1}}) {
+      PutU64(word, coord);
+    }
+    coordinator.push_back(std::move(coord));
+  }
+  // In doubt: prepared on shard 1, never committed.
+  logs[1].push_back(BatchRecord(ShardRecordKind::kPrepare, {next_seq[1]},
+                                {ModifySnapshotCmd{on1, EmpState({})}}));
+  for (size_t k = 0; k < 2; ++k) {
+    WalWriter wal(env, dir + "/" + ShardWalFile(k));
+    EXPECT_TRUE(wal.Create().ok());
+    EXPECT_TRUE(wal.AddRecords(logs[k]).ok());
+    EXPECT_TRUE(wal.Sync().ok());
+  }
+  if (earlier_build) {
+    const std::string path = dir + "/" + kCoordinatorLogFile;
+    WalWriter wal(env, path);
+    EXPECT_TRUE(wal.Create().ok());
+    EXPECT_TRUE(wal.AddRecords(coordinator).ok());
+    EXPECT_TRUE(wal.Sync().ok());
+    // Flip a payload byte of record #1: intact records follow the hole.
+    Result<WalReadResult> intact = ReadWal(*env, path);
+    EXPECT_TRUE(intact.ok());
+    std::string image = *env->Read(path);
+    image[intact->record_offsets[1] + 20] ^= 0x01;
+    EXPECT_TRUE(env->Truncate(path).ok());
+    EXPECT_TRUE(env->Append(path, image).ok());
+    Result<WalReadResult> damaged = ReadWal(*env, path);
+    EXPECT_TRUE(damaged.ok());
+    EXPECT_GT(damaged->records_after_hole, 0u);
+  }
+  return EncodeDatabase(db);
+}
+
+TEST(ShardRecoveryTest, OpensADirectoryAnEarlierBuildWrote) {
+  // Recovery reads only the home shards' prepare and commit records: an
+  // earlier build's cross-shard copies are skipped, and its coordinator
+  // log, damaged or not, is removed unread once the covering checkpoint
+  // is durable.
+  InMemoryEnv env;
+  const std::string expected = WriteTwoShardDir(&env, "earlier", true);
+  ASSERT_EQ(WriteTwoShardDir(&env, "current", false), expected);
+
+  ShardedExecutor current(&env, "current", FastOptions(2));
+  ASSERT_TRUE(current.Start().ok());
+  EXPECT_EQ(EncodeDatabase(current.Snapshot()), expected);
+  current.Stop();
+
+  ShardedExecutor earlier(&env, "earlier", FastOptions(2));
+  const Status started = earlier.Start();
+  ASSERT_TRUE(started.ok()) << started;
+  EXPECT_EQ(EncodeDatabase(earlier.Snapshot()), expected);
+  const ShardedExecutor::RecoveryInfo info = earlier.last_recovery();
+  EXPECT_EQ(info.replayed_batches, 4u);
+  EXPECT_EQ(info.dropped_in_doubt, 1u);
+  EXPECT_EQ(info.torn_tails, 0u);
+  EXPECT_FALSE(env.Exists(std::string("earlier/") + kCoordinatorLogFile));
+  earlier.Stop();
+
+  // The reopened directory holds only the current layout and still
+  // recovers the same database.
+  ShardedExecutor reopened(&env, "earlier", FastOptions(2));
+  ASSERT_TRUE(reopened.Start().ok());
+  EXPECT_EQ(EncodeDatabase(reopened.Snapshot()), expected);
+  reopened.Stop();
 }
 
 // --- Caller-led commits ---------------------------------------------------

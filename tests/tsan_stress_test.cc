@@ -509,7 +509,7 @@ TEST(TsanStressTest, PosixEnvSyncTruncateAppendAcrossFiles) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::vector<std::string> paths = {dir + "/shard-0.wal",
-                                          dir + "/coordinator.log"};
+                                          dir + "/plain.log"};
   PosixEnv env;
   for (const std::string& path : paths) ASSERT_TRUE(env.Truncate(path).ok());
   std::atomic<int> errors{0};

@@ -672,7 +672,7 @@ TEST(PosixEnvTest, CutsThenAppendsOnAZeroWrittenLogReadBack) {
 }
 
 TEST(PosixEnvTest, OtherFilesAreNotZeroWritten) {
-  const std::string path = FreshDir("ttra_not_prezeroed") + "/coordinator.log";
+  const std::string path = FreshDir("ttra_not_prezeroed") + "/plain.log";
   PosixEnv env;
   WalWriter writer(&env, path);
   ASSERT_TRUE(writer.Create().ok());

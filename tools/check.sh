@@ -175,8 +175,7 @@ if [ "$do_stress" -eq 1 ]; then
   # concurrency oracle reads TTRA_ORACLE_SEEDS when it runs). This
   # includes the shard sweep: ConcurrentOracleTest and ShardedOracleTest
   # run every seed at N = 1 and N ∈ {2, 4} writer shards, merging the
-  # shard WALs + coordinator log and requiring byte-equality with serial
-  # replay.
+  # shard WALs and requiring byte-equality with serial replay.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-200}" \
   run_pass build stress
 fi

@@ -58,8 +58,8 @@
 // while show statements drain the pipeline and are evaluated on
 // --sessions concurrent reader sessions pinned at the same epoch, which
 // must all agree. These flags require --wal-dir. With N > 1 shards,
-// relations are routed to their home shard by name hash and cross-shard
-// sentences two-phase through durable prepare markers, while one globally
+// relations are routed to their home shard by name hash, a sentence is
+// logged whole on the home shard of its first relation, and one globally
 // ordered transaction chain is kept. The directory remembers its shard
 // count (MANIFEST).
 //
@@ -694,8 +694,11 @@ int CmdFsckHelp() {
       "Scans the directory's checkpoint and write-ahead logs: every frame\n"
       "is checksum-verified and decoded, and each corrupt record is\n"
       "reported with its byte offset and cause. A sharded directory\n"
-      "(MANIFEST present) is scanned log by log: every shard-<k>.wal plus\n"
-      "coordinator.log, with per-log findings. A legacy single-writer\n"
+      "(MANIFEST present) is scanned log by log: every shard-<k>.wal, with\n"
+      "per-log findings; a MANIFEST that `run` or `recover` would refuse\n"
+      "(malformed, or more than 1024 shards) is unrecoverable. A stale\n"
+      "coordinator.log (kept by earlier builds) is not scanned: the next\n"
+      "open removes it unread. A legacy single-writer\n"
       "directory (one wal.log, written by an earlier build) is scanned as\n"
       "it is; the first open (`run`, `recover`, `vacuum`) migrates it to\n"
       "one shard and removes wal.log. Without --repair\n"

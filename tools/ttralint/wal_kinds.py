@@ -1,9 +1,9 @@
 """ttra-lint pass: WAL record-kind exhaustiveness.
 
-The on-disk format has seven record kinds across two enums — the
+The on-disk format has six record kinds across two enums — the
 single-writer WAL's RecordKind (0 sentence / 1 atomic / 2 group) and the
 sharded commit protocol's ShardRecordKind (3 prepare / 4 commit /
-5 cross-prepare / 6 coord-commit). Every reader of those bytes —
+5 cross-prepare; 6 is reserved). Every reader of those bytes —
 recovery replay, salvage scanning, and the fsck CLI wiring — must handle
 every kind: a new kind that one reader silently skips is data loss that
 no checksum will catch.
